@@ -24,10 +24,9 @@ from .kdtree import KdTree
 from .metrics import (ErrorReport, band_coverage, dispersion,
                       directed_hausdorff_normalized, jaccard, snap_points)
 from .splines import (KnotVector, SplineFunction, TensorSplineSpace,
-                      basis_row, bspline_eval, insert_knot, knot_averages,
+                      basis_row, insert_knot, knot_averages,
                       make_uniform_regular, spline_eval)
-from .weights import (NeighborContext, SupportDescriptor, WeightSpec,
-                      cloud_weights, weight_eval, weight_support)
+from .weights import NeighborContext, WeightSpec, cloud_weights
 
 __version__ = "0.1.0"
 
@@ -35,10 +34,10 @@ __all__ = [
     "BiasBounds", "CoefficientCovariance", "CvResult", "DomainError",
     "EmptySupportError", "ErrorReport", "FitConfig", "FitPolicy",
     "GlobalBounds", "KdTree", "KnotVector", "NeighborContext", "NoiseModel",
-    "ParseError", "PointCloud", "SplineFunction", "SupportDescriptor",
+    "ParseError", "PointCloud", "SplineFunction",
     "SyntheticData", "TensorSplineSpace", "WeightSpec", "WqisaError",
     "WqisaModel", "band_coverage", "basis_row", "bias_bounds_at",
-    "bspline_eval", "classify_convexity", "classify_monotone",
+    "classify_convexity", "classify_monotone",
     "cloud_weights", "coefficient_covariance", "directed_hausdorff_normalized",
     "dispersion", "effective_points", "estimate_control_point",
     "estimate_noise_sigma", "evaluate", "fit", "gen_synthetic",
@@ -46,5 +45,5 @@ __all__ = [
     "jaccard", "kfold_cv", "knot_averages", "load_cloud", "local_bounds",
     "make_folds", "make_uniform_regular", "normal_quantile", "parse_weight",
     "save_cloud", "se_band", "select_parsimonious", "snap_points", "spline_eval", "variable_noise_scale", "variance_at", "w_convex_check",
-    "w_monotone_check", "weight_eval", "weight_support",
+    "w_monotone_check",
 ]

@@ -2,8 +2,7 @@
 
 Subcommands: gen, fit, eval, cv, metrics, demo. Every run takes an optional
 --config JSON file whose values are overridden by explicit flags. Failures
-print a machine-readable {"error": ...} object and exit nonzero. The
-WQISA_THREADS environment variable caps fit parallelism (0 = auto).
+print a machine-readable {"error": ...} object and exit nonzero.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from .errors import WqisaError
 from .fitting import (FitPolicy, PointCloud, classify_convexity,
                       classify_monotone, evaluate, fit, global_bounds,
                       iqr_outlier_filter)
-from .inference import (NoiseModel, coefficient_covariance,
-                        estimate_noise_sigma, kfold_cv, se_band,
-                        select_parsimonious, variance_at)
+from .inference import (NoiseModel, _band, coefficient_covariance,
+                        estimate_noise_sigma, kfold_cv, select_parsimonious,
+                        variance_at)
 from .io import gen_synthetic, load_cloud, save_cloud
 from .metrics import (band_coverage, directed_hausdorff_normalized, dispersion,
                       jaccard)
@@ -230,7 +229,7 @@ def cmd_eval(cfg: FitConfig, args) -> dict:
     cov = coefficient_covariance(cloud, model.space, model.weight, noise,
                                  model.policy)
     var = variance_at(model, cov, pts)
-    lo, hi = se_band(model, cov, pts, alpha=cfg.alpha)
+    lo, hi = _band(f, var, cfg.alpha)
     out = cfg.out or "grid.csv"
     _write_grid_csv(out, pts, f, var, lo, hi)
     return {"written": out, "rows": len(pts), "sigma_eps": noise.sigma_eps,

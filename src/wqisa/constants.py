@@ -24,8 +24,5 @@ PSD_TOL = 1e-10
 # slack added to variance upper bounds
 VARIANCE_BOUND_TOL = 1e-12
 
-# largest coefficient grid for which the covariance matrix is materialized
-DENSE_COVARIANCE_LIMIT = 4096
-
 # clouds above this size fall back to the bounding-box diagonal diameter
 EXACT_DIAMETER_LIMIT = 5000

@@ -9,10 +9,9 @@ and fitting cost is exactly one estimator call per coefficient.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,7 +115,7 @@ class FitDiagnostics:
     estimator_calls: int = 0
     weight_lookups: int = 0
     support_sizes: np.ndarray | None = None  # grid-shaped, points per coefficient
-    fallback_cells: dict = field(default_factory=dict)  # multi-index -> row used
+    fallback_cells: dict = field(default_factory=dict)  # multi-index -> cloud row used
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +141,8 @@ def _working_points(cloud: PointCloud, space: TensorSplineSpace, policy: FitPoli
 
     Returns (points, row_indices): rows outside the box are either dropped
     or clipped onto it, so weight windows anchored inside the box can see
-    them. Row order is preserved.
+    them. Row order is preserved; row_indices maps each working point back
+    to its cloud row.
     """
     lo, hi = space.domain
     if policy.drop_outside:
@@ -153,16 +153,57 @@ def _working_points(cloud: PointCloud, space: TensorSplineSpace, policy: FitPoli
     return np.clip(cloud.x, lo, hi), np.arange(cloud.n)
 
 
-def build_context(cloud: PointCloud, space: TensorSplineSpace,
-                  policy: FitPolicy = FitPolicy()) -> tuple[NeighborContext, np.ndarray]:
-    """NeighborContext over the domain-aligned predictors plus kept row ids."""
-    pts, rows = _working_points(cloud, space, policy)
-    return NeighborContext(pts), rows
+class WeightRow(NamedTuple):
+    """One row of the weight operator V, so that coefficient = y[rows] @ vals."""
+
+    flat: int            # C-order index of the coefficient
+    rows: np.ndarray     # cloud rows with positive weight
+    vals: np.ndarray     # their weights divided by the weight sum: convex
+    lookups: int         # rows the weight family scored
+    fallback: bool       # empty window answered by the nearest row
 
 
-def estimate_control_point(cloud: PointCloud, weight: WeightSpec, u,
-                           ctx: NeighborContext | None = None,
-                           y: np.ndarray | None = None) -> float:
+def _convex_weights(weight: WeightSpec, u, ctx: NeighborContext):
+    """(indices, w / sum w, lookups) of the window at u over ctx's points;
+    indices is empty when every weight vanishes."""
+    idx, w = cloud_weights(weight, u, ctx)
+    live = w > 0.0
+    total = float(w.sum())
+    if total <= 0.0:
+        return idx[:0], w[:0], len(idx)
+    return idx[live], w[live] / total, len(idx)
+
+
+def weight_rows(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
+                policy: FitPolicy = FitPolicy(), flats=None):
+    """Yield the normalised weight row of each coefficient (or of the given
+    flat indices), in order.
+
+    Row indices refer to the cloud, also when policy.drop_outside works on a
+    subset of it. Under empty_support="nearest" a starved window takes the
+    single nearest row; otherwise the generator raises one EmptySupportError
+    naming every starved cell after yielding the others.
+    """
+    pts, kept = _working_points(cloud, space, policy)
+    ctx = NeighborContext(pts)
+    mesh = np.meshgrid(*space.knot_average_grids, indexing="ij")
+    sites = np.stack(mesh, axis=-1).reshape(-1, space.d)
+    starved = []
+    for flat in range(space.dim) if flats is None else flats:
+        u = sites[flat]
+        idx, vals, lookups = _convex_weights(weight, u, ctx)
+        empty = len(idx) == 0
+        if empty and policy.empty_support == "error":
+            starved.append((_index_tuple(flat, space.shape), u))
+            continue
+        if empty:
+            idx, vals = ctx.knn_indices(u, 1), np.ones(1)
+        yield WeightRow(int(flat), kept[idx], vals, lookups, empty)
+    if starved:
+        raise EmptySupportError(starved)
+
+
+def estimate_control_point(cloud: PointCloud, weight: WeightSpec, u) -> float:
     """Weighted mean of the responses under the weight window anchored at u.
 
     Always a convex combination of response values, hence never outside
@@ -170,28 +211,10 @@ def estimate_control_point(cloud: PointCloud, weight: WeightSpec, u,
     (tiny characteristic radii, or gaussian windows collapsing below the
     floating-point floor).
     """
-    if ctx is None:
-        ctx = NeighborContext(cloud.x)
-    if y is None:
-        y = cloud.y
-    idx, w = cloud_weights(weight, u, ctx)
-    total = float(w.sum())
-    if len(idx) == 0 or total <= 0.0:
+    idx, vals, _ = _convex_weights(weight, u, NeighborContext(cloud.x))
+    if len(idx) == 0:
         raise EmptySupportError([(None, np.atleast_1d(np.asarray(u, dtype=float)))])
-    return float(np.dot(y[idx], w) / total)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("WQISA_THREADS")
-    if raw is None:
-        return 1
-    try:
-        v = int(raw)
-    except ValueError:
-        return 1
-    if v == 0:
-        return os.cpu_count() or 1
-    return max(1, v)
+    return float(cloud.y[idx] @ vals)
 
 
 def _index_tuple(flat: int, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -204,78 +227,32 @@ def fit(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
     """Fit the spline whose coefficients are control-point estimates.
 
     One estimator call per coefficient, anchored at the tensor grid of knot
-    averages; no linear algebra beyond weighted means. Honors WQISA_THREADS
-    (0 = one worker per CPU) for coefficient-parallel evaluation.
+    averages; no linear algebra beyond weighted means. Memory stays
+    O(N + coefficients) whatever the weight support.
     """
-    ctx, rows = build_context(cloud, space, policy)
-    y = cloud.y[rows]
-    grids = space.knot_average_grids
-    shape = space.shape
-    flat_sites = [tuple(g[i] for g, i in zip(grids, mi)) for mi in np.ndindex(*shape)]
-
-    def solve_range(lo: int, hi: int):
-        vals = np.empty(hi - lo)
-        sizes = np.empty(hi - lo, dtype=int)
-        lookups = 0
-        touched: list[np.ndarray] = []
-        empties: list[int] = []
-        fallbacks: dict[int, int] = {}
-        for ofs, flat in enumerate(range(lo, hi)):
-            u = np.array(flat_sites[flat])
-            idx, w = cloud_weights(weight, u, ctx)
-            lookups += len(idx)
-            live = idx[w > 0.0]
-            total = float(w.sum())
-            if len(live) == 0 or total <= 0.0:
-                if policy.empty_support == "nearest":
-                    near = int(ctx.knn_indices(u, 1)[0])
-                    vals[ofs] = y[near]
-                    sizes[ofs] = 1
-                    touched.append(np.array([near]))
-                    fallbacks[flat] = near
-                else:
-                    empties.append(flat)
-                    vals[ofs] = np.nan
-                    sizes[ofs] = 0
-                continue
-            vals[ofs] = np.dot(y[idx], w) / total
-            sizes[ofs] = len(live)
-            touched.append(live)
-        return vals, sizes, lookups, touched, empties, fallbacks
-
-    dim = space.dim
-    workers = _worker_count()
-    if workers > 1 and dim >= 4 * workers:
-        bounds = np.linspace(0, dim, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda se: solve_range(*se),
-                                  zip(bounds[:-1], bounds[1:])))
-    else:
-        parts = [solve_range(0, dim)]
-
-    coeffs = np.concatenate([p[0] for p in parts]).reshape(shape)
-    sizes = np.concatenate([p[1] for p in parts]).reshape(shape)
-    lookups = sum(p[2] for p in parts)
-    empties = [flat for p in parts for flat in p[4]]
-    if empties:
-        cells = [(_index_tuple(flat, shape), np.array(flat_sites[flat]))
-                 for flat in empties]
-        raise EmptySupportError(cells)
-    touched_all = [t for p in parts for t in p[3]]
-    effective = np.unique(np.concatenate(touched_all)) if touched_all else np.empty(0, int)
-    fallbacks = {_index_tuple(flat, shape): row
-                 for p in parts for flat, row in p[5].items()}
+    coeffs = np.empty(space.dim)
+    sizes = np.empty(space.dim, dtype=int)
+    seen = np.zeros(cloud.n, dtype=bool)
+    lookups = 0
+    fallbacks = {}
+    for row in weight_rows(cloud, space, weight, policy):
+        coeffs[row.flat] = cloud.y[row.rows] @ row.vals
+        sizes[row.flat] = len(row.rows)
+        seen[row.rows] = True
+        lookups += row.lookups
+        if row.fallback:
+            fallbacks[_index_tuple(row.flat, space.shape)] = int(row.rows[0])
     diag = FitDiagnostics(
-        estimator_calls=dim,
+        estimator_calls=space.dim,
         weight_lookups=lookups,
-        support_sizes=sizes,
+        support_sizes=sizes.reshape(space.shape),
         fallback_cells=fallbacks,
     )
     return WqisaModel(
-        spline=SplineFunction(space, coeffs),
+        spline=SplineFunction(space, coeffs.reshape(space.shape)),
         weight=weight,
         policy=policy,
-        effective_count=int(len(effective)),
+        effective_count=int(seen.sum()),
         diagnostics=diag,
     )
 
@@ -305,16 +282,6 @@ def global_bounds(model: WqisaModel, cloud: PointCloud) -> GlobalBounds:
     return GlobalBounds(lo, hi, ok)
 
 
-def _support_rows(model: WqisaModel, ctx: NeighborContext, multi_index) -> np.ndarray:
-    """Cloud rows with positive weight for one coefficient (fallback-aware)."""
-    fb = model.diagnostics.fallback_cells
-    if multi_index in fb:
-        return np.array([fb[multi_index]])
-    u = model.space.site(multi_index)
-    idx, w = cloud_weights(model.weight, u, ctx)
-    return idx[w > 0.0]
-
-
 def local_bounds(model: WqisaModel, cloud: PointCloud, cell) -> tuple[float, float]:
     """Response extremes over the points feeding one knot-span cell.
 
@@ -330,17 +297,10 @@ def local_bounds(model: WqisaModel, cloud: PointCloud, cell) -> tuple[float, flo
     for k, (s, kv) in enumerate(zip(cell, space.axes)):
         if not kv.degree <= s <= kv.n - 1:
             raise IndexError(f"axis {k}: span {s} out of range [{kv.degree}, {kv.n - 1}]")
-    ctx, rows = build_context(cloud, space, model.policy)
-    y = cloud.y[rows]
-    ranges = [range(s - kv.degree, s + 1) for s, kv in zip(cell, space.axes)]
-    union: list[np.ndarray] = []
-    for mi in np.ndindex(*[len(r) for r in ranges]):
-        multi = tuple(r[i] for r, i in zip(ranges, mi))
-        union.append(_support_rows(model, ctx, multi))
-    pts = np.unique(np.concatenate(union)) if union else np.empty(0, int)
-    if len(pts) == 0:
-        raise EmptySupportError([(cell, np.array([float(kv.knots[s]) for s, kv in zip(cell, space.axes)]))])
-    vals = y[pts]
+    active = np.ix_(*[np.arange(s - kv.degree, s + 1) for s, kv in zip(cell, space.axes)])
+    flats = np.ravel_multi_index(active, space.shape).reshape(-1)
+    vals = np.concatenate([cloud.y[row.rows] for row in
+                           weight_rows(cloud, space, model.weight, model.policy, flats)])
     return float(vals.min()), float(vals.max())
 
 
@@ -350,11 +310,10 @@ def effective_points(model: WqisaModel, cloud: PointCloud) -> np.ndarray:
     Everything outside this set could be deleted without changing the fit;
     it can be a proper subset of the cloud for bounded-support weights.
     """
-    ctx, _ = build_context(cloud, model.space, model.policy)
-    parts = [_support_rows(model, ctx, mi) for mi in np.ndindex(*model.space.shape)]
-    if not parts:
-        return np.empty(0, dtype=int)
-    return np.unique(np.concatenate(parts))
+    seen = np.zeros(cloud.n, dtype=bool)
+    for row in weight_rows(cloud, model.space, model.weight, model.policy):
+        seen[row.rows] = True
+    return np.flatnonzero(seen)
 
 
 def iqr_outlier_mask(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,

@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import DENSE_COVARIANCE_LIMIT
-from .errors import EmptySupportError, WqisaError
-from .fitting import FitPolicy, PointCloud, WqisaModel, build_context, evaluate
-from .splines import (TensorSplineSpace, _basis_rows, _check_in_domain,
-                      _normalize_points)
-from .weights import WeightSpec, cloud_weights
+from .errors import WqisaError
+from .fitting import FitPolicy, PointCloud, WqisaModel, evaluate, weight_rows
+from .splines import TensorSplineSpace, _normalize_points, _windows
+from .weights import WeightSpec
 
 
 @dataclass(frozen=True)
@@ -35,117 +33,52 @@ class NoiseModel:
             raise ValueError(f"sigma_eps must be >= 0, got {self.sigma_eps}")
 
 
-def _normalized_rows(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
-                     policy: FitPolicy) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-coefficient (rows, weights/sum) pairs in flat C order."""
-    ctx, rows_kept = build_context(cloud, space, policy)
-    grids = space.knot_average_grids
-    out = []
-    for mi in np.ndindex(*space.shape):
-        u = np.array([g[i] for g, i in zip(grids, mi)])
-        idx, w = cloud_weights(weight, u, ctx)
-        total = float(w.sum())
-        if len(idx) == 0 or total <= 0.0:
-            if policy.empty_support == "nearest":
-                near = int(ctx.knn_indices(u, 1)[0])
-                out.append((np.array([near]), np.array([1.0])))
-                continue
-            raise EmptySupportError([(mi, u)])
-        live = w > 0.0
-        out.append((idx[live], w[live] / total))
-    return out
-
-
 class CoefficientCovariance:
-    """Exact covariance of the coefficient estimators.
+    """Exact covariance of the coefficient estimators, sigma^2 * V V^T.
 
-    Cov(c_i, c_j) = sigma^2 * sum_k v_i(k) v_j(k) over shared cloud rows,
-    where v_i are the normalized weight rows. The full matrix is
-    materialized only for grids up to DENSE_COVARIANCE_LIMIT coefficients;
-    larger grids serve active blocks on demand.
+    V is the (dim, N) operator of normalised weight rows, c = V y, stored
+    as CSR arrays: row i holds vals[indptr[i]:indptr[i+1]] at cloud rows
+    cols[indptr[i]:indptr[i+1]].
     """
 
     def __init__(self, sigma_eps: float, grid_shape: tuple[int, ...],
-                 rows: list[tuple[np.ndarray, np.ndarray]], n_points: int):
+                 indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 n_points: int):
         self.sigma_eps = float(sigma_eps)
         self.grid_shape = tuple(grid_shape)
         self.dim = int(np.prod(grid_shape))
-        self.rows = rows
+        self.indptr = indptr
+        self.cols = cols
+        self.vals = vals
         self.n_points = int(n_points)
-        self._dense: np.ndarray | None = None
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense (dim, dim) covariance; refuses grids past the dense limit."""
-        if self._dense is None:
-            if self.dim > DENSE_COVARIANCE_LIMIT:
-                raise WqisaError(
-                    f"covariance grid of {self.dim} coefficients exceeds the dense "
-                    f"limit {DENSE_COVARIANCE_LIMIT}; use block()"
-                )
-            v = np.zeros((self.dim, self.n_points))
-            for i, (idx, vals) in enumerate(self.rows):
-                v[i, idx] = vals
-            self._dense = self.sigma_eps**2 * (v @ v.T)
-        return self._dense
-
-    def pair(self, i: int, j: int) -> float:
-        if self._dense is not None:
-            return float(self._dense[i, j])
-        ai, wi = self.rows[i]
-        aj, wj = self.rows[j]
-        common, ii, jj = np.intersect1d(ai, aj, assume_unique=True, return_indices=True)
-        if len(common) == 0:
-            return 0.0
-        return self.sigma_eps**2 * float(np.dot(wi[ii], wj[jj]))
-
-    def block(self, flat_indices: np.ndarray) -> np.ndarray:
-        flat_indices = np.asarray(flat_indices, dtype=int)
-        if self.dim <= DENSE_COVARIANCE_LIMIT:
-            return self.matrix[np.ix_(flat_indices, flat_indices)]
-        m = len(flat_indices)
-        out = np.empty((m, m))
-        for a in range(m):
-            for b in range(a, m):
-                out[a, b] = out[b, a] = self.pair(int(flat_indices[a]), int(flat_indices[b]))
-        return out
+        """Dense (dim, dim) covariance; O(dim * (dim + N)) memory, for checks only."""
+        v = np.zeros((self.dim, self.n_points))
+        v[np.repeat(np.arange(self.dim), np.diff(self.indptr)), self.cols] = self.vals
+        return self.sigma_eps**2 * (v @ v.T)
 
 
 def coefficient_covariance(cloud: PointCloud, space: TensorSplineSpace,
                            weight: WeightSpec, noise: NoiseModel,
                            policy: FitPolicy = FitPolicy()) -> CoefficientCovariance:
     """Covariance structure of the estimator grid under i.i.d. noise."""
-    rows = _normalized_rows(cloud, space, weight, policy)
-    return CoefficientCovariance(noise.sigma_eps, space.shape, rows, cloud.n)
-
-
-def _active_blocks(space: TensorSplineSpace, pts: np.ndarray):
-    """Flat active coefficient indices and basis blocks per point."""
-    per_axis = [_basis_rows(kv, pts[:, k]) for k, kv in enumerate(space.axes)]
-    strides = np.array([int(np.prod(space.shape[k + 1:])) for k in range(space.d)])
-    out = []
-    for m in range(len(pts)):
-        block = per_axis[0][1][m]
-        firsts = [int(per_axis[0][0][m]) - space.axes[0].degree]
-        for k in range(1, space.d):
-            block = np.multiply.outer(block, per_axis[k][1][m])
-            firsts.append(int(per_axis[k][0][m]) - space.axes[k].degree)
-        local = [np.arange(f, f + kv.degree + 1) for f, kv in zip(firsts, space.axes)]
-        flat = np.zeros((), dtype=int)
-        for k in range(space.d):
-            shape = [1] * space.d
-            shape[k] = len(local[k])
-            flat = flat + (local[k] * strides[k]).reshape(shape)
-        out.append((flat.reshape(-1), block.reshape(-1)))
-    return out
+    rows = list(weight_rows(cloud, space, weight, policy))
+    indptr = np.zeros(len(rows) + 1, dtype=int)
+    np.cumsum([len(r.rows) for r in rows], out=indptr[1:])
+    cols = np.concatenate([r.rows for r in rows])
+    vals = np.concatenate([r.vals for r in rows])
+    return CoefficientCovariance(noise.sigma_eps, space.shape, indptr, cols, vals, cloud.n)
 
 
 def variance_at(model: WqisaModel, covariance: CoefficientCovariance, u):
     """Exact variance of the fitted spline value at u.
 
-    Quadratic form of the active basis block against the coefficient
-    covariance; never exceeds sigma_eps^2 because basis rows are convex
-    weights over coefficients that are convex weights over the noise.
+    sigma^2 * ||sum_j b_j V_j||^2 over the active basis values b_j and
+    weight rows V_j, accumulated per point in one O(N) scratch vector;
+    never exceeds sigma_eps^2 because basis rows are convex weights over
+    coefficients that are convex weights over the noise.
     """
     space = model.space
     if covariance.grid_shape != space.shape:
@@ -153,12 +86,19 @@ def variance_at(model: WqisaModel, covariance: CoefficientCovariance, u):
             f"covariance grid {covariance.grid_shape} does not match space {space.shape}"
         )
     pts, single = _normalize_points(space.d, u)
-    for k, kv in enumerate(space.axes):
-        _check_in_domain(kv, pts[:, k])
-    vals = np.empty(len(pts))
-    for m, (flat, b) in enumerate(_active_blocks(space, pts)):
-        vals[m] = max(float(b @ covariance.block(flat) @ b), 0.0)
-    return float(vals[0]) if single else vals
+    flats, bases = _windows(space, pts)
+    indptr, cols, vals = covariance.indptr, covariance.cols, covariance.vals
+    scratch = np.zeros(covariance.n_points)
+    out = np.empty(len(pts))
+    for m, (flat, b) in enumerate(zip(flats, bases)):
+        starts, lens = indptr[flat], indptr[flat + 1] - indptr[flat]
+        pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        at, w = cols[pos], np.repeat(b, lens) * vals[pos]
+        np.add.at(scratch, at, w)
+        # sum_c s_c^2 == sum_e w_e s_{at_e}: no dedup of the touched columns
+        out[m] = covariance.sigma_eps**2 * float(w @ scratch[at])
+        scratch[at] = 0.0
+    return float(out[0]) if single else out
 
 
 # rational approximation of the standard normal quantile (Acklam's
@@ -206,11 +146,16 @@ def se_band(model: WqisaModel, covariance: CoefficientCovariance, u,
     Returns (lo, hi) = fit -+ z * sqrt(variance) with z the 1-alpha/2
     normal quantile (about 1.96 for the 95 percent band).
     """
+    return _band(evaluate(model, u), variance_at(model, covariance, u), alpha)
+
+
+def _band(f, var, alpha: float = 0.05):
+    """(lo, hi) = f -+ z * sqrt(var) for fit values and variances already
+    computed, with z the 1-alpha/2 normal quantile."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     z = normal_quantile(1.0 - alpha / 2.0)
-    f = evaluate(model, u)
-    sd = np.sqrt(variance_at(model, covariance, u))
+    sd = np.sqrt(var)
     return f - z * sd, f + z * sd
 
 
@@ -246,19 +191,14 @@ def bias_bounds_at(cloud: PointCloud, true_values: np.ndarray, space: TensorSpli
     true_values = np.asarray(true_values, dtype=float).reshape(-1)
     if len(true_values) != cloud.n:
         raise ValueError(f"need {cloud.n} true values, got {len(true_values)}")
-    rows = _normalized_rows(cloud, space, weight, policy)
-    pts, _ = _normalize_points(space.d, u)
-    (flat, block), = _active_blocks(space, pts)
-    means = np.empty(len(flat))
-    union: list[np.ndarray] = []
-    for s, fi in enumerate(flat):
-        idx, v = rows[int(fi)]
-        means[s] = float(np.dot(true_values[idx], v))
-        union.append(idx)
-    seen = np.unique(np.concatenate(union))
-    lower = float(true_values[seen].min())
-    upper = float(true_values[seen].max())
-    expected = float(np.dot(means, block))
+    flats, bases = _windows(space, _normalize_points(space.d, u)[0])
+    if len(flats) != 1:
+        raise ValueError("bias_bounds_at takes a single point")
+    rows = list(weight_rows(cloud, space, weight, policy, flats[0]))
+    means = np.array([true_values[r.rows] @ r.vals for r in rows])
+    seen = true_values[np.concatenate([r.rows for r in rows])]
+    lower, upper = float(seen.min()), float(seen.max())
+    expected = float(means @ bases[0])
     f_u = float(true_at_u)
     if expected <= f_u:
         bound = (lower - f_u) ** 2

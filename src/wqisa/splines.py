@@ -142,41 +142,6 @@ def _basis_rows(kv: KnotVector, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return spans, rows
 
 
-def bspline_eval(kv: KnotVector, i: int, x: float) -> float:
-    """Value of basis function i at x by the two-term degree recursion.
-
-    Base case: indicator of the half-open knot interval. Any 0/0 term is
-    taken as 0. Returns 0 for x outside [t[i], t[i+p+1]]. For a regular
-    vector, x equal to the right domain end evaluates the left limit so the
-    last basis function reaches 1 there.
-    """
-    if not 0 <= i < kv.n:
-        raise IndexError(f"basis index {i} out of range [0, {kv.n})")
-    p, t = kv.degree, kv.knots
-    x = float(x)
-    if kv.is_regular and x == kv.domain[1]:
-        span = kv.n - 1
-        if not span - p <= i <= span:
-            return 0.0
-        _, rows = _basis_rows(kv, np.array([x]))
-        return float(rows[0, i - (span - p)])
-    loc = t[i : i + p + 2]
-    vals = np.array([1.0 if loc[j] <= x < loc[j + 1] else 0.0 for j in range(p + 1)])
-    for q in range(1, p + 1):
-        nxt = np.zeros(p + 1 - q)
-        for j in range(p + 1 - q):
-            acc = 0.0
-            den = loc[j + q] - loc[j]
-            if den > 0.0:
-                acc += (x - loc[j]) / den * vals[j]
-            den = loc[j + q + 1] - loc[j + 1]
-            if den > 0.0:
-                acc += (loc[j + q + 1] - x) / den * vals[j + 1]
-            nxt[j] = acc
-        vals = nxt
-    return float(vals[0])
-
-
 def knot_averages(kv: KnotVector) -> np.ndarray:
     """Running means of degree-many consecutive interior knots.
 
@@ -287,13 +252,25 @@ def _normalize_points(d: int, u) -> tuple[np.ndarray, bool]:
     raise ValueError(f"cannot interpret input of shape {arr.shape} as points in R^{d}")
 
 
-def _space_rows(space: TensorSplineSpace, pts: np.ndarray):
-    """Per-axis (spans, rows) pairs for a batch of points, domain-checked."""
-    out = []
+def _windows(space: TensorSplineSpace, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Active coefficients and their basis values at a batch of points.
+
+    Returns (flat, vals), both (m, prod(p_k + 1)): the flat C-order indices
+    of the local coefficient block around each point's knot span and the
+    tensor basis values that weigh them. Points are domain-checked.
+    """
+    m = len(pts)
+    flat = np.zeros((m,) + (1,) * space.d, dtype=int)
+    vals = np.ones((m,) + (1,) * space.d)
     for k, kv in enumerate(space.axes):
         _check_in_domain(kv, pts[:, k])
-        out.append(_basis_rows(kv, pts[:, k]))
-    return out
+        spans, rows = _basis_rows(kv, pts[:, k])
+        shape = [m] + [1] * space.d
+        shape[k + 1] = kv.degree + 1
+        idx = spans[:, None] - kv.degree + np.arange(kv.degree + 1)[None, :]
+        flat = flat * kv.n + idx.reshape(shape)
+        vals = vals * rows.reshape(shape)
+    return flat.reshape(m, -1), vals.reshape(m, -1)
 
 
 def basis_row(space: TensorSplineSpace, u) -> tuple[tuple[int, ...], np.ndarray]:
@@ -306,12 +283,9 @@ def basis_row(space: TensorSplineSpace, u) -> tuple[tuple[int, ...], np.ndarray]
     pts, single = _normalize_points(space.d, u)
     if not single and len(pts) != 1:
         raise ValueError("basis_row takes a single point")
-    per_axis = _space_rows(space, pts)
-    first = tuple(int(spans[0]) - kv.degree for (spans, _), kv in zip(per_axis, space.axes))
-    block = per_axis[0][1][0]
-    for spans, rows in per_axis[1:]:
-        block = np.multiply.outer(block, rows[0])
-    return first, block
+    flat, vals = _windows(space, pts)
+    first = tuple(int(i) for i in np.unravel_index(flat[0, 0], space.shape))
+    return first, vals[0].reshape([kv.degree + 1 for kv in space.axes])
 
 
 def spline_eval(f: SplineFunction, u):
@@ -321,25 +295,10 @@ def spline_eval(f: SplineFunction, u):
     an (m, d) batch. Each evaluation touches only the local block of
     prod(p_k + 1) coefficients around the containing knot span.
     """
-    space = f.space
-    pts, single = _normalize_points(space.d, u)
-    per_axis = _space_rows(space, pts)
-    m = len(pts)
-    # gather local coefficient windows with broadcast index arrays
-    index_arrays = []
-    for k, ((spans, _), kv) in enumerate(zip(per_axis, space.axes)):
-        p = kv.degree
-        idx = spans[:, None] - p + np.arange(p + 1)[None, :]
-        shape = [m] + [1] * space.d
-        shape[k + 1] = p + 1
-        index_arrays.append(idx.reshape(shape))
-    win = f.coefficients[tuple(index_arrays)]
-    for k, (_, rows) in enumerate(per_axis):
-        shape = [m] + [1] * space.d
-        shape[k + 1] = rows.shape[1]
-        win = win * rows.reshape(shape)
-    vals = win.reshape(m, -1).sum(axis=1)
-    return float(vals[0]) if single else vals
+    pts, single = _normalize_points(f.space.d, u)
+    flat, vals = _windows(f.space, pts)
+    out = (f.coefficients.reshape(-1)[flat] * vals).sum(axis=1)
+    return float(out[0]) if single else out
 
 
 def insert_knot(f: SplineFunction, axis: int, z: float) -> SplineFunction:

@@ -82,15 +82,6 @@ class WeightSpec:
         return "idw"
 
 
-@dataclass(frozen=True)
-class SupportDescriptor:
-    """Where a weight window can be nonzero: a ball, a point list, or everywhere."""
-
-    kind: str  # "ball" | "points" | "unbounded"
-    radius: float | None = None
-    indices: np.ndarray | None = None
-
-
 class NeighborContext:
     """Read-only predictor view of a cloud plus a lazily built spatial index."""
 
@@ -123,26 +114,9 @@ class NeighborContext:
     def radius_indices(self, u, r: float) -> np.ndarray:
         return self.tree.radius_query(u, r)
 
-    def coincident_indices(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float).reshape(-1)
-        return np.flatnonzero(np.all(self.points == u, axis=1))
-
     def distances(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float).reshape(-1)
         return np.sqrt(((self.points - u) ** 2).sum(axis=1))
-
-
-def _kernel(spec: WeightSpec, dist):
-    """Closed-form families as a function of euclidean distance."""
-    dist = np.asarray(dist, dtype=float)
-    if spec.family == "characteristic":
-        return (dist <= spec.r).astype(float)
-    if spec.family == "gaussian":
-        arg = dist * dist if spec.gaussian_squared_norm else dist
-        return np.exp(-arg / (2.0 * spec.sigma**2))
-    if spec.family == "exponential":
-        return np.exp(-dist / (math.sqrt(2.0) * spec.sigma))
-    raise ValueError(f"{spec.family} has no closed-form kernel")
 
 
 def cloud_weights(spec: WeightSpec, u, ctx: NeighborContext) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +124,9 @@ def cloud_weights(spec: WeightSpec, u, ctx: NeighborContext) -> tuple[np.ndarray
 
     Returns (indices, weights) where rows not listed carry weight 0. For
     bounded families the index list is the support, so downstream work is
-    O(k) for knn and O(|ball|) for characteristic windows.
+    O(k) for knn and O(|ball|) for characteristic windows. idw decides
+    coincidence on the same distances its weights use, so a gap that
+    underflows to distance 0 counts as coincident instead of weighing inf.
     """
     if spec.family == "knn":
         k = ctx.clamp_k(spec.k)
@@ -159,48 +135,13 @@ def cloud_weights(spec: WeightSpec, u, ctx: NeighborContext) -> tuple[np.ndarray
     if spec.family == "characteristic":
         idx = ctx.radius_indices(u, spec.r)
         return idx, np.ones(len(idx))
+    dist = ctx.distances(u)
     if spec.family == "idw":
-        coincident = ctx.coincident_indices(u)
+        coincident = np.flatnonzero(dist == 0.0)
         if len(coincident):
             return coincident, np.full(len(coincident), 1.0 / len(coincident))
-        return np.arange(ctx.n), 1.0 / ctx.distances(u)
-    idx = np.arange(ctx.n)
-    return idx, _kernel(spec, ctx.distances(u))
-
-
-def weight_eval(spec: WeightSpec, u, x, ctx: NeighborContext | None = None) -> float:
-    """Weight of a single point x against anchor u.
-
-    knn and idw are set-dependent and need a context; membership of x in the
-    selected neighbor set is decided by exact coordinate match.
-    """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    dist = math.sqrt(float(((x - u) ** 2).sum()))
-    if spec.family in ("characteristic", "gaussian", "exponential"):
-        return float(_kernel(spec, dist))
-    if ctx is None:
-        raise ValueError(f"{spec.family} weights need a NeighborContext")
-    if spec.family == "knn":
-        k = ctx.clamp_k(spec.k)
-        neighbors = ctx.points[ctx.knn_indices(u, k)]
-        return 1.0 / k if bool(np.any(np.all(neighbors == x, axis=1))) else 0.0
-    # idw
-    coincident = ctx.coincident_indices(u)
-    if len(coincident):
-        return 1.0 / len(coincident) if dist == 0.0 else 0.0
-    if dist == 0.0:
-        # x sits on u but no cloud row does; treat x as its own coincidence set
-        return 1.0
-    return 1.0 / dist
-
-
-def weight_support(spec: WeightSpec, u, ctx: NeighborContext | None = None) -> SupportDescriptor:
-    """Describe where the weight window of u can be nonzero."""
-    if spec.family == "characteristic":
-        return SupportDescriptor("ball", radius=float(spec.r))
-    if spec.family == "knn":
-        if ctx is None:
-            raise ValueError("knn support needs a NeighborContext")
-        return SupportDescriptor("points", indices=ctx.knn_indices(u, spec.k))
-    return SupportDescriptor("unbounded")
+        return np.arange(ctx.n), 1.0 / dist
+    if spec.family == "gaussian":
+        arg = dist * dist if spec.gaussian_squared_norm else dist
+        return np.arange(ctx.n), np.exp(-arg / (2.0 * spec.sigma**2))
+    return np.arange(ctx.n), np.exp(-dist / (math.sqrt(2.0) * spec.sigma))

@@ -1,11 +1,14 @@
 """Fitter: estimator, bounds, effective points, outlier filter, shape checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wqisa import (EmptySupportError, FitPolicy, PointCloud,
-                   TensorSplineSpace, WeightSpec, classify_convexity,
+                   TensorSplineSpace, WeightSpec, bias_bounds_at,
+                   classify_convexity,
                    classify_monotone, effective_points, estimate_control_point,
                    evaluate, fit, global_bounds, iqr_outlier_filter,
                    iqr_outlier_mask, local_bounds, make_uniform_regular,
@@ -120,6 +123,22 @@ class TestFit:
         assert model.spline.coefficients.shape == (5, 4)
         assert model.diagnostics.estimator_calls == 20
 
+    def test_gaussian_fit_memory_is_linear(self):
+        # every gaussian row spans the whole cloud; keeping them all would
+        # take dim * N * 8 bytes = 36 MB here
+        rng = np.random.default_rng(31)
+        n = 5000
+        cloud = PointCloud(rng.uniform(0, 1, (n, 2)), rng.standard_normal(n))
+        space = TensorSplineSpace.from_bounds([0, 0], [1, 1], [30, 30], [2, 2])
+        tracemalloc.start()
+        try:
+            model = fit(cloud, space, WeightSpec.gaussian(0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.effective_count == n
+        assert peak < 256 * n + 64 * space.dim  # O(N + dim), about 1.3 MB
+
     def test_empty_support_error_lists_cells(self):
         cloud = PointCloud(np.array([0.0, 4.0]), np.array([0.0, 1.0]))
         space = space1d(lo=0, hi=4, n=9, p=2)
@@ -148,17 +167,6 @@ class TestFit:
         # clipped: the outside rows sit on the boundary and win the 1-nn there
         assert clipped.spline.coefficients[0] == 10.0
         assert dropped.spline.coefficients[0] == 1.0
-
-    def test_threads_env_matches_serial(self, monkeypatch):
-        cloud = sine_cloud(150, seed=9)
-        space = space1d(n=20)
-        spec = WeightSpec.knn(5)
-        serial = fit(cloud, space, spec)
-        monkeypatch.setenv("WQISA_THREADS", "4")
-        threaded = fit(cloud, space, spec)
-        assert np.array_equal(serial.spline.coefficients, threaded.spline.coefficients)
-        assert threaded.diagnostics.estimator_calls == space.dim
-        assert threaded.diagnostics.weight_lookups == serial.diagnostics.weight_lookups
 
 
 class TestBounds:
@@ -220,6 +228,24 @@ class TestEffectivePoints:
         model = fit(cloud, space1d(n=5), WeightSpec.gaussian(1.0))
         assert len(effective_points(model, cloud)) == 40
         assert model.effective_count == 40
+
+    def test_drop_outside_reports_cloud_rows(self):
+        # rows 0 and 6 fall outside [0, 1] and are dropped; every row index
+        # reported must still name the cloud, not the kept subset
+        x = np.array([-5.0, 0.0, 0.25, 0.5, 0.75, 1.0, 7.0])
+        truth = np.where((x < 0) | (x > 1), 100.0, x)
+        cloud = PointCloud(x, truth)
+        space = space1d(lo=0, hi=1, n=3, p=1)  # averages at 0, 0.5, 1
+        drop = FitPolicy(drop_outside=True)
+        model = fit(cloud, space, WeightSpec.knn(1), drop)
+        assert np.array_equal(effective_points(model, cloud), [1, 3, 5])
+        bb = bias_bounds_at(cloud, truth, space, WeightSpec.knn(1), 0.0, 0.0, drop)
+        assert bb.expected_fit == 0.0
+        # empty balls fall back to the nearest kept row, stored as a cloud row
+        sparse = PointCloud(np.array([-5.0, 0.1, 0.9, 7.0]), np.zeros(4))
+        model = fit(sparse, space, WeightSpec.characteristic(0.05),
+                    FitPolicy(empty_support="nearest", drop_outside=True))
+        assert model.diagnostics.fallback_cells == {(0,): 1, (1,): 1, (2,): 2}
 
     def test_matches_fit_count(self):
         cloud = sine_cloud(70, seed=12)

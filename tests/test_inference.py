@@ -1,18 +1,18 @@
 """Uncertainty quantification: covariance, variance bounds, bands, bias, CV."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wqisa import (CoefficientCovariance, CvResult, DomainError, FitPolicy,
+from wqisa import (CvResult, DomainError, FitPolicy,
                    NoiseModel, PointCloud, TensorSplineSpace, WeightSpec,
-                   WqisaError, basis_row, bias_bounds_at,
+                   basis_row, bias_bounds_at,
                    coefficient_covariance, estimate_noise_sigma, evaluate, fit,
                    kfold_cv, make_folds, make_uniform_regular, normal_quantile,
                    se_band, select_parsimonious, variance_at)
-from wqisa.constants import DENSE_COVARIANCE_LIMIT
 
 from _oracles import brute_covariance
 
@@ -77,7 +77,6 @@ class TestCovarianceMatrix:
         # Uniform 1/k weights over k rows: Var = sigma^2 * k * (1/k)^2.
         assert m[0, 0] == pytest.approx(4.0 / 10, abs=1e-15)
         assert m[1, 1] == pytest.approx(4.0 / 10, abs=1e-15)
-        assert cov.pair(0, 1) == 0.0
 
     def test_positive_semidefinite(self):
         for seed, family in [(0, WeightSpec.knn(5)), (1, WeightSpec.gaussian(0.25)),
@@ -88,28 +87,17 @@ class TestCovarianceMatrix:
             eigs = np.linalg.eigvalsh(cov.matrix)
             assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
 
-    def test_pair_and_block_agree_with_matrix(self):
+    def test_csr_rows_agree_with_matrix(self):
         cloud = cloud_1d(40, seed=5)
         cov = coefficient_covariance(cloud, space_1d(6), WeightSpec.knn(6),
                                      NoiseModel(0.3))
         m = cov.matrix
-        idx = np.array([1, 3, 4])
-        assert np.array_equal(cov.block(idx), m[np.ix_(idx, idx)])
-        fresh = coefficient_covariance(cloud, space_1d(6), WeightSpec.knn(6),
-                                       NoiseModel(0.3))
+        rows = [dict(zip(cov.cols[a:b], cov.vals[a:b]))
+                for a, b in zip(cov.indptr[:-1], cov.indptr[1:])]
         for i in range(6):
             for j in range(6):
-                assert fresh.pair(i, j) == pytest.approx(m[i, j], abs=1e-15)
-
-    def test_dense_matrix_refused_past_limit(self):
-        dim = DENSE_COVARIANCE_LIMIT + 1
-        rows = [(np.array([0]), np.array([1.0]))] * dim
-        cov = CoefficientCovariance(1.0, (dim,), rows, n_points=1)
-        with pytest.raises(WqisaError, match="block"):
-            cov.matrix
-        # Lazy pair/block access still works on the oversized grid.
-        assert cov.pair(0, 1) == 1.0
-        assert cov.block(np.array([0, dim - 1])).shape == (2, 2)
+                shared = sum(v * rows[j][c] for c, v in rows[i].items() if c in rows[j])
+                assert 0.3**2 * shared == pytest.approx(m[i, j], abs=1e-15)
 
 
 class TestVarianceLaw:
@@ -145,6 +133,35 @@ class TestVarianceLaw:
             flat = np.arange(first[0], first[0] + len(b))
             expect = float(b @ cov.matrix[np.ix_(flat, flat)] @ b)
             assert variance_at(model, cov, u) == pytest.approx(expect, abs=1e-15)
+
+    def test_sparse_variance_past_old_dense_limit(self):
+        # 4160 coefficients: a dense V would take dim * N * 8 = 13 MB and
+        # the dense covariance dim^2 * 8 = 138 MB
+        rng = np.random.default_rng(33)
+        n = 400
+        cloud = PointCloud(rng.uniform(0, 1, (n, 2)), rng.standard_normal(n))
+        space = TensorSplineSpace.from_bounds([0, 0], [1, 1], [65, 64], [2, 2])
+        spec = WeightSpec.knn(4)
+        model = fit(cloud, space, spec)
+        probes = rng.uniform(0, 1, (100, 2))
+        tracemalloc.start()
+        try:
+            cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.5))
+            var = variance_at(model, cov, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # O(nnz(V) + N): the CSR arrays, the k-d tree and the per-row
+        # arrays V is assembled from (a few hundred bytes per coefficient)
+        csr = cov.indptr.nbytes + cov.cols.nbytes + cov.vals.nbytes
+        assert peak < 4 * csr + 512 * space.dim + 256 * n
+        m = cov.matrix
+        for u, got in list(zip(probes, var))[::20]:
+            first, b = basis_row(space, u)
+            flat = np.ravel_multi_index(
+                np.ix_(*[np.arange(f, f + 3) for f in first]), space.shape).reshape(-1)
+            expect = float(b.reshape(-1) @ m[np.ix_(flat, flat)] @ b.reshape(-1))
+            assert got == pytest.approx(expect, abs=1e-15)
 
     def test_grid_shape_mismatch_rejected(self):
         cloud = cloud_1d(40)

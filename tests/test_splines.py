@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wqisa import (DomainError, KnotVector, SplineFunction, TensorSplineSpace,
-                   basis_row, bspline_eval, insert_knot, knot_averages,
+                   basis_row, insert_knot, knot_averages,
                    make_uniform_regular, spline_eval)
 
 from _oracles import full_sum_eval, naive_bspline
@@ -68,35 +68,33 @@ class TestKnotVector:
             kv.knots[0] = 5.0
 
 
-class TestBsplineEval:
-    def test_degree0_outside(self):
-        assert bspline_eval(KnotVector(0, [0, 1]), 0, 1.5) == 0.0
+def basis_value(kv, i, x):
+    """Value of basis function i of a regular vector at x, via basis_row."""
+    (first,), block = basis_row(TensorSplineSpace((kv,)), x)
+    return float(block[i - first]) if first <= i <= first + kv.degree else 0.0
 
+
+class TestBsplineEval:
     def test_degree1_left_closed(self):
-        assert bspline_eval(KnotVector(1, [0, 1, 2]), 0, 1.0) == 1.0
+        # the hat on [0, 1, 2] reaches 1 at its interior knot
+        assert basis_value(make_uniform_regular(0, 2, 3, 1), 1, 1.0) == 1.0
 
     def test_degree2_midpoint(self):
         # hand-unrolled two-term recursion on [0,1,2,3] at 1.5:
         # B = 0.75*B1(1.5) + 0.75*B2(1.5) with both degree-1 hats at 0.5
-        assert bspline_eval(KnotVector(2, [0, 1, 2, 3]), 0, 1.5) == pytest.approx(0.75, abs=1e-15)
+        kv = make_uniform_regular(0, 3, 5, 2)  # basis 2 lives on [0, 1, 2, 3]
+        assert basis_value(kv, 2, 1.5) == pytest.approx(0.75, abs=1e-15)
 
     def test_zero_outside_support(self):
         kv = make_uniform_regular(0, 4, 6, 2)
         # basis 0 is supported on [t0, t3] = [0, 1] only
         for x in [1.0, 1.5, 2.0, 3.7]:
-            assert bspline_eval(kv, 0, x) == 0.0
+            assert basis_value(kv, 0, x) == 0.0
 
     def test_right_boundary_left_limit(self):
         kv = make_uniform_regular(0, 1, 4, 2)
-        assert bspline_eval(kv, kv.n - 1, 1.0) == 1.0
-        assert bspline_eval(kv, 0, 0.0) == 1.0
-
-    def test_index_out_of_range(self):
-        kv = make_uniform_regular(0, 1, 4, 2)
-        with pytest.raises(IndexError):
-            bspline_eval(kv, 4, 0.5)
-        with pytest.raises(IndexError):
-            bspline_eval(kv, -1, 0.5)
+        assert basis_value(kv, kv.n - 1, 1.0) == 1.0
+        assert basis_value(kv, 0, 0.0) == 1.0
 
     def test_matches_naive_recursion(self):
         rng = np.random.default_rng(7)
@@ -105,7 +103,7 @@ class TestBsplineEval:
             a, b = kv.domain
             x = float(rng.uniform(a, b))
             i = int(rng.integers(kv.n))
-            ours = bspline_eval(kv, i, x)
+            ours = basis_value(kv, i, x)
             ref = naive_bspline(kv.knots, kv.degree, i, x, closed_right=b)
             assert ours == pytest.approx(ref, abs=1e-13)
 
