@@ -26,14 +26,14 @@ from .metrics import (ErrorReport, band_coverage, dispersion,
 from .splines import (KnotVector, SplineFunction, TensorSplineSpace,
                       basis_row, insert_knot, knot_averages,
                       make_uniform_regular, spline_eval)
-from .weights import NeighborContext, WeightSpec, cloud_weights
+from .weights import WeightSpec, cloud_weights
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BiasBounds", "CoefficientCovariance", "CvResult", "DomainError",
     "EmptySupportError", "ErrorReport", "FitConfig", "FitPolicy",
-    "GlobalBounds", "KdTree", "KnotVector", "NeighborContext", "NoiseModel",
+    "GlobalBounds", "KdTree", "KnotVector", "NoiseModel",
     "ParseError", "PointCloud", "SplineFunction",
     "SyntheticData", "TensorSplineSpace", "WeightSpec", "WqisaError",
     "WqisaModel", "band_coverage", "basis_row", "bias_bounds_at",

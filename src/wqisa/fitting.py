@@ -17,8 +17,9 @@ import numpy as np
 
 from .constants import EXACT_DIAMETER_LIMIT
 from .errors import DomainError, EmptySupportError
+from .kdtree import KdTree
 from .splines import SplineFunction, TensorSplineSpace, spline_eval
-from .weights import NeighborContext, WeightSpec, cloud_weights
+from .weights import WeightSpec, cloud_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +63,11 @@ class PointCloud:
     @cached_property
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.x.min(axis=0), self.x.max(axis=0)
+
+    @cached_property
+    def tree(self) -> KdTree:
+        """Neighbour index over the predictors, built on first use."""
+        return KdTree(self.x)
 
     @cached_property
     def _diameter_info(self) -> tuple[float, bool]:
@@ -137,20 +143,25 @@ class WqisaModel:
 
 
 def _working_points(cloud: PointCloud, space: TensorSplineSpace, policy: FitPolicy):
-    """Predictors aligned to the space's domain box.
+    """The cloud aligned to the space's domain box.
 
-    Returns (points, row_indices): rows outside the box are either dropped
-    or clipped onto it, so weight windows anchored inside the box can see
-    them. Row order is preserved; row_indices maps each working point back
-    to its cloud row.
+    Returns (working_cloud, row_indices): rows outside the box are either
+    dropped or clipped onto it, so weight windows anchored inside the box
+    can see them. When every row lies in the box the working cloud is the
+    cloud itself, so its neighbour index is built once and shared by every
+    call. Row order is preserved; row_indices maps each working row back to
+    its cloud row.
     """
     lo, hi = space.domain
+    inside = np.all((cloud.x >= lo) & (cloud.x <= hi), axis=1)
+    if inside.all():
+        return cloud, np.arange(cloud.n)
     if policy.drop_outside:
-        keep = np.flatnonzero(np.all((cloud.x >= lo) & (cloud.x <= hi), axis=1))
+        keep = np.flatnonzero(inside)
         if len(keep) == 0:
             raise DomainError("no cloud points inside the domain box")
-        return cloud.x[keep], keep
-    return np.clip(cloud.x, lo, hi), np.arange(cloud.n)
+        return cloud.subset(keep), keep
+    return PointCloud(np.clip(cloud.x, lo, hi), cloud.y), np.arange(cloud.n)
 
 
 class WeightRow(NamedTuple):
@@ -163,10 +174,10 @@ class WeightRow(NamedTuple):
     fallback: bool       # empty window answered by the nearest row
 
 
-def _convex_weights(weight: WeightSpec, u, ctx: NeighborContext):
-    """(indices, w / sum w, lookups) of the window at u over ctx's points;
+def _convex_weights(weight: WeightSpec, u, cloud: PointCloud):
+    """(indices, w / sum w, lookups) of the window at u over the cloud's rows;
     indices is empty when every weight vanishes."""
-    idx, w = cloud_weights(weight, u, ctx)
+    idx, w = cloud_weights(weight, u, cloud)
     live = w > 0.0
     total = float(w.sum())
     if total <= 0.0:
@@ -184,20 +195,19 @@ def weight_rows(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
     single nearest row; otherwise the generator raises one EmptySupportError
     naming every starved cell after yielding the others.
     """
-    pts, kept = _working_points(cloud, space, policy)
-    ctx = NeighborContext(pts)
+    work, kept = _working_points(cloud, space, policy)
     mesh = np.meshgrid(*space.knot_average_grids, indexing="ij")
     sites = np.stack(mesh, axis=-1).reshape(-1, space.d)
     starved = []
     for flat in range(space.dim) if flats is None else flats:
         u = sites[flat]
-        idx, vals, lookups = _convex_weights(weight, u, ctx)
+        idx, vals, lookups = _convex_weights(weight, u, work)
         empty = len(idx) == 0
         if empty and policy.empty_support == "error":
             starved.append((_index_tuple(flat, space.shape), u))
             continue
         if empty:
-            idx, vals = ctx.knn_indices(u, 1), np.ones(1)
+            idx, vals = work.tree.knn(u, 1), np.ones(1)
         yield WeightRow(int(flat), kept[idx], vals, lookups, empty)
     if starved:
         raise EmptySupportError(starved)
@@ -211,7 +221,7 @@ def estimate_control_point(cloud: PointCloud, weight: WeightSpec, u) -> float:
     (tiny characteristic radii, or gaussian windows collapsing below the
     floating-point floor).
     """
-    idx, vals, _ = _convex_weights(weight, u, NeighborContext(cloud.x))
+    idx, vals, _ = _convex_weights(weight, u, cloud)
     if len(idx) == 0:
         raise EmptySupportError([(None, np.atleast_1d(np.asarray(u, dtype=float)))])
     return float(cloud.y[idx] @ vals)

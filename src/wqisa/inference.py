@@ -29,8 +29,8 @@ class NoiseModel:
     source: str = "user"  # or "residual-estimate"
 
     def __post_init__(self):
-        if self.sigma_eps < 0:
-            raise ValueError(f"sigma_eps must be >= 0, got {self.sigma_eps}")
+        if not (math.isfinite(self.sigma_eps) and self.sigma_eps >= 0):
+            raise ValueError(f"sigma_eps must be finite and >= 0, got {self.sigma_eps}")
 
 
 class CoefficientCovariance:
@@ -101,42 +101,14 @@ def variance_at(model: WqisaModel, covariance: CoefficientCovariance, u):
     return float(out[0]) if single else out
 
 
-# rational approximation of the standard normal quantile (Acklam's
-# coefficients), sharpened by one Halley step against erfc; the result is
-# accurate to well below 1e-8 over (0, 1)
-_QA = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_QB = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-       6.680131188771972e+01, -1.328068155288572e+01)
-_QC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-       3.754408661907416e+00)
-
-
 def normal_quantile(q: float) -> float:
     """Inverse standard normal CDF on (0, 1)."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {q}")
-    a, b, c, d = _QA, _QB, _QC, _QD
-    p_low = 0.02425
-    if q < p_low:
-        z = math.sqrt(-2.0 * math.log(q))
-        x = (((((c[0] * z + c[1]) * z + c[2]) * z + c[3]) * z + c[4]) * z + c[5]) / \
-            ((((d[0] * z + d[1]) * z + d[2]) * z + d[3]) * z + 1.0)
-    elif q <= 1.0 - p_low:
-        z = q - 0.5
-        r = z * z
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * z / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        z = math.sqrt(-2.0 * math.log(1.0 - q))
-        x = -(((((c[0] * z + c[1]) * z + c[2]) * z + c[3]) * z + c[4]) * z + c[5]) / \
-            ((((d[0] * z + d[1]) * z + d[2]) * z + d[3]) * z + 1.0)
-    # one Halley refinement
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - q
-    g = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - g / (1.0 + x * g / 2.0)
+    # imported on first use: statistics loads decimal, fractions and random
+    # (about 4 ms and 0.5 MiB), which commands without a band never need
+    from statistics import NormalDist
+    return NormalDist().inv_cdf(q)
 
 
 def se_band(model: WqisaModel, covariance: CoefficientCovariance, u,
@@ -164,8 +136,10 @@ def estimate_noise_sigma(model: WqisaModel, cloud: PointCloud) -> NoiseModel:
 
     Sample standard deviation of the fit residuals at the data sites; biased
     low when the spline tracks the noise, so prefer a known sigma when
-    available.
+    available. Needs at least two rows.
     """
+    if cloud.n < 2:
+        raise ValueError(f"estimating sigma_eps needs at least 2 points, got {cloud.n}")
     res = cloud.y - evaluate(model, np.clip(cloud.x, *model.space.domain))
     return NoiseModel(float(np.std(res, ddof=1)), source="residual-estimate")
 
@@ -233,45 +207,44 @@ def kfold_cv(cloud: PointCloud, candidates, fit_candidate, folds: int = 5,
     """Select a candidate by mean held-out squared error.
 
     fit_candidate(train_cloud, candidate) must return a fitted model (any
-    callable mapping predictor batches to values works). The score of a
-    candidate is the average over repeats of (1/N) * sum of squared
-    held-out errors; a candidate whose fit fails anywhere scores +inf.
-    Identical seeds give identical results.
+    callable mapping predictor batches to values works). Calls run fold by
+    fold, each fold over the live candidates in grid order, and every
+    candidate of a fold receives the same training cloud, so whatever that
+    cloud builds lazily (its neighbour index) is built once per fold. The
+    score of a candidate is the average over repeats of (1/N) * sum of
+    squared held-out errors; a candidate whose fit fails anywhere scores
+    +inf and is not called again. Identical seeds give identical results.
     """
     candidates = list(candidates)
     if not candidates:
         raise ValueError("need at least one candidate")
     if assignments is None:
         assignments = make_folds(cloud.n, folds, seed, repeats)
-    n_splits = sum(len(rep) for rep in assignments)
-    scores = np.empty(len(candidates))
-    fold_scores = np.full((len(candidates), n_splits), math.inf)
-    failures: dict = {}
-    for ci, cand in enumerate(candidates):
-        total = 0.0
-        dead = False
-        split = 0
-        for rep in assignments:
-            if dead:
-                break
-            for hold in rep:
-                mask = np.ones(cloud.n, dtype=bool)
-                mask[hold] = False
-                train = cloud.subset(np.flatnonzero(mask))
-                try:
-                    model = fit_candidate(train, cand)
-                    pred = np.asarray(model(cloud.x[hold]), dtype=float)
-                    err = cloud.y[hold] - pred
-                    if not np.all(np.isfinite(err)):
-                        raise WqisaError("non-finite held-out prediction")
-                except (WqisaError, ValueError, FloatingPointError) as exc:
-                    failures[cand] = str(exc)
-                    dead = True
-                    break
-                total += float(np.dot(err, err))
-                fold_scores[ci, split] = float(np.mean(err**2))
-                split += 1
-        scores[ci] = math.inf if dead else total / (cloud.n * len(assignments))
+    holds = [hold for rep in assignments for hold in rep]
+    totals = [0.0] * len(candidates)
+    fold_scores = np.full((len(candidates), len(holds)), math.inf)
+    messages: dict = {}  # candidate index -> failure message
+    for split, hold in enumerate(holds):
+        mask = np.ones(cloud.n, dtype=bool)
+        mask[hold] = False
+        train = cloud.subset(np.flatnonzero(mask))
+        for ci, cand in enumerate(candidates):
+            if ci in messages:
+                continue
+            try:
+                model = fit_candidate(train, cand)
+                pred = np.asarray(model(cloud.x[hold]), dtype=float)
+                err = cloud.y[hold] - pred
+                if not np.all(np.isfinite(err)):
+                    raise WqisaError("non-finite held-out prediction")
+            except (WqisaError, ValueError, FloatingPointError) as exc:
+                messages[ci] = str(exc)
+                continue
+            totals[ci] += float(np.dot(err, err))
+            fold_scores[ci, split] = float(np.mean(err**2))
+    scores = np.array([math.inf if ci in messages else total / (cloud.n * len(assignments))
+                       for ci, total in enumerate(totals)])
+    failures = {cand: messages[ci] for ci, cand in enumerate(candidates) if ci in messages}
     best_score = scores.min()
     tied = [candidates[i] for i in np.flatnonzero(scores == best_score)]
     try:

@@ -20,11 +20,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-
-from .kdtree import KdTree
 
 FAMILIES = ("knn", "characteristic", "gaussian", "exponential", "idw")
 
@@ -82,66 +79,37 @@ class WeightSpec:
         return "idw"
 
 
-class NeighborContext:
-    """Read-only predictor view of a cloud plus a lazily built spatial index."""
-
-    def __init__(self, points: np.ndarray):
-        pts = np.array(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or len(pts) == 0:
-            raise ValueError("need a nonempty (N, d) predictor array")
-        pts.setflags(write=False)
-        self.points = pts
-        self.n, self.d = pts.shape
-
-    @cached_property
-    def tree(self) -> KdTree:
-        return KdTree(self.points)
-
-    def clamp_k(self, k: int) -> int:
-        if k > self.n:
-            warnings.warn(
-                f"k={k} exceeds cloud size N={self.n}; clamped to {self.n}",
-                UserWarning, stacklevel=3,
-            )
-            return self.n
-        return int(k)
-
-    def knn_indices(self, u, k: int) -> np.ndarray:
-        return self.tree.knn(u, self.clamp_k(k))
-
-    def radius_indices(self, u, r: float) -> np.ndarray:
-        return self.tree.radius_query(u, r)
-
-    def distances(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float).reshape(-1)
-        return np.sqrt(((self.points - u) ** 2).sum(axis=1))
-
-
-def cloud_weights(spec: WeightSpec, u, ctx: NeighborContext) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row weights of the whole cloud against anchor u.
+def cloud_weights(spec: WeightSpec, u, cloud) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row weights of a PointCloud against anchor u.
 
     Returns (indices, weights) where rows not listed carry weight 0. For
-    bounded families the index list is the support, so downstream work is
-    O(k) for knn and O(|ball|) for characteristic windows. idw decides
-    coincidence on the same distances its weights use, so a gap that
-    underflows to distance 0 counts as coincident instead of weighing inf.
+    bounded families the index list is the support, found through the
+    cloud's neighbour index, so downstream work is O(k) for knn and
+    O(|ball|) for characteristic windows; the unbounded families score
+    every row and never build the index. idw decides coincidence on the
+    same distances its weights use, so a gap that underflows to distance 0
+    counts as coincident instead of weighing inf.
     """
     if spec.family == "knn":
-        k = ctx.clamp_k(spec.k)
-        idx = ctx.knn_indices(u, k)
+        k = min(int(spec.k), cloud.n)
+        if k < spec.k:
+            warnings.warn(
+                f"k={spec.k} exceeds cloud size N={cloud.n}; clamped to {cloud.n}",
+                UserWarning, stacklevel=2,
+            )
+        idx = cloud.tree.knn(u, k)
         return idx, np.full(len(idx), 1.0 / k)
     if spec.family == "characteristic":
-        idx = ctx.radius_indices(u, spec.r)
+        idx = cloud.tree.radius_query(u, spec.r)
         return idx, np.ones(len(idx))
-    dist = ctx.distances(u)
+    u = np.asarray(u, dtype=float).reshape(-1)
+    dist = np.sqrt(((cloud.x - u) ** 2).sum(axis=1))
     if spec.family == "idw":
         coincident = np.flatnonzero(dist == 0.0)
         if len(coincident):
             return coincident, np.full(len(coincident), 1.0 / len(coincident))
-        return np.arange(ctx.n), 1.0 / dist
+        return np.arange(cloud.n), 1.0 / dist
     if spec.family == "gaussian":
         arg = dist * dist if spec.gaussian_squared_norm else dist
-        return np.arange(ctx.n), np.exp(-arg / (2.0 * spec.sigma**2))
-    return np.arange(ctx.n), np.exp(-dist / (math.sqrt(2.0) * spec.sigma))
+        return np.arange(cloud.n), np.exp(-arg / (2.0 * spec.sigma**2))
+    return np.arange(cloud.n), np.exp(-dist / (math.sqrt(2.0) * spec.sigma))

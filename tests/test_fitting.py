@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wqisa import (EmptySupportError, FitPolicy, PointCloud,
+from wqisa import (EmptySupportError, FitPolicy, KdTree, NoiseModel, PointCloud,
                    TensorSplineSpace, WeightSpec, bias_bounds_at,
-                   classify_convexity,
+                   classify_convexity, coefficient_covariance,
                    classify_monotone, effective_points, estimate_control_point,
                    evaluate, fit, global_bounds, iqr_outlier_filter,
                    iqr_outlier_mask, local_bounds, make_uniform_regular,
@@ -156,6 +156,26 @@ class TestFit:
         c = model.spline.coefficients
         assert np.all((c == 0.0) | (c == 1.0))  # every value is some response
         assert len(model.diagnostics.fallback_cells) >= 1
+
+    def test_one_tree_per_cloud(self, monkeypatch):
+        built = []
+        init = KdTree.__init__
+
+        def counting_init(tree, points):
+            built.append(len(points))
+            init(tree, points)
+
+        monkeypatch.setattr(KdTree, "__init__", counting_init)
+        cloud = sine_cloud(80, seed=3)
+        space = space1d(n=8)
+        model = fit(cloud, space, WeightSpec.knn(5))
+        effective_points(model, cloud)
+        local_bounds(model, cloud, (4,))
+        coefficient_covariance(cloud, space, model.weight, NoiseModel(0.2))
+        assert built == [80]
+        # unbounded families score every row and never index the cloud
+        fit(sine_cloud(80, seed=4), space, WeightSpec.gaussian(0.5))
+        assert built == [80]
 
     def test_clip_vs_drop_outside(self):
         x = np.array([-1.0, 0.2, 0.5, 0.8, 2.0])

@@ -389,6 +389,58 @@ class TestCrossValidation:
                 assert res.fold_scores[ci, fi] == pytest.approx(
                     float(np.mean(err**2)), abs=1e-15)
 
+    def test_one_training_cloud_per_fold(self):
+        cloud = cloud_1d(60, seed=67)
+        calls = []
+
+        def record(train, n):
+            calls.append((train, n))  # holding train keeps every id distinct
+            return self.fit_n(train, n)
+
+        kfold_cv(cloud, [4, 5, 6], record, folds=4, seed=3)
+        assert [n for _, n in calls] == [4, 5, 6] * 4
+        ids = [id(train) for train, _ in calls]
+        assert [len(set(ids[f * 3:f * 3 + 3])) for f in range(4)] == [1] * 4
+        assert len(set(ids)) == 4
+
+    def test_fold_major_matches_candidate_major(self):
+        cloud = cloud_1d(60, seed=71)
+        folds = make_folds(60, 3, seed=13, repeats=2)
+        late = folds[0][2][0]  # candidate 7 fails once this row is held out
+
+        def fragile(train, n):
+            if n == 7 and cloud.x[late, 0] not in train.x[:, 0]:
+                raise ValueError("late failure")
+            return self.fit_n(train, n)
+
+        cands = [4, 7, 6]
+        scores, fold_scores, failures = [], [], {}
+        for cand in cands:
+            total, row = 0.0, []
+            for hold in [h for rep in folds for h in rep]:
+                if cand in failures:
+                    row.append(math.inf)
+                    continue
+                mask = np.ones(cloud.n, dtype=bool)
+                mask[hold] = False
+                try:
+                    model = fragile(cloud.subset(np.flatnonzero(mask)), cand)
+                except ValueError as exc:
+                    failures[cand] = str(exc)
+                    row.append(math.inf)
+                    continue
+                err = cloud.y[hold] - np.asarray(model(cloud.x[hold]), dtype=float)
+                total += float(np.dot(err, err))
+                row.append(float(np.mean(err**2)))
+            scores.append(math.inf if cand in failures else total / (cloud.n * len(folds)))
+            fold_scores.append(row)
+
+        res = kfold_cv(cloud, cands, fragile, assignments=folds)
+        assert np.isfinite(res.fold_scores[1, :2]).all()  # failed in a later fold
+        assert res.scores.tolist() == scores
+        assert res.fold_scores.tolist() == fold_scores
+        assert res.failures == failures == {7: "late failure"}
+
     def test_parsimonious_prefers_earliest_within_one_se(self):
         # Candidate 0 is within one SE of the minimizer (candidate 2).
         fold = np.array([[1.0, 1.2, 1.1, 0.9, 1.0],
@@ -445,3 +497,14 @@ class TestNoiseEstimate:
 
     def test_user_noise_label_default(self):
         assert NoiseModel(0.5).source == "user"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_sigma_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="sigma_eps"):
+            NoiseModel(bad)
+
+    def test_estimate_needs_two_rows(self):
+        cloud = PointCloud([0.0], [1.0])
+        model = fit(cloud, space_1d(3, p=1), WeightSpec.knn(1))
+        with pytest.raises(ValueError, match="at least 2 points"):
+            estimate_noise_sigma(model, cloud)

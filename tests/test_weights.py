@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wqisa import NeighborContext, WeightSpec, cloud_weights
+from wqisa import PointCloud, WeightSpec, cloud_weights
 
 from _oracles import brute_weight_vector
 
 
-def ctx_of(x):
-    return NeighborContext(np.asarray(x, dtype=float))
+def cloud_of(x):
+    x = np.asarray(x, dtype=float)
+    return PointCloud(x, np.zeros(len(x)))
 
 
 def weights_at(spec, u, xs):
     """Dense weight vector of the cloud xs against anchor u."""
-    idx, w = cloud_weights(spec, u, ctx_of(xs))
+    idx, w = cloud_weights(spec, u, cloud_of(xs))
     dense = np.zeros(len(xs))
     dense[idx] = w
     return dense
@@ -73,17 +74,17 @@ class TestKnn:
         for _ in range(30):
             n = int(rng.integers(1, 60))
             pts = rng.uniform(-5, 5, size=(n, int(rng.integers(1, 3))))
-            ctx = NeighborContext(pts)
+            cloud = cloud_of(pts)
             k = int(rng.integers(1, n + 1))
             u = rng.uniform(-5, 5, size=pts.shape[1])
-            idx, w = cloud_weights(WeightSpec.knn(k), u, ctx)
+            idx, w = cloud_weights(WeightSpec.knn(k), u, cloud)
             assert len(idx) == k
             assert math.fsum(w) == 1.0
 
     def test_clamp_warns(self):
-        ctx = ctx_of([0.0, 1.0])
+        cloud = cloud_of([0.0, 1.0])
         with pytest.warns(UserWarning, match="clamped"):
-            idx, w = cloud_weights(WeightSpec.knn(5), [0.0], ctx)
+            idx, w = cloud_weights(WeightSpec.knn(5), [0.0], cloud)
         assert len(idx) == 2
         assert np.all(w == 0.5)
 
@@ -95,8 +96,8 @@ class TestIdw:
         assert w[1] == pytest.approx(1 / 3)
 
     def test_coincidence_takes_all_mass(self):
-        ctx = ctx_of([0.0, 0.0, 2.0])
-        idx, w = cloud_weights(WeightSpec.idw(), [0.0], ctx)
+        cloud = cloud_of([0.0, 0.0, 2.0])
+        idx, w = cloud_weights(WeightSpec.idw(), [0.0], cloud)
         assert np.array_equal(idx, [0, 1])
         assert np.all(w == 0.5)
 
@@ -125,12 +126,12 @@ class TestProperties:
     @example(WeightSpec.idw(), [2.29e-309], 0.0).via("gap squared underflows to 0")
     def test_nonnegative_and_matches_full_scan(self, spec, xs, at):
         pts = np.array(xs).reshape(-1, 1)
-        ctx = NeighborContext(pts)
+        cloud = cloud_of(pts)
         u = np.array([at])
         k = spec.k if spec.family == "knn" else None
         if k is not None and k > len(pts):
             return  # clamping covered elsewhere
-        idx, w = cloud_weights(spec, u, ctx)
+        idx, w = cloud_weights(spec, u, cloud)
         assert np.all(w >= 0)
         dense = np.zeros(len(pts))
         dense[idx] = w
