@@ -70,6 +70,11 @@ class PointCloud:
         return KdTree(self.x)
 
     @cached_property
+    def _working(self) -> dict:
+        """Working clouds by (domain, drop_outside); see _working_points."""
+        return {}
+
+    @cached_property
     def _diameter_info(self) -> tuple[float, bool]:
         rec = self.records
         if self.n > EXACT_DIAMETER_LIMIT:
@@ -148,20 +153,26 @@ def _working_points(cloud: PointCloud, space: TensorSplineSpace, policy: FitPoli
     Returns (working_cloud, row_indices): rows outside the box are either
     dropped or clipped onto it, so weight windows anchored inside the box
     can see them. When every row lies in the box the working cloud is the
-    cloud itself, so its neighbour index is built once and shared by every
-    call. Row order is preserved; row_indices maps each working row back to
-    its cloud row.
+    cloud itself; otherwise it is built once per (domain, drop_outside) and
+    kept on the cloud. Either way its neighbour index is built once and
+    shared by every call. Row order is preserved; row_indices maps each
+    working row back to its cloud row.
     """
     lo, hi = space.domain
     inside = np.all((cloud.x >= lo) & (cloud.x <= hi), axis=1)
     if inside.all():
         return cloud, np.arange(cloud.n)
-    if policy.drop_outside:
-        keep = np.flatnonzero(inside)
-        if len(keep) == 0:
-            raise DomainError("no cloud points inside the domain box")
-        return cloud.subset(keep), keep
-    return PointCloud(np.clip(cloud.x, lo, hi), cloud.y), np.arange(cloud.n)
+    key = (tuple(lo), tuple(hi), policy.drop_outside)
+    if key not in cloud._working:
+        if policy.drop_outside:
+            keep = np.flatnonzero(inside)
+            if len(keep) == 0:
+                raise DomainError("no cloud points inside the domain box")
+            cloud._working[key] = cloud.subset(keep), keep
+        else:
+            clipped = PointCloud(np.clip(cloud.x, lo, hi), cloud.y)
+            cloud._working[key] = clipped, np.arange(cloud.n)
+    return cloud._working[key]
 
 
 class WeightRow(NamedTuple):
@@ -174,15 +185,20 @@ class WeightRow(NamedTuple):
     fallback: bool       # empty window answered by the nearest row
 
 
-def _convex_weights(weight: WeightSpec, u, cloud: PointCloud):
-    """(indices, w / sum w, lookups) of the window at u over the cloud's rows;
-    indices is empty when every weight vanishes."""
-    idx, w = cloud_weights(weight, u, cloud)
+# Sites per neighbour-index call in weight_rows: large enough to amortise
+# the per-call numpy overhead, small enough that a block's candidate arrays
+# stay near half a megabyte.
+SITE_BLOCK = 128
+
+
+def _convex_weights(idx: np.ndarray, w: np.ndarray):
+    """(indices, w / sum w) of one window's rows with positive weight; empty
+    when every weight vanishes."""
     live = w > 0.0
     total = float(w.sum())
     if total <= 0.0:
-        return idx[:0], w[:0], len(idx)
-    return idx[live], w[live] / total, len(idx)
+        return idx[:0], w[:0]
+    return idx[live], w[live] / total
 
 
 def weight_rows(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
@@ -191,24 +207,35 @@ def weight_rows(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
     flat indices), in order.
 
     Row indices refer to the cloud, also when policy.drop_outside works on a
-    subset of it. Under empty_support="nearest" a starved window takes the
-    single nearest row; otherwise the generator raises one EmptySupportError
-    naming every starved cell after yielding the others.
+    subset of it. Sites go to the weight family SITE_BLOCK at a time for
+    knn and characteristic windows, and one at a time for the unbounded
+    families, whose rows span the whole cloud. Under
+    empty_support="nearest" a starved window takes the single nearest row;
+    otherwise the generator raises one EmptySupportError naming every
+    starved cell after yielding the others.
     """
     work, kept = _working_points(cloud, space, policy)
     mesh = np.meshgrid(*space.knot_average_grids, indexing="ij")
     sites = np.stack(mesh, axis=-1).reshape(-1, space.d)
+    flats = np.arange(space.dim) if flats is None else np.asarray(flats).reshape(-1)
+    step = SITE_BLOCK if weight.family in ("knn", "characteristic") else 1
     starved = []
-    for flat in range(space.dim) if flats is None else flats:
-        u = sites[flat]
-        idx, vals, lookups = _convex_weights(weight, u, work)
-        empty = len(idx) == 0
-        if empty and policy.empty_support == "error":
-            starved.append((_index_tuple(flat, space.shape), u))
-            continue
-        if empty:
-            idx, vals = work.tree.knn(u, 1), np.ones(1)
-        yield WeightRow(int(flat), kept[idx], vals, lookups, empty)
+    for first in range(0, len(flats), step):
+        block = flats[first:first + step]
+        if step == 1:
+            windows = [cloud_weights(weight, sites[block[0]], work)]
+        else:
+            indptr, idx, w = cloud_weights(weight, sites[block], work)
+            windows = [(idx[a:b], w[a:b]) for a, b in zip(indptr[:-1], indptr[1:])]
+        for flat, (idx, w) in zip(block.tolist(), windows):
+            rows, vals = _convex_weights(idx, w)
+            empty = len(rows) == 0
+            if empty and policy.empty_support == "error":
+                starved.append((_index_tuple(flat, space.shape), sites[flat]))
+                continue
+            if empty:
+                rows, vals = work.tree.knn(sites[flat], 1), np.ones(1)
+            yield WeightRow(flat, kept[rows], vals, len(idx), empty)
     if starved:
         raise EmptySupportError(starved)
 
@@ -221,7 +248,7 @@ def estimate_control_point(cloud: PointCloud, weight: WeightSpec, u) -> float:
     (tiny characteristic radii, or gaussian windows collapsing below the
     floating-point floor).
     """
-    idx, vals, _ = _convex_weights(weight, u, cloud)
+    idx, vals = _convex_weights(*cloud_weights(weight, u, cloud))
     if len(idx) == 0:
         raise EmptySupportError([(None, np.atleast_1d(np.asarray(u, dtype=float)))])
     return float(cloud.y[idx] @ vals)

@@ -79,17 +79,41 @@ class WeightSpec:
         return "idw"
 
 
-def cloud_weights(spec: WeightSpec, u, cloud) -> tuple[np.ndarray, np.ndarray]:
+def _scan_weights(spec: WeightSpec, u: np.ndarray, x: np.ndarray):
+    """(indices, weights) of an unbounded family at one anchor u, scoring
+    every row of x."""
+    dist = np.sqrt(((x - u) ** 2).sum(axis=1))
+    if spec.family == "idw":
+        coincident = np.flatnonzero(dist == 0.0)
+        if len(coincident):
+            return coincident, np.full(len(coincident), 1.0 / len(coincident))
+        return np.arange(len(x)), 1.0 / dist
+    if spec.family == "gaussian":
+        arg = dist * dist if spec.gaussian_squared_norm else dist
+        return np.arange(len(x)), np.exp(-arg / (2.0 * spec.sigma**2))
+    return np.arange(len(x)), np.exp(-dist / (math.sqrt(2.0) * spec.sigma))
+
+
+def cloud_weights(spec: WeightSpec, u, cloud):
     """Per-row weights of a PointCloud against anchor u.
 
-    Returns (indices, weights) where rows not listed carry weight 0. For
-    bounded families the index list is the support, found through the
-    cloud's neighbour index, so downstream work is O(k) for knn and
+    For one anchor (a 1-D u) returns (indices, weights), where rows not
+    listed carry weight 0. For a block of anchors (an (m, d) u) returns CSR
+    arrays (indptr, indices, weights): anchor j's row is
+    indices/weights[indptr[j]:indptr[j + 1]]. For bounded families the
+    listed rows are the support, found through the cloud's neighbour index
+    in one call for the whole block, so downstream work is O(k) for knn and
     O(|ball|) for characteristic windows; the unbounded families score
-    every row and never build the index. idw decides coincidence on the
-    same distances its weights use, so a gap that underflows to distance 0
-    counts as coincident instead of weighing inf.
+    every row, anchor by anchor, and never build the index. idw decides
+    coincidence on the same distances its weights use, so a gap that
+    underflows to distance 0 counts as coincident instead of weighing inf.
     """
+    anchors = np.asarray(u, dtype=float)
+    single = anchors.ndim <= 1
+    if single:
+        anchors = anchors.reshape(1, -1)
+    if anchors.ndim != 2 or anchors.shape[1] != cloud.d:
+        raise ValueError(f"query dimension {anchors.shape[-1]} != tree dimension {cloud.d}")
     if spec.family == "knn":
         k = min(int(spec.k), cloud.n)
         if k < spec.k:
@@ -97,19 +121,16 @@ def cloud_weights(spec: WeightSpec, u, cloud) -> tuple[np.ndarray, np.ndarray]:
                 f"k={spec.k} exceeds cloud size N={cloud.n}; clamped to {cloud.n}",
                 UserWarning, stacklevel=2,
             )
-        idx = cloud.tree.knn(u, k)
-        return idx, np.full(len(idx), 1.0 / k)
-    if spec.family == "characteristic":
-        idx = cloud.tree.radius_query(u, spec.r)
-        return idx, np.ones(len(idx))
-    u = np.asarray(u, dtype=float).reshape(-1)
-    dist = np.sqrt(((cloud.x - u) ** 2).sum(axis=1))
-    if spec.family == "idw":
-        coincident = np.flatnonzero(dist == 0.0)
-        if len(coincident):
-            return coincident, np.full(len(coincident), 1.0 / len(coincident))
-        return np.arange(cloud.n), 1.0 / dist
-    if spec.family == "gaussian":
-        arg = dist * dist if spec.gaussian_squared_norm else dist
-        return np.arange(cloud.n), np.exp(-arg / (2.0 * spec.sigma**2))
-    return np.arange(cloud.n), np.exp(-dist / (math.sqrt(2.0) * spec.sigma))
+        idx = cloud.tree.knn(anchors, k).reshape(-1)
+        indptr, w = np.arange(len(anchors) + 1) * k, np.full(len(idx), 1.0 / k)
+    elif spec.family == "characteristic":
+        indptr, idx = cloud.tree.radius_query(anchors, spec.r)
+        w = np.ones(len(idx))
+    else:
+        rows = [_scan_weights(spec, a, cloud.x) for a in anchors]
+        if single:
+            return rows[0]
+        indptr = np.cumsum([0] + [len(i) for i, _ in rows])
+        idx = np.concatenate([np.empty(0, dtype=int)] + [i for i, _ in rows])
+        w = np.concatenate([np.empty(0)] + [v for _, v in rows])
+    return (idx, w) if single else (indptr, idx, w)

@@ -177,6 +177,45 @@ class TestFit:
         fit(sine_cloud(80, seed=4), space, WeightSpec.gaussian(0.5))
         assert built == [80]
 
+    @pytest.mark.parametrize("drop_outside", [False, True])
+    def test_one_tree_per_working_cloud(self, monkeypatch, drop_outside):
+        # a row outside the domain box makes a clipped (or subset) working
+        # cloud; it is built once and reused by every later call
+        built = []
+        init = KdTree.__init__
+
+        def counting_init(tree, points):
+            built.append(len(points))
+            init(tree, points)
+
+        monkeypatch.setattr(KdTree, "__init__", counting_init)
+        x = np.append(np.linspace(0, 1, 200), 1.5)
+        cloud = PointCloud(x, np.sin(3 * x))
+        space = space1d(lo=0, hi=1, n=8)
+        policy = FitPolicy(drop_outside=drop_outside)
+        model = fit(cloud, space, WeightSpec.knn(5), policy)
+        effective_points(model, cloud)
+        local_bounds(model, cloud, (4,))
+        coefficient_covariance(cloud, space, model.weight, NoiseModel(0.2), policy)
+        assert built == [200 if drop_outside else 201]
+
+    def test_knn_fit_memory_is_blocked(self):
+        # 70x70 knn sites are queried in blocks (about 1.0 MB here); one
+        # batch of all 4900 sites peaked at about 16.5 MB
+        rng = np.random.default_rng(32)
+        n = 20_000
+        cloud = PointCloud(rng.uniform(0, 1, (n, 2)), rng.standard_normal(n))
+        space = TensorSplineSpace.from_bounds([0, 0], [1, 1], [70, 70], [2, 2])
+        assert cloud.tree.n == n  # built outside the measured region
+        tracemalloc.start()
+        try:
+            model = fit(cloud, space, WeightSpec.knn(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(model.diagnostics.support_sizes == 10)
+        assert peak < 1_500_000, peak
+
     def test_clip_vs_drop_outside(self):
         x = np.array([-1.0, 0.2, 0.5, 0.8, 2.0])
         y = np.array([10.0, 1.0, 2.0, 3.0, 20.0])

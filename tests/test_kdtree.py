@@ -88,6 +88,59 @@ class TestRadius:
             tree.radius_query([0.0], -1.0)
 
 
+# coordinate families for batched queries: ordinary values, subnormals, and
+# values around 1e150 whose squared gaps overflow to inf so that ties fall
+# back to the index
+COORDS = {
+    "plain": st.floats(-100, 100),
+    "subnormal": st.floats(-1e-306, 1e-306) | st.sampled_from([0.0, 5e-324, -5e-324, 1e-310]),
+    "huge": st.sampled_from([-3e155, -1e154, -1e150, 0.0, 1e150, 2e154, 3e155]),
+}
+
+
+@st.composite
+def query_blocks(draw):
+    """(points, queries): duplicates, an all-equal axis and queries outside
+    the bounding box included."""
+    coord = COORDS[draw(st.sampled_from(sorted(COORDS)))]
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 80))
+    pts = np.array(draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n)))
+    if n >= 2 and draw(st.booleans()):
+        pts[1] = pts[0]
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, d - 1))
+        pts[:, axis] = pts[0, axis]
+    m = draw(st.integers(0, 12))
+    queries = np.array(draw(st.lists(st.tuples(*[coord] * d), min_size=m, max_size=m)))
+    queries = queries.reshape(m, d) * draw(st.sampled_from([1.0, 4.0]))
+    return pts, queries
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(query_blocks(), st.data())
+    def test_knn_rows_match_linear_scan(self, block, data):
+        pts, queries = block
+        k = data.draw(st.just(len(pts)) | st.integers(1, len(pts)))
+        got = KdTree(pts).knn(queries, k)
+        assert got.shape == (len(queries), k)
+        for u, row in zip(queries, got):
+            assert np.array_equal(row, brute_knn(pts, u, k))
+
+    @settings(max_examples=150, deadline=None)
+    @given(query_blocks(), st.data())
+    def test_radius_rows_match_linear_scan(self, block, data):
+        pts, queries = block
+        r = data.draw(st.just(0.0) | st.floats(0, 50) | st.sampled_from([1e150, 1e155]))
+        indptr, indices = KdTree(pts).radius_query(queries, r)
+        assert len(indptr) == len(queries) + 1
+        for j, u in enumerate(queries):
+            got = indices[indptr[j]:indptr[j + 1]]
+            assert np.array_equal(got, brute_radius(pts, u, r))
+
+
 class TestBuild:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -107,3 +160,10 @@ class TestBuild:
         tree = KdTree(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             tree.knn([0.0], 1)
+
+    def test_nan_query_rejected(self):
+        tree = KdTree(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="NaN"):
+            tree.knn([[0.0, 0.0], [np.nan, 0.0]], 1)
+        with pytest.raises(ValueError, match="NaN"):
+            tree.radius_query([np.nan, 0.0], 1.0)

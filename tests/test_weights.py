@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wqisa import PointCloud, WeightSpec, cloud_weights
+from wqisa import PointCloud, WeightSpec, cloud_weights, estimate_control_point
 
 from _oracles import brute_weight_vector
 
@@ -139,3 +139,27 @@ class TestProperties:
                   "squared_norm": spec.gaussian_squared_norm}
         ref = brute_weight_vector(spec.family, params, u, pts)
         assert np.allclose(dense, ref, rtol=0, atol=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(specs(), st.lists(finite, min_size=1, max_size=30),
+           st.lists(finite | st.sampled_from([0.0, 1.0]), max_size=6))
+    def test_block_rows_match_single_anchors(self, spec, xs, anchors):
+        cloud = cloud_of(np.array(xs + [0.0, 1.0]))  # coincident idw anchors possible
+        if spec.family == "knn" and spec.k > cloud.n:
+            return  # clamping covered elsewhere
+        block = np.array(anchors).reshape(-1, 1)
+        indptr, idx, w = cloud_weights(spec, block, cloud)
+        assert len(indptr) == len(block) + 1
+        for j, u in enumerate(block):
+            one_idx, one_w = cloud_weights(spec, u, cloud)
+            assert np.array_equal(idx[indptr[j]:indptr[j + 1]], one_idx)
+            assert np.array_equal(w[indptr[j]:indptr[j + 1]], one_w)
+
+    @pytest.mark.parametrize("spec", [WeightSpec.knn(3), WeightSpec.characteristic(0.5),
+                                      WeightSpec.gaussian(0.3), WeightSpec.exponential(0.3),
+                                      WeightSpec.idw()], ids=lambda s: s.family)
+    def test_anchor_dimension_checked(self, spec):
+        # the unbounded families used to broadcast a 1-D anchor over a 2-D cloud
+        cloud = cloud_of(np.random.default_rng(1).uniform(0, 1, (50, 2)))
+        with pytest.raises(ValueError, match="query dimension 1 != tree dimension 2"):
+            estimate_control_point(cloud, spec, [0.5])
