@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from .config import FitConfig, parse_weight
-from .errors import WqisaError
+from .errors import ParseError
 from .fitting import (FitPolicy, PointCloud, classify_convexity,
                       classify_monotone, evaluate, fit, global_bounds,
                       iqr_outlier_filter)
@@ -123,26 +123,48 @@ def _save_model(model, path, sigma_eps=None) -> None:
         json.dump(payload, fh)
 
 
+_MODEL_FIELDS = ("degrees", "knots", "coefficients", "weight", "policy",
+                 "effective_count", "support_sizes", "fallback_cells")
+
+
 def load_model(path):
+    """Read a model.json written by fit. A missing field, a non-finite
+    coefficient or a value the model types reject raises ParseError naming
+    the file."""
     from .fitting import FitDiagnostics, WqisaModel
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    axes = tuple(KnotVector(p, np.array(knots))
-                 for p, knots in zip(raw["degrees"], raw["knots"]))
-    space = TensorSplineSpace(axes)
-    spline = SplineFunction(space, np.array(raw["coefficients"]))
-    diag = FitDiagnostics(
-        estimator_calls=space.dim,
-        support_sizes=np.array(raw["support_sizes"]),
-        fallback_cells={tuple(k): v for k, v in raw["fallback_cells"]},
-    )
-    model = WqisaModel(
-        spline=spline,
-        weight=parse_weight(raw["weight"]),
-        policy=FitPolicy(**raw["policy"]),
-        effective_count=raw["effective_count"],
-        diagnostics=diag,
-    )
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: not a model object")
+    for key in _MODEL_FIELDS:
+        if key not in raw:
+            raise ParseError(f"{path}: missing model field {key!r}")
+    try:
+        if len(raw["degrees"]) != len(raw["knots"]):
+            raise ParseError(f"{path}: {len(raw['degrees'])} degrees for "
+                             f"{len(raw['knots'])} knot vectors")
+        coefficients = np.array(raw["coefficients"], dtype=float)
+        bad = np.argwhere(~np.isfinite(coefficients))
+        if len(bad):
+            cell = tuple(int(i) for i in bad[0])
+            raise ParseError(f"{path}: non-finite coefficient {coefficients[cell]} at {cell}")
+        axes = tuple(KnotVector(p, np.array(knots))
+                     for p, knots in zip(raw["degrees"], raw["knots"]))
+        space = TensorSplineSpace(axes)
+        diag = FitDiagnostics(
+            estimator_calls=space.dim,
+            support_sizes=np.array(raw["support_sizes"]),
+            fallback_cells={tuple(k): v for k, v in raw["fallback_cells"]},
+        )
+        model = WqisaModel(
+            spline=SplineFunction(space, coefficients),
+            weight=parse_weight(raw["weight"]),
+            policy=FitPolicy(**raw["policy"]),
+            effective_count=raw["effective_count"],
+            diagnostics=diag,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return model, raw.get("sigma_eps")
 
 

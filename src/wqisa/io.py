@@ -1,13 +1,15 @@
 """Reading, writing and generating point clouds.
 
-Text clouds are one record per line, whitespace- or comma-separated, with
-the response in the last column and '#' starting a comment. Floats are
-written with shortest round-trip decimals, so save followed by load is
-bit-exact.
+Text clouds are one record per line, with the response in the last column
+and '#' starting a comment. A file is either whitespace- or
+comma-separated throughout. Floats are written with shortest round-trip
+decimals and read with numpy's correctly rounded parser, so save followed
+by load is bit-exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -20,37 +22,63 @@ from .fitting import PointCloud
 GENERATOR_KINDS = ("sine", "sine_outliers", "variable_noise")
 
 
+def _data_part(line: str) -> str:
+    """A line without its comment and surrounding whitespace; empty when
+    the line holds no data."""
+    return line.split("#", 1)[0].strip()
+
+
 def load_cloud(path, format: str = "auto") -> PointCloud:
-    """Parse a cloud file; raises ParseError with the offending line number."""
+    """Parse a cloud file; raises ParseError with the offending line number.
+
+    The separator is decided once, from the first data line: ',' for csv,
+    whitespace for xyz, and for auto ',' if that line has one. That line
+    and the rest of the file then go through numpy's C reader in one pass.
+    Only a file the reader rejects, or one holding a non-finite value, is
+    read a second time, line by line, to name its first bad line.
+    """
     if format not in ("auto", "xyz", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    rows: list[list[float]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        first = next(filter(_data_part, fh), None)
+        if first is None:
+            raise ParseError(f"no data rows in {path}")
+        comma = format == "csv" or (format == "auto" and "," in _data_part(first))
+        sep = "," if comma else None
+        lines = itertools.chain([first], fh)
+        if comma:  # numpy reads a whitespace-only line as one empty field there
+            lines = filter(_data_part, lines)
+        try:
+            data = np.loadtxt(lines, delimiter=sep, comments="#", ndmin=2)
+        except ValueError:
+            data = None
+    if data is None or data.shape[1] < 2 or not np.isfinite(data).all():
+        raise _first_bad_line(path, sep)
+    return PointCloud(data[:, :-1], data[:, -1])
+
+
+def _first_bad_line(path, sep) -> ParseError:
+    """The error for a file that load_cloud rejected: each data line goes
+    through the same reader on its own, so the first line that breaks a
+    rule is the line the whole-file parse stumbled on."""
     width = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
+        for lineno, line in enumerate(fh, start=1):
+            text = _data_part(line)
             if not text:
                 continue
-            if format == "csv" or (format == "auto" and "," in text):
-                parts = [p.strip() for p in text.split(",")]
-            else:
-                parts = text.split()
             try:
-                vals = [float(p) for p in parts]
+                row = np.loadtxt([line], delimiter=sep, comments="#", ndmin=1)
             except ValueError:
-                raise ParseError(f"cannot parse {text!r} as numbers", line=lineno) from None
-            if len(vals) < 2:
-                raise ParseError(f"need at least 2 columns, got {len(vals)}", line=lineno)
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise ParseError(
-                    f"expected {width} columns, got {len(vals)}", line=lineno)
-            rows.append(vals)
-    if not rows:
-        raise ParseError(f"no data rows in {path}")
-    data = np.array(rows)
-    return PointCloud(data[:, :-1], data[:, -1])
+                return ParseError(f"cannot parse {text!r} as numbers", line=lineno)
+            if len(row) < 2:
+                return ParseError(f"need at least 2 columns, got {len(row)}", line=lineno)
+            width = width or len(row)
+            if len(row) != width:
+                return ParseError(f"expected {width} columns, got {len(row)}", line=lineno)
+            if not np.isfinite(row).all():
+                return ParseError(f"non-finite value in {text!r}", line=lineno)
+    return ParseError(f"cannot parse {path}")
 
 
 def save_cloud(cloud: PointCloud, path, format: str = "xyz") -> None:

@@ -20,7 +20,9 @@ index). Radius queries run the same traversal with the bound r^2.
 
 Squared distances are ((points - u) ** 2).sum(axis=1), and a box's squared
 distance is summed the same way from per-axis gaps that can only be
-smaller, so no node holding a qualifying point is ever pruned. Results
+smaller, so no node holding a qualifying point is ever pruned. Points
+more than about 1.3e154 apart get d2 = inf without a warning; inf still
+orders after every finite d2 and ties break by index. Results
 equal a brute-force scan exactly: k-nearest rows are ordered by (distance,
 index), with ties at the k-th distance broken by ascending index, and
 radius queries use the closed ball.
@@ -143,9 +145,10 @@ class KdTree:
         qi, rows = np.repeat(qi, lens), self._perm[_positions(self._start[nodes], lens)]
         # ((points - u) ** 2).sum(axis=1), in place to keep block queries small
         sq = self.points.take(rows, axis=0)
-        sq -= q.take(qi, axis=0)
-        sq **= 2
-        return qi, rows, sq.sum(axis=1)
+        with np.errstate(over="ignore"):  # inf d2 still orders exactly
+            sq -= q.take(qi, axis=0)
+            sq **= 2
+            return qi, rows, sq.sum(axis=1)
 
     def _knn_bound(self, q, k: int) -> np.ndarray:
         """Per query, the k-th smallest d2 within the deepest node on its
@@ -175,7 +178,8 @@ class KdTree:
             at = q.take(qi, axis=0)
             gap = np.maximum(self._lo.take(node, axis=0) - at, at - self._hi.take(node, axis=0))
             np.maximum(gap, 0.0, out=gap)
-            near = (gap**2).sum(axis=1) <= bound[qi]
+            with np.errstate(over="ignore"):
+                near = (gap**2).sum(axis=1) <= bound[qi]
             qi, node = qi[near], node[near]
             leaf = self._left[node] < 0
             leaf_q.append(qi[leaf])

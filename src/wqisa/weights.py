@@ -82,7 +82,8 @@ class WeightSpec:
 def _scan_weights(spec: WeightSpec, u: np.ndarray, x: np.ndarray):
     """(indices, weights) of an unbounded family at one anchor u, scoring
     every row of x."""
-    dist = np.sqrt(((x - u) ** 2).sum(axis=1))
+    with np.errstate(over="ignore"):  # inf past ~1.3e154 apart: weight 0
+        dist = np.sqrt(((x - u) ** 2).sum(axis=1))
     if spec.family == "idw":
         coincident = np.flatnonzero(dist == 0.0)
         if len(coincident):

@@ -50,13 +50,19 @@ def full_sum_eval(axes_knots, degrees, coeffs, pt):
     return float(acc)
 
 
+def _squared_distances(X, u):
+    """((X - u) ** 2).sum(axis=1); inf past ~1.3e154 apart, without a warning."""
+    with np.errstate(over="ignore"):
+        return ((X - u) ** 2).sum(axis=1)
+
+
 def brute_weight_vector(family, params, u, X):
     """Weights of every cloud row against u, resolved by full scan."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     u = np.asarray(u, dtype=float).reshape(-1)
-    dist = np.sqrt(((X - u) ** 2).sum(axis=1))
+    dist = np.sqrt(_squared_distances(X, u))
     n = len(X)
     w = np.zeros(n)
     if family == "knn":
@@ -96,7 +102,7 @@ def brute_knn(X, u, k):
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     u = np.asarray(u, dtype=float).reshape(-1)
-    d2 = ((X - u) ** 2).sum(axis=1)
+    d2 = _squared_distances(X, u)
     order = sorted(range(len(X)), key=lambda i: (d2[i], i))
     return np.array(order[:k], dtype=int)
 
@@ -106,7 +112,7 @@ def brute_radius(X, u, r):
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     u = np.asarray(u, dtype=float).reshape(-1)
-    d2 = ((X - u) ** 2).sum(axis=1)
+    d2 = _squared_distances(X, u)
     return np.flatnonzero(d2 <= r * r)
 
 
@@ -121,3 +127,38 @@ def brute_covariance(family, params, sites, X, sigma):
             den = math.fsum(map(float, rows[i])) * math.fsum(map(float, rows[j]))
             out[i, j] = sigma**2 * num / den
     return out
+
+
+def line_parse_cloud(path, format="auto"):
+    """The line-by-line cloud reader: the separator chosen per line (',' if
+    the line has one, under auto), float() per token, the column count
+    checked line by line, and non-finite values named by their line.
+    Returns the (N, d+1) record array or raises ParseError."""
+    from wqisa import ParseError
+
+    rows, width = [], None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if format == "csv" or (format == "auto" and "," in text):
+                parts = [p.strip() for p in text.split(",")]
+            else:
+                parts = text.split()
+            try:
+                vals = [float(p) for p in parts]
+            except ValueError:
+                raise ParseError(f"cannot parse {text!r} as numbers", line=lineno) from None
+            if len(vals) < 2:
+                raise ParseError(f"need at least 2 columns, got {len(vals)}", line=lineno)
+            if width is None:
+                width = len(vals)
+            elif len(vals) != width:
+                raise ParseError(f"expected {width} columns, got {len(vals)}", line=lineno)
+            if not all(map(math.isfinite, vals)):
+                raise ParseError(f"non-finite value in {text!r}", line=lineno)
+            rows.append(vals)
+    if not rows:
+        raise ParseError(f"no data rows in {path}")
+    return np.array(rows)

@@ -2,13 +2,53 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wqisa import (ParseError, PointCloud, gen_synthetic, load_cloud,
                    save_cloud, variable_noise_scale)
 from wqisa.cli import load_model, main
+
+from _oracles import line_parse_cloud
+
+# Tokens that float() and numpy's reader read alike (no underscores, no
+# non-ASCII digits), and tokens neither accepts or that are not finite.
+GOOD_TOKENS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+    ["0", "-0", "+1.5", ".5", "5.", "1e5", "1E-3", "-2.5e+10", "4.9e-324", "2.5e-324"])
+BAD_TOKENS = st.sampled_from(
+    ["foo", "1.2.3", "0x10", "--1", "1e", "e5", ".", "", "nan", "-inf", "Infinity", "1e400"])
+
+
+@st.composite
+def cloud_texts(draw):
+    """Cloud file text with one separator style per file: comment, blank
+    and whitespace-only lines, leading and trailing blanks, ragged rows and
+    bad tokens, LF or CRLF."""
+    sep = draw(st.sampled_from([" ", "\t", "  \t", ",", ", ", " ,\t"]))
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 5 + ["ragged", "bad", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", " \t ", "\t"])))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["# header", "  # indented, with comma", "#"])))
+        else:
+            w = draw(st.integers(1, 5)) if kind == "ragged" else width
+            toks = draw(st.lists(GOOD_TOKENS, min_size=w, max_size=w))
+            if kind == "bad":
+                toks[draw(st.integers(0, w - 1))] = draw(BAD_TOKENS)
+            lines.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(toks)
+                         + draw(st.sampled_from(["", " ", "\t", " # c, d", "#x"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestCloudFiles:
@@ -69,6 +109,84 @@ class TestCloudFiles:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             load_cloud(tmp_path / "x", format="parquet")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_its_line(self, tmp_path, token):
+        path = tmp_path / "nan.xyz"
+        path.write_text(f"1.0 2.0\n# note\n0.5 {token}\n3.0 4.0\n")
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            load_cloud(path)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("text, line", [
+        ("1.0 2.0\n3.0 4.0\n5.0,6.0\n", 3),
+        ("1.0,2.0\n\n3.0 4.0\n", 3),
+        ("# x, y\n1.0 2.0\n3.0, 4.0\n", 3),
+    ])
+    def test_separator_is_chosen_once_per_file(self, tmp_path, text, line):
+        path = tmp_path / "mixed.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_cloud(path)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff12.5"])
+    def test_tokens_outside_ascii_decimal_syntax_rejected(self, tmp_path, token):
+        path = tmp_path / "odd.xyz"
+        path.write_text(f"1.0 2.0\n{token} 2.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="cannot parse") as exc:
+            load_cloud(path)
+        assert exc.value.line == 2
+
+    def test_csv_skips_whitespace_only_and_indented_comment_lines(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("1,2\n   \n  # indented\n\t\n3, 4 # tail\n")
+        assert np.array_equal(load_cloud(path).records, [[1.0, 2.0], [3.0, 4.0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 3]), st.integers(1, 12), st.data())
+    @example(1, 4, None)
+    def test_save_then_load_is_bit_exact(self, tmp_path_factory, d, n, data):
+        extremes = [5e-324, -2.2250738585072e-308, 1e-310, 1e308, -1e308, -0.0]
+        if data is None:  # subnormals, +-1e308 and -0.0 in every column
+            rec = np.resize(extremes, (n, d + 1))
+        else:
+            value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(extremes)
+            rec = np.array(data.draw(st.lists(st.lists(value, min_size=d + 1, max_size=d + 1),
+                                              min_size=n, max_size=n)))
+        cloud = PointCloud(rec[:, :-1], rec[:, -1])
+        for fmt in ("xyz", "csv"):
+            path = tmp_path_factory.getbasetemp() / f"round.{fmt}"
+            save_cloud(cloud, path, format=fmt)
+            assert same_bits(load_cloud(path).records, cloud.records)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cloud_texts(), st.sampled_from(["auto", "auto", "xyz", "csv"]))
+    def test_matches_line_by_line_reader(self, tmp_path_factory, text, fmt):
+        path = tmp_path_factory.getbasetemp() / "cloud.txt"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = line_parse_cloud(path, fmt)
+        except ParseError as err:
+            with pytest.raises(ParseError) as exc:
+                load_cloud(path, fmt)
+            assert exc.value.line == err.line
+        else:
+            assert same_bits(load_cloud(path, fmt).records, want)
+
+    def test_parse_memory_stays_small(self, tmp_path):
+        rng = np.random.default_rng(4)
+        cloud = PointCloud(rng.uniform(-1, 1, (20000, 2)), rng.standard_normal(20000))
+        path = tmp_path / "big.xyz"
+        save_cloud(cloud, path)
+        tracemalloc.start()
+        try:
+            back = load_cloud(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bits(back.records, cloud.records)
+        assert peak < 2_000_000, f"load_cloud peaked at {peak} bytes"
 
 
 class TestGenerators:
@@ -252,6 +370,61 @@ class TestCliPipeline:
         code, payload = run_cli(capsys, "fit", "--data", str(bad))
         assert code == 1
         assert payload["error"]["type"] == "ParseError"
+
+    def test_fit_names_the_line_of_a_nan_row(self, tmp_path, capsys):
+        bad = tmp_path / "nan.xyz"
+        bad.write_text("0.1 1.0\n0.2 nan\n0.3 2.0\n")
+        code, payload = run_cli(capsys, "fit", "--data", str(bad))
+        assert code == 1
+        assert payload["error"]["type"] == "ParseError"
+        assert payload["error"]["message"].startswith("line 2:")
+
+
+class TestModelFiles:
+    @pytest.fixture
+    def fitted(self, tmp_path, capsys):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "120", "--seed", "19",
+                "--out", str(cloud_path))
+        run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "8",
+                "--out", str(tmp_path))
+        model_path = tmp_path / "model.json"
+        return cloud_path, model_path, json.loads(model_path.read_text())
+
+    def test_missing_field_named_with_the_file(self, fitted):
+        _, model_path, raw = fitted
+        del raw["coefficients"]
+        model_path.write_text(json.dumps(raw))
+        with pytest.raises(ParseError, match="'coefficients'") as exc:
+            load_model(model_path)
+        assert str(model_path) in str(exc.value)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("degrees", [2, 2], "2 degrees for 1 knot vectors"),
+        ("weight", "cosine", "unknown weight family"),
+        ("coefficients", [0.5] * 3, "coefficient shape"),
+        ("policy", {"empty_support": "skip"}, "empty_support"),
+    ])
+    def test_invalid_field_named_with_the_file(self, fitted, field, value, match):
+        _, model_path, raw = fitted
+        raw[field] = value
+        model_path.write_text(json.dumps(raw))
+        with pytest.raises(ParseError, match=match) as exc:
+            load_model(model_path)
+        assert str(model_path) in str(exc.value)
+
+    def test_non_finite_coefficient_rejected(self, fitted, tmp_path, capsys):
+        cloud_path, model_path, raw = fitted
+        raw["coefficients"][3] = float("nan")
+        model_path.write_text(json.dumps(raw))
+        with pytest.raises(ParseError, match=r"non-finite coefficient nan at \(3,\)"):
+            load_model(model_path)
+        grid = tmp_path / "grid.csv"
+        code, payload = run_cli(capsys, "eval", "--model", str(model_path),
+                                "--data", str(cloud_path), "--sigma-eps", "0.3",
+                                "--out", str(grid))
+        assert code == 1 and payload["error"]["type"] == "ParseError"
+        assert not grid.exists()
 
 
 class TestConfigPrecedence:

@@ -117,7 +117,6 @@ def query_blocks(draw):
     return pts, queries
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestBatch:
     @settings(max_examples=150, deadline=None)
     @given(query_blocks(), st.data())
