@@ -9,6 +9,7 @@ and fitting cost is exactly one estimator call per coefficient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -76,16 +77,23 @@ class PointCloud:
 
     @cached_property
     def _diameter_info(self) -> tuple[float, bool]:
+        # Squared gaps overflow past ~1.3e154. Records beyond 2^500 are
+        # measured in a power-of-two unit that keeps them finite; scaling
+        # by a power of two is exact, so no bits move below that size.
         rec = self.records
+        top = max(float(rec.max()), -float(rec.min()))
+        unit = 2.0 ** max(0, math.frexp(top)[1] - 500)
+        if unit > 1.0:
+            rec = rec / unit
         if self.n > EXACT_DIAMETER_LIMIT:
             span = rec.max(axis=0) - rec.min(axis=0)
-            return float(np.sqrt((span**2).sum())), False
+            return float(np.sqrt((span**2).sum())) * unit, False
         best = 0.0
         for start in range(0, self.n, 256):
             chunk = rec[start : start + 256]
             d2 = ((chunk[:, None, :] - rec[None, :, :]) ** 2).sum(axis=2)
             best = max(best, float(d2.max()))
-        return float(np.sqrt(best)), True
+        return float(np.sqrt(best)) * unit, True
 
     @property
     def diameter(self) -> float:
@@ -156,12 +164,12 @@ def _working_points(cloud: PointCloud, space: TensorSplineSpace, policy: FitPoli
     cloud itself; otherwise it is built once per (domain, drop_outside) and
     kept on the cloud. Either way its neighbour index is built once and
     shared by every call. Row order is preserved; row_indices maps each
-    working row back to its cloud row.
+    working row back to its cloud row, or is None for the identity map.
     """
     lo, hi = space.domain
     inside = np.all((cloud.x >= lo) & (cloud.x <= hi), axis=1)
     if inside.all():
-        return cloud, np.arange(cloud.n)
+        return cloud, None
     key = (tuple(lo), tuple(hi), policy.drop_outside)
     if key not in cloud._working:
         if policy.drop_outside:
@@ -170,49 +178,48 @@ def _working_points(cloud: PointCloud, space: TensorSplineSpace, policy: FitPoli
                 raise DomainError("no cloud points inside the domain box")
             cloud._working[key] = cloud.subset(keep), keep
         else:
-            clipped = PointCloud(np.clip(cloud.x, lo, hi), cloud.y)
-            cloud._working[key] = clipped, np.arange(cloud.n)
+            cloud._working[key] = PointCloud(np.clip(cloud.x, lo, hi), cloud.y), None
     return cloud._working[key]
 
 
-class WeightRow(NamedTuple):
-    """One row of the weight operator V, so that coefficient = y[rows] @ vals."""
+class WeightBlock(NamedTuple):
+    """Rows flats of V in CSR form: row j is vals/cols[indptr[j]:indptr[j + 1]]."""
 
-    flat: int            # C-order index of the coefficient
-    rows: np.ndarray     # cloud rows with positive weight
-    vals: np.ndarray     # their weights divided by the weight sum: convex
-    lookups: int         # rows the weight family scored
-    fallback: bool       # empty window answered by the nearest row
+    flats: np.ndarray     # C-order coefficient indices of the rows
+    indptr: np.ndarray    # row offsets into cols and vals
+    cols: np.ndarray      # cloud rows with positive weight
+    vals: np.ndarray      # their weights divided by their row's sum: convex
+    lookups: int          # rows the weight family scored for the block
+    fallback: np.ndarray  # per row: empty window answered by the nearest row
 
 
-# Sites per neighbour-index call in weight_rows: large enough to amortise
+# Sites per neighbour-index call in weight_blocks: large enough to amortise
 # the per-call numpy overhead, small enough that a block's candidate arrays
 # stay near half a megabyte.
 SITE_BLOCK = 128
 
 
-def _convex_weights(idx: np.ndarray, w: np.ndarray):
-    """(indices, w / sum w) of one window's rows with positive weight; empty
-    when every weight vanishes."""
-    live = w > 0.0
-    total = float(w.sum())
-    if total <= 0.0:
-        return idx[:0], w[:0]
-    return idx[live], w[live] / total
+def _row_sums(a: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Sum of a over each CSR row. reduceat sees only the nonempty rows: it
+    would give an empty row the next entry, or fail past the end."""
+    live = indptr[:-1] < indptr[1:]
+    sums = np.zeros(len(live))
+    sums[live] = np.add.reduceat(a, indptr[:-1][live])
+    return sums
 
 
-def weight_rows(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
-                policy: FitPolicy = FitPolicy(), flats=None):
-    """Yield the normalised weight row of each coefficient (or of the given
-    flat indices), in order.
+def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
+                  policy: FitPolicy = FitPolicy(), flats=None):
+    """Yield V, the normalised weight rows of every coefficient (or of the
+    given flat indices, in order), as one WeightBlock per cloud_weights
+    call: SITE_BLOCK sites for knn and characteristic windows, one for the
+    unbounded families, whose rows span the whole cloud.
 
-    Row indices refer to the cloud, also when policy.drop_outside works on a
-    subset of it. Sites go to the weight family SITE_BLOCK at a time for
-    knn and characteristic windows, and one at a time for the unbounded
-    families, whose rows span the whole cloud. Under
-    empty_support="nearest" a starved window takes the single nearest row;
-    otherwise the generator raises one EmptySupportError naming every
-    starved cell after yielding the others.
+    Columns name cloud rows, also when policy.drop_outside works on a
+    subset of it. Under empty_support="nearest" a starved window takes the
+    single nearest row at weight 1; otherwise its row stays empty and the
+    generator raises one EmptySupportError naming every starved cell after
+    the last block.
     """
     work, kept = _working_points(cloud, space, policy)
     mesh = np.meshgrid(*space.knot_average_grids, indexing="ij")
@@ -222,20 +229,21 @@ def weight_rows(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
     starved = []
     for first in range(0, len(flats), step):
         block = flats[first:first + step]
-        if step == 1:
-            windows = [cloud_weights(weight, sites[block[0]], work)]
-        else:
-            indptr, idx, w = cloud_weights(weight, sites[block], work)
-            windows = [(idx[a:b], w[a:b]) for a, b in zip(indptr[:-1], indptr[1:])]
-        for flat, (idx, w) in zip(block.tolist(), windows):
-            rows, vals = _convex_weights(idx, w)
-            empty = len(rows) == 0
-            if empty and policy.empty_support == "error":
-                starved.append((_index_tuple(flat, space.shape), sites[flat]))
-                continue
-            if empty:
-                rows, vals = work.tree.knn(sites[flat], 1), np.ones(1)
-            yield WeightRow(flat, kept[rows], vals, len(idx), empty)
+        indptr, cols, w = cloud_weights(weight, sites[block], work)
+        lookups = len(cols) if step > 1 else work.n  # unbounded: every row scored
+        empty = indptr[:-1] == indptr[1:]
+        fallback = empty & (policy.empty_support == "nearest")
+        if fallback.any():
+            at = indptr[:-1][fallback]
+            cols = np.insert(cols, at, work.tree.knn(sites[block[fallback]], 1).reshape(-1))
+            w = np.insert(w, at, 1.0)
+            indptr = indptr + np.concatenate(([0], np.cumsum(fallback)))
+        elif empty.any():
+            starved += [(_index_tuple(f, space.shape), sites[f]) for f in block[empty].tolist()]
+        sums = _row_sums(w, indptr)
+        vals = w / (sums if len(block) == 1 else np.repeat(sums, indptr[1:] - indptr[:-1]))
+        yield WeightBlock(block, indptr, cols if kept is None else kept[cols], vals,
+                          lookups, fallback)
     if starved:
         raise EmptySupportError(starved)
 
@@ -248,10 +256,12 @@ def estimate_control_point(cloud: PointCloud, weight: WeightSpec, u) -> float:
     (tiny characteristic radii, or gaussian windows collapsing below the
     floating-point floor).
     """
-    idx, vals = _convex_weights(*cloud_weights(weight, u, cloud))
+    idx, w = cloud_weights(weight, u, cloud)
     if len(idx) == 0:
         raise EmptySupportError([(None, np.atleast_1d(np.asarray(u, dtype=float)))])
-    return float(cloud.y[idx] @ vals)
+    with np.errstate(over="ignore"):  # clipped as in fit
+        mean = float((cloud.y[idx] * (w / w.sum())).sum())
+    return min(max(mean, float(cloud.y.min())), float(cloud.y.max()))
 
 
 def _index_tuple(flat: int, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -272,13 +282,18 @@ def fit(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
     seen = np.zeros(cloud.n, dtype=bool)
     lookups = 0
     fallbacks = {}
-    for row in weight_rows(cloud, space, weight, policy):
-        coeffs[row.flat] = cloud.y[row.rows] @ row.vals
-        sizes[row.flat] = len(row.rows)
-        seen[row.rows] = True
-        lookups += row.lookups
-        if row.fallback:
-            fallbacks[_index_tuple(row.flat, space.shape)] = int(row.rows[0])
+    for block in weight_blocks(cloud, space, weight, policy):
+        with np.errstate(over="ignore"):
+            coeffs[block.flats] = _row_sums(cloud.y[block.cols] * block.vals, block.indptr)
+        sizes[block.flats] = block.indptr[1:] - block.indptr[:-1]
+        seen[block.cols] = True
+        lookups += block.lookups
+        for f, at in zip(block.flats[block.fallback], block.indptr[:-1][block.fallback]):
+            fallbacks[_index_tuple(f, space.shape)] = int(block.cols[at])
+    # Convex combinations of the responses: a partial sum overflows only when
+    # the weight still to come is ~0, so the clip takes back just that (an
+    # inf, never a NaN) and any rounding past the data range.
+    np.clip(coeffs, cloud.y.min(), cloud.y.max(), out=coeffs)
     diag = FitDiagnostics(
         estimator_calls=space.dim,
         weight_lookups=lookups,
@@ -336,8 +351,8 @@ def local_bounds(model: WqisaModel, cloud: PointCloud, cell) -> tuple[float, flo
             raise IndexError(f"axis {k}: span {s} out of range [{kv.degree}, {kv.n - 1}]")
     active = np.ix_(*[np.arange(s - kv.degree, s + 1) for s, kv in zip(cell, space.axes)])
     flats = np.ravel_multi_index(active, space.shape).reshape(-1)
-    vals = np.concatenate([cloud.y[row.rows] for row in
-                           weight_rows(cloud, space, model.weight, model.policy, flats)])
+    blocks = weight_blocks(cloud, space, model.weight, model.policy, flats)
+    vals = cloud.y[np.concatenate([block.cols for block in blocks])]
     return float(vals.min()), float(vals.max())
 
 
@@ -348,8 +363,8 @@ def effective_points(model: WqisaModel, cloud: PointCloud) -> np.ndarray:
     it can be a proper subset of the cloud for bounded-support weights.
     """
     seen = np.zeros(cloud.n, dtype=bool)
-    for row in weight_rows(cloud, model.space, model.weight, model.policy):
-        seen[row.rows] = True
+    for block in weight_blocks(cloud, model.space, model.weight, model.policy):
+        seen[block.cols] = True
     return np.flatnonzero(seen)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WqisaError
-from .fitting import FitPolicy, PointCloud, WqisaModel, evaluate, weight_rows
+from .fitting import FitPolicy, PointCloud, WqisaModel, _row_sums, evaluate, weight_blocks
 from .splines import TensorSplineSpace, _normalize_points, _windows
 from .weights import WeightSpec
 
@@ -64,11 +64,11 @@ def coefficient_covariance(cloud: PointCloud, space: TensorSplineSpace,
                            weight: WeightSpec, noise: NoiseModel,
                            policy: FitPolicy = FitPolicy()) -> CoefficientCovariance:
     """Covariance structure of the estimator grid under i.i.d. noise."""
-    rows = list(weight_rows(cloud, space, weight, policy))
-    indptr = np.zeros(len(rows) + 1, dtype=int)
-    np.cumsum([len(r.rows) for r in rows], out=indptr[1:])
-    cols = np.concatenate([r.rows for r in rows])
-    vals = np.concatenate([r.vals for r in rows])
+    blocks = list(weight_blocks(cloud, space, weight, policy))
+    indptr = np.zeros(space.dim + 1, dtype=int)
+    np.cumsum(np.concatenate([np.diff(b.indptr) for b in blocks]), out=indptr[1:])
+    cols = np.concatenate([b.cols for b in blocks])
+    vals = np.concatenate([b.vals for b in blocks])
     return CoefficientCovariance(noise.sigma_eps, space.shape, indptr, cols, vals, cloud.n)
 
 
@@ -168,17 +168,18 @@ def bias_bounds_at(cloud: PointCloud, true_values: np.ndarray, space: TensorSpli
     flats, bases = _windows(space, _normalize_points(space.d, u)[0])
     if len(flats) != 1:
         raise ValueError("bias_bounds_at takes a single point")
-    rows = list(weight_rows(cloud, space, weight, policy, flats[0]))
-    means = np.array([true_values[r.rows] @ r.vals for r in rows])
-    seen = true_values[np.concatenate([r.rows for r in rows])]
+    blocks = list(weight_blocks(cloud, space, weight, policy, flats[0]))
+    seen = true_values[np.concatenate([b.cols for b in blocks])]
     lower, upper = float(seen.min()), float(seen.max())
-    expected = float(means @ bases[0])
+    # convex combinations, clipped as in fit; the means first, since an
+    # inf mean times a zero basis value would be NaN
+    with np.errstate(over="ignore"):
+        means = [_row_sums(true_values[b.cols] * b.vals, b.indptr) for b in blocks]
+        means = np.clip(np.concatenate(means), lower, upper)
+        expected = float(np.clip(means @ bases[0], lower, upper))
     f_u = float(true_at_u)
-    if expected <= f_u:
-        bound = (lower - f_u) ** 2
-    else:
-        bound = (upper - f_u) ** 2
-    return BiasBounds(lower, upper, expected, bound)
+    gap = (lower if expected <= f_u else upper) - f_u
+    return BiasBounds(lower, upper, expected, gap * gap)
 
 
 @dataclass

@@ -171,6 +171,10 @@ class TensorSplineSpace:
                 raise ValueError(f"axis {k}: degree must be >= 1")
             if not kv.is_regular:
                 raise ValueError(f"axis {k}: knot vector is not regular")
+            gaps = np.diff(kv.knots)
+            gap = float(gaps[gaps > 0.0].min())
+            if gap < np.finfo(float).tiny:  # basis recurrences divide by spans
+                raise DomainError(f"axis {k}: knot spacing {gap!r} is subnormal")
 
     @classmethod
     def from_bounds(cls, lo, hi, n, degrees) -> "TensorSplineSpace":
@@ -293,11 +297,15 @@ def spline_eval(f: SplineFunction, u):
 
     Accepts a scalar (d == 1), a (d,) point, an (m,) batch when d == 1, or
     an (m, d) batch. Each evaluation touches only the local block of
-    prod(p_k + 1) coefficients around the containing knot span.
+    prod(p_k + 1) coefficients around the containing knot span. Values are
+    convex combinations of coefficients, clipped to their range as in fit.
     """
     pts, single = _normalize_points(f.space.d, u)
     flat, vals = _windows(f.space, pts)
-    out = (f.coefficients.reshape(-1)[flat] * vals).sum(axis=1)
+    c = f.coefficients.reshape(-1)
+    with np.errstate(over="ignore"):
+        out = (c[flat] * vals).sum(axis=1)
+    np.clip(out, c.min(), c.max(), out=out)
     return float(out[0]) if single else out
 
 

@@ -81,27 +81,31 @@ class WeightSpec:
 
 def _scan_weights(spec: WeightSpec, u: np.ndarray, x: np.ndarray):
     """(indices, weights) of an unbounded family at one anchor u, scoring
-    every row of x."""
+    every row of x and listing the rows whose weight is positive: exp
+    underflows to 0 far from u, and so does 1/dist once dist overflows."""
     with np.errstate(over="ignore"):  # inf past ~1.3e154 apart: weight 0
         dist = np.sqrt(((x - u) ** 2).sum(axis=1))
     if spec.family == "idw":
         coincident = np.flatnonzero(dist == 0.0)
         if len(coincident):
             return coincident, np.full(len(coincident), 1.0 / len(coincident))
-        return np.arange(len(x)), 1.0 / dist
-    if spec.family == "gaussian":
+        w = 1.0 / dist
+    elif spec.family == "gaussian":
         arg = dist * dist if spec.gaussian_squared_norm else dist
-        return np.arange(len(x)), np.exp(-arg / (2.0 * spec.sigma**2))
-    return np.arange(len(x)), np.exp(-dist / (math.sqrt(2.0) * spec.sigma))
+        w = np.exp(-arg / (2.0 * spec.sigma**2))
+    else:
+        w = np.exp(-dist / (math.sqrt(2.0) * spec.sigma))
+    live = np.arange(len(x)) if w.min() > 0.0 else np.flatnonzero(w)
+    return live, w if len(live) == len(x) else w[live]
 
 
 def cloud_weights(spec: WeightSpec, u, cloud):
     """Per-row weights of a PointCloud against anchor u.
 
-    For one anchor (a 1-D u) returns (indices, weights), where rows not
-    listed carry weight 0. For a block of anchors (an (m, d) u) returns CSR
-    arrays (indptr, indices, weights): anchor j's row is
-    indices/weights[indptr[j]:indptr[j + 1]]. For bounded families the
+    For one anchor (a 1-D u) returns (indices, weights) of the rows with
+    positive weight, the only ones listed. For a block of anchors (an
+    (m, d) u) returns CSR arrays (indptr, indices, weights): anchor j's row
+    is indices/weights[indptr[j]:indptr[j + 1]]. For bounded families the
     listed rows are the support, found through the cloud's neighbour index
     in one call for the whole block, so downstream work is O(k) for knn and
     O(|ball|) for characteristic windows; the unbounded families score
@@ -129,9 +133,8 @@ def cloud_weights(spec: WeightSpec, u, cloud):
         w = np.ones(len(idx))
     else:
         rows = [_scan_weights(spec, a, cloud.x) for a in anchors]
-        if single:
-            return rows[0]
         indptr = np.cumsum([0] + [len(i) for i, _ in rows])
-        idx = np.concatenate([np.empty(0, dtype=int)] + [i for i, _ in rows])
-        w = np.concatenate([np.empty(0)] + [v for _, v in rows])
+        idx, w = rows[0] if len(rows) == 1 else (  # one site: no copy
+            np.concatenate([np.empty(0, dtype=int)] + [i for i, _ in rows]),
+            np.concatenate([np.empty(0)] + [v for _, v in rows]))
     return (idx, w) if single else (indptr, idx, w)

@@ -1,6 +1,7 @@
 """Fitter: estimator, bounds, effective points, outlier filter, shape checks."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,20 @@ class TestPointCloud:
         c = PointCloud(rng.uniform(0, 1, (5001, 1)), rng.uniform(0, 1, 5001))
         assert not c.diameter_is_exact
         assert c.diameter > 0
+
+    def test_diameter_of_huge_records_is_finite(self):
+        # squared gaps past ~1.3e154 overflow to inf unless the records are scaled
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            exact = PointCloud(np.array([0.0, 3e155, -3e155]), np.zeros(3))
+            assert exact.diameter_is_exact and exact.diameter == 6e155
+            x = np.linspace(-3e155, 3e155, 5001)
+            bbox = PointCloud(x, np.zeros(5001))
+            assert not bbox.diameter_is_exact and bbox.diameter == 6e155
+            # below 2^500 the bits are those of the unscaled formula
+            small = PointCloud(x * 1e-150, np.zeros(5001))
+            span = small.records.max(axis=0) - small.records.min(axis=0)
+            assert small.diameter == float(np.sqrt((span**2).sum()))
 
 
 class TestEstimator:
@@ -226,6 +241,36 @@ class TestFit:
         # clipped: the outside rows sit on the boundary and win the 1-nn there
         assert clipped.spline.coefficients[0] == 10.0
         assert dropped.spline.coefficients[0] == 1.0
+
+
+class TestMaxFloatResponses:
+    BIG = np.finfo(float).max
+
+    @pytest.mark.parametrize("signs", ["equal", "alternating", "halves"])
+    def test_fit_stays_inside_the_data_range(self, signs):
+        # sums of max-float responses times convex weights can overflow;
+        # coefficients, values and means must still lie in [min y, max y]
+        x = np.linspace(0, 1, 50)
+        sign = {"equal": np.ones(50), "alternating": (-1.0) ** np.arange(50),
+                "halves": np.where(x < 0.5, 1.0, -1.0)}[signs]
+        y = self.BIG * sign
+        cloud = PointCloud(x, y)
+        space = space1d(lo=0, hi=1, n=6, p=2)
+        spec = WeightSpec.gaussian(0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = fit(cloud, space, spec)
+            c = model.spline.coefficients
+            assert global_bounds(model, cloud).verified
+            vals = evaluate(model, np.linspace(0, 1, 10_001))
+            assert np.all(np.isfinite(vals))
+            assert np.all((vals >= y.min()) & (vals <= y.max()))
+            one = estimate_control_point(cloud, spec, [0.5])
+            assert y.min() <= one <= y.max()
+            bb = bias_bounds_at(cloud, y, space, spec, 0.4, 0.0)
+            assert bb.lower <= bb.expected_fit <= bb.upper
+        if signs == "equal":
+            assert np.all(c == self.BIG) and one == self.BIG and bb.expected_fit == self.BIG
 
 
 class TestBounds:

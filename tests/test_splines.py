@@ -245,6 +245,16 @@ class TestSplineEval:
         eps = 1e-9
         assert abs(spline_eval(f, 0.5 + eps) - spline_eval(f, 0.5 - eps)) > 0.9
 
+    def test_max_float_coefficients_stay_finite(self):
+        # partition-of-unity rounding pushes 452 of these sums past max float
+        big = np.finfo(float).max
+        space = TensorSplineSpace((make_uniform_regular(0, 1, 6, 2),))
+        xs = np.linspace(0, 1, 10_001)
+        assert np.all(spline_eval(SplineFunction(space, np.full(6, big)), xs) == big)
+        mixed = SplineFunction(space, np.array([big, -big, big, big, -big, -big]))
+        vals = spline_eval(mixed, xs)
+        assert np.all(np.isfinite(vals)) and np.all(np.abs(vals) <= big)
+
 
 class TestInsertKnot:
     def test_pointwise_equality_univariate(self):
@@ -307,6 +317,15 @@ class TestTensorSplineSpace:
     def test_requires_degree_ge_1(self):
         with pytest.raises(ValueError):
             TensorSplineSpace((KnotVector(0, [0, 0.5, 1]),))
+
+    def test_subnormal_knot_spacing_names_axis(self):
+        # a 1e-310 wide axis has subnormal spans, and the basis recurrence
+        # divides by them: inf and NaN values
+        with pytest.raises(DomainError, match="axis 1: knot spacing .* is subnormal"):
+            TensorSplineSpace.from_bounds([0, 0], [1, 1e-310], [6, 6], [2, 2])
+        narrow = TensorSplineSpace.from_bounds([0], [1e-300], [6], [2])  # normal spans
+        f = SplineFunction(narrow, np.arange(6.0))
+        assert np.all(np.isfinite(spline_eval(f, np.linspace(0, 1e-300, 101))))
 
     def test_shape_dim_domain(self):
         space = TensorSplineSpace((make_uniform_regular(0, 1, 4, 2),
