@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import EXACT_DIAMETER_LIMIT
 from .errors import DomainError, EmptySupportError
-from .kdtree import KdTree
+from .kdtree import KdTree, squared_distances
 from .splines import SplineFunction, TensorSplineSpace, spline_eval
 from .weights import WeightSpec, cloud_weights
 
@@ -66,6 +66,11 @@ class PointCloud:
         return self.x.min(axis=0), self.x.max(axis=0)
 
     @cached_property
+    def rows(self) -> np.ndarray:
+        """0..N-1, read-only: the columns of a weight row that lists every row."""
+        return np.broadcast_to(np.arange(self.n), self.n)
+
+    @cached_property
     def tree(self) -> KdTree:
         """Neighbour index over the predictors, built on first use."""
         return KdTree(self.x)
@@ -86,13 +91,10 @@ class PointCloud:
         if unit > 1.0:
             rec = rec / unit
         if self.n > EXACT_DIAMETER_LIMIT:
-            span = rec.max(axis=0) - rec.min(axis=0)
-            return float(np.sqrt((span**2).sum())) * unit, False
-        best = 0.0
-        for start in range(0, self.n, 256):
-            chunk = rec[start : start + 256]
-            d2 = ((chunk[:, None, :] - rec[None, :, :]) ** 2).sum(axis=2)
-            best = max(best, float(d2.max()))
+            d2 = squared_distances(rec.max(axis=0), rec.min(axis=0))
+            return float(np.sqrt(d2)) * unit, False
+        best = max(float(squared_distances(rec[i : i + 256, None], rec).max())
+                   for i in range(0, self.n, 256))
         return float(np.sqrt(best)) * unit, True
 
     @property
@@ -241,8 +243,8 @@ def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpe
         elif empty.any():
             starved += [(_index_tuple(f, space.shape), sites[f]) for f in block[empty].tolist()]
         sums = _row_sums(w, indptr)
-        vals = w / (sums if len(block) == 1 else np.repeat(sums, indptr[1:] - indptr[:-1]))
-        yield WeightBlock(block, indptr, cols if kept is None else kept[cols], vals,
+        w /= sums if len(block) == 1 else np.repeat(sums, indptr[1:] - indptr[:-1])
+        yield WeightBlock(block, indptr, cols if kept is None else kept[cols], w,
                           lookups, fallback)
     if starved:
         raise EmptySupportError(starved)
@@ -280,13 +282,16 @@ def fit(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
     coeffs = np.empty(space.dim)
     sizes = np.empty(space.dim, dtype=int)
     seen = np.zeros(cloud.n, dtype=bool)
+    seen_all = False
     lookups = 0
     fallbacks = {}
     for block in weight_blocks(cloud, space, weight, policy):
         with np.errstate(over="ignore"):
-            coeffs[block.flats] = _row_sums(cloud.y[block.cols] * block.vals, block.indptr)
+            coeffs[block.flats] = _row_sums(cloud.y.take(block.cols) * block.vals, block.indptr)
         sizes[block.flats] = block.indptr[1:] - block.indptr[:-1]
-        seen[block.cols] = True
+        if not seen_all:  # a dense row lists every row: no scatter after it
+            seen[block.cols] = True
+            seen_all = seen.all()
         lookups += block.lookups
         for f, at in zip(block.flats[block.fallback], block.indptr[:-1][block.fallback]):
             fallbacks[_index_tuple(f, space.shape)] = int(block.cols[at])

@@ -96,7 +96,10 @@ def make_uniform_regular(a: float, b: float, n: int, p: int) -> KnotVector:
         raise ValueError(f"degree must be >= 1, got {p}")
     if n < p + 1:
         raise ValueError(f"need n >= p+1 = {p + 1} basis functions, got {n}")
-    interior = np.linspace(a, b, n - p + 1)[1:-1]
+    ends = np.linspace(a, b, n - p + 1)
+    if np.any(ends[1:] <= ends[:-1]):  # spans below the spacing of floats near a
+        raise DomainError(f"[{a!r}, {b!r}] is too narrow for {n - p} distinct knot spans")
+    interior = ends[1:-1]
     knots = np.concatenate([np.full(p + 1, float(a)), interior, np.full(p + 1, float(b))])
     return KnotVector(p, knots)
 

@@ -13,6 +13,12 @@ A weight w_u(x) scores cloud point x against an anchor u. Families:
 k-nearest membership is resolved on cloud row indices with ties at the k-th
 distance broken by ascending index, so exactly k rows carry weight even
 when coordinates repeat.
+
+Every family measures ||x-u|| as the square root of
+``kdtree.squared_distances``, which sums the squared gaps over the axes in
+order: the same d2 the neighbour index ranks and bounds by. The unbounded
+families then take that row-length buffer through their kernel in place,
+and a gap past about 1.3e154 reads inf and weighs 0 without a warning.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .kdtree import squared_distances
 
 FAMILIES = ("knn", "characteristic", "gaussian", "exponential", "idw")
 
@@ -79,24 +87,27 @@ class WeightSpec:
         return "idw"
 
 
-def _scan_weights(spec: WeightSpec, u: np.ndarray, x: np.ndarray):
+def _scan_weights(spec: WeightSpec, u: np.ndarray, cloud):
     """(indices, weights) of an unbounded family at one anchor u, scoring
-    every row of x and listing the rows whose weight is positive: exp
-    underflows to 0 far from u, and so does 1/dist once dist overflows."""
-    with np.errstate(over="ignore"):  # inf past ~1.3e154 apart: weight 0
-        dist = np.sqrt(((x - u) ** 2).sum(axis=1))
+    every row of the cloud and listing the rows whose weight is positive:
+    exp underflows to 0 far from u, and so does 1/dist once dist overflows.
+    The kernel runs in place in the distance buffer."""
+    w = squared_distances(cloud.x, u)  # inf past ~1.3e154 apart: weight 0
+    np.sqrt(w, out=w)
     if spec.family == "idw":
-        coincident = np.flatnonzero(dist == 0.0)
+        coincident = np.flatnonzero(w == 0.0)
         if len(coincident):
             return coincident, np.full(len(coincident), 1.0 / len(coincident))
-        w = 1.0 / dist
-    elif spec.family == "gaussian":
-        arg = dist * dist if spec.gaussian_squared_norm else dist
-        w = np.exp(-arg / (2.0 * spec.sigma**2))
+        np.divide(1.0, w, out=w)
     else:
-        w = np.exp(-dist / (math.sqrt(2.0) * spec.sigma))
-    live = np.arange(len(x)) if w.min() > 0.0 else np.flatnonzero(w)
-    return live, w if len(live) == len(x) else w[live]
+        gaussian = spec.family == "gaussian"
+        scale = 2.0 * spec.sigma**2 if gaussian else math.sqrt(2.0) * spec.sigma
+        with np.errstate(over="ignore"):  # an exponent past -max-float: weight 0
+            if gaussian and spec.gaussian_squared_norm:
+                w *= w
+            np.exp(np.divide(w, -scale, out=w), out=w)
+    live = cloud.rows if w.min() > 0.0 else np.flatnonzero(w)
+    return live, w if live is cloud.rows else w[live]
 
 
 def cloud_weights(spec: WeightSpec, u, cloud):
@@ -132,7 +143,7 @@ def cloud_weights(spec: WeightSpec, u, cloud):
         indptr, idx = cloud.tree.radius_query(anchors, spec.r)
         w = np.ones(len(idx))
     else:
-        rows = [_scan_weights(spec, a, cloud.x) for a in anchors]
+        rows = [_scan_weights(spec, a, cloud) for a in anchors]
         indptr = np.cumsum([0] + [len(i) for i, _ in rows])
         idx, w = rows[0] if len(rows) == 1 else (  # one site: no copy
             np.concatenate([np.empty(0, dtype=int)] + [i for i, _ in rows]),

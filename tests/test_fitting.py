@@ -5,10 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wqisa import (EmptySupportError, FitPolicy, KdTree, NoiseModel, PointCloud,
-                   TensorSplineSpace, WeightSpec, bias_bounds_at,
+                   TensorSplineSpace, WeightSpec, WqisaError, bias_bounds_at,
                    classify_convexity, coefficient_covariance,
                    classify_monotone, effective_points, estimate_control_point,
                    evaluate, fit, global_bounds, iqr_outlier_filter,
@@ -16,6 +16,7 @@ from wqisa import (EmptySupportError, FitPolicy, KdTree, NoiseModel, PointCloud,
                    spline_eval, w_convex_check, w_monotone_check)
 
 from _oracles import brute_estimate
+from test_kdtree import COORDS
 
 
 def sine_cloud(n=120, seed=0, sigma=0.25, lo=-2.0, hi=2.0):
@@ -271,6 +272,73 @@ class TestMaxFloatResponses:
             assert bb.lower <= bb.expected_fit <= bb.upper
         if signs == "equal":
             assert np.all(c == self.BIG) and one == self.BIG and bb.expected_fit == self.BIG
+
+
+BIG = np.finfo(float).max
+
+# every dense and bounded family, with parameters from tiny to past the
+# coordinate scales of COORDS
+FAMILY_SPECS = {
+    "knn": st.integers(1, 12).map(WeightSpec.knn),
+    "characteristic": st.sampled_from([1e-300, 0.3, 2.0, 1e155]).map(WeightSpec.characteristic),
+    "gaussian": st.builds(WeightSpec.gaussian, st.sampled_from([0.05, 0.5, 1e150]),
+                          st.booleans()),
+    "exponential": st.sampled_from([0.05, 0.5, 1e150]).map(WeightSpec.exponential),
+    "idw": st.just(WeightSpec.idw()),
+}
+
+
+@st.composite
+def adversarial_fits(draw):
+    """(cloud, space bounds, counts, degree, weight, policy) on the tree's
+    coordinate families (plain, subnormal, ~1e150), ±max-float responses,
+    duplicate points, an all-equal axis and clouds smaller than k. The
+    space spans the cloud's bounding box, as the CLI's does, widened by a
+    pad that may be 0."""
+    coord = COORDS[draw(st.sampled_from(sorted(COORDS)))]
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 30))
+    x = np.array(draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n)))
+    if n >= 2 and draw(st.booleans()):
+        x[1] = x[0]
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, d - 1))
+        x[:, axis] = x[0, axis]
+    y = draw(st.lists(st.sampled_from([BIG, -BIG, 0.0, 1.0]) | st.floats(-1e3, 1e3),
+                      min_size=n, max_size=n))
+    weight = draw(st.sampled_from(sorted(FAMILY_SPECS)).flatmap(FAMILY_SPECS.get))
+    policy = FitPolicy(draw(st.sampled_from(["error", "nearest"])))
+    degree = draw(st.integers(1, 2))
+    counts = draw(st.lists(st.integers(degree + 1, 6), min_size=d, max_size=d))
+    pad = draw(st.sampled_from([0.0, 1e-300, 1.0, 1e150]))
+    bounds = x.min(axis=0) - pad, x.max(axis=0) + pad
+    return PointCloud(x, np.array(y)), bounds, counts, degree, weight, policy
+
+
+class TestAdversarialFits:
+    @settings(max_examples=300, deadline=None)
+    @given(adversarial_fits())
+    @example((PointCloud([0.0, 1e154], [BIG, -BIG]), ([0.0], [1e154]), [3], 1,
+              WeightSpec.gaussian(0.05, squared_norm=True), FitPolicy("nearest"))
+             ).via("a squared norm over 2 sigma^2 overflows: weight 0, no warning")
+    @example((PointCloud([[0.0, 0.0], [2.6e-307, 5e-324]], [BIG, BIG]),
+              ([0.0, 0.0], [2.6e-307, 5e-324]), [2, 3], 1, WeightSpec.characteristic(1e-300),
+              FitPolicy())).via("an axis too narrow for distinct knots")
+    def test_values_lie_in_the_data_range_or_a_library_error_is_raised(self, case):
+        cloud, bounds, counts, degree, weight, policy = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # k > N is clamped with a warning
+            try:
+                space = TensorSplineSpace.from_bounds(*bounds, counts, degree)
+                model = fit(cloud, space, weight, policy)
+            except WqisaError:
+                return
+        lo, hi = space.domain
+        axes = [np.linspace(a, b, 9) for a, b in zip(lo, hi)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, cloud.d)
+        vals = evaluate(model, np.vstack([cloud.x, grid]))
+        assert np.all(np.isfinite(vals))
+        assert np.all((vals >= cloud.y.min()) & (vals <= cloud.y.max()))
 
 
 class TestBounds:

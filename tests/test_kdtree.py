@@ -1,10 +1,13 @@
 """Spatial index: exact agreement with linear scans."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wqisa import KdTree
+from wqisa.kdtree import squared_distances
 
 from _oracles import brute_knn, brute_radius
 
@@ -166,3 +169,31 @@ class TestBuild:
             tree.knn([[0.0, 0.0], [np.nan, 0.0]], 1)
         with pytest.raises(ValueError, match="NaN"):
             tree.radius_query([np.nan, 0.0], 1.0)
+
+
+class TestSquaredDistances:
+    """The one d2 kernel: axis-order sums, the bits of numpy's reduction
+    below 8 axes, and inf without a warning past ~1.3e154."""
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e3, 1e150])
+    def test_bits_of_the_axis_reduction(self, d, scale):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((300, d)) * scale * rng.uniform(0.01, 100.0, d)
+        a[1] = a[0]  # a duplicate: d2 exactly 0
+        b = rng.standard_normal(d) * scale
+        with np.errstate(over="ignore"):
+            assert np.array_equal(squared_distances(a, b), ((a - b) ** 2).sum(axis=-1))
+            pairs = squared_distances(a[:40, None, :], a[None, :, :])
+            assert np.array_equal(pairs, ((a[:40, None, :] - a[None, :, :]) ** 2).sum(axis=-1))
+            assert pairs.shape == (40, 300)
+            assert squared_distances(a[0], a[1]) == 0.0
+
+    def test_huge_gaps_give_inf_without_a_warning(self):
+        a = np.array([[0.0, 0.0], [1e155, 0.0], [0.0, -1e155], [1e155, 1e155]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d2 = squared_distances(a, np.zeros(2))
+            far = squared_distances(np.array([[1e155]]), np.array([-1e155]))
+        assert d2[0] == 0.0 and np.all(np.isinf(d2[1:])) and not np.isnan(d2).any()
+        assert np.isinf(far).all()

@@ -84,6 +84,20 @@ class TestHausdorff:
         want = scipy_sd.directed_hausdorff(a, b)[0] / 1.0
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_bits_of_a_full_scan(self, dim):
+        # the k-d tree finds each nearest point; the value is the full scan's
+        rng = np.random.default_rng(40 + dim)
+        ref = PointCloud(rng.uniform(-1, 1, (300, dim - 1)), rng.uniform(-1, 1, 300))
+        for trial in range(4):
+            a = rng.uniform(-1, 1, (700, dim))
+            b = rng.uniform(-1, 1, (rng.integers(1, 400), dim)).round(trial)  # coarse: ties
+            b = np.vstack([b, b[:20], a[::9]])  # duplicates, and points of a on b
+            a = np.vstack([a, a[:50]])
+            worst = max(float(((c[:, None, :] - b[None, :, :]) ** 2).sum(axis=2).min(axis=1).max())
+                        for c in np.array_split(a, 7))
+            assert directed_hausdorff_normalized(a, b, ref) == float(np.sqrt(worst)) / ref.diameter
+
     def test_zero_diameter_reference_rejected(self):
         ref = PointCloud(np.array([1.0, 1.0]), np.zeros(2))
         with pytest.raises(ValueError, match="zero diameter"):

@@ -43,6 +43,11 @@ class TestKnotVector:
             make_uniform_regular(1, 1, 5, 2)
         with pytest.raises(DomainError):
             make_uniform_regular(2, 1, 5, 2)
+        # interior knots that round onto their neighbours
+        with pytest.raises(DomainError, match="too narrow for 2 distinct knot spans"):
+            make_uniform_regular(0.0, 5e-324, 3, 1)
+        with pytest.raises(DomainError, match="too narrow"):
+            make_uniform_regular(1e150, np.nextafter(1e150, 2e150), 6, 1)
 
     def test_too_few_functions(self):
         with pytest.raises(ValueError):

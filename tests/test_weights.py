@@ -163,3 +163,31 @@ class TestProperties:
         cloud = cloud_of(np.random.default_rng(1).uniform(0, 1, (50, 2)))
         with pytest.raises(ValueError, match="query dimension 1 != tree dimension 2"):
             estimate_control_point(cloud, spec, [0.5])
+
+
+class TestScanKernel:
+    """The in-place kernel chain gives the bits of the oracle's closed forms."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("spec", [WeightSpec.gaussian(0.1), WeightSpec.gaussian(0.1, True),
+                                      WeightSpec.gaussian(0.7, True),
+                                      WeightSpec.exponential(0.05), WeightSpec.exponential(0.4),
+                                      WeightSpec.idw()],
+                             ids=lambda s: s.label())
+    def test_rows_equal_the_closed_forms(self, d, spec):
+        rng = np.random.default_rng(10 + d)
+        near = rng.uniform(-1, 1, (150, d))
+        far = rng.uniform(500, 600, (30, d))  # gaussian and exponential weights underflow to 0
+        huge = np.full((2, d), 3e155)  # d2 overflows: weight 0 for every family
+        x = np.vstack([near, far, huge, near[:3]])  # duplicates of cloud rows
+        cloud = cloud_of(x)
+        anchors = np.vstack([near[0], near[5], far[0], rng.uniform(-1, 1, (4, d)), huge[0]])
+        params = {"sigma": spec.sigma, "squared_norm": spec.gaussian_squared_norm}
+        for u in anchors:  # near[0] and near[5] coincide with rows: idw's uniform case
+            idx, w = cloud_weights(spec, u, cloud)
+            want = brute_weight_vector(spec.family, params, u, x)
+            assert np.array_equal(idx, np.flatnonzero(want))
+            assert np.array_equal(w, want[idx])
+        idx, _ = cloud_weights(spec, near[1], cloud)
+        if spec.family != "idw":  # the underflow filter dropped the far rows
+            assert not np.isin(np.arange(150, 180), idx).any()
