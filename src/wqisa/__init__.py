@@ -6,7 +6,7 @@ data extremes, exact estimator variance, and cross-validated selection of
 the spline space.
 """
 
-from .config import FitConfig, parse_weight
+from .config import FitConfig
 from .errors import DomainError, EmptySupportError, ParseError, WqisaError
 from .fitting import (FitPolicy, GlobalBounds, PointCloud, WqisaModel,
                       classify_convexity, classify_monotone,
@@ -26,7 +26,7 @@ from .metrics import (ErrorReport, band_coverage, dispersion,
 from .splines import (KnotVector, SplineFunction, TensorSplineSpace,
                       basis_row, insert_knot, knot_averages,
                       make_uniform_regular, spline_eval)
-from .weights import WeightSpec, cloud_weights
+from .weights import WeightSpec, cloud_weights, parse_weight
 
 __version__ = "0.1.0"
 

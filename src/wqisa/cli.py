@@ -8,6 +8,7 @@ print a machine-readable {"error": ...} object and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,7 +16,7 @@ import time
 
 import numpy as np
 
-from .config import FitConfig, parse_weight
+from .config import FitConfig
 from .errors import ParseError
 from .fitting import (FitPolicy, PointCloud, classify_convexity,
                       classify_monotone, evaluate, fit, global_bounds,
@@ -27,7 +28,7 @@ from .io import gen_synthetic, load_cloud, save_cloud
 from .metrics import (band_coverage, directed_hausdorff_normalized, dispersion,
                       jaccard)
 from .splines import KnotVector, SplineFunction, TensorSplineSpace
-from .weights import WeightSpec
+from .weights import parse_weight
 
 
 def _int_list(text: str) -> list[int]:
@@ -53,7 +54,7 @@ def _policy(cfg: FitConfig) -> FitPolicy:
     return FitPolicy(empty_support=cfg.policy, drop_outside=cfg.drop_outside)
 
 
-def _shape_flags(model, cloud) -> dict:
+def _shape_flags(model) -> dict:
     coeffs = model.spline.coefficients
     flags = {}
     for axis in range(model.space.d):
@@ -65,12 +66,6 @@ def _shape_flags(model, cloud) -> dict:
             entry["affine"] = conv.affine
         flags[f"axis_{axis}"] = entry
     return flags
-
-
-def _noise_model(cfg: FitConfig, model, cloud) -> NoiseModel:
-    if cfg.sigma_eps is not None:
-        return NoiseModel(float(cfg.sigma_eps))
-    return estimate_noise_sigma(model, cloud)
 
 
 def _normalized_pair(cloud, pred, mode: str):
@@ -93,10 +88,10 @@ def _report(cfg: FitConfig, model, cloud, timings: dict) -> dict:
     err["normalize"] = cfg.normalize
     gb = global_bounds(model, cloud)
     report = {
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "error_report": err,
         "bounds": {"lo": gb.lo, "hi": gb.hi, "verified": gb.verified},
-        "shape_flags": _shape_flags(model, cloud),
+        "shape_flags": _shape_flags(model),
         "timings": dict(timings),
         "effective_count": model.effective_count,
     }
@@ -111,8 +106,7 @@ def _save_model(model, path, sigma_eps=None) -> None:
         "knots": [list(map(float, kv.knots)) for kv in space.axes],
         "coefficients": model.spline.coefficients.tolist(),
         "weight": model.weight.label(),
-        "policy": {"empty_support": model.policy.empty_support,
-                   "drop_outside": model.policy.drop_outside},
+        "policy": dataclasses.asdict(model.policy),
         "effective_count": model.effective_count,
         "support_sizes": model.diagnostics.support_sizes.tolist(),
         "fallback_cells": [[list(k), int(v)]
@@ -196,7 +190,7 @@ def _outdir(cfg: FitConfig) -> str:
 
 
 def _fit_pipeline(cfg: FitConfig, cloud: PointCloud, timings: dict):
-    weight = cfg.weight_spec()
+    weight = parse_weight(cfg.weight)
     policy = _policy(cfg)
     space = _space_for(cloud, cfg)
     if cfg.outlier_filter:
@@ -271,7 +265,7 @@ def cmd_cv(cfg: FitConfig, args) -> dict:
             grid = _int_list(args.grid)
     if not grid:
         raise ValueError("cv needs --grid lo:hi or a cv_grid config entry")
-    weight = cfg.weight_spec()
+    weight = parse_weight(cfg.weight)
     policy = _policy(cfg)
 
     def fit_candidate(train, n):
@@ -417,23 +411,13 @@ _HANDLERS = {"gen": cmd_gen, "fit": cmd_fit, "eval": cmd_eval,
              "cv": cmd_cv, "metrics": cmd_metrics, "demo": cmd_demo}
 
 
-def run(command: str, cfg: FitConfig, args=None) -> dict:
-    """Programmatic entry point used by both the CLI and tests."""
-    if command not in _HANDLERS:
-        raise ValueError(f"unknown command {command!r}")
-    return _HANDLERS[command](cfg, args if args is not None else argparse.Namespace())
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = FitConfig.load(args.config) if args.config else FitConfig()
-        overrides = {key: getattr(args, key, None) for key in (
-            "data", "degree", "n", "weight", "policy", "seed", "alpha",
-            "sigma_eps", "out", "normalize", "grid_density", "folds",
-            "repeats", "outlier_filter", "outlier_factor")}
-        cfg = cfg.override(**overrides)
-        result = run(args.command, cfg, args)
+        cfg = cfg.override(**{f.name: getattr(args, f.name, None)
+                              for f in dataclasses.fields(FitConfig)})
+        result = _HANDLERS[args.command](cfg, args)
         print(json.dumps(result, indent=1))
         return 0
     except Exception as exc:  # surface every failure as machine-readable JSON

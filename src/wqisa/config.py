@@ -3,35 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
-
-from .weights import WeightSpec
-
-
-def parse_weight(text: str) -> WeightSpec:
-    """Parse compact weight descriptors like 'knn:k=9' or 'gaussian:sigma=0.5'."""
-    family, _, tail = text.strip().partition(":")
-    params: dict = {}
-    if tail:
-        for part in tail.split(","):
-            key, _, val = part.partition("=")
-            if not _:
-                raise ValueError(f"malformed weight parameter {part!r} in {text!r}")
-            params[key.strip()] = val.strip()
-    family = family.strip()
-    if family == "knn":
-        return WeightSpec.knn(int(params.pop("k")))
-    if family == "characteristic":
-        return WeightSpec.characteristic(float(params.pop("r")))
-    if family in ("gaussian", "exponential"):
-        sigma = float(params.pop("sigma"))
-        squared = params.pop("squared_norm", "0") in ("1", "true", "yes")
-        if family == "gaussian":
-            return WeightSpec.gaussian(sigma, squared_norm=squared)
-        return WeightSpec.exponential(sigma)
-    if family == "idw":
-        return WeightSpec.idw()
-    raise ValueError(f"unknown weight family {family!r}")
+from dataclasses import dataclass, field, replace
 
 
 @dataclass
@@ -68,14 +40,5 @@ class FitConfig:
         return cls(**raw)
 
     def override(self, **kwargs) -> "FitConfig":
-        vals = asdict(self)
-        for key, val in kwargs.items():
-            if val is not None:
-                vals[key] = val
-        return FitConfig(**vals)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def weight_spec(self) -> WeightSpec:
-        return parse_weight(self.weight)
+        """Copy with every non-None keyword replacing its field."""
+        return replace(self, **{k: v for k, v in kwargs.items() if v is not None})

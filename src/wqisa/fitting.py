@@ -16,11 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import EXACT_DIAMETER_LIMIT
 from .errors import DomainError, EmptySupportError
 from .kdtree import KdTree, squared_distances
 from .splines import SplineFunction, TensorSplineSpace, spline_eval
 from .weights import WeightSpec, cloud_weights
+
+# clouds above this size fall back to the bounding-box diagonal diameter
+EXACT_DIAMETER_LIMIT = 5000
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,7 +424,7 @@ def classify_monotone(values: np.ndarray, axis: int = 0, atol: float | None = No
     """
     v = np.asarray(values, dtype=float)
     if atol is None:
-        atol = 1e-12 * max(1.0, float(np.abs(v).max()))
+        atol = 1e-12 * max(1.0, float(np.abs(v).max(initial=0.0)))
     diffs = np.diff(v, axis=axis)
     up = bool(np.all(diffs >= -atol))
     down = bool(np.all(diffs <= atol))
@@ -474,19 +476,9 @@ def classify_convexity(kv, values: np.ndarray, atol: float | None = None) -> Con
     default tolerance absorbs summation-order noise only; pass atol=0 for
     exact comparisons.
     """
-    slopes = coefficient_slopes(kv, values)
-    if atol is None:
-        atol = 1e-12 * max(1.0, float(np.abs(slopes).max()) if len(slopes) else 1.0)
-    d = np.diff(slopes)
-    up = bool(np.all(d >= -atol))
-    down = bool(np.all(d <= atol))
-    if up and down:
-        return ConvexityResult("convex", True)
-    if up:
-        return ConvexityResult("convex", False)
-    if down:
-        return ConvexityResult("concave", False)
-    return ConvexityResult("neither", False)
+    mono = classify_monotone(coefficient_slopes(kv, values), atol=atol)
+    shape = {"increasing": "convex", "decreasing": "concave"}.get(mono.direction, "neither")
+    return ConvexityResult(shape, mono.constant)
 
 
 def w_convex_check(cloud: PointCloud, kv, weight: WeightSpec,

@@ -31,7 +31,21 @@ import numpy as np
 
 from .kdtree import squared_distances
 
-FAMILIES = ("knn", "characteristic", "gaussian", "exponential", "idw")
+
+def _flag(text: str) -> bool:
+    if text not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("use 1, true, yes, 0, false or no")
+    return text in ("1", "true", "yes")
+
+
+# The descriptor keys of each family and the type each parses to. The first
+# key is the family's one parameter, a finite value > 0 that the spec field
+# of the same name holds; gaussian's squared_norm flag sets
+# gaussian_squared_norm.
+PARAMETERS = {"knn": {"k": int}, "characteristic": {"r": float},
+              "gaussian": {"sigma": float, "squared_norm": _flag},
+              "exponential": {"sigma": float}, "idw": {}}
+FAMILIES = tuple(PARAMETERS)
 
 
 @dataclass(frozen=True)
@@ -45,16 +59,16 @@ class WeightSpec:
     gaussian_squared_norm: bool = False
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in PARAMETERS:
             raise ValueError(f"unknown weight family {self.family!r}; pick one of {FAMILIES}")
-        need = {"knn": "k", "characteristic": "r", "gaussian": "sigma",
-                "exponential": "sigma", "idw": None}[self.family]
-        if need is not None:
-            val = getattr(self, need)
-            if val is None or val <= 0:
-                raise ValueError(f"{self.family} weights need {need} > 0, got {val}")
-        if self.family == "knn" and int(self.k) != self.k:
-            raise ValueError(f"k must be an integer, got {self.k}")
+        keys = PARAMETERS[self.family]
+        key = next(iter(keys), None)
+        if key is not None:
+            val, kind = getattr(self, key), keys[key]
+            if val is None or not 0 < val < math.inf or kind(val) != val:
+                raise ValueError(f"{self.family} weights need a finite {kind.__name__} "
+                                 f"{key} > 0, got {val}")
+            object.__setattr__(self, key, kind(val))  # label() prints a plain number
 
     @classmethod
     def knn(cls, k: int) -> "WeightSpec":
@@ -77,14 +91,40 @@ class WeightSpec:
         return cls("idw")
 
     def label(self) -> str:
-        if self.family == "knn":
-            return f"knn:k={self.k}"
-        if self.family == "characteristic":
-            return f"characteristic:r={self.r!r}"
-        if self.family in ("gaussian", "exponential"):
-            extra = ",squared_norm=1" if self.family == "gaussian" and self.gaussian_squared_norm else ""
-            return f"{self.family}:sigma={self.sigma!r}{extra}"
-        return "idw"
+        """The descriptor parse_weight reads back to an equal spec."""
+        key = next(iter(PARAMETERS[self.family]), None)
+        if key is None:
+            return self.family
+        squared = self.family == "gaussian" and self.gaussian_squared_norm
+        flag = ",squared_norm=1" if squared else ""
+        return f"{self.family}:{key}={getattr(self, key)!r}{flag}"
+
+
+def parse_weight(text: str) -> WeightSpec:
+    """Parse a compact descriptor like 'knn:k=9', 'gaussian:sigma=0.5' or
+    'gaussian:sigma=0.5,squared_norm=1'. An unknown, repeated or malformed
+    parameter raises ValueError naming it."""
+    family, _, tail = text.strip().partition(":")
+    family = family.strip()
+    if family not in PARAMETERS:
+        raise ValueError(f"unknown weight family {family!r}; pick one of {FAMILIES}")
+    keys, params = PARAMETERS[family], {}
+    for part in tail.split(",") if tail else ():
+        key, eq, val = (s.strip() for s in part.partition("="))
+        if not eq:
+            raise ValueError(f"malformed weight parameter {part!r} in {text!r}")
+        if key not in keys:
+            raise ValueError(f"unknown weight parameter {key!r} in {text!r}; "
+                             f"{family} takes {list(keys) or 'none'}")
+        if key in params:
+            raise ValueError(f"repeated weight parameter {key!r} in {text!r}")
+        try:
+            params[key] = keys[key](val)
+        except ValueError as exc:
+            raise ValueError(f"bad value {val!r} for weight parameter {key!r} "
+                             f"in {text!r}: {exc}") from None
+    squared = params.pop("squared_norm", False)
+    return WeightSpec(family, gaussian_squared_norm=squared, **params)
 
 
 def _scan_weights(spec: WeightSpec, u: np.ndarray, cloud):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wqisa import (EmptySupportError, FitPolicy, KdTree, NoiseModel, PointCloud,
-                   TensorSplineSpace, WeightSpec, WqisaError, bias_bounds_at,
+from wqisa import (EmptySupportError, FitPolicy, KdTree, KnotVector, NoiseModel,
+                   PointCloud, TensorSplineSpace, WeightSpec, WqisaError, bias_bounds_at,
                    classify_convexity, coefficient_covariance,
                    classify_monotone, effective_points, estimate_control_point,
                    evaluate, fit, global_bounds, iqr_outlier_filter,
@@ -497,6 +497,15 @@ class TestShapeChecks:
         assert classify_convexity(kv, -(xi**2)).shape == "concave"
         aff = classify_convexity(kv, 3 * xi + 1)
         assert aff.shape == "convex" and aff.affine
+        assert classify_convexity(kv, np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])).shape == "neither"
+
+    def test_values_without_differences(self):
+        # no slope, or one slope: nothing to compare, so constant / affine
+        assert classify_monotone(np.empty(0)) == classify_monotone(np.ones(1))
+        assert classify_monotone(np.empty((0, 3)), axis=1).constant
+        for kv in (KnotVector(1, np.array([0.0, 0.5, 1.0])), make_uniform_regular(0, 1, 2, 1)):
+            res = classify_convexity(kv, np.arange(kv.n, dtype=float))
+            assert res.shape == "convex" and res.affine
 
     def test_w_convex_on_convex_cloud(self):
         # Small k keeps the nearest-neighbour windows local; wide windows at

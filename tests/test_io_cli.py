@@ -1,5 +1,7 @@
 """Cloud files, synthetic generators, and the command-line pipeline."""
 
+import argparse
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -8,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wqisa import (ParseError, PointCloud, gen_synthetic, load_cloud,
+from wqisa import (FitConfig, ParseError, PointCloud, gen_synthetic, load_cloud,
                    save_cloud, variable_noise_scale)
-from wqisa.cli import load_model, main
+from wqisa.cli import _add_common, load_model, main
 
 from _oracles import line_parse_cloud
 
@@ -379,6 +381,21 @@ class TestCliPipeline:
         assert payload["error"]["type"] == "ParseError"
         assert payload["error"]["message"].startswith("line 2:")
 
+    @pytest.mark.parametrize("argv, key", [
+        (["--weight", "knn:k=9,r=3"], "'r'"),
+        (["--weight", "idw:k=3"], "'k'"),
+        (["--weight", "gaussian:sigma=nan"], "sigma > 0"),
+        (["--weight", "characteristic:r=nan", "--policy", "nearest"], "r > 0"),
+    ])
+    def test_bad_weight_spec_fails_before_any_output(self, tmp_path, capsys, argv, key):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "60", "--out", str(cloud_path))
+        code, payload = run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "6",
+                                "--out", str(tmp_path / "fit"), *argv)
+        assert code == 1 and payload["error"]["type"] == "ValueError"
+        assert key in payload["error"]["message"]
+        assert not (tmp_path / "fit" / "model.json").exists()
+
 
 class TestModelFiles:
     @pytest.fixture
@@ -404,6 +421,7 @@ class TestModelFiles:
         ("weight", "cosine", "unknown weight family"),
         ("coefficients", [0.5] * 3, "coefficient shape"),
         ("policy", {"empty_support": "skip"}, "empty_support"),
+        ("weight", "gaussian:sigma=nan", "sigma > 0"),
     ])
     def test_invalid_field_named_with_the_file(self, fitted, field, value, match):
         _, model_path, raw = fitted
@@ -441,6 +459,14 @@ class TestConfigPrecedence:
         assert code == 0
         assert report["config"]["n"] == [9]          # flag wins
         assert report["config"]["weight"] == "knn:k=5"  # file value kept
+
+    def test_every_common_flag_is_a_config_field(self):
+        # main overrides exactly the FitConfig fields, so a flag outside
+        # them would be parsed and then ignored
+        parser = argparse.ArgumentParser(add_help=False)
+        _add_common(parser)
+        dests = {action.dest for action in parser._actions} - {"config"}
+        assert dests <= {f.name for f in dataclasses.fields(FitConfig)}
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

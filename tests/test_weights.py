@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wqisa import PointCloud, WeightSpec, cloud_weights, estimate_control_point
+from wqisa import (PointCloud, WeightSpec, cloud_weights, estimate_control_point,
+                   parse_weight)
 
 from _oracles import brute_weight_vector
 
@@ -38,6 +39,77 @@ class TestSpecValidation:
     def test_nonpositive_params(self, bad):
         with pytest.raises(ValueError):
             bad()
+
+    @pytest.mark.parametrize("make, key", [
+        (lambda: WeightSpec.gaussian(math.nan), "sigma"),
+        (lambda: WeightSpec.gaussian(math.inf), "sigma"),
+        (lambda: WeightSpec.exponential(math.nan), "sigma"),
+        (lambda: WeightSpec.characteristic(math.inf), "r"),
+        (lambda: WeightSpec.characteristic(math.nan), "r"),
+        (lambda: WeightSpec.knn(math.inf), "k"),
+        (lambda: WeightSpec.knn(2.5), "k"),
+    ])
+    def test_non_finite_params_name_the_key(self, make, key):
+        with pytest.raises(ValueError, match=rf"\b{key} > 0"):
+            make()
+
+
+class TestDescriptors:
+    @pytest.mark.parametrize("spec, text", [
+        (WeightSpec.knn(10), "knn:k=10"),
+        (WeightSpec.gaussian(0.1), "gaussian:sigma=0.1"),
+        (WeightSpec.characteristic(0.1), "characteristic:r=0.1"),
+        (WeightSpec.gaussian(0.1, squared_norm=True), "gaussian:sigma=0.1,squared_norm=1"),
+        (WeightSpec.exponential(0.25), "exponential:sigma=0.25"),
+        (WeightSpec.idw(), "idw"),
+    ])
+    def test_label_bytes_and_parse(self, spec, text):
+        assert spec.label() == text
+        assert parse_weight(text) == spec
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_parse_reads_label_back(self, data):
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        spec = data.draw(st.one_of(
+            st.integers(1, 10**9).map(WeightSpec.knn),
+            positive.map(WeightSpec.characteristic),
+            st.builds(WeightSpec.gaussian, positive, st.booleans()),
+            positive.map(WeightSpec.exponential),
+            st.just(WeightSpec.idw())))
+        assert parse_weight(spec.label()) == spec
+
+    @pytest.mark.parametrize("text, spec", [
+        (" knn : k = 9 ", WeightSpec.knn(9)),
+        ("idw:", WeightSpec.idw()),
+        ("gaussian:sigma=0.5,squared_norm=yes", WeightSpec.gaussian(0.5, True)),
+        ("gaussian:squared_norm=false,sigma=0.5", WeightSpec.gaussian(0.5)),
+        ("characteristic:r=1e-3", WeightSpec.characteristic(0.001)),
+    ])
+    def test_accepted_spellings(self, text, spec):
+        assert parse_weight(text) == spec
+
+    @pytest.mark.parametrize("text, key", [
+        ("knn:k=9,r=3", "'r'"),
+        ("idw:k=3", "'k'"),
+        ("exponential:sigma=0.4,squared_norm=1", "'squared_norm'"),
+        ("knn:k=9,k=9", "'k'"),
+        ("gaussian:sigma=0.4,sigma=0.5", "'sigma'"),
+        ("knn:k", "'k'"),
+        ("knn:k=9.5", "'k'"),
+        ("characteristic:r=wide", "'r'"),
+        ("gaussian:sigma=0.4,squared_norm=2", "'squared_norm'"),
+        ("gaussian:sigma=0.4,squared_norm=True", "'squared_norm'"),
+        ("gaussian:sigma=nan", r"\bsigma > 0"),
+        ("gaussian:sigma=inf", r"\bsigma > 0"),
+        ("characteristic:r=nan", r"\br > 0"),
+        ("exponential:sigma=-inf", r"\bsigma > 0"),
+        ("knn", r"\bk > 0"),
+        ("cosine:k=3", "'cosine'"),
+    ])
+    def test_rejections_name_the_key(self, text, key):
+        with pytest.raises(ValueError, match=key):
+            parse_weight(text)
 
 
 class TestClosedForms:
