@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: gen, fit, eval, cv, metrics, demo. Every run takes an optional
---config JSON file whose values are overridden by explicit flags. Failures
-print a machine-readable {"error": ...} object and exit nonzero.
+Subcommands: gen, fit, eval, cv, metrics, demo, each with flags for just the
+FitConfig fields it reads and --config, a JSON file that explicit flags
+override. Failures print a machine-readable {"error": ...} and exit nonzero.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .config import FitConfig
+from .config import NORMALIZE, FitConfig, _int_list
 from .errors import ParseError
 from .fitting import (FitPolicy, PointCloud, classify_convexity,
                       classify_monotone, evaluate, fit, global_bounds,
@@ -31,23 +31,13 @@ from .splines import KnotVector, SplineFunction, TensorSplineSpace
 from .weights import parse_weight
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(p) for p in str(text).split(",")]
-
-
 def _space_for(cloud: PointCloud, cfg: FitConfig, n=None) -> TensorSplineSpace:
-    degrees = list(cfg.degree)
-    counts = list(n if n is not None else cfg.n)
-    if len(degrees) == 1:
-        degrees = degrees * cloud.d
-    if len(counts) == 1:
-        counts = counts * cloud.d
     if cfg.domain is not None:
         lo = [float(pair[0]) for pair in cfg.domain]
         hi = [float(pair[1]) for pair in cfg.domain]
     else:
         lo, hi = cloud.bbox
-    return TensorSplineSpace.from_bounds(lo, hi, counts, degrees)
+    return TensorSplineSpace.from_bounds(lo, hi, n if n is not None else cfg.n, cfg.degree)
 
 
 def _policy(cfg: FitConfig) -> FitPolicy:
@@ -69,14 +59,8 @@ def _shape_flags(model) -> dict:
 
 
 def _normalized_pair(cloud, pred, mode: str):
-    if mode == "max":
-        scale = float(np.max(np.abs(cloud.y))) or 1.0
-    elif mode == "range":
-        scale = float(np.ptp(cloud.y)) or 1.0
-    elif mode == "none":
-        scale = 1.0
-    else:
-        raise ValueError(f"unknown normalize mode {mode!r}")
+    scales = (1.0, float(np.max(np.abs(cloud.y))), float(np.ptp(cloud.y)))  # NORMALIZE's order
+    scale = scales[NORMALIZE.index(mode)] or 1.0
     return cloud.y / scale, np.asarray(pred) / scale
 
 
@@ -343,29 +327,10 @@ def cmd_demo(cfg: FitConfig, args) -> dict:
             "outdir": out}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_options(sub: argparse.ArgumentParser, names: str) -> None:
     sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--data", help="cloud file (last column is the response)")
-    sub.add_argument("--degree", type=_int_list, help="degree per axis, e.g. 2 or 2,3")
-    sub.add_argument("--n", type=_int_list, help="basis count per axis, e.g. 15 or 12,8")
-    sub.add_argument("--weight", help="weight spec, e.g. knn:k=9 or gaussian:sigma=0.4")
-    sub.add_argument("--policy", choices=["error", "nearest"],
-                     help="empty-support policy")
-    sub.add_argument("--seed", type=int, help="RNG seed")
-    sub.add_argument("--alpha", type=float, help="band miss probability (0.05 = 95%% band)")
-    sub.add_argument("--sigma-eps", dest="sigma_eps", type=float,
-                     help="known noise standard deviation")
-    sub.add_argument("--out", help="output file or directory")
-    sub.add_argument("--normalize", choices=["none", "max", "range"],
-                     help="residual normalization in reports")
-    sub.add_argument("--density", dest="grid_density", type=int,
-                     help="evaluation grid points per axis")
-    sub.add_argument("--folds", type=int, help="cross-validation folds")
-    sub.add_argument("--repeats", type=int, help="cross-validation repeats")
-    sub.add_argument("--outlier-filter", dest="outlier_filter", action="store_true",
-                     default=None, help="drop interquartile-rule outliers before fitting")
-    sub.add_argument("--outlier-factor", dest="outlier_factor", type=float,
-                     help="interquartile whisker factor")
+    for f in (FitConfig.__dataclass_fields__[name] for name in names.split()):
+        sub.add_argument(f.metadata["flag"], dest=f.name, default=None, **f.metadata["kind"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,29 +346,31 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--sigma", type=float, default=0.3, help="noise scale")
     gen.add_argument("--outlier-fraction", dest="outlier_fraction", type=float, default=0.05)
     gen.add_argument("--outlier-magnitude", dest="outlier_magnitude", type=float, default=10.0)
-    _add_common(gen)
+    _add_options(gen, "seed out")
 
     fit_p = subs.add_parser("fit", help="fit a spline and write model + report")
-    _add_common(fit_p)
+    _add_options(fit_p, "data degree n weight policy sigma_eps normalize outlier_filter "
+                        "outlier_factor out")
 
     ev = subs.add_parser("eval", help="sample a fitted model on a grid with bands")
     ev.add_argument("--model", required=True, help="model.json from fit")
-    _add_common(ev)
+    _add_options(ev, "data sigma_eps alpha grid_density out")
 
     cv = subs.add_parser("cv", help="cross-validate the basis count")
     cv.add_argument("--grid", help="candidate n values, lo:hi or comma list")
-    _add_common(cv)
+    _add_options(cv, "data degree weight policy seed folds repeats out")
 
     met = subs.add_parser("metrics", help="compare a cloud against a model or cloud")
     met.add_argument("--model", help="model.json from fit")
     met.add_argument("--data2", help="second cloud file")
-    _add_common(met)
+    _add_options(met, "data sigma_eps alpha grid_density normalize out")
 
     demo = subs.add_parser("demo", help="generate, cross-validate, fit and report")
     demo.add_argument("--count", type=int, default=300)
     demo.add_argument("--sigma", type=float, default=0.3)
     demo.add_argument("--grid", default="5:50")
-    _add_common(demo)
+    _add_options(demo, "degree weight policy seed alpha grid_density folds repeats "
+                       "normalize outlier_filter outlier_factor out")
     return ap
 
 

@@ -3,41 +3,78 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
+
+from .fitting import EMPTY_SUPPORT
+from .weights import parse_weight
+
+NORMALIZE = ("none", "max", "range")
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(p) for p in str(text).split(",")]
+
+
+def _flag(flag: str, text: str, default=None, **kind):
+    """A flagged field: text is its help, kind its argparse settings, choices its allowed values."""
+    return field(default_factory=lambda: list(default) if isinstance(default, list) else default,
+                 metadata={"flag": flag, "kind": dict(help=text, **kind)})
+
+
+def _fits(value, hint) -> bool:
+    """Whether a value has an annotated type: exactly (a bool is no int), or an int for a float."""
+    args = typing.get_args(hint)  # a list's item type or a union's members
+    if typing.get_origin(hint) is list:
+        return type(value) is list and all(_fits(v, *args) for v in value)
+    return any(_fits(value, a) for a in args) or type(value) in (hint, int if hint is float else hint)
 
 
 @dataclass
 class FitConfig:
-    """Everything a fit/eval/cv run needs, JSON-loadable with CLI overrides."""
+    """Everything a fit/eval/cv run needs, JSON-loadable with CLI overrides; checked on creation."""
 
-    data: str | None = None
-    degree: list[int] = field(default_factory=lambda: [2])
-    n: list[int] = field(default_factory=lambda: [10])
-    weight: str = "knn:k=10"
-    policy: str = "error"
+    data: str | None = _flag("--data", "cloud file (last column is the response)")
+    degree: list[int] = _flag("--degree", "degree per axis, e.g. 2 or 2,3", [2], type=_int_list)
+    n: list[int] = _flag("--n", "basis count per axis, e.g. 15 or 12,8", [10], type=_int_list)
+    weight: str = _flag("--weight", "weight spec, e.g. knn:k=9 or gaussian:sigma=0.4", "knn:k=10")
+    policy: str = _flag("--policy", "empty-support policy", "error", choices=EMPTY_SUPPORT)
     drop_outside: bool = False
     domain: list[list[float]] | None = None  # [[lo, hi], ...] per axis
-    seed: int = 0
-    alpha: float = 0.05
-    sigma_eps: float | None = None
-    outlier_filter: bool = False
-    outlier_factor: float = 1.5
-    folds: int = 5
-    repeats: int = 1
+    seed: int = _flag("--seed", "RNG seed", 0, type=int)
+    alpha: float = _flag("--alpha", "band miss probability (0.05 = 95%% band)", 0.05, type=float)
+    sigma_eps: float | None = _flag("--sigma-eps", "known noise standard deviation", type=float)
+    outlier_filter: bool = _flag("--outlier-filter", "drop interquartile-rule outliers before "
+                                 "fitting", False, action="store_true")
+    outlier_factor: float = _flag("--outlier-factor", "interquartile whisker factor", 1.5, type=float)
+    folds: int = _flag("--folds", "cross-validation folds", 5, type=int)
+    repeats: int = _flag("--repeats", "cross-validation repeats", 1, type=int)
     cv_grid: list[int] | None = None
-    grid_density: int | None = None
-    normalize: str = "none"  # residual scaling in reports: none | max | range
-    out: str | None = None
+    grid_density: int | None = _flag("--density", "evaluation grid points per axis", type=int)
+    normalize: str = _flag("--normalize", "residual scaling in reports", "none", choices=NORMALIZE)
+    out: str | None = _flag("--out", "output file or directory")
+
+    def __post_init__(self):
+        hints = typing.get_type_hints(type(self))
+        for f in fields(self):
+            value, allowed = getattr(self, f.name), f.metadata.get("kind", {}).get("choices")
+            if not _fits(value, hints[f.name]) or allowed and value not in allowed:
+                raise ValueError(f"{f.name} must be {allowed or f.type}, got {value!r}")
+        parse_weight(self.weight)
 
     @classmethod
     def load(cls, path) -> "FitConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(raw) - known
-        if bad:
-            raise ValueError(f"unknown config keys: {sorted(bad)}")
-        return cls(**raw)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError("top level must be an object of config keys")
+            bad = set(raw) - {f.name for f in fields(cls)}
+            if bad:
+                raise ValueError(f"unknown config keys: {sorted(bad)}")
+            return cls(**raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def override(self, **kwargs) -> "FitConfig":
         """Copy with every non-None keyword replacing its field."""

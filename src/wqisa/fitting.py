@@ -23,6 +23,7 @@ from .weights import WeightSpec, cloud_weights
 
 # clouds above this size fall back to the bounding-box diagonal diameter
 EXACT_DIAMETER_LIMIT = 5000
+EMPTY_SUPPORT = ("error", "nearest")  # FitPolicy.empty_support values
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +128,8 @@ class FitPolicy:
     drop_outside: bool = False
 
     def __post_init__(self):
-        if self.empty_support not in ("error", "nearest"):
-            raise ValueError(f"empty_support must be 'error' or 'nearest', got {self.empty_support!r}")
+        if self.empty_support not in EMPTY_SUPPORT:
+            raise ValueError(f"empty_support must be one of {EMPTY_SUPPORT}, got {self.empty_support!r}")
 
 
 @dataclass

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import WqisaError
 from .fitting import FitPolicy, PointCloud, WqisaModel, _row_sums, evaluate, weight_blocks
+from .kdtree import _positions
 from .splines import TensorSplineSpace, _normalize_points, _windows
 from .weights import WeightSpec
 
@@ -92,7 +93,7 @@ def variance_at(model: WqisaModel, covariance: CoefficientCovariance, u):
     out = np.empty(len(pts))
     for m, (flat, b) in enumerate(zip(flats, bases)):
         starts, lens = indptr[flat], indptr[flat + 1] - indptr[flat]
-        pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        pos = _positions(starts, lens)
         at, w = cols[pos], np.repeat(b, lens) * vals[pos]
         np.add.at(scratch, at, w)
         # sum_c s_c^2 == sum_e w_e s_{at_e}: no dedup of the touched columns

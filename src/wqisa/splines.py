@@ -155,7 +155,7 @@ def knot_averages(kv: KnotVector) -> np.ndarray:
     p, t = kv.degree, kv.knots
     if p < 1:
         raise ValueError("knot averages need degree >= 1")
-    return np.array([t[i + 1 : i + p + 1].mean() for i in range(kv.n)])
+    return np.lib.stride_tricks.sliding_window_view(t[1 : kv.n + p], p).mean(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,6 +62,10 @@ class WeightSpec:
         if self.family not in PARAMETERS:
             raise ValueError(f"unknown weight family {self.family!r}; pick one of {FAMILIES}")
         keys = PARAMETERS[self.family]
+        extra = [f.name for f in fields(self)[1:] if getattr(self, f.name) is not f.default
+                 and f.name.removeprefix("gaussian_") not in keys]  # squared_norm's field
+        if extra:
+            raise ValueError(f"unknown weight parameter {extra[0]!r}; {self.family} takes {list(keys)}")
         key = next(iter(keys), None)
         if key is not None:
             val, kind = getattr(self, key), keys[key]

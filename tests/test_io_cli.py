@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from wqisa import (FitConfig, ParseError, PointCloud, gen_synthetic, load_cloud,
                    save_cloud, variable_noise_scale)
-from wqisa.cli import _add_common, load_model, main
+from wqisa import cli
+from wqisa.cli import build_parser, load_model, main
 
 from _oracles import line_parse_cloud
 
@@ -445,6 +446,22 @@ class TestModelFiles:
         assert not grid.exists()
 
 
+# The FitConfig fields each subcommand reads, and its own flags.
+READS = {
+    "gen": {"seed", "out"},
+    "fit": {"data", "degree", "n", "weight", "policy", "sigma_eps", "normalize",
+            "outlier_filter", "outlier_factor", "out"},
+    "eval": {"data", "sigma_eps", "alpha", "grid_density", "out"},
+    "cv": {"data", "degree", "weight", "policy", "seed", "folds", "repeats", "out"},
+    "metrics": {"data", "sigma_eps", "alpha", "grid_density", "normalize", "out"},
+    "demo": {"degree", "weight", "policy", "seed", "alpha", "grid_density", "folds",
+             "repeats", "normalize", "outlier_filter", "outlier_factor", "out"},
+}
+OWN_FLAGS = {"gen": {"kind", "count", "sigma", "outlier_fraction", "outlier_magnitude"},
+             "fit": set(), "eval": {"model"}, "cv": {"grid"}, "metrics": {"model", "data2"},
+             "demo": {"count", "sigma", "grid"}}
+
+
 class TestConfigPrecedence:
     def test_flags_override_config_file(self, tmp_path, capsys):
         cloud_path = tmp_path / "c.xyz"
@@ -460,13 +477,68 @@ class TestConfigPrecedence:
         assert report["config"]["n"] == [9]          # flag wins
         assert report["config"]["weight"] == "knn:k=5"  # file value kept
 
-    def test_every_common_flag_is_a_config_field(self):
-        # main overrides exactly the FitConfig fields, so a flag outside
-        # them would be parsed and then ignored
-        parser = argparse.ArgumentParser(add_help=False)
-        _add_common(parser)
-        dests = {action.dest for action in parser._actions} - {"config"}
-        assert dests <= {f.name for f in dataclasses.fields(FitConfig)}
+    def test_each_command_takes_only_the_options_it_reads(self):
+        # main overrides exactly the FitConfig fields, so a flag for a field
+        # its command does not read would be parsed and then ignored
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(subs) == set(READS)
+        for command, parser in subs.items():
+            dests = {a.dest for a in parser._actions if a.option_strings}
+            assert dests - {"help", "config"} - OWN_FLAGS[command] == READS[command], command
+            assert READS[command] <= {f.name for f in dataclasses.fields(FitConfig)}
+        assert sum(map(len, READS.values())) == 43
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--degree", "2"],
+        ["fit", "--folds", "3"],
+        ["eval", "--model", "m.json", "--weight", "knn:k=3"],
+        ["cv", "--outlier-filter"],
+        ["metrics", "--seed", "1"],
+        ["demo", "--sigma-eps", "0.2"],
+    ])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        unread = argv[-2:] if argv[-1][0] != "-" else argv[-1:]
+        assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"n": 7}, "n"),
+        ({"outlier_filter": "false"}, "outlier_filter"),
+        ({"policy": "bogus"}, "policy"),
+        ({"normalize": "bogus"}, "normalize"),
+        ([{"n": [7]}], "top level"),
+    ])
+    def test_bad_config_value_fails_before_any_cloud_is_loaded(
+            self, tmp_path, capsys, monkeypatch, raw, key):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "60", "--out", str(cloud_path))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(raw))
+        loaded = []
+        monkeypatch.setattr(cli, "load_cloud", loaded.append)
+        code, payload = run_cli(capsys, "fit", "--config", str(cfg_path),
+                                "--data", str(cloud_path), "--out", str(tmp_path / "fit"))
+        assert code == 1 and payload["error"]["type"] == "ValueError"
+        assert payload["error"]["message"].startswith(f"{cfg_path}: {key} ")
+        assert loaded == [] and not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("values", [
+        {"alpha": 0, "outlier_factor": 2, "domain": [[0, 1.5]], "cv_grid": [4, 5]},
+        {"outlier_filter": True, "drop_outside": False, "grid_density": None},
+    ])
+    def test_json_values_of_the_field_types_pass(self, values):
+        FitConfig(**values)
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", True), ("seed", 1.0), ("degree", ["2"]), ("domain", [0, 1]),
+        ("cv_grid", [4.5]), ("data", 3), ("weight", "knn:k=3,r=2"),
+    ])
+    def test_value_of_another_type_names_its_field(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            FitConfig(**{key: value})
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

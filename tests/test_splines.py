@@ -136,6 +136,16 @@ class TestKnotAverages:
         with pytest.raises(ValueError):
             knot_averages(KnotVector(0, [0, 1]))
 
+    def test_equal_to_per_basis_means_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            p = int(rng.integers(1, 13))
+            kv = random_regular_kv(rng, p=p, n=int(rng.integers(p + 1, p + 30)),
+                                   repeated=bool(rng.integers(2)))
+            t = kv.knots
+            means = np.array([t[i + 1 : i + p + 1].mean() for i in range(kv.n)])
+            assert np.array_equal(knot_averages(kv), means)
+
 
 @st.composite
 def regular_spaces(draw, max_d=2):

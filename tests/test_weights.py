@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wqisa import (PointCloud, WeightSpec, cloud_weights, estimate_control_point,
                    parse_weight)
+from wqisa.weights import FAMILIES
 
 from _oracles import brute_weight_vector
 
@@ -53,6 +54,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=rf"\b{key} > 0"):
             make()
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(family="knn", k=3, sigma=0.5), "'sigma'"),
+        (dict(family="idw", gaussian_squared_norm=True), "'gaussian_squared_norm'"),
+        (dict(family="exponential", sigma=0.5, gaussian_squared_norm=True),
+         "'gaussian_squared_norm'"),
+        (dict(family="characteristic", r=0.5, k=0), "'k'"),
+    ])
+    def test_parameter_of_another_family_named(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            WeightSpec(**kwargs)
+
 
 class TestDescriptors:
     @pytest.mark.parametrize("spec, text", [
@@ -77,6 +89,17 @@ class TestDescriptors:
             st.builds(WeightSpec.gaussian, positive, st.booleans()),
             positive.map(WeightSpec.exponential),
             st.just(WeightSpec.idw())))
+        assert parse_weight(spec.label()) == spec
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(FAMILIES), st.fixed_dictionaries({}, optional={
+        key: st.none() | st.integers(-2, 10**6) | st.floats() for key in ("k", "r", "sigma")
+    } | {"gaussian_squared_norm": st.booleans()}))
+    def test_constructor_keywords_raise_or_round_trip(self, family, kwargs):
+        try:
+            spec = WeightSpec(family, **kwargs)
+        except ValueError:
+            return
         assert parse_weight(spec.label()) == spec
 
     @pytest.mark.parametrize("text, spec", [
