@@ -32,12 +32,19 @@ from .weights import parse_weight
 
 
 def _space_for(cloud: PointCloud, cfg: FitConfig, n=None) -> TensorSplineSpace:
-    if cfg.domain is not None:
-        lo = [float(pair[0]) for pair in cfg.domain]
-        hi = [float(pair[1]) for pair in cfg.domain]
-    else:
+    n = cfg.n if n is None else n
+    for key, value in (("degree", cfg.degree), ("n", n)):
+        if len(value) not in (1, cloud.d):
+            raise ValueError(f"{key} needs 1 entry or one per axis of the {cloud.d}-D cloud, "
+                             f"got {len(value)}: {value}")
+    if cfg.domain is None:
         lo, hi = cloud.bbox
-    return TensorSplineSpace.from_bounds(lo, hi, n if n is not None else cfg.n, cfg.degree)
+    elif len(cfg.domain) == cloud.d and all(len(pair) == 2 for pair in cfg.domain):
+        lo, hi = np.array(cfg.domain, dtype=float).T
+    else:
+        raise ValueError(f"domain needs one [lo, hi] pair per axis of the {cloud.d}-D cloud, "
+                         f"got {cfg.domain}")
+    return TensorSplineSpace.from_bounds(lo, hi, n, cfg.degree)
 
 
 def _policy(cfg: FitConfig) -> FitPolicy:

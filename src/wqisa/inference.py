@@ -73,13 +73,23 @@ def coefficient_covariance(cloud: PointCloud, space: TensorSplineSpace,
     return CoefficientCovariance(noise.sigma_eps, space.shape, indptr, cols, vals, cloud.n)
 
 
+CHUNK = 1024  # support entries per variance_at chunk
+CHUNK_POINTS = 64  # points per variance_at chunk at most
+
+
 def variance_at(model: WqisaModel, covariance: CoefficientCovariance, u):
     """Exact variance of the fitted spline value at u.
 
-    sigma^2 * ||sum_j b_j V_j||^2 over the active basis values b_j and
-    weight rows V_j, accumulated per point in one O(N) scratch vector;
-    never exceeds sigma_eps^2 because basis rows are convex weights over
-    coefficients that are convex weights over the noise.
+    sigma^2 * ||s||^2 with s = sum_j b_j V_j over the active basis values
+    b_j and weight rows V_j; never exceeds sigma_eps^2 because basis rows
+    are convex weights over coefficients that are convex weights over the
+    noise. Points go in chunks of about CHUNK support entries (at most
+    CHUNK_POINTS points): a chunk sums its weights per (point, cloud row)
+    with one bincount, after one N-long slot array has given every cloud
+    row of the chunk one of the chunk's entry positions. A point whose
+    support reaches N, such as one of a dense weight family, bins its
+    weights straight on cloud rows. Memory is O(CHUNK * CHUNK_POINTS + N)
+    beyond the supports of single large points.
     """
     space = model.space
     if covariance.grid_shape != space.shape:
@@ -89,16 +99,37 @@ def variance_at(model: WqisaModel, covariance: CoefficientCovariance, u):
     pts, single = _normalize_points(space.d, u)
     flats, bases = _windows(space, pts)
     indptr, cols, vals = covariance.indptr, covariance.cols, covariance.vals
-    scratch = np.zeros(covariance.n_points)
+    n, row_len = covariance.n_points, np.diff(indptr)
+    support = row_len[flats].sum(axis=1)
+    alone = support >= min(CHUNK, n)
+    # a chunk starts at every point whose first entry opens a new CHUNK
+    # window, every CHUNK_POINTS-th point, and around every point alone
+    offset = np.cumsum(support) - support
+    cut = np.ones(len(pts), dtype=bool)
+    cut[1:] = (np.diff(offset // CHUNK) > 0) | alone[1:] | alone[:-1]
+    cut[::CHUNK_POINTS] = True
+    bounds = np.append(np.flatnonzero(cut), len(pts))
+    # entry positions stay below N, and a chunk's keys below 2 * CHUNK * CHUNK_POINTS
+    slot = np.zeros(n, dtype=np.int32 if n < 2**31 else np.intp)
     out = np.empty(len(pts))
-    for m, (flat, b) in enumerate(zip(flats, bases)):
-        starts, lens = indptr[flat], indptr[flat + 1] - indptr[flat]
-        pos = _positions(starts, lens)
-        at, w = cols[pos], np.repeat(b, lens) * vals[pos]
-        np.add.at(scratch, at, w)
-        # sum_c s_c^2 == sum_e w_e s_{at_e}: no dedup of the touched columns
-        out[m] = covariance.sigma_eps**2 * float(w @ scratch[at])
-        scratch[at] = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        flat = flats[lo:hi].reshape(-1)
+        count = row_len[flat]
+        pos = _positions(indptr[flat], count)
+        at = cols[pos]
+        w = np.repeat(bases[lo:hi].reshape(-1), count)
+        w *= vals[pos]
+        if support[lo] >= n:  # alone: bin on cloud rows
+            s = np.bincount(at, w)
+            out[lo] = s @ s
+            continue
+        size = len(at)
+        slot[at] = np.arange(size)  # one entry position per cloud row
+        key = slot[at]
+        key += np.repeat(np.arange(hi - lo) * size, support[lo:hi])
+        s = np.bincount(key, w, minlength=(hi - lo) * size).reshape(hi - lo, size)
+        out[lo:hi] = np.einsum("ij,ij->i", s, s)
+    out *= covariance.sigma_eps**2
     return float(out[0]) if single else out
 
 

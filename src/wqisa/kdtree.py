@@ -15,8 +15,14 @@ at a time, with no recursion and no heap. k-nearest runs in two phases: an
 upper bound per query, the k-th smallest squared distance among the points
 of the deepest node on its descent path that still holds k points; then a
 traversal that keeps every node whose box lies within the bound (closed, so
-ties survive), and one sort of the surviving points by (query, distance,
-index). Radius queries run the same traversal with the bound r^2.
+ties survive). The order of the surviving points comes from one default
+(unstable) sort of a packed integer key, unique by construction, so it is
+exactly the (query, distance, index) order: (query * L + rank) * n + row,
+where rank is the dense rank of d2 (>= 0, never NaN) among the block's L
+distinct values. The bound itself is read from one sort of query * L + rank.
+Radius queries run the same traversal with the bound r^2 and sort
+query * n + row. A block whose keys could reach KEY_LIMIT (2^63) is
+answered in halves; one query's keys stay below n^2.
 
 Every squared distance in the package comes from squared_distances. It
 sums (a_k - b_k)^2 over the axes k in order, one array pass per axis, and
@@ -41,6 +47,9 @@ from __future__ import annotations
 import numpy as np
 
 LEAF_SIZE = 16
+# packed sort keys stay below this; a query block whose key would reach it
+# is answered in halves
+KEY_LIMIT = 2**63
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,8 +185,11 @@ class KdTree:
             node[live] = child
             live = live[self._left[child] >= 0]
         qi, _, d2 = self._points_of(q, np.arange(len(q)), node)
+        values, rank = np.unique(d2, return_inverse=True)
+        key = qi * len(values) + rank
+        key.sort()
         first = np.cumsum(size[node]) - size[node]
-        return d2[np.lexsort((d2, qi))][first + k - 1]
+        return values[key[first + k - 1] % len(values)]
 
     def _within(self, q, bound):
         """(query, row, d2) of every point with d2 <= bound[query]; rows of
@@ -206,11 +218,29 @@ class KdTree:
         q, single = self._queries(u)
         if not 1 <= k <= self.n:
             raise ValueError(f"k={k} out of range [1, {self.n}]")
-        qi, rows, d2 = self._within(q, self._knn_bound(q, k))
-        order = np.lexsort((rows, d2, qi))
-        first = np.searchsorted(qi[order], np.arange(len(q)))
-        out = rows[order[(first[:, None] + np.arange(k)).reshape(-1)]].reshape(len(q), k)
+        out = self._knn(q, k)
         return out[0] if single else out
+
+    def _knn(self, q, k: int) -> np.ndarray:
+        """(m, k) rows for a query block: one sort of the packed keys
+        (query, rank of d2, row), which are unique, so their order is the
+        (query, distance, index) order; a block whose keys could reach
+        KEY_LIMIT is answered in halves (one query's keys stay below n**2)."""
+        m, n = len(q), self.n
+        if m < 2 or m * m * n < KEY_LIMIT:  # _knn_bound's keys stay below m * m * n
+            qi, rows, d2 = self._within(q, self._knn_bound(q, k))
+            values, rank = np.unique(d2, return_inverse=True)
+            if m < 2 or m * len(values) * n < KEY_LIMIT:
+                key = qi * len(values)
+                key += rank
+                key *= n
+                key += rows
+                key.sort()
+                count = np.bincount(qi, minlength=m)
+                first = np.cumsum(count) - count  # every query keeps at least k points
+                return key[first[:, None] + np.arange(k)] % n
+        half = m // 2
+        return np.concatenate([self._knn(q[:half], k), self._knn(q[half:], k)])
 
     def radius_query(self, u, r: float):
         """Points within the closed ball of radius r around each query:
@@ -218,10 +248,23 @@ class KdTree:
         q, single = self._queries(u)
         if r < 0:
             raise ValueError(f"radius must be >= 0, got {r}")
-        qi, rows, _ = self._within(q, np.full(len(q), r * r))
-        order = np.lexsort((rows, qi))
+        count, rows = self._radius(q, r * r)
         if single:
-            return rows[order]
+            return rows
         indptr = np.zeros(len(q) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(qi, minlength=len(q)), out=indptr[1:])
-        return indptr, rows[order]
+        np.cumsum(count, out=indptr[1:])
+        return indptr, rows
+
+    def _radius(self, q, r2: float):
+        """Per query, the number of points with d2 <= r2, and those rows,
+        query by query in ascending order, from one sort of the packed keys
+        (query, row); answered in halves as in _knn."""
+        m, n = len(q), self.n
+        if m > 1 and m * n >= KEY_LIMIT:
+            halves = self._radius(q[:m // 2], r2), self._radius(q[m // 2:], r2)
+            return tuple(np.concatenate(part) for part in zip(*halves))
+        qi, rows, _ = self._within(q, np.full(m, r2))
+        key = qi * n
+        key += rows
+        key.sort()
+        return np.bincount(qi, minlength=m), key % n

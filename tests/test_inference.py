@@ -14,9 +14,9 @@ from wqisa import (CvResult, DomainError, FitPolicy,
                    kfold_cv, make_folds, make_uniform_regular, normal_quantile,
                    se_band, select_parsimonious, variance_at)
 
-from _oracles import brute_covariance
+from wqisa.inference import CHUNK, CHUNK_POINTS
 
-scipy_stats = pytest.importorskip("scipy.stats")
+from _oracles import brute_covariance
 
 
 def cloud_1d(n=80, seed=0, sigma=0.2, lo=-1.0, hi=1.0):
@@ -163,6 +163,83 @@ class TestVarianceLaw:
             expect = float(b.reshape(-1) @ m[np.ix_(flat, flat)] @ b.reshape(-1))
             assert got == pytest.approx(expect, abs=1e-15)
 
+    @staticmethod
+    def quadratic_forms(space, cov, probes):
+        """b . cov.matrix[F, F] . b over each probe's active block F."""
+        m = cov.matrix
+        out = []
+        for u in probes:
+            first, b = basis_row(space, u)
+            flat = np.ravel_multi_index(
+                np.ix_(*[np.arange(f, f + n) for f, n in zip(first, b.shape)]),
+                space.shape).reshape(-1)
+            out.append(float(b.reshape(-1) @ m[np.ix_(flat, flat)] @ b.reshape(-1)))
+        return np.array(out)
+
+    @pytest.mark.parametrize("spec, n, grid", [
+        (WeightSpec.knn(1), 600, (12, 12)),  # 9 entries a point: CHUNK_POINTS cuts
+        (WeightSpec.knn(3), 600, (12, 12)),  # 27: CHUNK cuts
+        (WeightSpec.knn(150), 3000, (6, 6)),  # 1350 < N: each point a chunk of its own
+        (WeightSpec.gaussian(0.2), 1500, (5, 5)),  # dense, 9 * N: binned on cloud rows
+        (WeightSpec.characteristic(0.15), 600, (8, 8)),
+    ], ids=["knn1", "knn3", "knn150", "gaussian", "ball"])
+    def test_chunked_variance_is_the_quadratic_form(self, spec, n, grid):
+        rng = np.random.default_rng(41)
+        cloud = PointCloud(rng.uniform(0, 1, (n, 2)), rng.standard_normal(n))
+        space = TensorSplineSpace.from_bounds([0, 0], [1, 1], list(grid), [2, 2])
+        model = fit(cloud, space, spec, FitPolicy(empty_support="nearest"))
+        cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.7),
+                                     FitPolicy(empty_support="nearest"))
+        probes = rng.uniform(0, 1, (3 * CHUNK_POINTS + 5, 2))
+        probes[:4] = [[0, 0], [1, 1], [0, 1], [0.5, 0.5]]
+        var = variance_at(model, cov, probes)
+        assert np.allclose(var, self.quadratic_forms(space, cov, probes), rtol=0, atol=1e-15)
+        one_by_one = [variance_at(model, cov, u) for u in probes]
+        assert np.allclose(var, one_by_one, rtol=0, atol=1e-15)
+        shuffled = rng.permutation(len(probes))
+        assert np.allclose(variance_at(model, cov, probes[shuffled]), var[shuffled],
+                           rtol=0, atol=1e-15)
+
+    def test_chunks_cut_at_the_support_budget(self):
+        # a 1-D knn:k=40 model of degree 2: ~120 entries a point, so about
+        # CHUNK / 120 points share a chunk, and 400 points cross many chunks
+        cloud = cloud_1d(300, seed=13)
+        space = space_1d(9)
+        spec = WeightSpec.knn(40)
+        model = fit(cloud, space, spec)
+        cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.3))
+        probes = np.linspace(-1, 1, 400)
+        var = variance_at(model, cov, probes)
+        assert np.allclose(var, self.quadratic_forms(space, cov, probes), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d, p, k, n_basis", [(2, 2, 10, 30), (1, 1, 1, 200)],
+                             ids=["90-entries", "2-entries"])
+    def test_variance_memory_does_not_grow_with_the_support_of_all_points(
+            self, d, p, k, n_basis):
+        # beyond the window arrays of the points themselves (flat indices,
+        # basis values, support lengths), peak memory is a chunk's scratch
+        # plus O(N); all points' entries at once would take m * entries * 24
+        # bytes, and 2-entry points without the CHUNK_POINTS cap would share
+        # a chunk ~500 at a time, with ~500 * CHUNK bins
+        rng = np.random.default_rng(5)
+        n = 4000
+        cloud = PointCloud(rng.uniform(0, 1, (n, d)), rng.standard_normal(n))
+        space = TensorSplineSpace.from_bounds([0] * d, [1] * d, [n_basis] * d, [p] * d)
+        spec = WeightSpec.knn(k)
+        model = fit(cloud, space, spec)
+        cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.5))
+        window = (p + 1) ** d
+        chunk = 2 * CHUNK * CHUNK_POINTS * 8 + 6 * 2 * CHUNK * 8  # bins and entry arrays
+        for m in (500, 20000):
+            probes = rng.uniform(0, 1, (m, d))
+            tracemalloc.start()
+            try:
+                variance_at(model, cov, probes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < chunk + 16 * n + m * (40 * window + 64)
+
     def test_grid_shape_mismatch_rejected(self):
         cloud = cloud_1d(40)
         spec = WeightSpec.knn(5)
@@ -209,6 +286,7 @@ class TestNormalQuantile:
         assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
 
     def test_matches_scipy_across_range(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
         qs = np.concatenate([np.linspace(1e-6, 1 - 1e-6, 101),
                              [0.5, 0.025, 0.975, 1e-9, 1 - 1e-9]])
         for q in qs:

@@ -4,6 +4,9 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wqisa import (FitConfig, ParseError, PointCloud, gen_synthetic, load_cloud,
                    save_cloud, variable_noise_scale)
+import wqisa
 from wqisa import cli
 from wqisa.cli import build_parser, load_model, main
 
@@ -540,9 +544,61 @@ class TestConfigPrecedence:
         with pytest.raises(ValueError, match=key):
             FitConfig(**{key: value})
 
+    @pytest.mark.parametrize("flags, raw, message", [
+        (["--n", "12,8,5"], {}, "n needs 1 entry or one per axis of the 1-D cloud, got 3"),
+        ([], {"n": []}, "n needs 1 entry or one per axis of the 1-D cloud, got 0"),
+        (["--degree", "2,2"], {}, "degree needs 1 entry or one per axis of the 1-D cloud, got 2"),
+        ([], {"domain": [[0, 3, 9]]}, "domain needs one [lo, hi] pair per axis of the 1-D cloud"),
+        ([], {"domain": [[0]]}, "domain needs one [lo, hi] pair per axis"),
+        ([], {"domain": [[0, 1], [0, 1]]}, "domain needs one [lo, hi] pair per axis"),
+        ([], {"domain": []}, "domain needs one [lo, hi] pair per axis"),
+    ], ids=["n-flag", "n-empty", "degree-flag", "domain-triple", "domain-single",
+            "domain-two-axes", "domain-empty"])
+    def test_per_axis_lists_must_fit_the_cloud_dimension(self, tmp_path, capsys,
+                                                          flags, raw, message):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "60", "--out", str(cloud_path))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(raw))
+        code, payload = run_cli(capsys, "fit", "--config", str(cfg_path), *flags,
+                                "--data", str(cloud_path), "--out", str(tmp_path / "fit"))
+        assert code == 1 and payload["error"]["type"] == "ValueError"
+        assert payload["error"]["message"].startswith(message)
+        assert not (tmp_path / "fit").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"nn": 7}))
         code, payload = run_cli(capsys, "fit", "--config", str(cfg_path))
         assert code == 1
         assert "unknown config keys" in payload["error"]["message"]
+
+
+NO_SCIPY = """
+import sys
+from wqisa.cli import main
+
+d = sys.argv[1]
+for argv in (["gen", "--count", "300", "--seed", "2", "--out", d + "/c.xyz"],
+             ["fit", "--data", d + "/c.xyz", "--n", "8", "--weight", "knn:k=9", "--out", d],
+             ["eval", "--model", d + "/model.json", "--data", d + "/c.xyz", "--density", "8",
+              "--sigma-eps", "0.2", "--out", d + "/grid.csv"],
+             ["metrics", "--data", d + "/c.xyz", "--model", d + "/model.json",
+              "--sigma-eps", "0.2"]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.exit(f"{len(loaded)} scipy modules loaded, first {loaded[:3]}" if loaded else 0)
+"""
+
+
+def test_commands_never_import_scipy(tmp_path):
+    # the runtime needs numpy only, while the test environment has scipy,
+    # so an accidental import would pass every other test
+    src = os.path.dirname(os.path.dirname(wqisa.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "grid.csv").exists()

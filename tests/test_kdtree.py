@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wqisa import KdTree
+from wqisa import KdTree, kdtree
+from wqisa.fitting import SITE_BLOCK
 from wqisa.kdtree import squared_distances
 
 from _oracles import brute_knn, brute_radius
@@ -141,6 +142,62 @@ class TestBatch:
         for j, u in enumerate(queries):
             got = indices[indptr[j]:indptr[j + 1]]
             assert np.array_equal(got, brute_radius(pts, u, r))
+
+
+def lattice(n=300, seed=8):
+    """Points on a small integer lattice: many duplicates and many equal
+    distances from lattice and half-lattice queries."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(-4, 5, size=(n, 2)).astype(float)
+
+
+class TestPackedKeys:
+    """The (query, rank of d2, row) and (query, row) key sorts give the
+    brute-force order on ties, for one query, a partial and a full block,
+    and when a block's keys would reach KEY_LIMIT."""
+
+    @pytest.mark.parametrize("m", [1, 37, SITE_BLOCK])
+    def test_ties_and_duplicates_match_the_scans(self, m):
+        pts = lattice()
+        rng = np.random.default_rng(m)
+        queries = rng.integers(-10, 11, size=(m, 2)) / 2.0
+        tree = KdTree(pts)
+        for k in (1, 7, 40, len(pts)):
+            got = tree.knn(queries, k)
+            assert got.shape == (m, k)
+            for u, row in zip(queries, got):
+                assert np.array_equal(row, brute_knn(pts, u, k))
+        for r in (0.0, 1.0, 2.0, 2.5):
+            indptr, indices = tree.radius_query(queries, r)
+            for j, u in enumerate(queries):
+                assert np.array_equal(indices[indptr[j]:indptr[j + 1]], brute_radius(pts, u, r))
+        u = queries[0]
+        assert np.array_equal(tree.knn(u, 7), brute_knn(pts, u, 7))
+        assert np.array_equal(tree.radius_query(u, 2.0), brute_radius(pts, u, 2.0))
+
+    @pytest.mark.parametrize("limit", [1, SITE_BLOCK * 300])  # 300 = len(lattice())
+    def test_blocks_past_the_key_limit_are_answered_in_halves(self, monkeypatch, limit):
+        pts = lattice()
+        queries = np.random.default_rng(3).integers(-10, 11, size=(SITE_BLOCK, 2)) / 2.0
+        tree = KdTree(pts)
+        whole_knn, whole_radius = tree.knn(queries, 12), tree.radius_query(queries, 2.0)
+        blocks = []
+        within = KdTree._within
+        monkeypatch.setattr(KdTree, "_within", lambda self, q, b: blocks.append(len(q))
+                            or within(self, q, b))
+        monkeypatch.setattr(kdtree, "KEY_LIMIT", limit)
+        got = tree.knn(queries, 12)
+        assert len(blocks) > 1 and sum(blocks) >= SITE_BLOCK
+        assert np.array_equal(got, whole_knn)
+        for u, row in zip(queries, got):
+            assert np.array_equal(row, brute_knn(pts, u, 12))
+        blocks.clear()
+        indptr, indices = tree.radius_query(queries, 2.0)
+        assert len(blocks) > 1 and sum(blocks) == SITE_BLOCK
+        assert np.array_equal(indptr, whole_radius[0])
+        assert np.array_equal(indices, whole_radius[1])
+        for j, u in enumerate(queries):
+            assert np.array_equal(indices[indptr[j]:indptr[j + 1]], brute_radius(pts, u, 2.0))
 
 
 class TestBuild:
