@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -16,24 +17,30 @@ import time
 
 import numpy as np
 
-from .config import NORMALIZE, FitConfig, _int_list
+from .config import NORMALIZE, FitConfig
 from .errors import ParseError
-from .fitting import (FitPolicy, PointCloud, classify_convexity,
+from .fitting import (FitPolicy, PointCloud, _row_sums, classify_convexity,
                       classify_monotone, evaluate, fit, global_bounds,
-                      iqr_outlier_filter)
+                      iqr_outlier_mask)
 from .inference import (NoiseModel, _band, coefficient_covariance,
                         estimate_noise_sigma, kfold_cv, select_parsimonious,
                         variance_at)
-from .io import gen_synthetic, load_cloud, save_cloud
+from .io import gen_synthetic, load_cloud, save_cloud, write_rows
 from .metrics import (band_coverage, directed_hausdorff_normalized, dispersion,
                       jaccard)
 from .splines import KnotVector, SplineFunction, TensorSplineSpace
 from .weights import parse_weight
 
 
-def _space_for(cloud: PointCloud, cfg: FitConfig, n=None) -> TensorSplineSpace:
-    n = cfg.n if n is None else n
-    for key, value in (("degree", cfg.degree), ("n", n)):
+def _load_data(cfg: FitConfig, command: str) -> PointCloud:
+    if not cfg.data:
+        raise ValueError(f"{command} needs --data (or a config with a data path)")
+    return load_cloud(cfg.data)
+
+
+def _domain(cloud: PointCloud, cfg: FitConfig, **per_axis) -> tuple:
+    """The run's (lo, hi) box, once degree and the other per-axis lists fit the cloud."""
+    for key, value in {"degree": cfg.degree, **per_axis}.items():
         if len(value) not in (1, cloud.d):
             raise ValueError(f"{key} needs 1 entry or one per axis of the {cloud.d}-D cloud, "
                              f"got {len(value)}: {value}")
@@ -44,7 +51,7 @@ def _space_for(cloud: PointCloud, cfg: FitConfig, n=None) -> TensorSplineSpace:
     else:
         raise ValueError(f"domain needs one [lo, hi] pair per axis of the {cloud.d}-D cloud, "
                          f"got {cfg.domain}")
-    return TensorSplineSpace.from_bounds(lo, hi, n, cfg.degree)
+    return lo, hi
 
 
 def _policy(cfg: FitConfig) -> FitPolicy:
@@ -65,22 +72,20 @@ def _shape_flags(model) -> dict:
     return flags
 
 
-def _normalized_pair(cloud, pred, mode: str):
+def _error_report(cloud: PointCloud, pred, mode: str) -> dict:
+    """Dispersion of pred around the responses, both scaled as mode says."""
     scales = (1.0, float(np.max(np.abs(cloud.y))), float(np.ptp(cloud.y)))  # NORMALIZE's order
     scale = scales[NORMALIZE.index(mode)] or 1.0
-    return cloud.y / scale, np.asarray(pred) / scale
+    return dispersion(cloud.y / scale, np.asarray(pred) / scale).to_dict()
 
 
 def _report(cfg: FitConfig, model, cloud, timings: dict) -> dict:
     t0 = time.perf_counter()
     pred = evaluate(model, np.clip(cloud.x, *model.space.domain))
-    obs, prd = _normalized_pair(cloud, pred, cfg.normalize)
-    err = dispersion(obs, prd).to_dict()
-    err["normalize"] = cfg.normalize
     gb = global_bounds(model, cloud)
     report = {
         "config": dataclasses.asdict(cfg),
-        "error_report": err,
+        "error_report": {**_error_report(cloud, pred, cfg.normalize), "normalize": cfg.normalize},
         "bounds": {"lo": gb.lo, "hi": gb.hi, "verified": gb.verified},
         "shape_flags": _shape_flags(model),
         "timings": dict(timings),
@@ -90,7 +95,7 @@ def _report(cfg: FitConfig, model, cloud, timings: dict) -> dict:
     return report
 
 
-def _save_model(model, path, sigma_eps=None) -> None:
+def _save_model(model, path, sigma_eps, dropped_rows: list) -> None:
     space = model.space
     payload = {
         "degrees": list(space.degrees),
@@ -103,6 +108,7 @@ def _save_model(model, path, sigma_eps=None) -> None:
         "fallback_cells": [[list(k), int(v)]
                            for k, v in model.diagnostics.fallback_cells.items()],
         "sigma_eps": sigma_eps,
+        "dropped_rows": dropped_rows,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
@@ -113,9 +119,14 @@ _MODEL_FIELDS = ("degrees", "knots", "coefficients", "weight", "policy",
 
 
 def load_model(path):
-    """Read a model.json written by fit. A missing field, a non-finite
-    coefficient or a value the model types reject raises ParseError naming
-    the file."""
+    """(model, stored sigma_eps or None) from a model.json; see _read_model."""
+    return _read_model(path)[:2]
+
+
+def _read_model(path):
+    """Read a model.json written by fit: (model, sigma_eps, dropped rows). A
+    missing field, a non-finite coefficient or a value the model types
+    reject raises ParseError naming the file."""
     from .fitting import FitDiagnostics, WqisaModel
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -148,9 +159,38 @@ def load_model(path):
             effective_count=raw["effective_count"],
             diagnostics=diag,
         )
+        dropped = np.array(raw.get("dropped_rows", []), dtype=int)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return model, raw.get("sigma_eps")
+    return model, raw.get("sigma_eps"), dropped
+
+
+def _fitted(cfg: FitConfig, model_path, command: str, estimate_sigma: bool = False):
+    """(model, cloud, noise, covariance) from a model file and all --data rows.
+
+    sigma_eps is --sigma-eps, else the model's, else (estimate_sigma) the
+    residual estimate, else noise and covariance are None. Both come from
+    the rows the fit kept, whose weighted means must be its coefficients.
+    """
+    model, stored_sigma, dropped = _read_model(model_path)
+    cloud = _load_data(cfg, command)
+    used = cloud.subset(np.setdiff1d(np.arange(cloud.n), dropped)) if len(dropped) else cloud
+    sigma = cfg.sigma_eps if cfg.sigma_eps is not None else stored_sigma
+    if sigma is not None:
+        noise = NoiseModel(float(sigma))
+    elif estimate_sigma:
+        noise = estimate_noise_sigma(model, used)
+    else:
+        return model, cloud, None, None
+    cov = coefficient_covariance(used, model.space, model.weight, noise, model.policy)
+    with np.errstate(over="ignore"):  # clipped as in fit
+        terms = used.y.take(cov.cols)
+        terms *= cov.vals  # in place: a second nnz-long array raised eval's peak RSS
+        means = np.clip(_row_sums(terms, cov.indptr), used.y.min(), used.y.max())
+    if not np.array_equal(means, model.spline.coefficients.reshape(-1)):
+        raise ValueError(f"{model_path} was not fitted on {cfg.data}: the weighted means "
+                         "of its rows differ from the stored coefficients")
+    return model, cloud, noise, cov
 
 
 def _eval_grid(space: TensorSplineSpace, density: int | None) -> np.ndarray:
@@ -162,18 +202,6 @@ def _eval_grid(space: TensorSplineSpace, density: int | None) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def _write_grid_csv(path, pts, f, var, lo, hi) -> None:
-    d = pts.shape[1]
-    header = ",".join([f"u_{k + 1}" for k in range(d)] + ["f", "var", "lo", "hi"])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for m in range(len(pts)):
-            cols = [repr(float(v)) for v in pts[m]]
-            cols += [repr(float(f[m])), repr(float(var[m])),
-                     repr(float(lo[m])), repr(float(hi[m]))]
-            fh.write(",".join(cols) + "\n")
-
-
 def _outdir(cfg: FitConfig) -> str:
     out = cfg.out or "."
     os.makedirs(out, exist_ok=True)
@@ -183,15 +211,18 @@ def _outdir(cfg: FitConfig) -> str:
 def _fit_pipeline(cfg: FitConfig, cloud: PointCloud, timings: dict):
     weight = parse_weight(cfg.weight)
     policy = _policy(cfg)
-    space = _space_for(cloud, cfg)
+    space = TensorSplineSpace.from_bounds(*_domain(cloud, cfg, n=cfg.n), cfg.n, cfg.degree)
+    dropped = []
     if cfg.outlier_filter:
         t0 = time.perf_counter()
-        cloud = iqr_outlier_filter(cloud, space, weight, cfg.outlier_factor, policy)
+        keep = iqr_outlier_mask(cloud, space, weight, cfg.outlier_factor, policy)
+        dropped = np.flatnonzero(~keep).tolist()
+        cloud = cloud.subset(np.flatnonzero(keep))
         timings["outlier_filter_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     model = fit(cloud, space, weight, policy)
     timings["fit_s"] = time.perf_counter() - t0
-    return model, cloud
+    return model, cloud, dropped
 
 
 def cmd_gen(cfg: FitConfig, args) -> dict:
@@ -204,67 +235,48 @@ def cmd_gen(cfg: FitConfig, args) -> dict:
 
 
 def cmd_fit(cfg: FitConfig, args) -> dict:
-    if not cfg.data:
-        raise ValueError("fit needs --data (or a config with a data path)")
     timings = {}
     t_all = time.perf_counter()
     t0 = time.perf_counter()
-    cloud = load_cloud(cfg.data)
+    cloud = _load_data(cfg, "fit")
     timings["load_s"] = time.perf_counter() - t0
-    model, used = _fit_pipeline(cfg, cloud, timings)
+    model, used, dropped = _fit_pipeline(cfg, cloud, timings)
     report = _report(cfg, model, used, timings)
     report["timings"]["total_s"] = time.perf_counter() - t_all
     out = _outdir(cfg)
-    _save_model(model, os.path.join(out, "model.json"), sigma_eps=cfg.sigma_eps)
+    _save_model(model, os.path.join(out, "model.json"), cfg.sigma_eps, dropped)
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
     return report
 
 
 def cmd_eval(cfg: FitConfig, args) -> dict:
-    model, stored_sigma = load_model(args.model)
-    if not cfg.data:
-        raise ValueError("eval needs --data (the fitting cloud) for the bands")
-    cloud = load_cloud(cfg.data)
+    model, _, noise, cov = _fitted(cfg, args.model, "eval", estimate_sigma=True)
     pts = _eval_grid(model.space, cfg.grid_density)
     f = evaluate(model, pts)
-    sigma = cfg.sigma_eps if cfg.sigma_eps is not None else stored_sigma
-    if sigma is not None:
-        noise = NoiseModel(float(sigma))
-    else:
-        noise = estimate_noise_sigma(model, cloud)
-    cov = coefficient_covariance(cloud, model.space, model.weight, noise,
-                                 model.policy)
     var = variance_at(model, cov, pts)
     lo, hi = _band(f, var, cfg.alpha)
     out = cfg.out or "grid.csv"
-    _write_grid_csv(out, pts, f, var, lo, hi)
+    header = ",".join([f"u_{k + 1}" for k in range(model.space.d)] + ["f", "var", "lo", "hi"])
+    write_rows(out, np.column_stack([pts, f, var, lo, hi]), header=header)
     return {"written": out, "rows": len(pts), "sigma_eps": noise.sigma_eps,
             "sigma_source": noise.source, "alpha": cfg.alpha}
 
 
 def cmd_cv(cfg: FitConfig, args) -> dict:
-    if not cfg.data:
-        raise ValueError("cv needs --data (or a config with a data path)")
-    cloud = load_cloud(cfg.data)
-    grid = cfg.cv_grid
-    if args.grid:
-        if ":" in args.grid:
-            lo, hi = args.grid.split(":")
-            grid = list(range(int(lo), int(hi) + 1))
-        else:
-            grid = _int_list(args.grid)
-    if not grid:
+    cloud = _load_data(cfg, "cv")
+    if not cfg.cv_grid:
         raise ValueError("cv needs --grid lo:hi or a cv_grid config entry")
+    lo, hi = _domain(cloud, cfg)
     weight = parse_weight(cfg.weight)
     policy = _policy(cfg)
 
-    def fit_candidate(train, n):
-        space = _space_for(cloud, cfg, n=[n])
-        return fit(train, space, weight, policy)
+    @functools.cache  # one space per candidate, shared by its folds
+    def space(n):
+        return TensorSplineSpace.from_bounds(lo, hi, [n], cfg.degree)
 
-    result = kfold_cv(cloud, grid, fit_candidate, folds=cfg.folds,
-                      repeats=cfg.repeats, seed=cfg.seed)
+    result = kfold_cv(cloud, cfg.cv_grid, lambda train, n: fit(train, space(n), weight, policy),
+                      folds=cfg.folds, repeats=cfg.repeats, seed=cfg.seed)
     out = _outdir(cfg)
     curve = os.path.join(out, "cv.csv")
     with open(curve, "w", encoding="utf-8", newline="\n") as fh:
@@ -280,30 +292,23 @@ def cmd_cv(cfg: FitConfig, args) -> dict:
 
 
 def cmd_metrics(cfg: FitConfig, args) -> dict:
-    if not cfg.data:
-        raise ValueError("metrics needs --data")
-    cloud = load_cloud(cfg.data)
     report: dict = {"normalize": cfg.normalize}
     if args.model:
-        model, stored_sigma = load_model(args.model)
+        model, cloud, _, cov = _fitted(cfg, args.model, "metrics")
         pred = evaluate(model, np.clip(cloud.x, *model.space.domain))
-        obs, prd = _normalized_pair(cloud, pred, cfg.normalize)
-        report["error_report"] = dispersion(obs, prd).to_dict()
+        report["error_report"] = _error_report(cloud, pred, cfg.normalize)
         grid = _eval_grid(model.space, cfg.grid_density)
         samples = np.hstack([grid, np.asarray(evaluate(model, grid)).reshape(-1, 1)])
         report["directed_hausdorff"] = directed_hausdorff_normalized(
             cloud.records, samples, cloud)
         report["jaccard"] = jaccard(cloud.records, samples)
-        sigma = cfg.sigma_eps if cfg.sigma_eps is not None else stored_sigma
-        if sigma is not None:
-            cov = coefficient_covariance(cloud, model.space, model.weight,
-                                         NoiseModel(float(sigma)), model.policy)
+        if cov is not None:
             report["band_coverage"] = band_coverage(cloud, model, cov, alpha=cfg.alpha)
     elif args.data2:
+        cloud = _load_data(cfg, "metrics")
         other = load_cloud(args.data2)
         if other.n == cloud.n:
-            obs, prd = _normalized_pair(cloud, other.y, cfg.normalize)
-            report["error_report"] = dispersion(obs, prd).to_dict()
+            report["error_report"] = _error_report(cloud, other.y, cfg.normalize)
         report["directed_hausdorff"] = directed_hausdorff_normalized(
             cloud.records, other.records, cloud)
         report["jaccard"] = jaccard(cloud.records, other.records)
@@ -319,13 +324,13 @@ def cmd_metrics(cfg: FitConfig, args) -> dict:
 def cmd_demo(cfg: FitConfig, args) -> dict:
     """End-to-end run: generate, cross-validate, fit, band, report."""
     out = _outdir(cfg)
-    sigma = args.sigma
-    data = gen_synthetic("sine", args.count, cfg.seed, sigma=sigma)
+    data = gen_synthetic("sine", args.count, cfg.seed, sigma=args.sigma)
     cloud_path = os.path.join(out, "cloud.xyz")
     save_cloud(data.cloud, cloud_path)
-    cfg = cfg.override(data=cloud_path, sigma_eps=sigma, out=out)
-    cv_args = argparse.Namespace(grid=args.grid)
-    best = cmd_cv(cfg, cv_args)
+    cfg = cfg.override(data=cloud_path, sigma_eps=args.sigma, out=out)
+    if cfg.cv_grid is None:
+        cfg = cfg.override(cv_grid=list(range(5, 51)))
+    best = cmd_cv(cfg, args)
     cfg = cfg.override(n=[int(best["best"])])
     report = cmd_fit(cfg, args)
     eval_args = argparse.Namespace(model=os.path.join(out, "model.json"))
@@ -364,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(ev, "data sigma_eps alpha grid_density out")
 
     cv = subs.add_parser("cv", help="cross-validate the basis count")
-    cv.add_argument("--grid", help="candidate n values, lo:hi or comma list")
-    _add_options(cv, "data degree weight policy seed folds repeats out")
+    _add_options(cv, "data degree weight policy seed cv_grid folds repeats out")
 
     met = subs.add_parser("metrics", help="compare a cloud against a model or cloud")
     met.add_argument("--model", help="model.json from fit")
@@ -375,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo = subs.add_parser("demo", help="generate, cross-validate, fit and report")
     demo.add_argument("--count", type=int, default=300)
     demo.add_argument("--sigma", type=float, default=0.3)
-    demo.add_argument("--grid", default="5:50")
-    _add_options(demo, "degree weight policy seed alpha grid_density folds repeats "
+    _add_options(demo, "degree weight policy seed cv_grid alpha grid_density folds repeats "
                        "normalize outlier_filter outlier_factor out")
     return ap
 

@@ -16,6 +16,12 @@ def _int_list(text: str) -> list[int]:
     return [int(p) for p in str(text).split(",")]
 
 
+def _int_range(text: str) -> list[int]:
+    """lo:hi, both ends included, or a comma list."""
+    lo, colon, hi = str(text).partition(":")
+    return list(range(int(lo), int(hi) + 1)) if colon else _int_list(text)
+
+
 def _flag(flag: str, text: str, default=None, **kind):
     """A flagged field: text is its help, kind its argparse settings, choices its allowed values."""
     return field(default_factory=lambda: list(default) if isinstance(default, list) else default,
@@ -49,7 +55,8 @@ class FitConfig:
     outlier_factor: float = _flag("--outlier-factor", "interquartile whisker factor", 1.5, type=float)
     folds: int = _flag("--folds", "cross-validation folds", 5, type=int)
     repeats: int = _flag("--repeats", "cross-validation repeats", 1, type=int)
-    cv_grid: list[int] | None = None
+    cv_grid: list[int] | None = _flag("--grid", "candidate n values, lo:hi or comma list",
+                                      type=_int_range)
     grid_density: int | None = _flag("--density", "evaluation grid points per axis", type=int)
     normalize: str = _flag("--normalize", "residual scaling in reports", "none", choices=NORMALIZE)
     out: str | None = _flag("--out", "output file or directory")

@@ -83,10 +83,16 @@ def _first_bad_line(path, sep) -> ParseError:
 
 def save_cloud(cloud: PointCloud, path, format: str = "xyz") -> None:
     """Write a cloud with shortest round-trip decimal serialization."""
-    sep = "," if format == "csv" else " "
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in cloud.records:
-            fh.write(sep.join(repr(float(v)) for v in row) + "\n")
+    write_rows(path, cloud.records, sep="," if format == "csv" else " ")
+
+
+def write_rows(path, rows, sep: str = ",", header: str | None = None) -> None:
+    """Write a 2-D array as lines of shortest round-trip decimals, after an optional header."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for row in np.asarray(rows, dtype=float):
+            fh.write(sep.join(map(repr, row.tolist())) + "\n")
 
 
 def variable_noise_scale(x) -> np.ndarray:

@@ -277,7 +277,8 @@ def _windows(space: TensorSplineSpace, pts: np.ndarray) -> tuple[np.ndarray, np.
         idx = spans[:, None] - kv.degree + np.arange(kv.degree + 1)[None, :]
         flat = flat * kv.n + idx.reshape(shape)
         vals = vals * rows.reshape(shape)
-    return flat.reshape(m, -1), vals.reshape(m, -1)
+    width = int(np.prod([p + 1 for p in space.degrees]))  # -1 cannot size an empty batch
+    return flat.reshape(m, width), vals.reshape(m, width)
 
 
 def basis_row(space: TensorSplineSpace, u) -> tuple[tuple[int, ...], np.ndarray]:

@@ -256,6 +256,19 @@ class TestVarianceLaw:
         with pytest.raises(DomainError):
             variance_at(model, cov, 1.5)
 
+    @pytest.mark.parametrize("d, spec", [(2, WeightSpec.knn(9)), (2, WeightSpec.gaussian(0.3)),
+                                         (1, WeightSpec.knn(5))])
+    def test_empty_batch_gives_empty_results(self, d, spec):
+        rng = np.random.default_rng(5)
+        cloud = PointCloud(rng.uniform(-1, 1, (60, d)), rng.standard_normal(60))
+        space = TensorSplineSpace((space_1d(6).axes[0],) * d)
+        model = fit(cloud, space, spec)
+        cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.5))
+        empty = np.empty((0, d))
+        assert evaluate(model, empty).shape == (0,)
+        assert variance_at(model, cov, empty).shape == (0,)
+        assert [a.shape for a in se_band(model, cov, empty)] == [(0,), (0,)]
+
     def test_monte_carlo_agreement(self):
         # Empirical variance of the fitted value under refits with fresh
         # noise must sit within sampling error of the exact formula.

@@ -365,6 +365,103 @@ class TestCliPipeline:
         assert (tmp_path / "grid.csv").exists()
         assert (tmp_path / "model.json").exists()
 
+    def test_demo_reads_the_grid_of_a_config_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"cv_grid": [6, 7]}))
+        code, rep = run_cli(capsys, "demo", "--config", str(cfg_path), "--count", "100",
+                            "--folds", "3", "--policy", "nearest", "--out", str(tmp_path))
+        assert code == 0 and rep["best_n"] in (6, 7)
+        assert len((tmp_path / "cv.csv").read_text().splitlines()) == 3
+        assert rep["report"]["config"]["cv_grid"] == [6, 7]
+
+    @pytest.mark.parametrize("flag, grid", [("6,9,12", [6, 9, 12]), ("4:8", [4, 5, 6, 7, 8])])
+    def test_grid_flag_and_config_key_agree(self, tmp_path, capsys, flag, grid):
+        for command in ("cv", "demo"):
+            assert build_parser().parse_args([command, "--grid", flag]).cv_grid == grid
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "90", "--seed", "4", "--out", str(cloud_path))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"cv_grid": grid}))
+        for source, out in ((["--grid", flag], "flag"), (["--config", str(cfg_path)], "key")):
+            code, _ = run_cli(capsys, "cv", "--data", str(cloud_path), "--folds", "3",
+                              "--policy", "nearest", "--out", str(tmp_path / out), *source)
+            assert code == 0
+        curve = (tmp_path / "key" / "cv.csv").read_text()
+        assert curve == (tmp_path / "flag" / "cv.csv").read_text()
+        assert [int(line.split(",")[0]) for line in curve.splitlines()[1:]] == grid
+
+    @pytest.mark.parametrize("flags, raw, message", [
+        (["--degree", "2,2,2"], {}, "degree needs 1 entry or one per axis of the 1-D cloud, got 3"),
+        ([], {"domain": [[0, 3, 9]]}, "domain needs one [lo, hi] pair per axis of the 1-D cloud"),
+    ])
+    def test_cv_names_a_bad_per_axis_list(self, tmp_path, capsys, flags, raw, message):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "60", "--out", str(cloud_path))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(raw))
+        code, payload = run_cli(capsys, "cv", "--config", str(cfg_path), *flags, "--grid", "5:7",
+                                "--data", str(cloud_path), "--out", str(tmp_path / "cv"))
+        assert code == 1 and payload["error"]["type"] == "ValueError"
+        assert payload["error"]["message"].startswith(message)
+        assert not (tmp_path / "cv").exists()
+
+    def test_cv_candidate_that_cannot_build_fails_alone(self, tmp_path, capsys):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "90", "--seed", "2", "--out", str(cloud_path))
+        code, best = run_cli(capsys, "cv", "--data", str(cloud_path), "--grid", "2,5,6",
+                             "--folds", "3", "--policy", "nearest", "--out", str(tmp_path))
+        assert code == 0 and best["best"] in (5, 6)
+        rows = (tmp_path / "cv.csv").read_text().splitlines()[1:]
+        assert rows[0] == "2,inf" and all(math.isfinite(float(r.split(",")[1])) for r in rows[1:])
+
+    def test_eval_and_metrics_use_the_rows_the_fit_kept(self, tmp_path, capsys):
+        from wqisa import (NoiseModel, band_coverage, coefficient_covariance, fit,
+                           variance_at)
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--kind", "sine_outliers", "--count", "400", "--seed", "7",
+                "--out", str(cloud_path))
+        run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "12", "--outlier-filter",
+                "--weight", "characteristic:r=0.3", "--sigma-eps", "0.3", "--out", str(tmp_path))
+        model_path = tmp_path / "model.json"
+        dropped = json.loads(model_path.read_text())["dropped_rows"]
+        cloud = load_cloud(cloud_path)
+        kept = cloud.subset(np.setdiff1d(np.arange(cloud.n), dropped))
+        assert 0 < len(dropped) < cloud.n
+        model, _ = load_model(model_path)
+        space, spec, policy = model.space, model.weight, model.policy
+        assert np.array_equal(fit(kept, space, spec, policy).spline.coefficients,
+                              model.spline.coefficients)
+        cov = coefficient_covariance(kept, space, spec, NoiseModel(0.3), policy)
+        grid_path = tmp_path / "grid.csv"
+        code, _ = run_cli(capsys, "eval", "--model", str(model_path), "--data", str(cloud_path),
+                          "--density", "16", "--out", str(grid_path))
+        assert code == 0
+        grid = np.loadtxt(grid_path, delimiter=",", skiprows=1)
+        assert np.array_equal(grid[:, 2], variance_at(model, cov, grid[:, :1]))
+        code, rep = run_cli(capsys, "metrics", "--model", str(model_path),
+                            "--data", str(cloud_path), "--sigma-eps", "0.3")
+        assert code == 0 and rep["band_coverage"] == band_coverage(cloud, model, cov)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("eval", ["--density", "8", "--out"]),
+        ("metrics", ["--sigma-eps", "0.3", "--out"]),
+    ])
+    def test_model_and_another_cloud_fail_naming_both_files(self, tmp_path, capsys,
+                                                            command, extra):
+        fitted, other = tmp_path / "a.xyz", tmp_path / "b.xyz"
+        run_cli(capsys, "gen", "--count", "120", "--seed", "1", "--out", str(fitted))
+        run_cli(capsys, "gen", "--count", "120", "--seed", "2", "--out", str(other))
+        run_cli(capsys, "fit", "--data", str(fitted), "--n", "8", "--sigma-eps", "0.3",
+                "--out", str(tmp_path))
+        model_path = tmp_path / "model.json"
+        out = tmp_path / "out"
+        code, payload = run_cli(capsys, command, "--model", str(model_path),
+                                "--data", str(other), *extra, str(out))
+        assert code == 1 and payload["error"]["type"] == "ValueError"
+        assert str(model_path) in payload["error"]["message"]
+        assert str(other) in payload["error"]["message"]
+        assert not out.exists()
+
     def test_failure_prints_error_json_and_exits_nonzero(self, capsys):
         code, payload = run_cli(capsys, "fit")
         assert code == 1
@@ -427,6 +524,7 @@ class TestModelFiles:
         ("coefficients", [0.5] * 3, "coefficient shape"),
         ("policy", {"empty_support": "skip"}, "empty_support"),
         ("weight", "gaussian:sigma=nan", "sigma > 0"),
+        ("dropped_rows", ["a"], "invalid literal"),
     ])
     def test_invalid_field_named_with_the_file(self, fitted, field, value, match):
         _, model_path, raw = fitted
@@ -435,6 +533,16 @@ class TestModelFiles:
         with pytest.raises(ParseError, match=match) as exc:
             load_model(model_path)
         assert str(model_path) in str(exc.value)
+
+    def test_file_without_dropped_rows_evaluates_as_before(self, fitted, tmp_path, capsys):
+        cloud_path, model_path, raw = fitted
+        argv = ["eval", "--model", str(model_path), "--data", str(cloud_path),
+                "--sigma-eps", "0.3", "--out"]
+        assert run_cli(capsys, *argv, str(tmp_path / "with.csv"))[0] == 0
+        del raw["dropped_rows"]
+        model_path.write_text(json.dumps(raw))
+        assert run_cli(capsys, *argv, str(tmp_path / "without.csv"))[0] == 0
+        assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
 
     def test_non_finite_coefficient_rejected(self, fitted, tmp_path, capsys):
         cloud_path, model_path, raw = fitted
@@ -456,14 +564,14 @@ READS = {
     "fit": {"data", "degree", "n", "weight", "policy", "sigma_eps", "normalize",
             "outlier_filter", "outlier_factor", "out"},
     "eval": {"data", "sigma_eps", "alpha", "grid_density", "out"},
-    "cv": {"data", "degree", "weight", "policy", "seed", "folds", "repeats", "out"},
+    "cv": {"data", "degree", "weight", "policy", "seed", "cv_grid", "folds", "repeats", "out"},
     "metrics": {"data", "sigma_eps", "alpha", "grid_density", "normalize", "out"},
-    "demo": {"degree", "weight", "policy", "seed", "alpha", "grid_density", "folds",
+    "demo": {"degree", "weight", "policy", "seed", "cv_grid", "alpha", "grid_density", "folds",
              "repeats", "normalize", "outlier_filter", "outlier_factor", "out"},
 }
 OWN_FLAGS = {"gen": {"kind", "count", "sigma", "outlier_fraction", "outlier_magnitude"},
-             "fit": set(), "eval": {"model"}, "cv": {"grid"}, "metrics": {"model", "data2"},
-             "demo": {"count", "sigma", "grid"}}
+             "fit": set(), "eval": {"model"}, "cv": set(), "metrics": {"model", "data2"},
+             "demo": {"count", "sigma"}}
 
 
 class TestConfigPrecedence:
@@ -491,7 +599,7 @@ class TestConfigPrecedence:
             dests = {a.dest for a in parser._actions if a.option_strings}
             assert dests - {"help", "config"} - OWN_FLAGS[command] == READS[command], command
             assert READS[command] <= {f.name for f in dataclasses.fields(FitConfig)}
-        assert sum(map(len, READS.values())) == 43
+        assert sum(map(len, READS.values())) == 45
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--degree", "2"],
