@@ -8,6 +8,7 @@ override. Failures print a machine-readable {"error": ...} and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import base64
 import dataclasses
 import functools
 import json
@@ -17,14 +18,19 @@ import time
 
 import numpy as np
 
+try:  # the interpreter's own sha256, which loads no library; see _sha256
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 from .config import NORMALIZE, FitConfig
 from .errors import ParseError
-from .fitting import (FitPolicy, PointCloud, _row_sums, classify_convexity,
+from .fitting import (LOCAL_FAMILIES, FitPolicy, PointCloud, classify_convexity,
                       classify_monotone, evaluate, fit, global_bounds,
                       iqr_outlier_mask)
-from .inference import (NoiseModel, _band, coefficient_covariance,
-                        estimate_noise_sigma, kfold_cv, select_parsimonious,
-                        variance_at)
+from .inference import (CoefficientCovariance, NoiseModel, _band, _PairedBand,
+                        coefficient_covariance, estimate_noise_sigma, half_band,
+                        kfold_cv, select_parsimonious, variance_at)
 from .io import gen_synthetic, load_cloud, save_cloud, write_rows
 from .metrics import (band_coverage, directed_hausdorff_normalized, dispersion,
                       jaccard)
@@ -95,9 +101,29 @@ def _report(cfg: FitConfig, model, cloud, timings: dict) -> dict:
     return report
 
 
-def _save_model(model, path, sigma_eps, dropped_rows: list) -> None:
+MODEL_FORMAT = 2
+
+
+def _sha256(path, new=sha256) -> str:
+    """Hex sha256 of a file's bytes, read in 1 MiB pieces. eval and metrics
+    check a digest with the interpreter's own module: hashlib's OpenSSL one
+    is 8x faster, but loading it adds 3.6 MiB of resident memory, about all
+    that eval itself uses on a 70 x 70 model. fit, which writes the digest
+    after its memory peak, uses OpenSSL's."""
+    digest = new()
+    with open(path, "rb") as fh:
+        for piece in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(piece)
+    return digest.hexdigest()
+
+
+def _save_model(model, path, sigma_eps, dropped_rows: list, band=None, data=None) -> None:
+    """model.json; a covariance band, when given, goes in as base64
+    little-endian float64 bytes next to the sha256 of the data file it was
+    built from."""
     space = model.space
     payload = {
+        "format": MODEL_FORMAT,
         "degrees": list(space.degrees),
         "knots": [list(map(float, kv.knots)) for kv in space.axes],
         "coefficients": model.spline.coefficients.tolist(),
@@ -110,6 +136,10 @@ def _save_model(model, path, sigma_eps, dropped_rows: list) -> None:
         "sigma_eps": sigma_eps,
         "dropped_rows": dropped_rows,
     }
+    if band is not None:
+        import hashlib  # OpenSSL's sha256; see _sha256
+        payload["band"] = base64.b64encode(band.astype("<f8").tobytes()).decode("ascii")
+        payload["data_sha256"] = _sha256(data, hashlib.sha256)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 
@@ -124,9 +154,12 @@ def load_model(path):
 
 
 def _read_model(path):
-    """Read a model.json written by fit: (model, sigma_eps, dropped rows). A
-    missing field, a non-finite coefficient or a value the model types
-    reject raises ParseError naming the file."""
+    """Read a model.json written by fit: (model, sigma_eps, dropped rows,
+    covariance band or None, sha256 of the fitted data file or None). A
+    missing field, an unknown format, a non-finite coefficient, a band that
+    is not base64 of (dim, H) floats with a finite band and a nonnegative
+    diagonal, or a value the model types reject raises ParseError naming
+    the file. A file without "format" is format 1, which has no band."""
     from .fitting import FitDiagnostics, WqisaModel
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -135,6 +168,8 @@ def _read_model(path):
     for key in _MODEL_FIELDS:
         if key not in raw:
             raise ParseError(f"{path}: missing model field {key!r}")
+    if raw.get("format", 1) not in (1, MODEL_FORMAT):
+        raise ParseError(f"{path}: unknown model format {raw['format']!r}")
     try:
         if len(raw["degrees"]) != len(raw["knots"]):
             raise ParseError(f"{path}: {len(raw['degrees'])} degrees for "
@@ -162,35 +197,62 @@ def _read_model(path):
         dropped = np.array(raw.get("dropped_rows", []), dtype=int)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return model, raw.get("sigma_eps"), dropped
+    band = None if "band" not in raw else _read_band(path, raw["band"], space)
+    return model, raw.get("sigma_eps"), dropped, band, raw.get("data_sha256")
+
+
+def _read_band(path, text, space) -> np.ndarray:
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise ParseError(f"{path}: band is not valid base64") from None
+    shape = (space.dim, len(half_band(space)))
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise ParseError(f"{path}: band holds {len(raw) / 8:g} floats, not {shape[0]} x "
+                         f"{shape[1]} for a {space.shape} grid of degrees {space.degrees}")
+    band = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+    bad = np.flatnonzero(~np.isfinite(band).all(axis=1) | (band[:, 0] < 0.0))
+    if len(bad):
+        i = int(bad[0])
+        raise ParseError(f"{path}: band row {i} has a non-finite entry or a negative "
+                         f"diagonal: {band[i].tolist()}")
+    return band
 
 
 def _fitted(cfg: FitConfig, model_path, command: str, estimate_sigma: bool = False):
-    """(model, cloud, noise, covariance) from a model file and all --data rows.
+    """(model, cloud, noise, covariance, "model" or "data") from a model file
+    and the --data rows.
 
     sigma_eps is --sigma-eps, else the model's, else (estimate_sigma) the
-    residual estimate, else noise and covariance are None. Both come from
-    the rows the fit kept, whose weighted means must be its coefficients.
+    residual estimate from the rows the fit kept, else noise and covariance
+    are None. The covariance is the model's stored band when its data file
+    is --data unchanged (same sha256), or when no --data is given and
+    sigma_eps is known; the cloud is then read only when sigma_eps must be
+    estimated or metrics needs its rows, and is None otherwise. Else it is
+    built from the rows the fit kept, whose weighted means must be the
+    stored coefficients.
     """
-    model, stored_sigma, dropped = _read_model(model_path)
-    cloud = _load_data(cfg, command)
-    used = cloud.subset(np.setdiff1d(np.arange(cloud.n), dropped)) if len(dropped) else cloud
+    model, stored_sigma, dropped, band, digest = _read_model(model_path)
     sigma = cfg.sigma_eps if cfg.sigma_eps is not None else stored_sigma
+    stored = band is not None and (_sha256(cfg.data) == digest if cfg.data else sigma is not None)
+    cloud = used = None
+    if not (stored and command == "eval" and sigma is not None):
+        cloud = _load_data(cfg, command)
+        used = cloud.subset(np.setdiff1d(np.arange(cloud.n), dropped)) if len(dropped) else cloud
     if sigma is not None:
         noise = NoiseModel(float(sigma))
     elif estimate_sigma:
         noise = estimate_noise_sigma(model, used)
     else:
-        return model, cloud, None, None
+        return model, cloud, None, None, None
+    if stored:
+        cov = CoefficientCovariance(noise.sigma_eps, model.space, band)
+        return model, cloud, noise, cov, "model"
     cov = coefficient_covariance(used, model.space, model.weight, noise, model.policy)
-    with np.errstate(over="ignore"):  # clipped as in fit
-        terms = used.y.take(cov.cols)
-        terms *= cov.vals  # in place: a second nnz-long array raised eval's peak RSS
-        means = np.clip(_row_sums(terms, cov.indptr), used.y.min(), used.y.max())
-    if not np.array_equal(means, model.spline.coefficients.reshape(-1)):
+    if not np.array_equal(cov.means, model.spline.coefficients.reshape(-1)):
         raise ValueError(f"{model_path} was not fitted on {cfg.data}: the weighted means "
                          "of its rows differ from the stored coefficients")
-    return model, cloud, noise, cov
+    return model, cloud, noise, cov, "data"
 
 
 def _eval_grid(space: TensorSplineSpace, density: int | None) -> np.ndarray:
@@ -209,6 +271,8 @@ def _outdir(cfg: FitConfig) -> str:
 
 
 def _fit_pipeline(cfg: FitConfig, cloud: PointCloud, timings: dict):
+    """(model, the rows it used, dropped rows, covariance band or None): the
+    band of the local families comes from the fit's own pass over V."""
     weight = parse_weight(cfg.weight)
     policy = _policy(cfg)
     space = TensorSplineSpace.from_bounds(*_domain(cloud, cfg, n=cfg.n), cfg.n, cfg.degree)
@@ -220,9 +284,10 @@ def _fit_pipeline(cfg: FitConfig, cloud: PointCloud, timings: dict):
         cloud = cloud.subset(np.flatnonzero(keep))
         timings["outlier_filter_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    model = fit(cloud, space, weight, policy)
+    builder = _PairedBand(space) if weight.family in LOCAL_FAMILIES else None
+    model = fit(cloud, space, weight, policy, _tap=None if builder is None else builder.add)
     timings["fit_s"] = time.perf_counter() - t0
-    return model, cloud, dropped
+    return model, cloud, dropped, None if builder is None else builder.result()
 
 
 def cmd_gen(cfg: FitConfig, args) -> dict:
@@ -240,18 +305,18 @@ def cmd_fit(cfg: FitConfig, args) -> dict:
     t0 = time.perf_counter()
     cloud = _load_data(cfg, "fit")
     timings["load_s"] = time.perf_counter() - t0
-    model, used, dropped = _fit_pipeline(cfg, cloud, timings)
+    model, used, dropped, band = _fit_pipeline(cfg, cloud, timings)
     report = _report(cfg, model, used, timings)
     report["timings"]["total_s"] = time.perf_counter() - t_all
     out = _outdir(cfg)
-    _save_model(model, os.path.join(out, "model.json"), cfg.sigma_eps, dropped)
+    _save_model(model, os.path.join(out, "model.json"), cfg.sigma_eps, dropped, band, cfg.data)
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
     return report
 
 
 def cmd_eval(cfg: FitConfig, args) -> dict:
-    model, _, noise, cov = _fitted(cfg, args.model, "eval", estimate_sigma=True)
+    model, _, noise, cov, source = _fitted(cfg, args.model, "eval", estimate_sigma=True)
     pts = _eval_grid(model.space, cfg.grid_density)
     f = evaluate(model, pts)
     var = variance_at(model, cov, pts)
@@ -260,7 +325,7 @@ def cmd_eval(cfg: FitConfig, args) -> dict:
     header = ",".join([f"u_{k + 1}" for k in range(model.space.d)] + ["f", "var", "lo", "hi"])
     write_rows(out, np.column_stack([pts, f, var, lo, hi]), header=header)
     return {"written": out, "rows": len(pts), "sigma_eps": noise.sigma_eps,
-            "sigma_source": noise.source, "alpha": cfg.alpha}
+            "sigma_source": noise.source, "alpha": cfg.alpha, "covariance": source}
 
 
 def cmd_cv(cfg: FitConfig, args) -> dict:
@@ -294,7 +359,7 @@ def cmd_cv(cfg: FitConfig, args) -> dict:
 def cmd_metrics(cfg: FitConfig, args) -> dict:
     report: dict = {"normalize": cfg.normalize}
     if args.model:
-        model, cloud, _, cov = _fitted(cfg, args.model, "metrics")
+        model, cloud, _, cov, source = _fitted(cfg, args.model, "metrics")
         pred = evaluate(model, np.clip(cloud.x, *model.space.domain))
         report["error_report"] = _error_report(cloud, pred, cfg.normalize)
         grid = _eval_grid(model.space, cfg.grid_density)
@@ -304,6 +369,7 @@ def cmd_metrics(cfg: FitConfig, args) -> dict:
         report["jaccard"] = jaccard(cloud.records, samples)
         if cov is not None:
             report["band_coverage"] = band_coverage(cloud, model, cov, alpha=cfg.alpha)
+            report["covariance"] = source
     elif args.data2:
         cloud = _load_data(cfg, "metrics")
         other = load_cloud(args.data2)

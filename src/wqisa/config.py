@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import dataclass, field, fields, replace
 
@@ -22,10 +23,11 @@ def _int_range(text: str) -> list[int]:
     return list(range(int(lo), int(hi) + 1)) if colon else _int_list(text)
 
 
-def _flag(flag: str, text: str, default=None, **kind):
-    """A flagged field: text is its help, kind its argparse settings, choices its allowed values."""
+def _flag(flag: str, text: str, default=None, valid=None, **kind):
+    """A flagged field: text is its help, kind its argparse settings, choices its allowed
+    values, valid an optional (test, wording) range check of its value."""
     return field(default_factory=lambda: list(default) if isinstance(default, list) else default,
-                 metadata={"flag": flag, "kind": dict(help=text, **kind)})
+                 metadata={"flag": flag, "kind": dict(help=text, **kind), "valid": valid})
 
 
 def _fits(value, hint) -> bool:
@@ -48,16 +50,22 @@ class FitConfig:
     drop_outside: bool = False
     domain: list[list[float]] | None = None  # [[lo, hi], ...] per axis
     seed: int = _flag("--seed", "RNG seed", 0, type=int)
-    alpha: float = _flag("--alpha", "band miss probability (0.05 = 95%% band)", 0.05, type=float)
-    sigma_eps: float | None = _flag("--sigma-eps", "known noise standard deviation", type=float)
+    alpha: float = _flag("--alpha", "band miss probability (0.05 = 95%% band)", 0.05,
+                         (lambda v: 0.0 < v < 1.0, "in (0, 1)"), type=float)
+    sigma_eps: float | None = _flag("--sigma-eps", "known noise standard deviation", None,
+                                    (lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
+                                    type=float)
     outlier_filter: bool = _flag("--outlier-filter", "drop interquartile-rule outliers before "
                                  "fitting", False, action="store_true")
-    outlier_factor: float = _flag("--outlier-factor", "interquartile whisker factor", 1.5, type=float)
-    folds: int = _flag("--folds", "cross-validation folds", 5, type=int)
-    repeats: int = _flag("--repeats", "cross-validation repeats", 1, type=int)
+    outlier_factor: float = _flag("--outlier-factor", "interquartile whisker factor", 1.5,
+                                  (lambda v: v >= 0.0, ">= 0"), type=float)
+    folds: int = _flag("--folds", "cross-validation folds", 5, (lambda v: v >= 2, ">= 2"), type=int)
+    repeats: int = _flag("--repeats", "cross-validation repeats", 1, (lambda v: v >= 1, ">= 1"),
+                         type=int)
     cv_grid: list[int] | None = _flag("--grid", "candidate n values, lo:hi or comma list",
                                       type=_int_range)
-    grid_density: int | None = _flag("--density", "evaluation grid points per axis", type=int)
+    grid_density: int | None = _flag("--density", "evaluation grid points per axis", None,
+                                     (lambda v: v >= 1, ">= 1"), type=int)
     normalize: str = _flag("--normalize", "residual scaling in reports", "none", choices=NORMALIZE)
     out: str | None = _flag("--out", "output file or directory")
 
@@ -67,6 +75,9 @@ class FitConfig:
             value, allowed = getattr(self, f.name), f.metadata.get("kind", {}).get("choices")
             if not _fits(value, hints[f.name]) or allowed and value not in allowed:
                 raise ValueError(f"{f.name} must be {allowed or f.type}, got {value!r}")
+            test, wording = f.metadata.get("valid") or (None, None)
+            if test and value is not None and not test(value):
+                raise ValueError(f"{f.name} must be {wording}, got {value!r}")
         parse_weight(self.weight)
 
     @classmethod

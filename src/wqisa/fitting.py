@@ -24,6 +24,7 @@ from .weights import WeightSpec, cloud_weights
 # clouds above this size fall back to the bounding-box diagonal diameter
 EXACT_DIAMETER_LIMIT = 5000
 EMPTY_SUPPORT = ("error", "nearest")  # FitPolicy.empty_support values
+LOCAL_FAMILIES = ("knn", "characteristic")  # weight rows found through the k-d tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +231,7 @@ def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpe
     mesh = np.meshgrid(*space.knot_average_grids, indexing="ij")
     sites = np.stack(mesh, axis=-1).reshape(-1, space.d)
     flats = np.arange(space.dim) if flats is None else np.asarray(flats).reshape(-1)
-    step = SITE_BLOCK if weight.family in ("knn", "characteristic") else 1
+    step = SITE_BLOCK if weight.family in LOCAL_FAMILIES else 1
     starved = []
     for first in range(0, len(flats), step):
         block = flats[first:first + step]
@@ -275,12 +276,14 @@ def _index_tuple(flat: int, shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def fit(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
-        policy: FitPolicy = FitPolicy()) -> WqisaModel:
+        policy: FitPolicy = FitPolicy(), *, _tap=None) -> WqisaModel:
     """Fit the spline whose coefficients are control-point estimates.
 
     One estimator call per coefficient, anchored at the tensor grid of knot
     averages; no linear algebra beyond weighted means. Memory stays
-    O(N + coefficients) whatever the weight support.
+    O(N + coefficients) whatever the weight support. _tap, when given, is
+    called with every WeightBlock the fit reduces, so a consumer of V (the
+    covariance band) shares the fit's one neighbour pass.
     """
     coeffs = np.empty(space.dim)
     sizes = np.empty(space.dim, dtype=int)
@@ -289,6 +292,8 @@ def fit(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
     lookups = 0
     fallbacks = {}
     for block in weight_blocks(cloud, space, weight, policy):
+        if _tap is not None:
+            _tap(block)
         with np.errstate(over="ignore"):
             coeffs[block.flats] = _row_sums(cloud.y.take(block.cols) * block.vals, block.indptr)
         sizes[block.flats] = block.indptr[1:] - block.indptr[:-1]

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WqisaError
-from .fitting import FitPolicy, PointCloud, WqisaModel, _row_sums, evaluate, weight_blocks
-from .kdtree import _positions
+from .fitting import (LOCAL_FAMILIES, FitPolicy, PointCloud, WqisaModel, _row_sums, evaluate,
+                      fit, weight_blocks)
 from .splines import TensorSplineSpace, _normalize_points, _windows
 from .weights import WeightSpec
 
@@ -34,101 +34,177 @@ class NoiseModel:
             raise ValueError(f"sigma_eps must be finite and >= 0, got {self.sigma_eps}")
 
 
-class CoefficientCovariance:
-    """Exact covariance of the coefficient estimators, sigma^2 * V V^T.
+def _c_strides(shape) -> np.ndarray:
+    """Element strides of a C-order array of this shape."""
+    return np.cumprod(np.append(1, np.asarray(shape)[:0:-1]))[::-1]
 
-    V is the (dim, N) operator of normalised weight rows, c = V y, stored
-    as CSR arrays: row i holds vals[indptr[i]:indptr[i+1]] at cloud rows
-    cols[indptr[i]:indptr[i+1]].
+
+def half_band(space: TensorSplineSpace) -> np.ndarray:
+    """(H, d) coefficient offsets of the covariance band: the second half of
+    the C-order listing of every delta with |delta_k| <= p_k, i.e. the
+    lexicographically nonnegative ones in lexicographic order, so slot 0 is
+    the diagonal and of delta and -delta exactly one is listed. Since p_k <
+    n_k these are the deltas of nonnegative flat offset. H = ((2p+1)^d + 1)
+    / 2 for degree p on every axis: 13 for degree 2 in 2-D."""
+    p = np.array(space.degrees)
+    every = np.indices(2 * p + 1).reshape(space.d, -1).T - p
+    return every[len(every) // 2:]
+
+
+def _window_table(space: TensorSplineSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, slot), both (F, F) for the F = prod(p_k + 1) window positions
+    of _windows: the band entry of positions a and b is
+    band[flat of position lower[a, b], slot[a, b]]. Every point's window is
+    the same box, so the table is fixed per space."""
+    p = np.array(space.degrees)
+    pos = np.indices(p + 1).reshape(space.d, -1).T
+    code = (pos[None, :, :] - pos[:, None, :] + p) @ _c_strides(2 * p + 1)  # b - a
+    half = int(np.prod(2 * p + 1)) // 2
+    up = code >= half
+    lower = np.where(up, np.arange(len(pos))[:, None], np.arange(len(pos))[None, :])
+    return lower, np.where(up, code, 2 * half - code) - half
+
+
+class CoefficientCovariance:
+    """Exact covariance sigma^2 V V^T of the coefficient estimators, kept as
+    the half band of the Gram matrix G = V V^T.
+
+    V is the (dim, N) operator of normalised weight rows, c = V y. The
+    variance at any point reads G only at coefficient pairs whose indices
+    differ by at most p_k on every axis, so band[i, s] holds <V_i, V_j> for
+    j = i + half_band(space)[s], and 0 where j leaves the grid: H floats per
+    coefficient, whatever the weight family and N. means is V y of the
+    cloud the band was built from, clipped as in fit; a band read from a
+    model file has none.
     """
 
-    def __init__(self, sigma_eps: float, grid_shape: tuple[int, ...],
-                 indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                 n_points: int):
+    def __init__(self, sigma_eps: float, space: TensorSplineSpace, band: np.ndarray,
+                 means: np.ndarray | None = None, source: tuple | None = None):
         self.sigma_eps = float(sigma_eps)
-        self.grid_shape = tuple(grid_shape)
-        self.dim = int(np.prod(grid_shape))
-        self.indptr = indptr
-        self.cols = cols
-        self.vals = vals
-        self.n_points = int(n_points)
+        self.grid_shape = space.shape
+        self.band = band
+        self.means = means
+        self._source = source  # (cloud, space, weight, policy) the band came from
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense (dim, dim) covariance; O(dim * (dim + N)) memory, for checks only."""
-        v = np.zeros((self.dim, self.n_points))
-        v[np.repeat(np.arange(self.dim), np.diff(self.indptr)), self.cols] = self.vals
+        """Dense (dim, dim) covariance, rebuilt from the cloud; O(dim * (dim + N))
+        memory, for checks only."""
+        if self._source is None:
+            raise ValueError("this covariance holds only its band, as read from a model "
+                             "file; the dense matrix needs the cloud it was fitted on")
+        cloud, space, weight, policy = self._source
+        v = np.zeros((space.dim, cloud.n))
+        for b in weight_blocks(cloud, space, weight, policy):
+            v[np.repeat(b.flats, np.diff(b.indptr)), b.cols] = b.vals
         return self.sigma_eps**2 * (v @ v.T)
+
+
+class _PairedBand:
+    """The half band of G = V V^T from the rows of a local family (knn,
+    ball), paired as in Gustavson's sparse product: add keeps each block's
+    CSR entries, and result pairs the entries that share a cloud row and
+    adds the pairs whose offset lies in the band into G, one distance
+    between paired entries at a time. O(nnz(V) + dim * H) memory."""
+
+    def __init__(self, space: TensorSplineSpace):
+        self.space = space
+        self.parts = []
+
+    def add(self, block) -> None:
+        rows = np.repeat(block.flats, block.indptr[1:] - block.indptr[:-1])
+        self.parts.append((rows, block.cols, block.vals))
+
+    def result(self) -> np.ndarray:
+        space, p = self.space, np.array(self.space.degrees)
+        width = len(half_band(space))
+        band = np.zeros((space.dim, width))
+        rows, cols, vals = (np.concatenate(a) for a in zip(*self.parts))
+        self.parts = []
+        order = np.argsort(cols * space.dim + rows)  # by cloud row, then coefficient
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        index = np.unravel_index(rows, space.shape)
+        weights = _c_strides(2 * p + 1)
+        flat = band.reshape(-1)
+        for t in range(len(rows)):  # entry e pairs with entry e + t of its cloud row
+            a = np.flatnonzero(cols[:len(cols) - t] == cols[t:])
+            if not len(a):
+                break
+            b = a + t
+            near = np.ones(len(a), dtype=bool)
+            code = np.zeros(len(a), dtype=int)  # C-order code of the offset in the box
+            for k in range(space.d):
+                delta = index[k][b] - index[k][a]
+                near &= np.abs(delta) <= p[k]
+                code += (delta + p[k]) * weights[k]
+            a, b, code = a[near], b[near], code[near]
+            # b follows a in its cloud row, so its offset is in the band's half
+            np.add.at(flat, rows[a] * width + code - (width - 1), vals[a] * vals[b])
+        return band
+
+
+class _RingBand:
+    """The half band of G = V V^T from rows that span the cloud, arriving
+    one block each in flat order: each row is dotted with the ring of the
+    last reach = 1 + sum_k p_k * stride_k rows, the farthest its band reaches
+    back. O(reach * N + dim * H) memory: never dim * N floats."""
+
+    def __init__(self, space: TensorSplineSpace, n: int):
+        offsets = half_band(space)
+        self.steps = offsets @ _c_strides(space.shape)
+        self.inside = np.ones((space.dim, len(offsets)), dtype=bool)  # j - offset s on the grid
+        for k, index in enumerate(np.unravel_index(np.arange(space.dim), space.shape)):
+            back = index[:, None] - offsets[:, k]
+            self.inside &= (back >= 0) & (back < space.shape[k])
+        self.band = np.zeros((space.dim, len(offsets)))
+        self.ring = np.zeros((int(self.steps[-1]) + 1, n))
+
+    def add(self, block) -> None:
+        reach = len(self.ring)
+        for j, lo, hi in zip(block.flats.tolist(), block.indptr[:-1], block.indptr[1:]):
+            row = self.ring[j % reach]
+            row[:] = 0.0
+            row[block.cols[lo:hi]] = block.vals[lo:hi]
+            for s, i in enumerate((j - self.steps).tolist()):
+                if i >= 0 and self.inside[j, s]:
+                    self.band[i, s] = self.ring[i % reach] @ row
+
+    def result(self) -> np.ndarray:
+        return self.band
 
 
 def coefficient_covariance(cloud: PointCloud, space: TensorSplineSpace,
                            weight: WeightSpec, noise: NoiseModel,
                            policy: FitPolicy = FitPolicy()) -> CoefficientCovariance:
-    """Covariance structure of the estimator grid under i.i.d. noise."""
-    blocks = list(weight_blocks(cloud, space, weight, policy))
-    indptr = np.zeros(space.dim + 1, dtype=int)
-    np.cumsum(np.concatenate([np.diff(b.indptr) for b in blocks]), out=indptr[1:])
-    cols = np.concatenate([b.cols for b in blocks])
-    vals = np.concatenate([b.vals for b in blocks])
-    return CoefficientCovariance(noise.sigma_eps, space.shape, indptr, cols, vals, cloud.n)
-
-
-CHUNK = 1024  # support entries per variance_at chunk
-CHUNK_POINTS = 64  # points per variance_at chunk at most
+    """Covariance structure of the estimator grid under i.i.d. noise: the
+    band of V V^T, built in one pass over V with the fit that gives V y."""
+    local = weight.family in LOCAL_FAMILIES
+    builder = _PairedBand(space) if local else _RingBand(space, cloud.n)
+    means = fit(cloud, space, weight, policy, _tap=builder.add).spline.coefficients
+    return CoefficientCovariance(noise.sigma_eps, space, builder.result(), means.reshape(-1),
+                                 (cloud, space, weight, policy))
 
 
 def variance_at(model: WqisaModel, covariance: CoefficientCovariance, u):
     """Exact variance of the fitted spline value at u.
 
-    sigma^2 * ||s||^2 with s = sum_j b_j V_j over the active basis values
-    b_j and weight rows V_j; never exceeds sigma_eps^2 because basis rows
-    are convex weights over coefficients that are convex weights over the
-    noise. Points go in chunks of about CHUNK support entries (at most
-    CHUNK_POINTS points): a chunk sums its weights per (point, cloud row)
-    with one bincount, after one N-long slot array has given every cloud
-    row of the chunk one of the chunk's entry positions. A point whose
-    support reaches N, such as one of a dense weight family, bins its
-    weights straight on cloud rows. Memory is O(CHUNK * CHUNK_POINTS + N)
-    beyond the supports of single large points.
+    sigma^2 * b^T G b over the window of active basis values b, with every
+    entry of G read from the band through the fixed table of _window_table:
+    one gather per window position, O(m * F) memory for m points of F
+    window entries. Never exceeds sigma_eps^2, because basis rows are
+    convex weights over coefficients that are convex weights over the noise.
     """
     space = model.space
-    if covariance.grid_shape != space.shape:
-        raise ValueError(
-            f"covariance grid {covariance.grid_shape} does not match space {space.shape}"
-        )
+    band = covariance.band
+    if covariance.grid_shape != space.shape or band.shape[1] != len(half_band(space)):
+        raise ValueError(f"covariance grid {covariance.grid_shape} with {band.shape[1]} band "
+                         f"slots does not match space {space.shape} of degrees {space.degrees}")
     pts, single = _normalize_points(space.d, u)
     flats, bases = _windows(space, pts)
-    indptr, cols, vals = covariance.indptr, covariance.cols, covariance.vals
-    n, row_len = covariance.n_points, np.diff(indptr)
-    support = row_len[flats].sum(axis=1)
-    alone = support >= min(CHUNK, n)
-    # a chunk starts at every point whose first entry opens a new CHUNK
-    # window, every CHUNK_POINTS-th point, and around every point alone
-    offset = np.cumsum(support) - support
-    cut = np.ones(len(pts), dtype=bool)
-    cut[1:] = (np.diff(offset // CHUNK) > 0) | alone[1:] | alone[:-1]
-    cut[::CHUNK_POINTS] = True
-    bounds = np.append(np.flatnonzero(cut), len(pts))
-    # entry positions stay below N, and a chunk's keys below 2 * CHUNK * CHUNK_POINTS
-    slot = np.zeros(n, dtype=np.int32 if n < 2**31 else np.intp)
-    out = np.empty(len(pts))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        flat = flats[lo:hi].reshape(-1)
-        count = row_len[flat]
-        pos = _positions(indptr[flat], count)
-        at = cols[pos]
-        w = np.repeat(bases[lo:hi].reshape(-1), count)
-        w *= vals[pos]
-        if support[lo] >= n:  # alone: bin on cloud rows
-            s = np.bincount(at, w)
-            out[lo] = s @ s
-            continue
-        size = len(at)
-        slot[at] = np.arange(size)  # one entry position per cloud row
-        key = slot[at]
-        key += np.repeat(np.arange(hi - lo) * size, support[lo:hi])
-        s = np.bincount(key, w, minlength=(hi - lo) * size).reshape(hi - lo, size)
-        out[lo:hi] = np.einsum("ij,ij->i", s, s)
+    lower, slot = _window_table(space)
+    out = np.zeros(len(pts))
+    for a in range(flats.shape[1]):
+        out += bases[:, a] * np.einsum("ij,ij->i", band[flats[:, lower[a]], slot[a]], bases)
     out *= covariance.sigma_eps**2
     return float(out[0]) if single else out
 
@@ -231,6 +307,8 @@ def make_folds(n: int, folds: int, seed: int, repeats: int = 1) -> list[list[np.
     """Seeded shuffled partitions: repeats x folds index arrays."""
     if not 2 <= folds <= n:
         raise ValueError(f"folds={folds} out of range [2, {n}]")
+    if repeats < 1:
+        raise ValueError(f"repeats={repeats} must be >= 1")
     rng = np.random.default_rng(seed)
     return [list(np.array_split(rng.permutation(n), folds)) for _ in range(repeats)]
 

@@ -4,6 +4,7 @@ Deliberately naive: plain recursions and full scans, no shared code with
 the library paths they check.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -126,6 +127,28 @@ def brute_covariance(family, params, sites, X, sigma):
             num = math.fsum(float(a * b) for a, b in zip(rows[i], rows[j]))
             den = math.fsum(map(float, rows[i])) * math.fsum(map(float, rows[j]))
             out[i, j] = sigma**2 * num / den
+    return out
+
+
+def half_band(matrix, shape, degrees):
+    """The covariance band read off a dense (dim, dim) matrix over a C-order
+    coefficient grid: column s holds matrix[i, i + delta_s] for the offsets
+    delta_s with |delta_k| <= p_k that are lexicographically >= 0, in
+    lexicographic order, and 0 where i + delta_s leaves the grid."""
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+
+    def flat(index):
+        return sum(a * s for a, s in zip(index, strides))
+
+    zero = (0,) * len(shape)
+    offsets = [delta for delta in itertools.product(*[range(-p, p + 1) for p in degrees])
+               if delta >= zero]
+    out = np.zeros((len(matrix), len(offsets)))
+    for i, index in enumerate(itertools.product(*map(range, shape))):
+        for s, delta in enumerate(offsets):
+            j = [a + b for a, b in zip(index, delta)]
+            if all(0 <= a < n for a, n in zip(j, shape)):
+                out[i, s] = matrix[i, flat(j)]
     return out
 
 

@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wqisa import (CvResult, DomainError, FitPolicy,
+from wqisa import (CoefficientCovariance, CvResult, DomainError, FitPolicy,
                    NoiseModel, PointCloud, TensorSplineSpace, WeightSpec,
-                   basis_row, bias_bounds_at,
+                   basis_row, bias_bounds_at, iqr_outlier_filter,
                    coefficient_covariance, estimate_noise_sigma, evaluate, fit,
                    kfold_cv, make_folds, make_uniform_regular, normal_quantile,
                    se_band, select_parsimonious, variance_at)
+from wqisa.fitting import weight_blocks
 
-from wqisa.inference import CHUNK, CHUNK_POINTS
-
-from _oracles import brute_covariance
+from _oracles import brute_covariance, half_band
 
 
 def cloud_1d(n=80, seed=0, sigma=0.2, lo=-1.0, hi=1.0):
@@ -89,15 +88,112 @@ class TestCovarianceMatrix:
 
     def test_csr_rows_agree_with_matrix(self):
         cloud = cloud_1d(40, seed=5)
-        cov = coefficient_covariance(cloud, space_1d(6), WeightSpec.knn(6),
-                                     NoiseModel(0.3))
+        space, spec = space_1d(6), WeightSpec.knn(6)
+        cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.3))
         m = cov.matrix
-        rows = [dict(zip(cov.cols[a:b], cov.vals[a:b]))
-                for a, b in zip(cov.indptr[:-1], cov.indptr[1:])]
+        rows = [dict(zip(b.cols[lo:hi], b.vals[lo:hi]))
+                for b in weight_blocks(cloud, space, spec)
+                for lo, hi in zip(b.indptr[:-1], b.indptr[1:])]
         for i in range(6):
             for j in range(6):
                 shared = sum(v * rows[j][c] for c, v in rows[i].items() if c in rows[j])
                 assert 0.3**2 * shared == pytest.approx(m[i, j], abs=1e-15)
+
+
+class TestCovarianceBand:
+    @staticmethod
+    def grid_space(shape, degrees, lo=-1.0, hi=1.0):
+        return TensorSplineSpace(tuple(make_uniform_regular(lo, hi, n, p)
+                                       for n, p in zip(shape, degrees)))
+
+    @pytest.mark.parametrize("family, params, shape, degrees", [
+        ("knn", {"k": 7}, (7,), (2,)),
+        ("characteristic", {"r": 0.5}, (5, 4), (1, 3)),
+        ("gaussian", {"sigma": 0.3}, (4, 5), (2, 2)),
+        ("exponential", {"sigma": 0.4}, (3, 4, 3), (1, 2, 1)),
+        ("idw", {}, (5, 5), (1, 3)),
+    ])
+    def test_band_is_the_brute_force_covariance_read_off(self, family, params, shape,
+                                                         degrees):
+        rng = np.random.default_rng(sum(shape))
+        d = len(shape)
+        cloud = PointCloud(rng.uniform(-1, 1, (120, d)), rng.standard_normal(120))
+        space = self.grid_space(shape, degrees)
+        cov = coefficient_covariance(cloud, space, WeightSpec(family, **params),
+                                     NoiseModel(0.8))
+        sites = [space.site(i) for i in np.ndindex(*shape)]
+        ref = half_band(brute_covariance(family, params, sites, cloud.x, 0.8), shape, degrees)
+        assert cov.band.shape == ref.shape == (space.dim, (np.prod(np.multiply(2, degrees) + 1)
+                                                           + 1) // 2)
+        assert np.allclose(0.8**2 * cov.band, ref, rtol=0, atol=1e-15)
+
+    def test_band_follows_the_fit_policy(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.2, 1.2, (150, 2))
+        y = np.sin(x[:, 0]) + 0.1 * rng.standard_normal(150)
+        y[::25] += 6.0  # outliers for the filter
+        cloud = PointCloud(x, y)
+        space = self.grid_space((6, 5), (2, 1))
+        cases = [(cloud, WeightSpec.characteristic(0.12), FitPolicy(empty_support="nearest")),
+                 (cloud, WeightSpec.knn(6), FitPolicy(drop_outside=True)),
+                 (cloud, WeightSpec.gaussian(0.4), FitPolicy(drop_outside=True)),
+                 (iqr_outlier_filter(cloud, space, WeightSpec.knn(6)), WeightSpec.knn(6),
+                  FitPolicy())]
+        for data, spec, policy in cases:
+            cov = coefficient_covariance(data, space, spec, NoiseModel(1.0), policy)
+            ref = half_band(cov.matrix, space.shape, space.degrees)
+            assert np.allclose(cov.band, ref, rtol=0, atol=1e-15)
+            assert np.array_equal(cov.means,
+                                  fit(data, space, spec, policy).spline.coefficients.reshape(-1))
+        assert fit(cloud, space, cases[0][1], cases[0][2]).diagnostics.fallback_cells
+        assert cases[3][0].n < cloud.n
+
+    def test_band_only_covariance_gives_the_same_variance_and_no_matrix(self):
+        cloud = cloud_1d(60, seed=8)
+        space, spec = space_1d(7), WeightSpec.knn(6)
+        model = fit(cloud, space, spec)
+        built = coefficient_covariance(cloud, space, spec, NoiseModel(0.4))
+        loaded = CoefficientCovariance(0.4, space, built.band.copy())
+        us = np.linspace(-1, 1, 41)
+        assert np.array_equal(variance_at(model, loaded, us), variance_at(model, built, us))
+        with pytest.raises(ValueError, match="only its band"):
+            loaded.matrix
+
+    def test_local_band_memory_is_the_entries_and_the_band(self):
+        # O(nnz(V) + dim * H): 10^4 coefficients of 4 entries each on
+        # 2000 rows; a dense V would take dim * N * 8 = 160 MB
+        rng = np.random.default_rng(12)
+        n = 2000
+        cloud = PointCloud(rng.uniform(0, 1, (n, 2)), rng.standard_normal(n))
+        space = TensorSplineSpace.from_bounds([0, 0], [1, 1], [100, 100], [2, 2])
+        spec = WeightSpec.knn(4)
+        cloud.tree  # built outside the measurement
+        tracemalloc.start()
+        try:
+            cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nnz = 4 * space.dim  # 96 bytes an entry: its pairing arrays
+        assert peak < 96 * nnz + 3 * cov.band.nbytes + 64 * n
+
+    def test_dense_band_memory_is_the_ring_and_the_band(self):
+        # O(reach * N + dim * H): a 20 x 20 gaussian model of degree 2 on
+        # 2 * 10^4 rows reaches back 43 rows; its V would take 64 MB
+        rng = np.random.default_rng(13)
+        n = 20000
+        cloud = PointCloud(rng.uniform(-1, 1, (n, 2)), rng.standard_normal(n))
+        space = TensorSplineSpace.from_bounds([-1, -1], [1, 1], [20, 20], [2, 2])
+        tracemalloc.start()
+        try:
+            cov = coefficient_covariance(cloud, space, WeightSpec.gaussian(0.1),
+                                         NoiseModel(0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reach = 1 + 2 * 20 + 2
+        assert peak < 8 * (reach + 8) * n + 4 * cov.band.nbytes
+        assert peak < 10 * 2**20
 
 
 class TestVarianceLaw:
@@ -151,9 +247,10 @@ class TestVarianceLaw:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # O(nnz(V) + N): the CSR arrays, the k-d tree and the per-row
-        # arrays V is assembled from (a few hundred bytes per coefficient)
-        csr = cov.indptr.nbytes + cov.cols.nbytes + cov.vals.nbytes
+        # O(nnz(V) + N): the bytes V takes as CSR arrays, the k-d tree, the
+        # band and the per-row arrays V is assembled from (a few hundred
+        # bytes per coefficient)
+        csr = 8 * (space.dim + 1) + 16 * int(model.diagnostics.support_sizes.sum())
         assert peak < 4 * csr + 512 * space.dim + 256 * n
         m = cov.matrix
         for u, got in list(zip(probes, var))[::20]:
@@ -177,10 +274,10 @@ class TestVarianceLaw:
         return np.array(out)
 
     @pytest.mark.parametrize("spec, n, grid", [
-        (WeightSpec.knn(1), 600, (12, 12)),  # 9 entries a point: CHUNK_POINTS cuts
-        (WeightSpec.knn(3), 600, (12, 12)),  # 27: CHUNK cuts
-        (WeightSpec.knn(150), 3000, (6, 6)),  # 1350 < N: each point a chunk of its own
-        (WeightSpec.gaussian(0.2), 1500, (5, 5)),  # dense, 9 * N: binned on cloud rows
+        (WeightSpec.knn(1), 600, (12, 12)),  # 9 weight entries a point
+        (WeightSpec.knn(3), 600, (12, 12)),  # 27
+        (WeightSpec.knn(150), 3000, (6, 6)),  # 1350, overlapping rows
+        (WeightSpec.gaussian(0.2), 1500, (5, 5)),  # dense: 9 * N
         (WeightSpec.characteristic(0.15), 600, (8, 8)),
     ], ids=["knn1", "knn3", "knn150", "gaussian", "ball"])
     def test_chunked_variance_is_the_quadratic_form(self, spec, n, grid):
@@ -190,7 +287,7 @@ class TestVarianceLaw:
         model = fit(cloud, space, spec, FitPolicy(empty_support="nearest"))
         cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.7),
                                      FitPolicy(empty_support="nearest"))
-        probes = rng.uniform(0, 1, (3 * CHUNK_POINTS + 5, 2))
+        probes = rng.uniform(0, 1, (197, 2))
         probes[:4] = [[0, 0], [1, 1], [0, 1], [0.5, 0.5]]
         var = variance_at(model, cov, probes)
         assert np.allclose(var, self.quadratic_forms(space, cov, probes), rtol=0, atol=1e-15)
@@ -201,8 +298,8 @@ class TestVarianceLaw:
                            rtol=0, atol=1e-15)
 
     def test_chunks_cut_at_the_support_budget(self):
-        # a 1-D knn:k=40 model of degree 2: ~120 entries a point, so about
-        # CHUNK / 120 points share a chunk, and 400 points cross many chunks
+        # a 1-D knn:k=40 model of degree 2: ~120 weight entries a point, the
+        # rows of neighbouring coefficients overlapping in most of them
         cloud = cloud_1d(300, seed=13)
         space = space_1d(9)
         spec = WeightSpec.knn(40)
@@ -216,11 +313,10 @@ class TestVarianceLaw:
                              ids=["90-entries", "2-entries"])
     def test_variance_memory_does_not_grow_with_the_support_of_all_points(
             self, d, p, k, n_basis):
-        # beyond the window arrays of the points themselves (flat indices,
-        # basis values, support lengths), peak memory is a chunk's scratch
-        # plus O(N); all points' entries at once would take m * entries * 24
-        # bytes, and 2-entry points without the CHUNK_POINTS cap would share
-        # a chunk ~500 at a time, with ~500 * CHUNK bins
+        # peak memory is the window arrays of the points themselves (flat
+        # indices, basis values) and one window-sized gather from the band,
+        # whatever the weight entries behind each coefficient; all points'
+        # entries at once would take m * entries * 24 bytes
         rng = np.random.default_rng(5)
         n = 4000
         cloud = PointCloud(rng.uniform(0, 1, (n, d)), rng.standard_normal(n))
@@ -229,7 +325,6 @@ class TestVarianceLaw:
         model = fit(cloud, space, spec)
         cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.5))
         window = (p + 1) ** d
-        chunk = 2 * CHUNK * CHUNK_POINTS * 8 + 6 * 2 * CHUNK * 8  # bins and entry arrays
         for m in (500, 20000):
             probes = rng.uniform(0, 1, (m, d))
             tracemalloc.start()
@@ -238,15 +333,16 @@ class TestVarianceLaw:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < chunk + 16 * n + m * (40 * window + 64)
+            assert peak < 16 * n + m * (40 * window + 64)
 
     def test_grid_shape_mismatch_rejected(self):
         cloud = cloud_1d(40)
         spec = WeightSpec.knn(5)
         model = fit(cloud, space_1d(6), spec)
-        cov = coefficient_covariance(cloud, space_1d(7), spec, NoiseModel(0.5))
-        with pytest.raises(ValueError, match="does not match"):
-            variance_at(model, cov, 0.0)
+        for other in (space_1d(7), space_1d(6, p=3)):  # another grid, another band width
+            cov = coefficient_covariance(cloud, other, spec, NoiseModel(0.5))
+            with pytest.raises(ValueError, match="does not match"):
+                variance_at(model, cov, 0.0)
 
     def test_out_of_domain_rejected(self):
         cloud = cloud_1d(40)
@@ -571,6 +667,8 @@ class TestCrossValidation:
             make_folds(10, 1, seed=0)
         with pytest.raises(ValueError):
             make_folds(10, 11, seed=0)
+        with pytest.raises(ValueError, match="repeats=0"):
+            make_folds(10, 2, seed=0, repeats=0)
         with pytest.raises(ValueError, match="candidate"):
             kfold_cv(cloud_1d(20), [], self.fit_n)
 

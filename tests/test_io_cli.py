@@ -1,7 +1,9 @@
 """Cloud files, synthetic generators, and the command-line pipeline."""
 
 import argparse
+import base64
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -462,6 +464,57 @@ class TestCliPipeline:
         assert str(other) in payload["error"]["message"]
         assert not out.exists()
 
+    def test_eval_without_data_reads_the_stored_band(self, tmp_path, capsys):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "150", "--seed", "6", "--out", str(cloud_path))
+        run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "9", "--out", str(tmp_path))
+        model_path = tmp_path / "model.json"
+        argv = ["eval", "--model", str(model_path), "--density", "30", "--sigma-eps", "0.3"]
+        code, with_data = run_cli(capsys, *argv, "--data", str(cloud_path),
+                                  "--out", str(tmp_path / "with.csv"))
+        assert code == 0 and with_data["covariance"] == "model"
+        code, without = run_cli(capsys, *argv, "--out", str(tmp_path / "without.csv"))
+        assert code == 0 and without["covariance"] == "model"
+        assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+        # sigma_eps unknown: its residual estimate needs the cloud
+        code, payload = run_cli(capsys, "eval", "--model", str(model_path),
+                                "--out", str(tmp_path / "estimate.csv"))
+        assert code == 1 and "eval needs --data" in payload["error"]["message"]
+
+    def test_an_edited_data_file_rebuilds_the_covariance(self, tmp_path, capsys):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "150", "--seed", "8", "--out", str(cloud_path))
+        run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "9",
+                "--weight", "characteristic:r=0.5", "--sigma-eps", "0.3", "--out", str(tmp_path))
+        model_path = tmp_path / "model.json"
+        eval_argv = ["eval", "--model", str(model_path), "--data", str(cloud_path), "--out"]
+        metrics_argv = ["metrics", "--model", str(model_path), "--data", str(cloud_path)]
+        code, ev = run_cli(capsys, *eval_argv, str(tmp_path / "stored.csv"))
+        assert code == 0 and ev["covariance"] == "model"
+        code, rep = run_cli(capsys, *metrics_argv)
+        assert code == 0 and rep["covariance"] == "model"
+        with open(cloud_path, "a", encoding="utf-8") as fh:
+            fh.write("# the same rows, another file\n")
+        code, ev = run_cli(capsys, *eval_argv, str(tmp_path / "rebuilt.csv"))
+        assert code == 0 and ev["covariance"] == "data"
+        code, again = run_cli(capsys, *metrics_argv)
+        assert code == 0 and again["covariance"] == "data"
+        assert again["band_coverage"] == rep["band_coverage"]
+        assert (tmp_path / "stored.csv").read_bytes() == (tmp_path / "rebuilt.csv").read_bytes()
+
+    def test_dense_family_models_store_no_band(self, tmp_path, capsys):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "120", "--seed", "9", "--out", str(cloud_path))
+        run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "8",
+                "--weight", "gaussian:sigma=0.3", "--sigma-eps", "0.3", "--out", str(tmp_path))
+        raw = json.loads((tmp_path / "model.json").read_text())
+        assert raw["format"] == 2 and "band" not in raw and "data_sha256" not in raw
+        argv = ["eval", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path / "g.csv")]
+        code, payload = run_cli(capsys, *argv)
+        assert code == 1 and "eval needs --data" in payload["error"]["message"]
+        code, ev = run_cli(capsys, *argv, "--data", str(cloud_path))
+        assert code == 0 and ev["covariance"] == "data"
+
     def test_failure_prints_error_json_and_exits_nonzero(self, capsys):
         code, payload = run_cli(capsys, "fit")
         assert code == 1
@@ -543,6 +596,52 @@ class TestModelFiles:
         model_path.write_text(json.dumps(raw))
         assert run_cli(capsys, *argv, str(tmp_path / "without.csv"))[0] == 0
         assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+
+    def test_stored_band_is_the_covariance_band(self, fitted):
+        from wqisa import NoiseModel, coefficient_covariance
+        cloud_path, model_path, raw = fitted
+        assert raw["format"] == 2
+        assert raw["data_sha256"] == hashlib.sha256(cloud_path.read_bytes()).hexdigest()
+        model, _ = load_model(model_path)
+        cov = coefficient_covariance(load_cloud(cloud_path), model.space, model.weight,
+                                     NoiseModel(0.3), model.policy)
+        stored = np.frombuffer(base64.b64decode(raw["band"]), dtype="<f8")
+        assert same_bits(stored.reshape(cov.band.shape), cov.band)
+
+    def test_format_1_file_evaluates_through_data(self, fitted, tmp_path, capsys):
+        cloud_path, model_path, raw = fitted
+        argv = ["eval", "--model", str(model_path), "--data", str(cloud_path),
+                "--sigma-eps", "0.3", "--out"]
+        code, ev = run_cli(capsys, *argv, str(tmp_path / "format2.csv"))
+        assert code == 0 and ev["covariance"] == "model"
+        for key in ("format", "band", "data_sha256"):
+            del raw[key]
+        model_path.write_text(json.dumps(raw))
+        code, ev = run_cli(capsys, *argv, str(tmp_path / "format1.csv"))
+        assert code == 0 and ev["covariance"] == "data"
+        assert (tmp_path / "format1.csv").read_bytes() == (tmp_path / "format2.csv").read_bytes()
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("format", 3, "unknown model format 3"),
+        ("band", "not base64!", "band is not valid base64"),
+        ("band", 17, "band is not valid base64"),
+        ("band", base64.b64encode(np.zeros(5).tobytes()).decode(), "band holds 5 floats, not 8 x 3"),
+        ("band", base64.b64encode(np.full(24, -1.0).tobytes()).decode(), "negative diagonal"),
+        ("band", base64.b64encode(np.full(24, np.nan).tobytes()).decode(), "non-finite"),
+    ], ids=["format", "base64", "not-text", "shape", "negative", "nan"])
+    def test_bad_format_or_band_named_with_the_file(self, fitted, tmp_path, capsys,
+                                                     field, value, match):
+        cloud_path, model_path, raw = fitted
+        raw[field] = value
+        model_path.write_text(json.dumps(raw))
+        with pytest.raises(ParseError, match=match) as exc:
+            load_model(model_path)
+        assert str(model_path) in str(exc.value)
+        grid = tmp_path / "grid.csv"
+        code, payload = run_cli(capsys, "eval", "--model", str(model_path), "--data",
+                                str(cloud_path), "--sigma-eps", "0.3", "--out", str(grid))
+        assert code == 1 and payload["error"]["type"] == "ParseError"
+        assert not grid.exists()
 
     def test_non_finite_coefficient_rejected(self, fitted, tmp_path, capsys):
         cloud_path, model_path, raw = fitted
@@ -638,11 +737,38 @@ class TestConfigPrecedence:
         assert loaded == [] and not (tmp_path / "fit").exists()
 
     @pytest.mark.parametrize("values", [
-        {"alpha": 0, "outlier_factor": 2, "domain": [[0, 1.5]], "cv_grid": [4, 5]},
+        {"sigma_eps": 0, "outlier_factor": 2, "domain": [[0, 1.5]], "cv_grid": [4, 5]},
         {"outlier_filter": True, "drop_outside": False, "grid_density": None},
     ])
     def test_json_values_of_the_field_types_pass(self, values):
         FitConfig(**values)
+
+    @pytest.mark.parametrize("command, flags, key, value", [
+        ("cv", ["--grid", "5:7"], "repeats", 0),
+        ("cv", ["--grid", "5:7"], "folds", 1),
+        ("eval", ["--model", "m.json"], "grid_density", 0),
+        ("eval", ["--model", "m.json"], "grid_density", -3),
+        ("eval", ["--model", "m.json"], "alpha", 0.0),
+        ("metrics", ["--model", "m.json"], "alpha", 1.5),
+        ("fit", [], "sigma_eps", -0.5),
+        ("fit", [], "sigma_eps", float("nan")),
+        ("fit", [], "outlier_factor", -1.0),
+    ])
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, monkeypatch,
+                                              command, flags, key, value):
+        flag = next(f.metadata["flag"] for f in dataclasses.fields(FitConfig) if f.name == key)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        loaded = []
+        monkeypatch.setattr(cli, "load_cloud", loaded.append)
+        for source in ([flag, repr(value)], ["--config", str(cfg_path)]):
+            code, payload = run_cli(capsys, command, *flags, "--data", "c.xyz", *source,
+                                    "--out", str(tmp_path / "out"))
+            assert code == 1 and payload["error"]["type"] == "ValueError"
+            assert f"{key} must be " in payload["error"]["message"]
+            assert payload["error"]["message"].endswith(f"got {value!r}")
+        assert payload["error"]["message"].startswith(f"{cfg_path}: {key} ")
+        assert loaded == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("alpha", True), ("seed", 1.0), ("degree", ["2"]), ("domain", [0, 1]),
