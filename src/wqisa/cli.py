@@ -19,18 +19,20 @@ import time
 import numpy as np
 
 try:  # the interpreter's own sha256, which loads no library; see _sha256
-    from _sha256 import sha256
+    from _sha2 import sha256  # CPython 3.12 and later
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha256 import sha256  # CPython 3.11 and earlier
+    except ImportError:
+        from hashlib import sha256
 
 from .config import NORMALIZE, FitConfig
 from .errors import ParseError
-from .fitting import (LOCAL_FAMILIES, FitPolicy, PointCloud, classify_convexity,
-                      classify_monotone, evaluate, fit, global_bounds,
-                      iqr_outlier_mask)
-from .inference import (CoefficientCovariance, NoiseModel, _band, _PairedBand,
-                        coefficient_covariance, estimate_noise_sigma, half_band,
-                        kfold_cv, select_parsimonious, variance_at)
+from .fitting import (FitPolicy, PointCloud, classify_convexity, classify_monotone,
+                      evaluate, fit, global_bounds, iqr_outlier_mask)
+from .inference import (CoefficientCovariance, NoiseModel, _band, coefficient_covariance,
+                        estimate_noise_sigma, fit_with_band, half_band, kfold_cv,
+                        select_parsimonious, variance_at)
 from .io import gen_synthetic, load_cloud, save_cloud, write_rows
 from .metrics import (band_coverage, directed_hausdorff_normalized, dispersion,
                       jaccard)
@@ -271,8 +273,8 @@ def _outdir(cfg: FitConfig) -> str:
 
 
 def _fit_pipeline(cfg: FitConfig, cloud: PointCloud, timings: dict):
-    """(model, the rows it used, dropped rows, covariance band or None): the
-    band of the local families comes from the fit's own pass over V."""
+    """(model, the rows it used, dropped rows, covariance band or None), the
+    band as fit_with_band gives it."""
     weight = parse_weight(cfg.weight)
     policy = _policy(cfg)
     space = TensorSplineSpace.from_bounds(*_domain(cloud, cfg, n=cfg.n), cfg.n, cfg.degree)
@@ -284,10 +286,9 @@ def _fit_pipeline(cfg: FitConfig, cloud: PointCloud, timings: dict):
         cloud = cloud.subset(np.flatnonzero(keep))
         timings["outlier_filter_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    builder = _PairedBand(space) if weight.family in LOCAL_FAMILIES else None
-    model = fit(cloud, space, weight, policy, _tap=None if builder is None else builder.add)
+    model, band = fit_with_band(cloud, space, weight, policy)
     timings["fit_s"] = time.perf_counter() - t0
-    return model, cloud, dropped, None if builder is None else builder.result()
+    return model, cloud, dropped, band
 
 
 def cmd_gen(cfg: FitConfig, args) -> dict:

@@ -100,36 +100,95 @@ class CoefficientCovariance:
         return self.sigma_eps**2 * (v @ v.T)
 
 
-class _PairedBand:
-    """The half band of G = V V^T from the rows of a local family (knn,
-    ball), paired as in Gustavson's sparse product: add keeps each block's
-    CSR entries, and result pairs the entries that share a cloud row and
-    adds the pairs whose offset lies in the band into G, one distance
-    between paired entries at a time. O(nnz(V) + dim * H) memory."""
+class _BandBuilder:
+    """The half band of G = V V^T from V's rows, fed by fit one weight block
+    at a time in flat order, with the kernel chosen by the support observed.
 
-    def __init__(self, space: TensorSplineSpace):
-        self.space = space
-        self.parts = []
+    Narrow rows are kept as CSR entries and paired at the end, as in
+    Gustavson's sparse product: sorted by cloud row, each entry meets the
+    entries after it that share its cloud row, one distance at a time, and
+    only while their coefficients lie less than reach = 1 + sum_k p_k *
+    stride_k apart, the farthest a band offset goes. That is O(m * nnz(V))
+    time for m <= reach the most coefficients within reach sharing a cloud
+    row, and O(nnz(V) + dim * H) memory.
+
+    Once the rows seen so far project V past reach * N / 8 entries (pairing
+    takes about eight words an entry, a dense ring one a float), the rows
+    span enough of the cloud that a dense ring of the last reach rows is the
+    smaller store: the kept rows are replayed into it, and every later row
+    is dotted with its band partners in the ring as it arrives. That is
+    O(H * nnz(V) + dim * N) time and O(reach * N + dim * H) memory, never
+    dim * N floats.
+    """
+
+    def __init__(self, space: TensorSplineSpace, n: int):
+        self.space, self.n = space, n
+        self.offsets = half_band(space)
+        self.steps = self.offsets @ _c_strides(space.shape)  # flat offset of each slot
+        self.reach = int(self.steps[-1]) + 1
+        self.band = np.zeros((space.dim, len(self.offsets)))
+        self.blocks, self.sites, self.entries = [], 0, 0
+        self.ring = self.inside = None
 
     def add(self, block) -> None:
-        rows = np.repeat(block.flats, block.indptr[1:] - block.indptr[:-1])
-        self.parts.append((rows, block.cols, block.vals))
+        if self.ring is not None:
+            self._dot(block)
+            return
+        self.blocks.append(block)
+        self.sites += len(block.flats)
+        self.entries += len(block.cols)
+        if 8 * self.entries * self.space.dim > self.reach * self.n * self.sites:
+            self._start_ring()
+            blocks, self.blocks = self.blocks, []
+            for kept in blocks:
+                self._dot(kept)
+
+    def _start_ring(self) -> None:
+        shape = self.space.shape
+        self.ring = np.zeros((self.reach, self.n))
+        self.inside = np.ones(self.band.shape, dtype=bool)  # j - offset s on the grid
+        for k, index in enumerate(np.unravel_index(np.arange(self.space.dim), shape)):
+            back = index[:, None] - self.offsets[:, k]
+            self.inside &= (back >= 0) & (back < shape[k])
+
+    def _dot(self, block) -> None:
+        ring, reach = self.ring, self.reach
+        for j, lo, hi in zip(block.flats.tolist(), block.indptr[:-1].tolist(),
+                             block.indptr[1:].tolist()):
+            cols, vals = block.cols[lo:hi], block.vals[lo:hi]
+            row = ring[j % reach]
+            row[:] = 0.0
+            row[cols] = vals
+            slots = np.flatnonzero(self.inside[j])
+            partners = j - self.steps[slots]
+            # every partner's entries at the row's columns in one gather,
+            # unless that would outgrow a ring row: then a dense dot each
+            if len(slots) * len(cols) <= self.n:
+                self.band[partners, slots] = ring[(partners % reach)[:, None], cols] @ vals
+            else:
+                for i, s in zip(partners.tolist(), slots.tolist()):
+                    self.band[i, s] = ring[i % reach] @ row
 
     def result(self) -> np.ndarray:
+        if self.ring is None:
+            self._pair()
+        return self.band
+
+    def _pair(self) -> None:
         space, p = self.space, np.array(self.space.degrees)
-        width = len(half_band(space))
-        band = np.zeros((space.dim, width))
-        rows, cols, vals = (np.concatenate(a) for a in zip(*self.parts))
-        self.parts = []
+        blocks = self.blocks
+        rows = np.concatenate([np.repeat(b.flats, b.indptr[1:] - b.indptr[:-1]) for b in blocks])
+        cols = np.concatenate([b.cols for b in blocks])
+        vals = np.concatenate([b.vals for b in blocks])
+        self.blocks = blocks = []  # the entries live on only in the sorted copies
         order = np.argsort(cols * space.dim + rows)  # by cloud row, then coefficient
         rows, cols, vals = rows[order], cols[order], vals[order]
         index = np.unravel_index(rows, space.shape)
         weights = _c_strides(2 * p + 1)
-        flat = band.reshape(-1)
-        for t in range(len(rows)):  # entry e pairs with entry e + t of its cloud row
-            a = np.flatnonzero(cols[:len(cols) - t] == cols[t:])
-            if not len(a):
-                break
+        width = self.band.shape[1]
+        flat = self.band.reshape(-1)
+        a = np.arange(len(rows))  # entries that share their cloud row with the entry t on
+        for t in range(len(rows)):
             b = a + t
             near = np.ones(len(a), dtype=bool)
             code = np.zeros(len(a), dtype=int)  # C-order code of the offset in the box
@@ -137,40 +196,35 @@ class _PairedBand:
                 delta = index[k][b] - index[k][a]
                 near &= np.abs(delta) <= p[k]
                 code += (delta + p[k]) * weights[k]
-            a, b, code = a[near], b[near], code[near]
             # b follows a in its cloud row, so its offset is in the band's half
-            np.add.at(flat, rows[a] * width + code - (width - 1), vals[a] * vals[b])
-        return band
+            a_near, b_near = a[near], b[near]
+            np.add.at(flat, rows[a_near] * width + code[near] - (width - 1),
+                      vals[a_near] * vals[b_near])
+            a = a[b + 1 < len(rows)]
+            b = a + t + 1
+            a = a[(cols[b] == cols[a]) & (rows[b] - rows[a] < self.reach)]
+            if not len(a):
+                break
 
 
-class _RingBand:
-    """The half band of G = V V^T from rows that span the cloud, arriving
-    one block each in flat order: each row is dotted with the ring of the
-    last reach = 1 + sum_k p_k * stride_k rows, the farthest its band reaches
-    back. O(reach * N + dim * H) memory: never dim * N floats."""
+def _banded_fit(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
+                policy: FitPolicy) -> tuple[WqisaModel, np.ndarray]:
+    """The fit and the half band of its V, from the fit's one pass over V."""
+    builder = _BandBuilder(space, cloud.n)
+    model = fit(cloud, space, weight, policy, _tap=builder.add)
+    return model, builder.result()
 
-    def __init__(self, space: TensorSplineSpace, n: int):
-        offsets = half_band(space)
-        self.steps = offsets @ _c_strides(space.shape)
-        self.inside = np.ones((space.dim, len(offsets)), dtype=bool)  # j - offset s on the grid
-        for k, index in enumerate(np.unravel_index(np.arange(space.dim), space.shape)):
-            back = index[:, None] - offsets[:, k]
-            self.inside &= (back >= 0) & (back < space.shape[k])
-        self.band = np.zeros((space.dim, len(offsets)))
-        self.ring = np.zeros((int(self.steps[-1]) + 1, n))
 
-    def add(self, block) -> None:
-        reach = len(self.ring)
-        for j, lo, hi in zip(block.flats.tolist(), block.indptr[:-1], block.indptr[1:]):
-            row = self.ring[j % reach]
-            row[:] = 0.0
-            row[block.cols[lo:hi]] = block.vals[lo:hi]
-            for s, i in enumerate((j - self.steps).tolist()):
-                if i >= 0 and self.inside[j, s]:
-                    self.band[i, s] = self.ring[i % reach] @ row
-
-    def result(self) -> np.ndarray:
-        return self.band
+def fit_with_band(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
+                  policy: FitPolicy = FitPolicy()) -> tuple[WqisaModel, np.ndarray | None]:
+    """(model, half band of V V^T or None): what a model file keeps. The
+    bounded families (knn, ball) get the band from the fit's own pass over
+    V, in O(min(nnz(V), reach * N) + dim * H) memory beyond the fit's (see
+    _BandBuilder); the families whose rows span the cloud (gaussian,
+    exponential, idw) get None, since their band costs more than their fit."""
+    if weight.family not in LOCAL_FAMILIES:
+        return fit(cloud, space, weight, policy), None
+    return _banded_fit(cloud, space, weight, policy)
 
 
 def coefficient_covariance(cloud: PointCloud, space: TensorSplineSpace,
@@ -178,10 +232,9 @@ def coefficient_covariance(cloud: PointCloud, space: TensorSplineSpace,
                            policy: FitPolicy = FitPolicy()) -> CoefficientCovariance:
     """Covariance structure of the estimator grid under i.i.d. noise: the
     band of V V^T, built in one pass over V with the fit that gives V y."""
-    local = weight.family in LOCAL_FAMILIES
-    builder = _PairedBand(space) if local else _RingBand(space, cloud.n)
-    means = fit(cloud, space, weight, policy, _tap=builder.add).spline.coefficients
-    return CoefficientCovariance(noise.sigma_eps, space, builder.result(), means.reshape(-1),
+    model, band = _banded_fit(cloud, space, weight, policy)
+    return CoefficientCovariance(noise.sigma_eps, space, band,
+                                 model.spline.coefficients.reshape(-1),
                                  (cloud, space, weight, policy))
 
 

@@ -1,6 +1,7 @@
 """Uncertainty quantification: covariance, variance bounds, bands, bias, CV."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from wqisa import (CoefficientCovariance, CvResult, DomainError, FitPolicy,
                    kfold_cv, make_folds, make_uniform_regular, normal_quantile,
                    se_band, select_parsimonious, variance_at)
 from wqisa.fitting import weight_blocks
+from wqisa.inference import _BandBuilder, fit_with_band
 
 from _oracles import brute_covariance, half_band
 
@@ -106,6 +108,21 @@ class TestCovarianceBand:
         return TensorSplineSpace(tuple(make_uniform_regular(lo, hi, n, p)
                                        for n, p in zip(shape, degrees)))
 
+    @staticmethod
+    def both_kernels(cloud, space, spec, policy=FitPolicy()):
+        """The band from each kernel of the builder, whichever one the
+        observed support would pick: the pairing of kept entries, and the
+        dense ring from the first row on."""
+        blocks = list(weight_blocks(cloud, space, spec, policy))
+        paired = _BandBuilder(space, cloud.n)
+        paired.blocks = blocks
+        paired._pair()
+        ringed = _BandBuilder(space, cloud.n)
+        ringed._start_ring()
+        for block in blocks:
+            ringed._dot(block)
+        return paired.band, ringed.band
+
     @pytest.mark.parametrize("family, params, shape, degrees", [
         ("knn", {"k": 7}, (7,), (2,)),
         ("characteristic", {"r": 0.5}, (5, 4), (1, 3)),
@@ -126,6 +143,8 @@ class TestCovarianceBand:
         assert cov.band.shape == ref.shape == (space.dim, (np.prod(np.multiply(2, degrees) + 1)
                                                            + 1) // 2)
         assert np.allclose(0.8**2 * cov.band, ref, rtol=0, atol=1e-15)
+        for band in self.both_kernels(cloud, space, WeightSpec(family, **params)):
+            assert np.allclose(0.8**2 * band, ref, rtol=0, atol=1e-15)
 
     def test_band_follows_the_fit_policy(self):
         rng = np.random.default_rng(3)
@@ -143,6 +162,8 @@ class TestCovarianceBand:
             cov = coefficient_covariance(data, space, spec, NoiseModel(1.0), policy)
             ref = half_band(cov.matrix, space.shape, space.degrees)
             assert np.allclose(cov.band, ref, rtol=0, atol=1e-15)
+            for band in self.both_kernels(data, space, spec, policy):
+                assert np.allclose(band, ref, rtol=0, atol=1e-15)
             assert np.array_equal(cov.means,
                                   fit(data, space, spec, policy).spline.coefficients.reshape(-1))
         assert fit(cloud, space, cases[0][1], cases[0][2]).diagnostics.fallback_cells
@@ -194,6 +215,43 @@ class TestCovarianceBand:
         reach = 1 + 2 * 20 + 2
         assert peak < 8 * (reach + 8) * n + 4 * cov.band.nbytes
         assert peak < 10 * 2**20
+
+    def test_wide_ball_band_costs_the_ring_not_the_pairs(self):
+        # a ball of radius 0.3 on the unit square holds ~1000 of 5000 rows:
+        # V has 9 * 10^5 entries, and up to 63 coefficients within reach
+        # of each other share a cloud row. Pairing every entry would take
+        # ~90 MB and one pass per sharing coefficient; the builder sees
+        # the support and dots each row with a ring of the last 63 instead
+        rng = np.random.default_rng(14)
+        n = 5000
+        cloud = PointCloud(rng.uniform(0, 1, (n, 2)), rng.standard_normal(n))
+        space = TensorSplineSpace.from_bounds([0, 0], [1, 1], [30, 30], [2, 2])
+        spec = WeightSpec.characteristic(0.3)
+        cloud.tree  # built outside the measurements
+
+        def measured(run):
+            seconds = []
+            for _ in range(2):
+                t0 = time.perf_counter()
+                run()
+                seconds.append(time.perf_counter() - t0)
+            tracemalloc.start()
+            try:
+                out = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return out, min(seconds), peak
+
+        model, fit_s, fit_peak = measured(lambda: fit(cloud, space, spec))
+        (banded, band), band_s, band_peak = measured(lambda: fit_with_band(cloud, space, spec))
+        assert np.array_equal(banded.spline.coefficients, model.spline.coefficients)
+        assert model.diagnostics.support_sizes.sum() > 8 * 10**5
+        reach = 1 + 2 * 30 + 2
+        assert band_peak < fit_peak + 8 * (reach + 16) * n + 4 * band.nbytes
+        assert band_s < 4 * fit_s + 0.25
+        cov = coefficient_covariance(cloud, space, spec, NoiseModel(1.0))
+        assert np.array_equal(band, cov.band)
 
 
 class TestVarianceLaw:
