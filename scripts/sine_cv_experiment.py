@@ -11,9 +11,8 @@ import argparse
 import csv
 import os
 
-from wqisa import (FitPolicy, TensorSplineSpace, WeightSpec, fit,
-                   gen_synthetic, kfold_cv, make_uniform_regular,
-                   select_parsimonious)
+from wqisa import (FitPolicy, TensorSplineSpace, WeightSpec, gen_synthetic,
+                   kfold_cv, make_uniform_regular, select_parsimonious)
 
 
 def main() -> None:
@@ -33,9 +32,8 @@ def main() -> None:
     policy = FitPolicy(empty_support="nearest")
     grid = list(range(args.n_low, args.n_high + 1))
 
-    def fit_n(train, n):
-        space = TensorSplineSpace((make_uniform_regular(-2, 2, n, 2),))
-        return fit(train, space, spec, policy)
+    def space_n(n):
+        return TensorSplineSpace((make_uniform_regular(-2, 2, n, 2),))
 
     curves_path = os.path.join(args.out, "cv_curves.csv")
     summary_path = os.path.join(args.out, "cv_summary.csv")
@@ -47,7 +45,7 @@ def main() -> None:
         summary.writerow(["seed", "argmin_n", "one_se_n", "min_score"])
         for seed in range(args.seeds):
             data = gen_synthetic("sine", args.count, seed=seed, sigma=args.sigma)
-            res = kfold_cv(data.cloud, grid, fit_n, folds=args.folds, seed=seed)
+            res = kfold_cv(data.cloud, grid, space_n, spec, policy, folds=args.folds, seed=seed)
             for n, score in zip(res.grid, res.scores):
                 curves.writerow([seed, n, repr(float(score))])
             pick = select_parsimonious(res)

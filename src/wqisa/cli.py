@@ -29,7 +29,7 @@ except ImportError:
 from .config import NORMALIZE, FitConfig
 from .errors import ParseError
 from .fitting import (FitPolicy, PointCloud, classify_convexity, classify_monotone,
-                      evaluate, fit, global_bounds, iqr_outlier_mask)
+                      evaluate, global_bounds, iqr_outlier_mask)
 from .inference import (CoefficientCovariance, NoiseModel, _band, coefficient_covariance,
                         estimate_noise_sigma, fit_with_band, half_band, kfold_cv,
                         select_parsimonious, variance_at)
@@ -341,7 +341,7 @@ def cmd_cv(cfg: FitConfig, args) -> dict:
     def space(n):
         return TensorSplineSpace.from_bounds(lo, hi, [n], cfg.degree)
 
-    result = kfold_cv(cloud, cfg.cv_grid, lambda train, n: fit(train, space(n), weight, policy),
+    result = kfold_cv(cloud, cfg.cv_grid, space, weight, policy,
                       folds=cfg.folds, repeats=cfg.repeats, seed=cfg.seed)
     out = _outdir(cfg)
     curve = os.path.join(out, "cv.csv")

@@ -214,8 +214,14 @@ def _row_sums(a: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _normalise(w: np.ndarray, indptr: np.ndarray) -> None:
+    """Divide each CSR row of w by its sum, in place."""
+    sums = _row_sums(w, indptr)
+    w /= sums if len(sums) == 1 else np.repeat(sums, indptr[1:] - indptr[:-1])
+
+
 def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
-                  policy: FitPolicy = FitPolicy(), flats=None):
+                  policy: FitPolicy = FitPolicy(), flats=None, *, _raw=False):
     """Yield V, the normalised weight rows of every coefficient (or of the
     given flat indices, in order), as one WeightBlock per cloud_weights
     call: SITE_BLOCK sites for knn and characteristic windows, one for the
@@ -225,7 +231,8 @@ def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpe
     subset of it. Under empty_support="nearest" a starved window takes the
     single nearest row at weight 1; otherwise its row stays empty and the
     generator raises one EmptySupportError naming every starved cell after
-    the last block.
+    the last block. _raw yields the family's weights undivided by their
+    row sums and raises nothing for starved rows: the rows kfold_cv masks.
     """
     work, kept = _working_points(cloud, space, policy)
     mesh = np.meshgrid(*space.knot_average_grids, indexing="ij")
@@ -244,10 +251,10 @@ def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpe
             cols = np.insert(cols, at, work.tree.knn(sites[block[fallback]], 1).reshape(-1))
             w = np.insert(w, at, 1.0)
             indptr = indptr + np.concatenate(([0], np.cumsum(fallback)))
-        elif empty.any():
+        elif empty.any() and not _raw:
             starved += [(_index_tuple(f, space.shape), sites[f]) for f in block[empty].tolist()]
-        sums = _row_sums(w, indptr)
-        w /= sums if len(block) == 1 else np.repeat(sums, indptr[1:] - indptr[:-1])
+        if not _raw:
+            _normalise(w, indptr)
         yield WeightBlock(block, indptr, cols if kept is None else kept[cols], w,
                           lookups, fallback)
     if starved:

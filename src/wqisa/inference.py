@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WqisaError
-from .fitting import (LOCAL_FAMILIES, FitPolicy, PointCloud, WqisaModel, _row_sums, evaluate,
-                      fit, weight_blocks)
-from .splines import TensorSplineSpace, _normalize_points, _windows
+from .fitting import (LOCAL_FAMILIES, FitPolicy, PointCloud, WqisaModel, _index_tuple,
+                      _normalise, _row_sums, _working_points, evaluate, fit, weight_blocks)
+from .kdtree import squared_distances
+from .splines import TensorSplineSpace, _combine, _normalize_points, _windows
 from .weights import WeightSpec
 
 
@@ -366,49 +367,114 @@ def make_folds(n: int, folds: int, seed: int, repeats: int = 1) -> list[list[np.
     return [list(np.array_split(rng.permutation(n), folds)) for _ in range(repeats)]
 
 
-def kfold_cv(cloud: PointCloud, candidates, fit_candidate, folds: int = 5,
-             repeats: int = 1, seed: int = 0, assignments=None) -> CvResult:
+def _fold_ids(assignments, n: int) -> np.ndarray:
+    """(repeats, n): the fold that holds out each row, once every repeat is
+    checked to partition range(n) into folds of 1 to n - 1 rows."""
+    ids = np.full((len(assignments), n), -1)
+    for r, rep in enumerate(assignments):
+        for f, hold in enumerate(rep):
+            hold, where = np.asarray(hold), f"repeat {r} fold {f}"
+            if hold.ndim != 1 or hold.dtype.kind not in "iu" or not 0 < len(hold) < n:
+                raise ValueError(f"{where} must be 1 to {n - 1} integer row indices")
+            bad = hold[(hold < 0) | (hold >= n)]
+            if len(bad):
+                raise ValueError(f"{where} holds out row {bad[0]}, outside [0, {n})")
+            rows, counts = np.unique(hold, return_counts=True)
+            twice = rows[(counts > 1) | (ids[r, rows] >= 0)]
+            if len(twice):
+                raise ValueError(f"{where} holds out row {twice[0]} a second time")
+            ids[r, hold] = f
+        if (ids[r] < 0).any():
+            raise ValueError(f"repeat {r} holds out row {np.argmin(ids[r])} in no fold")
+    if not len(ids):
+        raise ValueError("assignments need at least one repeat")
+    return ids
+
+
+def _fold_coefficients(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
+                       policy: FitPolicy, ids: np.ndarray):
+    """Yield split by split the coefficients, bit for bit, that fit gives
+    without the split's fold, or raise what that fit raises. One pass over
+    the cloud's raw weight rows: a fold keeps a row's entries off its rows,
+    in list order, and divides them by their sum as fit does; of a knn row's
+    min(2k, N) nearest it keeps the first k. A knn row left short of k, a
+    window the mask empties and a coincident idw site that loses a row
+    (weighed 1/count) are refitted on the fold's own cloud instead."""
+    splits = [(r, f) for r, rep in enumerate(ids) for f in range(rep.max() + 1)]
+    k = weight.k if weight.family == "knn" else 0
+    wide = WeightSpec.knn(min(2 * k, _working_points(cloud, space, policy)[0].n)) if k else weight
+    coeffs = np.empty((len(splits), space.dim))
+    redo = [[] for _ in splits]  # per split, the flats its own cloud answers
+    for block in weight_blocks(cloud, space, wide, policy, _raw=True):
+        sizes = block.indptr[1:] - block.indptr[:-1]
+        row = np.repeat(np.arange(len(sizes)), sizes)
+        coincident = bool(weight.family == "idw" and len(block.cols)) and squared_distances(
+            np.clip(cloud.x[block.cols[0]], *space.domain),  # idw blocks hold one site
+            space.site(_index_tuple(block.flats[0], space.shape))) == 0.0
+        for s, (r, f) in enumerate(splits):
+            keep = ids[r].take(block.cols) != f
+            if k:
+                keep &= (np.cumsum(keep.reshape(len(sizes), -1), axis=1) <= k).reshape(-1)
+            count = np.bincount(row[keep], minlength=len(sizes))
+            short = count != k if k else (count == 0) | (coincident & (count < sizes))
+            redo[s].append(block.flats[short])
+            indptr = np.concatenate(([0], np.cumsum(count)))
+            w = np.full(indptr[-1], 1.0 / k) if k else block.vals[keep]
+            _normalise(w, indptr)
+            with np.errstate(over="ignore"):
+                coeffs[s, block.flats] = _row_sums(cloud.y.take(block.cols[keep]) * w, indptr)
+    for s, (r, f) in enumerate(splits):
+        rows, flats = np.flatnonzero(ids[r] != f), np.concatenate(redo[s])
+        if len(flats):  # the training cloud, built only for these
+            for block in weight_blocks(cloud.subset(rows), space, weight, policy, flats):
+                with np.errstate(over="ignore"):
+                    coeffs[s, block.flats] = _row_sums(cloud.y[rows[block.cols]] * block.vals,
+                                                       block.indptr)
+        y = cloud.y[rows]
+        yield np.clip(coeffs[s], y.min(), y.max(), out=coeffs[s])
+
+
+def kfold_cv(cloud: PointCloud, candidates, space_of, weight: WeightSpec,
+             policy: FitPolicy = FitPolicy(), folds: int = 5, repeats: int = 1,
+             seed: int = 0, assignments=None) -> CvResult:
     """Select a candidate by mean held-out squared error.
 
-    fit_candidate(train_cloud, candidate) must return a fitted model (any
-    callable mapping predictor batches to values works). Calls run fold by
-    fold, each fold over the live candidates in grid order, and every
-    candidate of a fold receives the same training cloud, so whatever that
-    cloud builds lazily (its neighbour index) is built once per fold. The
-    score of a candidate is the average over repeats of (1/N) * sum of
-    squared held-out errors; a candidate whose fit fails anywhere scores
-    +inf and is not called again. Identical seeds give identical results.
+    space_of(candidate) builds the candidate's space. Each fold scores
+    fit(train, space, weight, policy) on the cloud without its rows, bit for
+    bit (see _fold_coefficients), at their coordinates clipped to the
+    domain. A score is the mean over repeats of (1/N) * sum of squared
+    held-out errors; a candidate whose space or fit fails scores +inf with
+    its first failing fold's message. assignments, when given, must
+    partition the rows once per repeat. Identical seeds give identical
+    results.
     """
     candidates = list(candidates)
     if not candidates:
         raise ValueError("need at least one candidate")
     if assignments is None:
         assignments = make_folds(cloud.n, folds, seed, repeats)
-    holds = [hold for rep in assignments for hold in rep]
-    totals = [0.0] * len(candidates)
+    ids = _fold_ids(assignments, cloud.n)
+    holds = [np.asarray(hold) for rep in assignments for hold in rep]
+    scores = np.full(len(candidates), math.inf)
     fold_scores = np.full((len(candidates), len(holds)), math.inf)
-    messages: dict = {}  # candidate index -> failure message
-    for split, hold in enumerate(holds):
-        mask = np.ones(cloud.n, dtype=bool)
-        mask[hold] = False
-        train = cloud.subset(np.flatnonzero(mask))
-        for ci, cand in enumerate(candidates):
-            if ci in messages:
-                continue
-            try:
-                model = fit_candidate(train, cand)
-                pred = np.asarray(model(cloud.x[hold]), dtype=float)
-                err = cloud.y[hold] - pred
+    failures: dict = {}
+    for ci, cand in enumerate(candidates):
+        total = 0.0
+        try:
+            space = space_of(cand)
+            for split, coeffs in enumerate(_fold_coefficients(cloud, space, weight, policy, ids)):
+                if split == 0:  # after the first fit has checked the space against the cloud
+                    flat, basis = _windows(space, np.clip(cloud.x, *space.domain))
+                hold = holds[split]
+                err = cloud.y[hold] - _combine(coeffs, flat[hold], basis[hold])
                 if not np.all(np.isfinite(err)):
                     raise WqisaError("non-finite held-out prediction")
-            except (WqisaError, ValueError, FloatingPointError) as exc:
-                messages[ci] = str(exc)
-                continue
-            totals[ci] += float(np.dot(err, err))
-            fold_scores[ci, split] = float(np.mean(err**2))
-    scores = np.array([math.inf if ci in messages else total / (cloud.n * len(assignments))
-                       for ci, total in enumerate(totals)])
-    failures = {cand: messages[ci] for ci, cand in enumerate(candidates) if ci in messages}
+                total += float(np.dot(err, err))
+                fold_scores[ci, split] = float(np.mean(err**2))
+        except (WqisaError, ValueError, FloatingPointError) as exc:
+            failures[cand] = str(exc)
+            continue
+        scores[ci] = total / (cloud.n * len(assignments))
     best_score = scores.min()
     tied = [candidates[i] for i in np.flatnonzero(scores == best_score)]
     try:
@@ -435,7 +501,8 @@ def select_parsimonious(result: CvResult):
     scores = result.scores
     best = int(np.argmin(scores))
     if not np.isfinite(scores[best]):
-        raise ValueError("every candidate failed")
+        first = next(iter(result.failures.items()), None)
+        raise ValueError("every candidate failed" + (f"; {first[0]!r}: {first[1]}" if first else ""))
     folds = result.fold_scores.shape[1]
     se = float(result.fold_scores[best].std(ddof=1)) / math.sqrt(folds)
     for ci, cand in enumerate(result.grid):

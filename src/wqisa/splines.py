@@ -305,12 +305,17 @@ def spline_eval(f: SplineFunction, u):
     convex combinations of coefficients, clipped to their range as in fit.
     """
     pts, single = _normalize_points(f.space.d, u)
-    flat, vals = _windows(f.space, pts)
-    c = f.coefficients.reshape(-1)
+    out = _combine(f.coefficients.reshape(-1), *_windows(f.space, pts))
+    return float(out[0]) if single else out
+
+
+def _combine(c: np.ndarray, flat: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Spline values from flat coefficients c and the windows of _windows:
+    the convex combinations, clipped to the range of c."""
     with np.errstate(over="ignore"):
         out = (c[flat] * vals).sum(axis=1)
     np.clip(out, c.min(), c.max(), out=out)
-    return float(out[0]) if single else out
+    return out
 
 
 def insert_knot(f: SplineFunction, axis: int, z: float) -> SplineFunction:

@@ -185,3 +185,40 @@ def line_parse_cloud(path, format="auto"):
     if not rows:
         raise ParseError(f"no data rows in {path}")
     return np.array(rows)
+
+
+def kfold_cv(cloud, candidates, fit_candidate, assignments):
+    """Cross-validation by refitting fold by fold: fit_candidate(train,
+    candidate) is called on the cloud without each fold's rows, in fold
+    order over the live candidates, and must return a fitted model, which
+    predicts the held-out rows at their coordinates clipped to its domain.
+    Returns (scores, fold_scores, failures) as wqisa.kfold_cv reports them:
+    a candidate that fails scores inf and keeps its first message."""
+    from wqisa import WqisaError
+
+    holds = [hold for rep in assignments for hold in rep]
+    totals = [0.0] * len(candidates)
+    fold_scores = np.full((len(candidates), len(holds)), math.inf)
+    messages = {}
+    for split, hold in enumerate(holds):
+        mask = np.ones(cloud.n, dtype=bool)
+        mask[hold] = False
+        train = type(cloud)(cloud.x[mask], cloud.y[mask])
+        for ci, cand in enumerate(candidates):
+            if ci in messages:
+                continue
+            try:
+                model = fit_candidate(train, cand)
+                pred = np.asarray(model(np.clip(cloud.x[hold], *model.space.domain)), dtype=float)
+                err = cloud.y[hold] - pred
+                if not np.all(np.isfinite(err)):
+                    raise WqisaError("non-finite held-out prediction")
+            except (WqisaError, ValueError, FloatingPointError) as exc:
+                messages[ci] = str(exc)
+                continue
+            totals[ci] += float(np.dot(err, err))
+            fold_scores[ci, split] = float(np.mean(err**2))
+    scores = np.array([math.inf if ci in messages else total / (cloud.n * len(assignments))
+                       for ci, total in enumerate(totals)])
+    failures = {cand: messages[ci] for ci, cand in enumerate(candidates) if ci in messages}
+    return scores, fold_scores, failures

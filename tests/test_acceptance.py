@@ -54,14 +54,13 @@ def test_criterion_01_cv_model_selection():
     spec = WeightSpec.knn(10)
     grid = list(range(5, 51))
 
-    def fit_n(train, n):
-        space = TensorSplineSpace((make_uniform_regular(-2, 2, n, 2),))
-        return fit(train, space, spec, NEAREST)
+    def space_n(n):
+        return TensorSplineSpace((make_uniform_regular(-2, 2, n, 2),))
 
     picks, argmins = [], []
     for seed in range(5):
         data = gen_synthetic("sine", 300, seed=seed, sigma=0.3)
-        res = kfold_cv(data.cloud, grid, fit_n, folds=5, seed=seed)
+        res = kfold_cv(data.cloud, grid, space_n, spec, NEAREST, folds=5, seed=seed)
         picks.append(select_parsimonious(res))
         argmins.append(res.best)
     elapsed = time.perf_counter() - t0

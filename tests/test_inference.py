@@ -1,6 +1,7 @@
 """Uncertainty quantification: covariance, variance bounds, bands, bias, CV."""
 
 import math
+import re
 import time
 import tracemalloc
 
@@ -17,7 +18,7 @@ from wqisa import (CoefficientCovariance, CvResult, DomainError, FitPolicy,
 from wqisa.fitting import weight_blocks
 from wqisa.inference import _BandBuilder, fit_with_band
 
-from _oracles import brute_covariance, half_band
+from _oracles import brute_covariance, half_band, kfold_cv as oracle_cv
 
 
 def cloud_1d(n=80, seed=0, sigma=0.2, lo=-1.0, hi=1.0):
@@ -551,58 +552,89 @@ class TestBiasBounds:
                            0.0, 0.0)
 
 
+def cv_matches_oracle(cloud, cands, space_of, weight, policy, assignments):
+    """kfold_cv's result, once its scores, fold scores and failures equal the
+    fold-by-fold refits' bit for bit."""
+    res = kfold_cv(cloud, cands, space_of, weight, policy, assignments=assignments)
+    scores, fold_scores, failures = oracle_cv(
+        cloud, cands, lambda train, c: fit(train, space_of(c), weight, policy), assignments)
+    assert np.array_equal(res.scores, scores)
+    assert np.array_equal(res.fold_scores, fold_scores)
+    assert res.failures == failures
+    return res
+
+
+@pytest.fixture
+def training_clouds(monkeypatch):
+    """The row sets of every PointCloud.subset call: on clouds inside the
+    domain, the training clouds kfold_cv builds for its exact per-fold
+    fallback (the oracle builds its own without subset)."""
+    built, subset = [], PointCloud.subset
+
+    def record(cloud, indices):
+        built.append(np.asarray(indices))
+        return subset(cloud, indices)
+
+    monkeypatch.setattr(PointCloud, "subset", record)
+    return built
+
+
+FAMILIES = [WeightSpec.knn(7), WeightSpec.characteristic(0.3), WeightSpec.gaussian(0.2),
+            WeightSpec.exponential(0.2), WeightSpec.idw()]
+
+
 class TestCrossValidation:
     @staticmethod
-    def fit_n(train, n):
-        space = TensorSplineSpace((make_uniform_regular(-1, 1, n, 2),))
-        return fit(train, space, WeightSpec.knn(8),
-                   FitPolicy(empty_support="nearest", drop_outside=False))
+    def space_n(n):
+        return TensorSplineSpace((make_uniform_regular(-1, 1, n, 2),))
+
+    knn8 = WeightSpec.knn(8)
+    nearest = FitPolicy(empty_support="nearest", drop_outside=False)
+
+    def cv(self, cloud, cands, **kwargs):
+        return kfold_cv(cloud, cands, self.space_n, self.knn8, self.nearest, **kwargs)
 
     def test_deterministic_under_seed(self):
         cloud = cloud_1d(90, seed=29)
-        a = kfold_cv(cloud, [4, 6, 8], self.fit_n, folds=5, seed=42)
-        b = kfold_cv(cloud, [4, 6, 8], self.fit_n, folds=5, seed=42)
+        a = self.cv(cloud, [4, 6, 8], folds=5, seed=42)
+        b = self.cv(cloud, [4, 6, 8], folds=5, seed=42)
         assert np.array_equal(a.scores, b.scores)
         assert a.best == b.best
 
     def test_scores_invariant_to_candidate_order(self):
         cloud = cloud_1d(90, seed=31)
-        fwd = kfold_cv(cloud, [4, 6, 8], self.fit_n, folds=4, seed=1)
-        rev = kfold_cv(cloud, [8, 6, 4], self.fit_n, folds=4, seed=1)
+        fwd = self.cv(cloud, [4, 6, 8], folds=4, seed=1)
+        rev = self.cv(cloud, [8, 6, 4], folds=4, seed=1)
         assert np.allclose(fwd.scores, rev.scores[::-1], atol=0)
         assert fwd.best == rev.best
 
     def test_explicit_assignments_respected(self):
         cloud = cloud_1d(60, seed=37)
         folds = make_folds(60, 4, seed=7)
-        by_seed = kfold_cv(cloud, [5, 7], self.fit_n, folds=4, seed=7)
-        by_hand = kfold_cv(cloud, [5, 7], self.fit_n, assignments=folds)
+        by_seed = self.cv(cloud, [5, 7], folds=4, seed=7)
+        by_hand = self.cv(cloud, [5, 7], assignments=folds)
         assert np.array_equal(by_seed.scores, by_hand.scores)
         # Reordering the fold arrays only permutes the sum's terms.
         shuffled = [list(reversed(folds[0]))]
-        re = kfold_cv(cloud, [5, 7], self.fit_n, assignments=shuffled)
+        re = self.cv(cloud, [5, 7], assignments=shuffled)
         assert np.allclose(re.scores, by_hand.scores, atol=1e-12)
 
     def test_failing_candidate_scores_inf(self):
         cloud = cloud_1d(50, seed=41)
 
-        def fragile(train, n):
+        def fragile(n):
             if n == 99:
                 raise ValueError("cannot fit this")
-            return self.fit_n(train, n)
+            return self.space_n(n)
 
-        res = kfold_cv(cloud, [5, 99], fragile, folds=3, seed=0)
+        res = kfold_cv(cloud, [5, 99], fragile, self.knn8, self.nearest, folds=3, seed=0)
         assert math.isinf(res.scores[1])
         assert res.best == 5
         assert "cannot fit" in res.failures[99]
 
     def test_ties_resolve_to_smallest_candidate(self):
-        cloud = cloud_1d(40, seed=43)
-
-        def constant(train, n):
-            return lambda pts: np.zeros(len(np.atleast_2d(pts)))
-
-        res = kfold_cv(cloud, [9, 3, 6], constant, folds=4, seed=2)
+        cloud = PointCloud(cloud_1d(40, seed=43).x, np.zeros(40))  # every fit is 0
+        res = self.cv(cloud, [9, 3, 6], folds=4, seed=2)
         assert np.all(res.scores == res.scores[0])
         assert res.best == 3
 
@@ -610,12 +642,13 @@ class TestCrossValidation:
         # One manual pass with known folds reproduces the reported score.
         cloud = cloud_1d(24, seed=47)
         folds = make_folds(24, 3, seed=5)
-        res = kfold_cv(cloud, [5], self.fit_n, assignments=folds)
+        res = self.cv(cloud, [5], assignments=folds)
         total = 0.0
         for hold in folds[0]:
             mask = np.ones(24, dtype=bool)
             mask[hold] = False
-            model = self.fit_n(cloud.subset(np.flatnonzero(mask)), 5)
+            model = fit(cloud.subset(np.flatnonzero(mask)), self.space_n(5), self.knn8,
+                        self.nearest)
             err = cloud.y[hold] - model(cloud.x[hold])
             total += float(np.dot(err, err))
         assert res.scores[0] == pytest.approx(total / 24, abs=1e-15)
@@ -623,68 +656,188 @@ class TestCrossValidation:
     def test_fold_scores_recorded_per_split(self):
         cloud = cloud_1d(30, seed=59)
         folds = make_folds(30, 3, seed=9)
-        res = kfold_cv(cloud, [5, 6], self.fit_n, assignments=folds)
+        res = self.cv(cloud, [5, 6], assignments=folds)
         assert res.fold_scores.shape == (2, 3)
         for ci in range(2):
             for fi, hold in enumerate(folds[0]):
                 mask = np.ones(30, dtype=bool)
                 mask[hold] = False
-                model = self.fit_n(cloud.subset(np.flatnonzero(mask)), [5, 6][ci])
+                model = fit(cloud.subset(np.flatnonzero(mask)), self.space_n([5, 6][ci]),
+                            self.knn8, self.nearest)
                 err = cloud.y[hold] - model(cloud.x[hold])
                 assert res.fold_scores[ci, fi] == pytest.approx(
                     float(np.mean(err**2)), abs=1e-15)
 
-    def test_one_training_cloud_per_fold(self):
+    def test_one_training_cloud_per_fold(self, training_clouds):
+        # Two folds leave some knn rows short of k kept neighbours: only those
+        # folds build their training cloud, at most once per candidate.
         cloud = cloud_1d(60, seed=67)
-        calls = []
-
-        def record(train, n):
-            calls.append((train, n))  # holding train keeps every id distinct
-            return self.fit_n(train, n)
-
-        kfold_cv(cloud, [4, 5, 6], record, folds=4, seed=3)
-        assert [n for _, n in calls] == [4, 5, 6] * 4
-        ids = [id(train) for train, _ in calls]
-        assert [len(set(ids[f * 3:f * 3 + 3])) for f in range(4)] == [1] * 4
-        assert len(set(ids)) == 4
+        folds = make_folds(60, 2, seed=3)
+        cv_matches_oracle(cloud, [4, 5, 6], self.space_n, self.knn8, self.nearest, folds)
+        complements = [np.sort(hold) for hold in folds[0][::-1]]
+        assert 0 < len(training_clouds) <= 3 * 2
+        assert all(any(np.array_equal(rows, c) for c in complements) for rows in training_clouds)
+        training_clouds.clear()
+        kfold_cv(cloud, [4, 5, 6], self.space_n, WeightSpec.characteristic(0.3), self.nearest,
+                 assignments=folds)
+        assert training_clouds == []  # no fold empties a ball of radius 0.3
 
     def test_fold_major_matches_candidate_major(self):
-        cloud = cloud_1d(60, seed=71)
-        folds = make_folds(60, 3, seed=13, repeats=2)
-        late = folds[0][2][0]  # candidate 7 fails once this row is held out
+        # Candidate 7 has a site at 0 whose ball holds one row, held out by
+        # fold 2 of the first repeat: it fails there, after two scored folds.
+        rng = np.random.default_rng(71)
+        x = rng.uniform(0.3, 1.0, 300) * rng.choice([-1.0, 1.0], 300)
+        x[17] = 0.0
+        cloud = PointCloud(x, np.sin(np.pi * x) + 0.2 * rng.standard_normal(300))
+        folds = make_folds(300, 3, seed=13, repeats=2)
+        at = next(f for f, hold in enumerate(folds[0]) if 17 in hold)
+        folds[0][at], folds[0][2] = folds[0][2], folds[0][at]
+        res = cv_matches_oracle(cloud, [4, 7, 6], self.space_n,
+                                WeightSpec.characteristic(0.15), FitPolicy(), folds)
+        assert np.isfinite(res.fold_scores[1, :2]).all() and np.isinf(res.fold_scores[1, 2:]).all()
+        assert list(res.failures) == [7] and "1 coefficient(s): (3,)" in res.failures[7]
+        assert np.isfinite(res.scores[[0, 2]]).all()
 
-        def fragile(train, n):
-            if n == 7 and cloud.x[late, 0] not in train.x[:, 0]:
-                raise ValueError("late failure")
-            return self.fit_n(train, n)
+    @pytest.mark.parametrize("weight", FAMILIES, ids=lambda w: w.family)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_family_matches_the_fold_by_fold_refits(self, weight, d):
+        rng = np.random.default_rng(73 + d)
+        n = 150 * d * d
+        x = rng.uniform(-1, 1, (n, d))
+        cloud = PointCloud(x, np.sin(3 * x[:, 0]) * x[:, -1] + 0.2 * rng.standard_normal(n))
 
-        cands = [4, 7, 6]
-        scores, fold_scores, failures = [], [], {}
-        for cand in cands:
-            total, row = 0.0, []
-            for hold in [h for rep in folds for h in rep]:
-                if cand in failures:
-                    row.append(math.inf)
-                    continue
-                mask = np.ones(cloud.n, dtype=bool)
-                mask[hold] = False
-                try:
-                    model = fragile(cloud.subset(np.flatnonzero(mask)), cand)
-                except ValueError as exc:
-                    failures[cand] = str(exc)
-                    row.append(math.inf)
-                    continue
-                err = cloud.y[hold] - np.asarray(model(cloud.x[hold]), dtype=float)
-                total += float(np.dot(err, err))
-                row.append(float(np.mean(err**2)))
-            scores.append(math.inf if cand in failures else total / (cloud.n * len(folds)))
-            fold_scores.append(row)
+        def space_of(n):
+            return TensorSplineSpace.from_bounds([-1] * d, [1] * d, [n], 2)
 
-        res = kfold_cv(cloud, cands, fragile, assignments=folds)
-        assert np.isfinite(res.fold_scores[1, :2]).all()  # failed in a later fold
-        assert res.scores.tolist() == scores
-        assert res.fold_scores.tolist() == fold_scores
-        assert res.failures == failures == {7: "late failure"}
+        for policy, folds in ((FitPolicy(), make_folds(n, 5, seed=1)),
+                              (self.nearest, make_folds(n, 4, seed=2, repeats=2))):
+            res = cv_matches_oracle(cloud, [3, 5, 8], space_of, weight, policy, folds)
+            assert np.isfinite(res.scores).all()
+
+    @pytest.mark.parametrize("weight", FAMILIES + [WeightSpec.knn(30)], ids=lambda w: w.label())
+    def test_duplicates_repeats_and_rows_outside_the_domain(self, weight):
+        # every x three times, a third of the rows outside [-0.7, 0.8]
+        rng = np.random.default_rng(79)
+        x = np.repeat(rng.uniform(-1, 1, 40), 3)
+        cloud = PointCloud(x, rng.standard_normal(120))
+
+        def space_of(n):
+            return TensorSplineSpace((make_uniform_regular(-0.7, 0.8, n, 2),))
+
+        folds = make_folds(120, 3, seed=4, repeats=2)
+        for policy in (FitPolicy(), FitPolicy(drop_outside=True),
+                       FitPolicy(empty_support="nearest", drop_outside=True)):
+            res = cv_matches_oracle(cloud, [4, 7, 15], space_of, weight, policy, folds)
+            assert np.isfinite(res.scores).all()
+
+    def test_idw_site_with_held_out_coincident_rows(self, training_clouds):
+        # three rows on every site: their 1/3 weights do not renormalise to
+        # 1/2 bit for bit, so each fold that holds one out refits the site
+        space = TensorSplineSpace((make_uniform_regular(0, 1, 8, 2),))
+        rng = np.random.default_rng(83)
+        x = np.concatenate([np.repeat(space.knot_average_grids[0], 3), rng.uniform(0, 1, 30)])
+        cloud = PointCloud(x, rng.standard_normal(len(x)))
+        for policy in (FitPolicy(), self.nearest):
+            training_clouds.clear()
+            cv_matches_oracle(cloud, [8, 5], lambda n: TensorSplineSpace.from_bounds(0, 1, n, 2),
+                              WeightSpec.idw(), policy, make_folds(cloud.n, 4, seed=3, repeats=2))
+            assert training_clouds
+
+    @pytest.mark.parametrize("empty_support", ["error", "nearest"])
+    def test_idw_windows_empty_past_the_overflow_distance(self, empty_support):
+        # sites 5e299 from every row: every distance reads inf, every weight 0
+        x = np.concatenate([np.linspace(-1e300, -9e299, 20), np.linspace(9e299, 1e300, 20)])
+        cloud = PointCloud(x, np.arange(40.0))
+        res = cv_matches_oracle(cloud, [4, 5], lambda n: TensorSplineSpace.from_bounds(
+            -1e300, 1e300, n, 2), WeightSpec.idw(), FitPolicy(empty_support=empty_support),
+            make_folds(40, 4, seed=2))
+        assert np.isfinite(res.scores).all() == (empty_support == "nearest")
+
+    @pytest.mark.parametrize("empty_support", ["error", "nearest"])
+    def test_fold_that_empties_a_ball_window(self, training_clouds, empty_support):
+        # the rows within 0.05 of a few sites are all held out by one fold
+        rng = np.random.default_rng(89)
+        x = np.repeat(rng.uniform(-1, 1, 40), 3)
+        cloud = PointCloud(x, rng.standard_normal(120))
+        policy = FitPolicy(empty_support=empty_support)
+        res = cv_matches_oracle(cloud, [4, 7, 15], self.space_n, WeightSpec.characteristic(0.05),
+                                policy, make_folds(120, 3, seed=4, repeats=2))
+        assert training_clouds  # the emptied windows took the fallback
+        if empty_support == "error":
+            assert "empty weight support" in res.failures[15]
+        else:
+            assert res.failures == {} and np.isfinite(res.scores).all()
+
+    def test_knn_requery_and_k_clamp(self, training_clouds):
+        rng = np.random.default_rng(97)
+        cloud = PointCloud(rng.uniform(-1, 1, 80), rng.standard_normal(80))
+        # half the rows held out: some of the 14 nearest keep fewer than 7
+        cv_matches_oracle(cloud, [5, 9], self.space_n, WeightSpec.knn(7), FitPolicy(),
+                          make_folds(80, 2, seed=3, repeats=2))
+        assert training_clouds
+        # 40 training rows for k = 50: every fold clamps k, as its own fit does
+        with pytest.warns(UserWarning, match="clamped"):
+            res = cv_matches_oracle(cloud, [5, 9], self.space_n, WeightSpec.knn(50),
+                                    FitPolicy(), make_folds(80, 2, seed=3))
+        assert np.isfinite(res.scores).all()
+
+    def test_one_radius_query_per_candidate_and_one_tree(self, monkeypatch, training_clouds):
+        from wqisa.kdtree import KdTree
+
+        counts = {"builds": 0, "radius": 0}
+        build, radius = KdTree.__init__, KdTree.radius_query
+
+        def counted_build(tree, points):
+            counts["builds"] += 1
+            build(tree, points)
+
+        def counted_radius(tree, u, r):
+            counts["radius"] += 1
+            return radius(tree, u, r)
+
+        monkeypatch.setattr(KdTree, "__init__", counted_build)
+        monkeypatch.setattr(KdTree, "radius_query", counted_radius)
+        cloud = cloud_1d(400, seed=101)
+        res = kfold_cv(cloud, list(range(5, 21)), self.space_n, WeightSpec.characteristic(0.1),
+                       FitPolicy(), folds=5, seed=5)
+        assert np.isfinite(res.scores).all() and training_clouds == []
+        assert counts == {"builds": 1, "radius": 16}
+        # knn reads its folds off the 2k nearest: with a fifth of the rows
+        # held out, no fold here is left with fewer than k of them
+        self.cv(cloud, list(range(5, 21)), folds=5, seed=5)
+        assert training_clouds == [] and counts["builds"] == 1
+
+    @pytest.mark.parametrize("weight", FAMILIES, ids=lambda w: w.family)
+    def test_coefficients_are_clipped_to_the_training_range(self, weight):
+        # 0.1 times weights that sum to 1 +- an ulp can round past 0.1: the
+        # fold's fit clips it back, and so must the masked fold
+        cloud = PointCloud(cloud_1d(90, seed=109).x, np.full(90, 0.1))
+        res = cv_matches_oracle(cloud, [4, 6, 9], self.space_n, weight, FitPolicy(),
+                                make_folds(90, 3, seed=1))
+        assert np.isfinite(res.scores).all()
+
+    @pytest.mark.parametrize("folds, message", [
+        ([[np.arange(0, 25), np.arange(20, 40)]], "repeat 0 fold 1 holds out row 20 a second time"),
+        ([[np.arange(0, 20), np.arange(20, 40)], [np.arange(0, 30), np.arange(31, 40)]],
+         "repeat 1 holds out row 30 in no fold"),
+        ([[np.arange(-1, 20), np.arange(20, 39)]], "repeat 0 fold 0 holds out row -1, outside"),
+        ([[np.arange(0, 20), np.arange(20, 41)]], "repeat 0 fold 1 holds out row 40, outside"),
+        ([[np.arange(20), np.arange(20, 40), np.array([5, 5])]],
+         "repeat 0 fold 2 holds out row 5 a second time"),
+        ([[np.arange(40), np.array([], dtype=int)]], "repeat 0 fold 0 must be 1 to 39 integer row indices"),
+        ([[np.arange(20.0), np.arange(20.0, 40.0)]], "repeat 0 fold 0 must be 1 to 39 integer row indices"),
+        ([], "at least one repeat"),
+    ])
+    def test_assignments_must_partition_the_rows(self, folds, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.cv(cloud_1d(40, seed=103), [5], assignments=folds)
+
+    def test_all_failed_names_the_first_failure(self):
+        res = kfold_cv(cloud_1d(40, seed=107), [5, 6], self.space_n,
+                       WeightSpec.characteristic(1e-4), FitPolicy(), folds=2)
+        assert np.isinf(res.scores).all()
+        with pytest.raises(ValueError, match=r"every candidate failed; 5: empty weight support"):
+            select_parsimonious(res)
 
     def test_parsimonious_prefers_earliest_within_one_se(self):
         # Candidate 0 is within one SE of the minimizer (candidate 2).
@@ -706,7 +859,7 @@ class TestCrossValidation:
 
     def test_parsimonious_on_real_cv_run(self):
         cloud = cloud_1d(90, seed=61)
-        res = kfold_cv(cloud, [4, 6, 8, 10, 12], self.fit_n, folds=5, seed=3)
+        res = self.cv(cloud, [4, 6, 8, 10, 12], folds=5, seed=3)
         pick = select_parsimonious(res)
         assert pick in res.grid
         assert pick <= res.best  # never more complex than the minimizer
@@ -728,7 +881,7 @@ class TestCrossValidation:
         with pytest.raises(ValueError, match="repeats=0"):
             make_folds(10, 2, seed=0, repeats=0)
         with pytest.raises(ValueError, match="candidate"):
-            kfold_cv(cloud_1d(20), [], self.fit_n)
+            self.cv(cloud_1d(20), [])
 
 
 class TestNoiseEstimate:

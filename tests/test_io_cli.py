@@ -416,6 +416,32 @@ class TestCliPipeline:
         rows = (tmp_path / "cv.csv").read_text().splitlines()[1:]
         assert rows[0] == "2,inf" and all(math.isfinite(float(r.split(",")[1])) for r in rows[1:])
 
+    def test_cv_predicts_rows_outside_a_narrow_domain_at_its_edge(self, tmp_path, capsys):
+        from wqisa import FitPolicy, TensorSplineSpace, WeightSpec, kfold_cv
+
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "300", "--seed", "3", "--out", str(cloud_path))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"domain": [[-1.5, 1.5]]}))
+        code, best = run_cli(capsys, "cv", "--config", str(cfg_path), "--data", str(cloud_path),
+                             "--grid", "5:6", "--weight", "knn:k=9", "--out", str(tmp_path))
+        assert code == 0 and best["best"] in (5, 6)
+        res = kfold_cv(load_cloud(cloud_path), [5, 6],
+                       lambda n: TensorSplineSpace.from_bounds(-1.5, 1.5, n, 2),
+                       WeightSpec.knn(9), FitPolicy())
+        rows = (tmp_path / "cv.csv").read_text().splitlines()[1:]
+        assert rows == [f"{n},{score!r}" for n, score in zip((5, 6), res.scores.tolist())]
+        assert np.isfinite(res.scores).all()
+
+    def test_cv_where_every_candidate_fails_names_the_first(self, tmp_path, capsys):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "300", "--seed", "3", "--out", str(cloud_path))
+        code, payload = run_cli(capsys, "cv", "--data", str(cloud_path), "--grid", "5:6",
+                                "--weight", "characteristic:r=0.0001", "--out", str(tmp_path))
+        assert code == 1
+        assert payload["error"]["message"].startswith(
+            "every candidate failed; 5: empty weight support for ")
+
     def test_eval_and_metrics_use_the_rows_the_fit_kept(self, tmp_path, capsys):
         from wqisa import (NoiseModel, band_coverage, coefficient_covariance, fit,
                            variance_at)
