@@ -12,7 +12,7 @@ import csv
 import os
 
 from wqisa import (FitPolicy, TensorSplineSpace, WeightSpec, gen_synthetic,
-                   kfold_cv, make_uniform_regular, select_parsimonious)
+                   kfold_cv, make_folds, make_uniform_regular, select_parsimonious)
 
 
 def main() -> None:
@@ -45,7 +45,8 @@ def main() -> None:
         summary.writerow(["seed", "argmin_n", "one_se_n", "min_score"])
         for seed in range(args.seeds):
             data = gen_synthetic("sine", args.count, seed=seed, sigma=args.sigma)
-            res = kfold_cv(data.cloud, grid, space_n, spec, policy, folds=args.folds, seed=seed)
+            folds = make_folds(data.cloud.n, args.folds, seed)
+            res = kfold_cv(data.cloud, grid, space_n, spec, policy, assignments=folds)
             for n, score in zip(res.grid, res.scores):
                 curves.writerow([seed, n, repr(float(score))])
             pick = select_parsimonious(res)

@@ -32,7 +32,7 @@ from .fitting import (FitPolicy, PointCloud, classify_convexity, classify_monoto
                       evaluate, global_bounds, iqr_outlier_mask)
 from .inference import (CoefficientCovariance, NoiseModel, _band, coefficient_covariance,
                         estimate_noise_sigma, fit_with_band, half_band, kfold_cv,
-                        select_parsimonious, variance_at)
+                        make_folds, select_parsimonious, variance_at)
 from .io import gen_synthetic, load_cloud, save_cloud, write_rows
 from .metrics import (band_coverage, directed_hausdorff_normalized, dispersion,
                       jaccard)
@@ -342,7 +342,7 @@ def cmd_cv(cfg: FitConfig, args) -> dict:
         return TensorSplineSpace.from_bounds(lo, hi, [n], cfg.degree)
 
     result = kfold_cv(cloud, cfg.cv_grid, space, weight, policy,
-                      folds=cfg.folds, repeats=cfg.repeats, seed=cfg.seed)
+                      assignments=make_folds(cloud.n, cfg.folds, cfg.seed, cfg.repeats))
     out = _outdir(cfg)
     curve = os.path.join(out, "cv.csv")
     with open(curve, "w", encoding="utf-8", newline="\n") as fh:

@@ -220,6 +220,14 @@ def _normalise(w: np.ndarray, indptr: np.ndarray) -> None:
     w /= sums if len(sums) == 1 else np.repeat(sums, indptr[1:] - indptr[:-1])
 
 
+def _weighted_means(y: np.ndarray, indptr, cols, vals) -> np.ndarray:
+    """Per CSR row, the sum of y[cols] * vals: its mean of y under normalised
+    weights. A partial sum overflows (to inf, never NaN) only when the weight
+    still to come is ~0: callers clip to the range of the y they average."""
+    with np.errstate(over="ignore"):
+        return _row_sums(y.take(cols) * vals, indptr)
+
+
 def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
                   policy: FitPolicy = FitPolicy(), flats=None, *, _raw=False):
     """Yield V, the normalised weight rows of every coefficient (or of the
@@ -264,17 +272,18 @@ def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpe
 def estimate_control_point(cloud: PointCloud, weight: WeightSpec, u) -> float:
     """Weighted mean of the responses under the weight window anchored at u.
 
-    Always a convex combination of response values, hence never outside
-    [min y, max y]. Raises EmptySupportError when every weight vanishes
-    (tiny characteristic radii, or gaussian windows collapsing below the
-    floating-point floor).
+    Reduced and clipped to [min y, max y] as in fit: at a knot average of a
+    space whose domain holds the cloud it is fit's coefficient, bit for bit.
+    Raises EmptySupportError when every weight vanishes (tiny characteristic
+    radii, or gaussian windows collapsing below the floating-point floor).
     """
-    idx, w = cloud_weights(weight, u, cloud)
-    if len(idx) == 0:
-        raise EmptySupportError([(None, np.atleast_1d(np.asarray(u, dtype=float)))])
-    with np.errstate(over="ignore"):  # clipped as in fit
-        mean = float((cloud.y[idx] * (w / w.sum())).sum())
-    return min(max(mean, float(cloud.y.min())), float(cloud.y.max()))
+    anchor = np.asarray(u, dtype=float).reshape(1, -1)
+    indptr, cols, w = cloud_weights(weight, anchor, cloud)
+    if len(cols) == 0:
+        raise EmptySupportError([(None, anchor[0])])
+    _normalise(w, indptr)
+    mean = _weighted_means(cloud.y, indptr, cols, w)
+    return float(np.clip(mean, cloud.y.min(), cloud.y.max())[0])
 
 
 def _index_tuple(flat: int, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -301,8 +310,7 @@ def fit(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
     for block in weight_blocks(cloud, space, weight, policy):
         if _tap is not None:
             _tap(block)
-        with np.errstate(over="ignore"):
-            coeffs[block.flats] = _row_sums(cloud.y.take(block.cols) * block.vals, block.indptr)
+        coeffs[block.flats] = _weighted_means(cloud.y, block.indptr, block.cols, block.vals)
         sizes[block.flats] = block.indptr[1:] - block.indptr[:-1]
         if not seen_all:  # a dense row lists every row: no scatter after it
             seen[block.cols] = True
@@ -310,9 +318,6 @@ def fit(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
         lookups += block.lookups
         for f, at in zip(block.flats[block.fallback], block.indptr[:-1][block.fallback]):
             fallbacks[_index_tuple(f, space.shape)] = int(block.cols[at])
-    # Convex combinations of the responses: a partial sum overflows only when
-    # the weight still to come is ~0, so the clip takes back just that (an
-    # inf, never a NaN) and any rounding past the data range.
     np.clip(coeffs, cloud.y.min(), cloud.y.max(), out=coeffs)
     diag = FitDiagnostics(
         estimator_calls=space.dim,

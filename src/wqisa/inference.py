@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import WqisaError
 from .fitting import (LOCAL_FAMILIES, FitPolicy, PointCloud, WqisaModel, _index_tuple,
-                      _normalise, _row_sums, _working_points, evaluate, fit, weight_blocks)
+                      _normalise, _weighted_means, _working_points, evaluate, fit,
+                      weight_blocks)
 from .kdtree import squared_distances
 from .splines import TensorSplineSpace, _combine, _normalize_points, _windows
 from .weights import WeightSpec
@@ -335,9 +336,9 @@ def bias_bounds_at(cloud: PointCloud, true_values: np.ndarray, space: TensorSpli
     lower, upper = float(seen.min()), float(seen.max())
     # convex combinations, clipped as in fit; the means first, since an
     # inf mean times a zero basis value would be NaN
+    means = [_weighted_means(true_values, b.indptr, b.cols, b.vals) for b in blocks]
+    means = np.clip(np.concatenate(means), lower, upper)
     with np.errstate(over="ignore"):
-        means = [_row_sums(true_values[b.cols] * b.vals, b.indptr) for b in blocks]
-        means = np.clip(np.concatenate(means), lower, upper)
         expected = float(np.clip(means @ bases[0], lower, upper))
     f_u = float(true_at_u)
     gap = (lower if expected <= f_u else upper) - f_u
@@ -369,9 +370,11 @@ def make_folds(n: int, folds: int, seed: int, repeats: int = 1) -> list[list[np.
 
 def _fold_ids(assignments, n: int) -> np.ndarray:
     """(repeats, n): the fold that holds out each row, once every repeat is
-    checked to partition range(n) into folds of 1 to n - 1 rows."""
+    checked to partition range(n) into folds of 1 to n - 1 rows, as many as repeat 0."""
     ids = np.full((len(assignments), n), -1)
     for r, rep in enumerate(assignments):
+        if len(rep) != len(assignments[0]):
+            raise ValueError(f"repeat {r} has {len(rep)} folds, repeat 0 has {len(assignments[0])}")
         for f, hold in enumerate(rep):
             hold, where = np.asarray(hold), f"repeat {r} fold {f}"
             if hold.ndim != 1 or hold.dtype.kind not in "iu" or not 0 < len(hold) < n:
@@ -421,38 +424,33 @@ def _fold_coefficients(cloud: PointCloud, space: TensorSplineSpace, weight: Weig
             indptr = np.concatenate(([0], np.cumsum(count)))
             w = np.full(indptr[-1], 1.0 / k) if k else block.vals[keep]
             _normalise(w, indptr)
-            with np.errstate(over="ignore"):
-                coeffs[s, block.flats] = _row_sums(cloud.y.take(block.cols[keep]) * w, indptr)
+            coeffs[s, block.flats] = _weighted_means(cloud.y, indptr, block.cols[keep], w)
     for s, (r, f) in enumerate(splits):
         rows, flats = np.flatnonzero(ids[r] != f), np.concatenate(redo[s])
         if len(flats):  # the training cloud, built only for these
             for block in weight_blocks(cloud.subset(rows), space, weight, policy, flats):
-                with np.errstate(over="ignore"):
-                    coeffs[s, block.flats] = _row_sums(cloud.y[rows[block.cols]] * block.vals,
-                                                       block.indptr)
+                coeffs[s, block.flats] = _weighted_means(cloud.y, block.indptr,
+                                                         rows[block.cols], block.vals)
         y = cloud.y[rows]
         yield np.clip(coeffs[s], y.min(), y.max(), out=coeffs[s])
 
 
 def kfold_cv(cloud: PointCloud, candidates, space_of, weight: WeightSpec,
-             policy: FitPolicy = FitPolicy(), folds: int = 5, repeats: int = 1,
-             seed: int = 0, assignments=None) -> CvResult:
+             policy: FitPolicy = FitPolicy(), *, assignments) -> CvResult:
     """Select a candidate by mean held-out squared error.
 
-    space_of(candidate) builds the candidate's space. Each fold scores
-    fit(train, space, weight, policy) on the cloud without its rows, bit for
-    bit (see _fold_coefficients), at their coordinates clipped to the
-    domain. A score is the mean over repeats of (1/N) * sum of squared
-    held-out errors; a candidate whose space or fit fails scores +inf with
-    its first failing fold's message. assignments, when given, must
-    partition the rows once per repeat. Identical seeds give identical
-    results.
+    space_of(candidate) builds the candidate's space; assignments, the fold
+    table of make_folds, partitions the rows into the same number of folds
+    in every repeat. Each fold scores fit(train, space, weight, policy)
+    without its rows, bit for bit (see _fold_coefficients), at their
+    coordinates clipped to the domain. A score is the mean over repeats of
+    (1/N) * sum of squared held-out errors; a candidate whose space or fit
+    fails, or whose squared errors overflow, scores +inf with its first
+    failure's message.
     """
     candidates = list(candidates)
     if not candidates:
         raise ValueError("need at least one candidate")
-    if assignments is None:
-        assignments = make_folds(cloud.n, folds, seed, repeats)
     ids = _fold_ids(assignments, cloud.n)
     holds = [np.asarray(hold) for rep in assignments for hold in rep]
     scores = np.full(len(candidates), math.inf)
@@ -469,8 +467,11 @@ def kfold_cv(cloud: PointCloud, candidates, space_of, weight: WeightSpec,
                 err = cloud.y[hold] - _combine(coeffs, flat[hold], basis[hold])
                 if not np.all(np.isfinite(err)):
                     raise WqisaError("non-finite held-out prediction")
-                total += float(np.dot(err, err))
-                fold_scores[ci, split] = float(np.mean(err**2))
+                with np.errstate(over="ignore"):  # an overflow fails the candidate below
+                    total += float(np.dot(err, err))
+                    fold_scores[ci, split] = float(np.mean(err**2))
+            if math.isinf(max(total, fold_scores[ci].max())):
+                raise WqisaError("held-out squared error overflows")
         except (WqisaError, ValueError, FloatingPointError) as exc:
             failures[cand] = str(exc)
             continue
@@ -482,7 +483,7 @@ def kfold_cv(cloud: PointCloud, candidates, space_of, weight: WeightSpec,
     except TypeError:
         best = tied[0]
     return CvResult(grid=candidates, scores=scores, best=best,
-                    folds=folds, repeats=len(assignments), failures=failures,
+                    folds=len(assignments[0]), repeats=len(assignments), failures=failures,
                     fold_scores=fold_scores)
 
 
@@ -491,10 +492,10 @@ def select_parsimonious(result: CvResult):
 
     Returns the first candidate, in grid order, whose mean score is within
     one standard error of the minimizer's score, where the standard error
-    is the fold-score standard deviation of the minimizer divided by the
-    square root of the number of folds. With a complexity-ordered grid this
-    is the classic parsimony rule for flat CV curves: prefer the simplest
-    model statistically indistinguishable from the best one.
+    is the fold-score standard deviation of the minimizer divided by
+    sqrt(folds x repeats). With a complexity-ordered grid this is the
+    classic parsimony rule for flat CV curves: prefer the simplest model
+    statistically indistinguishable from the best one.
     """
     if result.fold_scores is None:
         raise ValueError("result carries no per-fold scores")

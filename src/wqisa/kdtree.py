@@ -37,9 +37,8 @@ ties break by index. Results equal a brute-force scan exactly: k-nearest
 rows are ordered by (distance, index), with ties at the k-th distance
 broken by ascending index, and radius queries use the closed ball.
 
-A 1-D query is one point: ``knn`` returns (k,) indices and ``radius_query``
-sorted indices. A 2-D (m, d) query is a batch: ``knn`` returns (m, k) and
-``radius_query`` CSR arrays (indptr, indices).
+Queries are (m, d) blocks, one point per row: ``knn`` returns (m, k)
+indices and ``radius_query`` CSR arrays (indptr, indices).
 """
 
 from __future__ import annotations
@@ -62,6 +61,19 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             gap *= gap
             d2 += gap
     return d2
+
+
+def query_block(u, d: int) -> np.ndarray:
+    """u as a float (m, d) block of query points, or a ValueError naming
+    what is wrong with it."""
+    q = np.asarray(u, dtype=float)
+    if q.ndim != 2:
+        raise ValueError(f"queries must be an (m, d) block, got shape {q.shape}")
+    if q.shape[1] != d:
+        raise ValueError(f"query dimension {q.shape[1]} != tree dimension {d}")
+    if np.isnan(q).any():
+        raise ValueError("query coordinates must not be NaN")
+    return q
 
 
 def _positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -152,18 +164,6 @@ class KdTree:
         self._start, self._end = start.astype(np.intp), end.astype(np.intp)
         self._perm = orders[0]
 
-    def _queries(self, u) -> tuple[np.ndarray, bool]:
-        """(m, d) query block and whether u was a single point."""
-        q = np.asarray(u, dtype=float)
-        single = q.ndim <= 1
-        if single:
-            q = q.reshape(1, -1)
-        if q.ndim != 2 or q.shape[1] != self.d:
-            raise ValueError(f"query dimension {q.shape[-1]} != tree dimension {self.d}")
-        if np.isnan(q).any():
-            raise ValueError("query coordinates must not be NaN")
-        return q, single
-
     def _points_of(self, q, qi, nodes):
         """(query, row, d2) for every point of each (query, node) pair."""
         lens = self._end[nodes] - self._start[nodes]
@@ -213,13 +213,12 @@ class KdTree:
         return qi[hit], rows[hit].astype(np.intp), d2[hit]
 
     def knn(self, u, k: int) -> np.ndarray:
-        """Indices of the k nearest points to each query, ordered by
-        (distance, index): (k,) for one point, (m, k) for a batch."""
-        q, single = self._queries(u)
-        if not 1 <= k <= self.n:
-            raise ValueError(f"k={k} out of range [1, {self.n}]")
-        out = self._knn(q, k)
-        return out[0] if single else out
+        """(m, k) indices of the k nearest points to each of the (m, d)
+        queries, ordered by (distance, index)."""
+        q = query_block(u, self.d)
+        if not isinstance(k, (int, np.integer)) or not 1 <= k <= self.n:
+            raise ValueError(f"k must be an integer in [1, {self.n}], got {k!r}")
+        return self._knn(q, k)
 
     def _knn(self, q, k: int) -> np.ndarray:
         """(m, k) rows for a query block: one sort of the packed keys
@@ -243,14 +242,12 @@ class KdTree:
         return np.concatenate([self._knn(q[:half], k), self._knn(q[half:], k)])
 
     def radius_query(self, u, r: float):
-        """Points within the closed ball of radius r around each query:
-        sorted indices for one point, CSR (indptr, indices) for a batch."""
-        q, single = self._queries(u)
-        if r < 0:
-            raise ValueError(f"radius must be >= 0, got {r}")
+        """Points within the closed ball of radius r around each of the
+        (m, d) queries, as CSR (indptr, indices) with sorted rows."""
+        q = query_block(u, self.d)
+        if not r >= 0:  # NaN too
+            raise ValueError(f"radius r must be >= 0, got {r}")
         count, rows = self._radius(q, r * r)
-        if single:
-            return rows
         indptr = np.zeros(len(q) + 1, dtype=np.intp)
         np.cumsum(count, out=indptr[1:])
         return indptr, rows

@@ -1,6 +1,7 @@
 """Weight families that drive the control-point estimator.
 
-A weight w_u(x) scores cloud point x against an anchor u. Families:
+A weight w_u(x) scores cloud point x against an anchor u; ``cloud_weights``
+scores an (m, d) block of anchors at once, one CSR row each. Families:
 
 * ``knn``            1/k on the k nearest cloud points of u, else 0
 * ``characteristic`` 1 on the closed ball of radius r around u, else 0
@@ -29,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kdtree import squared_distances
+from .kdtree import query_block, squared_distances
 
 
 def _flag(text: str) -> bool:
@@ -155,12 +156,11 @@ def _scan_weights(spec: WeightSpec, u: np.ndarray, cloud):
 
 
 def cloud_weights(spec: WeightSpec, u, cloud):
-    """Per-row weights of a PointCloud against anchor u.
+    """Per-row weights of a PointCloud against an (m, d) block u of anchors.
 
-    For one anchor (a 1-D u) returns (indices, weights) of the rows with
-    positive weight, the only ones listed. For a block of anchors (an
-    (m, d) u) returns CSR arrays (indptr, indices, weights): anchor j's row
-    is indices/weights[indptr[j]:indptr[j + 1]]. For bounded families the
+    Returns CSR arrays (indptr, indices, weights) listing only the rows
+    with positive weight: anchor j's row is
+    indices/weights[indptr[j]:indptr[j + 1]]. For bounded families the
     listed rows are the support, found through the cloud's neighbour index
     in one call for the whole block, so downstream work is O(k) for knn and
     O(|ball|) for characteristic windows; the unbounded families score
@@ -168,12 +168,7 @@ def cloud_weights(spec: WeightSpec, u, cloud):
     coincidence on the same distances its weights use, so a gap that
     underflows to distance 0 counts as coincident instead of weighing inf.
     """
-    anchors = np.asarray(u, dtype=float)
-    single = anchors.ndim <= 1
-    if single:
-        anchors = anchors.reshape(1, -1)
-    if anchors.ndim != 2 or anchors.shape[1] != cloud.d:
-        raise ValueError(f"query dimension {anchors.shape[-1]} != tree dimension {cloud.d}")
+    anchors = query_block(u, cloud.d)
     if spec.family == "knn":
         k = min(int(spec.k), cloud.n)
         if k < spec.k:
@@ -192,4 +187,4 @@ def cloud_weights(spec: WeightSpec, u, cloud):
         idx, w = rows[0] if len(rows) == 1 else (  # one site: no copy
             np.concatenate([np.empty(0, dtype=int)] + [i for i, _ in rows]),
             np.concatenate([np.empty(0)] + [v for _, v in rows]))
-    return (idx, w) if single else (indptr, idx, w)
+    return indptr, idx, w

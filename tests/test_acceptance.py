@@ -13,7 +13,7 @@ from wqisa import (FitPolicy, KnotVector, NoiseModel, PointCloud,
                    SplineFunction, TensorSplineSpace, WeightSpec,
                    coefficient_covariance, estimate_control_point, evaluate,
                    fit, gen_synthetic, insert_knot, iqr_outlier_filter,
-                   kfold_cv, knot_averages, local_bounds, make_uniform_regular,
+                   kfold_cv, knot_averages, local_bounds, make_folds, make_uniform_regular,
                    select_parsimonious, spline_eval, variance_at,
                    w_convex_check, w_monotone_check)
 from wqisa.kdtree import KdTree
@@ -60,7 +60,8 @@ def test_criterion_01_cv_model_selection():
     picks, argmins = [], []
     for seed in range(5):
         data = gen_synthetic("sine", 300, seed=seed, sigma=0.3)
-        res = kfold_cv(data.cloud, grid, space_n, spec, NEAREST, folds=5, seed=seed)
+        res = kfold_cv(data.cloud, grid, space_n, spec, NEAREST,
+                       assignments=make_folds(data.cloud.n, 5, seed))
         picks.append(select_parsimonious(res))
         argmins.append(res.best)
     elapsed = time.perf_counter() - t0
@@ -282,11 +283,11 @@ def test_criterion_07_kdtree_matches_linear_scan():
         u = rng.uniform(-6, 6, d)
         if trial % 2 == 0:
             k = int(rng.integers(1, N + 1))
-            assert np.array_equal(tree.knn(u, k), brute_knn(pts, u, k)), (
+            assert np.array_equal(tree.knn(u[None], k), [brute_knn(pts, u, k)]), (
                 f"trial {trial}: knn mismatch")
         else:
             r = float(rng.uniform(0, 1.2) * 10)
-            assert np.array_equal(tree.radius_query(u, r),
+            assert np.array_equal(tree.radius_query(u[None], r)[1],
                                   brute_radius(pts, u, r)), (
                 f"trial {trial}: radius mismatch")
     _passed(7, "kd-tree oracle equivalence", "(1000 queries)")

@@ -104,6 +104,22 @@ class TestEstimator:
             assert got == pytest.approx(ref, abs=1e-12)
             assert y.min() - 1e-12 <= got <= y.max() + 1e-12
 
+    @pytest.mark.parametrize("spec", [WeightSpec.knn(20), WeightSpec.characteristic(0.3),
+                                      WeightSpec.gaussian(0.3), WeightSpec.exponential(0.3),
+                                      WeightSpec.idw()], ids=lambda s: s.family)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_equals_the_fitted_coefficient_bit_for_bit(self, spec, d):
+        # the estimator reduces a window as fit reduces a coefficient's row
+        rng = np.random.default_rng(17 + d)
+        n = 600 * d * d
+        x = rng.uniform(-1, 1, (n, d))
+        cloud = PointCloud(x, np.sin(3 * x[:, 0]) * x[:, -1] + 0.3 * rng.standard_normal(n))
+        space = TensorSplineSpace.from_bounds([-1] * d, [1] * d, [12 // d + 2] * d, 2)
+        coeffs = fit(cloud, space, spec).spline.coefficients
+        for index in np.ndindex(space.shape):
+            got = estimate_control_point(cloud, spec, space.site(index))
+            assert got == coeffs[index], (index, got - coeffs[index])
+
     def test_empty_support_names_site(self):
         cloud = PointCloud(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
         with pytest.raises(EmptySupportError, match="5.0"):

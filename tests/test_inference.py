@@ -596,22 +596,22 @@ class TestCrossValidation:
 
     def test_deterministic_under_seed(self):
         cloud = cloud_1d(90, seed=29)
-        a = self.cv(cloud, [4, 6, 8], folds=5, seed=42)
-        b = self.cv(cloud, [4, 6, 8], folds=5, seed=42)
+        a = self.cv(cloud, [4, 6, 8], assignments=make_folds(cloud.n, 5, 42))
+        b = self.cv(cloud, [4, 6, 8], assignments=make_folds(cloud.n, 5, 42))
         assert np.array_equal(a.scores, b.scores)
         assert a.best == b.best
 
     def test_scores_invariant_to_candidate_order(self):
         cloud = cloud_1d(90, seed=31)
-        fwd = self.cv(cloud, [4, 6, 8], folds=4, seed=1)
-        rev = self.cv(cloud, [8, 6, 4], folds=4, seed=1)
+        fwd = self.cv(cloud, [4, 6, 8], assignments=make_folds(cloud.n, 4, 1))
+        rev = self.cv(cloud, [8, 6, 4], assignments=make_folds(cloud.n, 4, 1))
         assert np.allclose(fwd.scores, rev.scores[::-1], atol=0)
         assert fwd.best == rev.best
 
     def test_explicit_assignments_respected(self):
         cloud = cloud_1d(60, seed=37)
         folds = make_folds(60, 4, seed=7)
-        by_seed = self.cv(cloud, [5, 7], folds=4, seed=7)
+        by_seed = self.cv(cloud, [5, 7], assignments=make_folds(cloud.n, 4, 7))
         by_hand = self.cv(cloud, [5, 7], assignments=folds)
         assert np.array_equal(by_seed.scores, by_hand.scores)
         # Reordering the fold arrays only permutes the sum's terms.
@@ -627,14 +627,15 @@ class TestCrossValidation:
                 raise ValueError("cannot fit this")
             return self.space_n(n)
 
-        res = kfold_cv(cloud, [5, 99], fragile, self.knn8, self.nearest, folds=3, seed=0)
+        res = kfold_cv(cloud, [5, 99], fragile, self.knn8, self.nearest,
+                       assignments=make_folds(cloud.n, 3, 0))
         assert math.isinf(res.scores[1])
         assert res.best == 5
         assert "cannot fit" in res.failures[99]
 
     def test_ties_resolve_to_smallest_candidate(self):
         cloud = PointCloud(cloud_1d(40, seed=43).x, np.zeros(40))  # every fit is 0
-        res = self.cv(cloud, [9, 3, 6], folds=4, seed=2)
+        res = self.cv(cloud, [9, 3, 6], assignments=make_folds(cloud.n, 4, 2))
         assert np.all(res.scores == res.scores[0])
         assert res.best == 3
 
@@ -799,12 +800,12 @@ class TestCrossValidation:
         monkeypatch.setattr(KdTree, "radius_query", counted_radius)
         cloud = cloud_1d(400, seed=101)
         res = kfold_cv(cloud, list(range(5, 21)), self.space_n, WeightSpec.characteristic(0.1),
-                       FitPolicy(), folds=5, seed=5)
+                       FitPolicy(), assignments=make_folds(cloud.n, 5, 5))
         assert np.isfinite(res.scores).all() and training_clouds == []
         assert counts == {"builds": 1, "radius": 16}
         # knn reads its folds off the 2k nearest: with a fifth of the rows
         # held out, no fold here is left with fewer than k of them
-        self.cv(cloud, list(range(5, 21)), folds=5, seed=5)
+        self.cv(cloud, list(range(5, 21)), assignments=make_folds(cloud.n, 5, 5))
         assert training_clouds == [] and counts["builds"] == 1
 
     @pytest.mark.parametrize("weight", FAMILIES, ids=lambda w: w.family)
@@ -832,9 +833,32 @@ class TestCrossValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             self.cv(cloud_1d(40, seed=103), [5], assignments=folds)
 
+    def test_overflowing_squared_error_is_a_named_failure(self):
+        # finite held-out errors near 1e160 whose squares overflow; runs
+        # under the suite's error::RuntimeWarning filter
+        x = np.linspace(-1, 1, 60)
+        cloud = PointCloud(x, 1e160 * (-1.0) ** np.arange(60))
+        res = kfold_cv(cloud, [5], self.space_n, WeightSpec.knn(5), FitPolicy(),
+                       assignments=make_folds(60, 3, 0))
+        assert np.isinf(res.scores).all()
+        assert res.failures == {5: "held-out squared error overflows"}
+        with pytest.raises(ValueError, match="every candidate failed; 5: held-out squared"):
+            select_parsimonious(res)
+
+    def test_folds_and_repeats_are_read_from_the_table(self):
+        cloud = cloud_1d(60, seed=37)
+        res = self.cv(cloud, [5, 7], assignments=make_folds(60, 3, 1, repeats=2))
+        assert (res.folds, res.repeats) == (3, 2) and res.fold_scores.shape == (2, 6)
+
+    def test_repeats_must_have_equal_fold_counts(self):
+        table = make_folds(60, 3, 1) + make_folds(60, 4, 1)
+        with pytest.raises(ValueError, match="repeat 1 has 4 folds, repeat 0 has 3"):
+            self.cv(cloud_1d(60, seed=37), [5], assignments=table)
+
     def test_all_failed_names_the_first_failure(self):
         res = kfold_cv(cloud_1d(40, seed=107), [5, 6], self.space_n,
-                       WeightSpec.characteristic(1e-4), FitPolicy(), folds=2)
+                       WeightSpec.characteristic(1e-4), FitPolicy(),
+                       assignments=make_folds(40, 2, 0))
         assert np.isinf(res.scores).all()
         with pytest.raises(ValueError, match=r"every candidate failed; 5: empty weight support"):
             select_parsimonious(res)
@@ -859,7 +883,7 @@ class TestCrossValidation:
 
     def test_parsimonious_on_real_cv_run(self):
         cloud = cloud_1d(90, seed=61)
-        res = self.cv(cloud, [4, 6, 8, 10, 12], folds=5, seed=3)
+        res = self.cv(cloud, [4, 6, 8, 10, 12], assignments=make_folds(cloud.n, 5, 3))
         pick = select_parsimonious(res)
         assert pick in res.grid
         assert pick <= res.best  # never more complex than the minimizer
@@ -881,7 +905,7 @@ class TestCrossValidation:
         with pytest.raises(ValueError, match="repeats=0"):
             make_folds(10, 2, seed=0, repeats=0)
         with pytest.raises(ValueError, match="candidate"):
-            self.cv(cloud_1d(20), [])
+            self.cv(cloud_1d(20), [], assignments=make_folds(20, 2, seed=0))
 
 
 class TestNoiseEstimate:

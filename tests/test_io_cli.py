@@ -417,7 +417,7 @@ class TestCliPipeline:
         assert rows[0] == "2,inf" and all(math.isfinite(float(r.split(",")[1])) for r in rows[1:])
 
     def test_cv_predicts_rows_outside_a_narrow_domain_at_its_edge(self, tmp_path, capsys):
-        from wqisa import FitPolicy, TensorSplineSpace, WeightSpec, kfold_cv
+        from wqisa import FitPolicy, TensorSplineSpace, WeightSpec, kfold_cv, make_folds
 
         cloud_path = tmp_path / "c.xyz"
         run_cli(capsys, "gen", "--count", "300", "--seed", "3", "--out", str(cloud_path))
@@ -428,7 +428,7 @@ class TestCliPipeline:
         assert code == 0 and best["best"] in (5, 6)
         res = kfold_cv(load_cloud(cloud_path), [5, 6],
                        lambda n: TensorSplineSpace.from_bounds(-1.5, 1.5, n, 2),
-                       WeightSpec.knn(9), FitPolicy())
+                       WeightSpec.knn(9), FitPolicy(), assignments=make_folds(300, 5, 0))
         rows = (tmp_path / "cv.csv").read_text().splitlines()[1:]
         assert rows == [f"{n},{score!r}" for n, score in zip((5, 6), res.scores.tolist())]
         assert np.isfinite(res.scores).all()

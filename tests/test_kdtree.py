@@ -34,27 +34,32 @@ class TestKnn:
         tree = KdTree(pts)
         k = data.draw(st.integers(1, len(pts)))
         u = np.array([data.draw(finite) for _ in range(pts.shape[1])])
-        got = tree.knn(u, k)
-        want = brute_knn(pts, u, k)
-        assert np.array_equal(got, want)
+        got = tree.knn(u[None], k)
+        assert got.shape == (1, k)
+        assert np.array_equal(got[0], brute_knn(pts, u, k))
 
     def test_tie_break_by_index(self):
         pts = np.array([[1.0], [-1.0], [1.0], [0.5]])
         tree = KdTree(pts)
         # distances from 0: 1, 1, 1, 0.5; ties at distance 1 resolved 0 then 1
-        assert np.array_equal(tree.knn([0.0], 3), [3, 0, 1])
+        assert np.array_equal(tree.knn([[0.0]], 3), [[3, 0, 1]])
 
     def test_duplicates_returned_before_farther_points(self):
         pts = np.array([[0.0, 0.0]] * 5 + [[2.0, 0.0]])
         tree = KdTree(pts)
-        assert np.array_equal(tree.knn([0.1, 0.0], 6), [0, 1, 2, 3, 4, 5])
+        assert np.array_equal(tree.knn([[0.1, 0.0]], 6), [[0, 1, 2, 3, 4, 5]])
 
     def test_k_out_of_range(self):
         tree = KdTree(np.arange(5.0))
         with pytest.raises(ValueError):
-            tree.knn([0.0], 0)
+            tree.knn([[0.0]], 0)
         with pytest.raises(ValueError):
-            tree.knn([0.0], 6)
+            tree.knn([[0.0]], 6)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            KdTree(np.arange(5.0)).knn([[0.0]], k)
 
     def test_large_tree_spot_check(self):
         rng = np.random.default_rng(2)
@@ -63,7 +68,7 @@ class TestKnn:
         for _ in range(25):
             u = rng.uniform(-1.2, 1.2, size=2)
             k = int(rng.integers(1, 40))
-            assert np.array_equal(tree.knn(u, k), brute_knn(pts, u, k))
+            assert np.array_equal(tree.knn(u[None], k), [brute_knn(pts, u, k)])
 
 
 class TestRadius:
@@ -73,23 +78,31 @@ class TestRadius:
         tree = KdTree(pts)
         u = np.array([data.draw(finite) for _ in range(pts.shape[1])])
         r = data.draw(st.floats(0, 50))
-        got = tree.radius_query(u, r)
+        indptr, got = tree.radius_query(u[None], r)
         want = brute_radius(pts, u, r)
+        assert np.array_equal(indptr, [0, len(want)])
         assert np.array_equal(got, np.sort(want))
 
     def test_closed_ball_includes_boundary(self):
         pts = np.array([[0.0], [3.0], [4.0]])
         tree = KdTree(pts)
-        assert np.array_equal(tree.radius_query([0.0], 3.0), [0, 1])
+        assert np.array_equal(tree.radius_query([[0.0]], 3.0)[1], [0, 1])
 
     def test_empty_result(self):
         tree = KdTree(np.array([[0.0], [1.0]]))
-        assert len(tree.radius_query([10.0], 0.5)) == 0
+        indptr, rows = tree.radius_query([[10.0]], 0.5)
+        assert np.array_equal(indptr, [0, 0]) and len(rows) == 0
 
     def test_negative_radius_rejected(self):
         tree = KdTree(np.array([[0.0]]))
-        with pytest.raises(ValueError):
-            tree.radius_query([0.0], -1.0)
+        with pytest.raises(ValueError, match="radius r must be >= 0"):
+            tree.radius_query([[0.0]], -1.0)
+
+    def test_nan_radius_rejected(self):
+        # r < 0 is false for NaN: the check must not let it through
+        tree = KdTree(np.array([[0.0]]))
+        with pytest.raises(ValueError, match="radius r must be >= 0, got nan"):
+            tree.radius_query([[0.0]], np.nan)
 
 
 # coordinate families for batched queries: ordinary values, subnormals, and
@@ -171,9 +184,6 @@ class TestPackedKeys:
             indptr, indices = tree.radius_query(queries, r)
             for j, u in enumerate(queries):
                 assert np.array_equal(indices[indptr[j]:indptr[j + 1]], brute_radius(pts, u, r))
-        u = queries[0]
-        assert np.array_equal(tree.knn(u, 7), brute_knn(pts, u, 7))
-        assert np.array_equal(tree.radius_query(u, 2.0), brute_radius(pts, u, 2.0))
 
     @pytest.mark.parametrize("limit", [1, SITE_BLOCK * 300])  # 300 = len(lattice())
     def test_blocks_past_the_key_limit_are_answered_in_halves(self, monkeypatch, limit):
@@ -207,25 +217,33 @@ class TestBuild:
 
     def test_single_point(self):
         tree = KdTree(np.array([[1.0, 2.0]]))
-        assert np.array_equal(tree.knn([0.0, 0.0], 1), [0])
+        assert np.array_equal(tree.knn([[0.0, 0.0]], 1), [[0]])
 
     def test_all_duplicates(self):
         pts = np.zeros((50, 2))
         tree = KdTree(pts)
-        assert np.array_equal(tree.knn([0.0, 0.0], 5), [0, 1, 2, 3, 4])
-        assert len(tree.radius_query([0.0, 0.0], 0.0)) == 50
+        assert np.array_equal(tree.knn([[0.0, 0.0]], 5), [[0, 1, 2, 3, 4]])
+        assert np.array_equal(tree.radius_query([[0.0, 0.0]], 0.0)[0], [0, 50])
 
     def test_query_dimension_checked(self):
         tree = KdTree(np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            tree.knn([0.0], 1)
+        with pytest.raises(ValueError, match="query dimension 1 != tree dimension 2"):
+            tree.knn([[0.0]], 1)
+
+    @pytest.mark.parametrize("u", [[0.0, 0.0], 0.0, [[[0.0, 0.0]]]])
+    def test_queries_must_be_a_block(self, u):
+        tree = KdTree(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"\(m, d\) block"):
+            tree.knn(u, 1)
+        with pytest.raises(ValueError, match=r"\(m, d\) block"):
+            tree.radius_query(u, 1.0)
 
     def test_nan_query_rejected(self):
         tree = KdTree(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="NaN"):
             tree.knn([[0.0, 0.0], [np.nan, 0.0]], 1)
         with pytest.raises(ValueError, match="NaN"):
-            tree.radius_query([np.nan, 0.0], 1.0)
+            tree.radius_query([[np.nan, 0.0]], 1.0)
 
 
 class TestSquaredDistances:

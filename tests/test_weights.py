@@ -18,9 +18,17 @@ def cloud_of(x):
     return PointCloud(x, np.zeros(len(x)))
 
 
+def one_row(spec, u, cloud):
+    """(indices, weights) of the one CSR row cloud_weights gives the block
+    [u]."""
+    indptr, idx, w = cloud_weights(spec, np.reshape(u, (1, -1)), cloud)
+    assert np.array_equal(indptr, [0, len(idx)])
+    return idx, w
+
+
 def weights_at(spec, u, xs):
     """Dense weight vector of the cloud xs against anchor u."""
-    idx, w = cloud_weights(spec, u, cloud_of(xs))
+    idx, w = one_row(spec, u, cloud_of(xs))
     dense = np.zeros(len(xs))
     dense[idx] = w
     return dense
@@ -172,14 +180,14 @@ class TestKnn:
             cloud = cloud_of(pts)
             k = int(rng.integers(1, n + 1))
             u = rng.uniform(-5, 5, size=pts.shape[1])
-            idx, w = cloud_weights(WeightSpec.knn(k), u, cloud)
+            idx, w = one_row(WeightSpec.knn(k), u, cloud)
             assert len(idx) == k
             assert math.fsum(w) == 1.0
 
     def test_clamp_warns(self):
         cloud = cloud_of([0.0, 1.0])
         with pytest.warns(UserWarning, match="clamped"):
-            idx, w = cloud_weights(WeightSpec.knn(5), [0.0], cloud)
+            idx, w = one_row(WeightSpec.knn(5), [0.0], cloud)
         assert len(idx) == 2
         assert np.all(w == 0.5)
 
@@ -192,7 +200,7 @@ class TestIdw:
 
     def test_coincidence_takes_all_mass(self):
         cloud = cloud_of([0.0, 0.0, 2.0])
-        idx, w = cloud_weights(WeightSpec.idw(), [0.0], cloud)
+        idx, w = one_row(WeightSpec.idw(), [0.0], cloud)
         assert np.array_equal(idx, [0, 1])
         assert np.all(w == 0.5)
 
@@ -226,7 +234,7 @@ class TestProperties:
         k = spec.k if spec.family == "knn" else None
         if k is not None and k > len(pts):
             return  # clamping covered elsewhere
-        idx, w = cloud_weights(spec, u, cloud)
+        idx, w = one_row(spec, u, cloud)
         assert np.all(w >= 0)
         dense = np.zeros(len(pts))
         dense[idx] = w
@@ -246,7 +254,7 @@ class TestProperties:
         indptr, idx, w = cloud_weights(spec, block, cloud)
         assert len(indptr) == len(block) + 1
         for j, u in enumerate(block):
-            one_idx, one_w = cloud_weights(spec, u, cloud)
+            one_idx, one_w = one_row(spec, u, cloud)
             assert np.array_equal(idx[indptr[j]:indptr[j + 1]], one_idx)
             assert np.array_equal(w[indptr[j]:indptr[j + 1]], one_w)
 
@@ -258,6 +266,10 @@ class TestProperties:
         cloud = cloud_of(np.random.default_rng(1).uniform(0, 1, (50, 2)))
         with pytest.raises(ValueError, match="query dimension 1 != tree dimension 2"):
             estimate_control_point(cloud, spec, [0.5])
+        with pytest.raises(ValueError, match=r"\(m, d\) block, got shape \(2,\)"):
+            cloud_weights(spec, [0.5, 0.5], cloud)
+        with pytest.raises(ValueError, match="NaN"):
+            cloud_weights(spec, [[0.5, np.nan]], cloud)
 
 
 class TestScanKernel:
@@ -279,10 +291,10 @@ class TestScanKernel:
         anchors = np.vstack([near[0], near[5], far[0], rng.uniform(-1, 1, (4, d)), huge[0]])
         params = {"sigma": spec.sigma, "squared_norm": spec.gaussian_squared_norm}
         for u in anchors:  # near[0] and near[5] coincide with rows: idw's uniform case
-            idx, w = cloud_weights(spec, u, cloud)
+            idx, w = one_row(spec, u, cloud)
             want = brute_weight_vector(spec.family, params, u, x)
             assert np.array_equal(idx, np.flatnonzero(want))
             assert np.array_equal(w, want[idx])
-        idx, _ = cloud_weights(spec, near[1], cloud)
+        idx, _ = one_row(spec, near[1], cloud)
         if spec.family != "idw":  # the underflow filter dropped the far rows
             assert not np.isin(np.arange(150, 180), idx).any()
