@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import base64
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -221,11 +220,11 @@ def _read_band(path, text, space) -> np.ndarray:
     return band
 
 
-def _fitted(cfg: FitConfig, model_path, command: str, estimate_sigma: bool = False):
+def _fitted(cfg: FitConfig, model_path, command: str):
     """(model, cloud, noise, covariance, "model" or "data") from a model file
     and the --data rows.
 
-    sigma_eps is --sigma-eps, else the model's, else (estimate_sigma) the
+    sigma_eps is --sigma-eps, else the model's, else (eval) the
     residual estimate from the rows the fit kept, else noise and covariance
     are None. The covariance is the model's stored band when its data file
     is --data unchanged (same sha256), or when no --data is given and
@@ -239,11 +238,16 @@ def _fitted(cfg: FitConfig, model_path, command: str, estimate_sigma: bool = Fal
     stored = band is not None and (_sha256(cfg.data) == digest if cfg.data else sigma is not None)
     cloud = used = None
     if not (stored and command == "eval" and sigma is not None):
+        if command == "eval" and not cfg.data:
+            raise ValueError("eval needs --data (or a config with a data path): " + (
+                "the model stores no covariance band, so it is built from the fitted rows"
+                if band is None else "no sigma_eps is given or stored, so it is estimated "
+                "from the fitted rows"))
         cloud = _load_data(cfg, command)
         used = cloud.subset(np.setdiff1d(np.arange(cloud.n), dropped)) if len(dropped) else cloud
     if sigma is not None:
         noise = NoiseModel(float(sigma))
-    elif estimate_sigma:
+    elif command == "eval":
         noise = estimate_noise_sigma(model, used)
     else:
         return model, cloud, None, None, None
@@ -317,7 +321,7 @@ def cmd_fit(cfg: FitConfig, args) -> dict:
 
 
 def cmd_eval(cfg: FitConfig, args) -> dict:
-    model, _, noise, cov, source = _fitted(cfg, args.model, "eval", estimate_sigma=True)
+    model, _, noise, cov, source = _fitted(cfg, args.model, "eval")
     pts = _eval_grid(model.space, cfg.grid_density)
     f = evaluate(model, pts)
     var = variance_at(model, cov, pts)
@@ -330,18 +334,13 @@ def cmd_eval(cfg: FitConfig, args) -> dict:
 
 
 def cmd_cv(cfg: FitConfig, args) -> dict:
-    cloud = _load_data(cfg, "cv")
-    if not cfg.cv_grid:
+    if cfg.cv_grid is None:
         raise ValueError("cv needs --grid lo:hi or a cv_grid config entry")
+    cloud = _load_data(cfg, "cv")
     lo, hi = _domain(cloud, cfg)
-    weight = parse_weight(cfg.weight)
-    policy = _policy(cfg)
-
-    @functools.cache  # one space per candidate, shared by its folds
-    def space(n):
-        return TensorSplineSpace.from_bounds(lo, hi, [n], cfg.degree)
-
-    result = kfold_cv(cloud, cfg.cv_grid, space, weight, policy,
+    result = kfold_cv(cloud, cfg.cv_grid,
+                      lambda n: TensorSplineSpace.from_bounds(lo, hi, [n], cfg.degree),
+                      parse_weight(cfg.weight), _policy(cfg),
                       assignments=make_folds(cloud.n, cfg.folds, cfg.seed, cfg.repeats))
     out = _outdir(cfg)
     curve = os.path.join(out, "cv.csv")

@@ -62,8 +62,8 @@ class FitConfig:
     folds: int = _flag("--folds", "cross-validation folds", 5, (lambda v: v >= 2, ">= 2"), type=int)
     repeats: int = _flag("--repeats", "cross-validation repeats", 1, (lambda v: v >= 1, ">= 1"),
                          type=int)
-    cv_grid: list[int] | None = _flag("--grid", "candidate n values, lo:hi or comma list",
-                                      type=_int_range)
+    cv_grid: list[int] | None = _flag("--grid", "candidate n values, lo:hi or comma list", None,
+                                      (len, "nonempty"), type=_int_range)
     grid_density: int | None = _flag("--density", "evaluation grid points per axis", None,
                                      (lambda v: v >= 1, ">= 1"), type=int)
     normalize: str = _flag("--normalize", "residual scaling in reports", "none", choices=NORMALIZE)

@@ -477,13 +477,12 @@ def coefficient_slopes(kv, coeffs: np.ndarray) -> np.ndarray:
     """
     p, t = kv.degree, kv.knots
     c = np.asarray(coeffs, dtype=float)
-    out = np.empty(len(c) - 1)
-    prev = 0.0
-    for j in range(1, len(c)):
-        den = t[j + p] - t[j]
-        prev = (c[j] - c[j - 1]) / den if den > 0.0 else prev
-        out[j - 1] = prev
-    return out
+    j = np.arange(1, len(c))
+    den = t[j + p] - t[j]
+    live = den > 0.0
+    slope = np.zeros(len(c))  # slope[0] is the 0.0 carried before the first live window
+    np.divide(np.diff(c), den, out=slope[1:], where=live)
+    return slope[np.maximum.accumulate(np.where(live, j, 0))]
 
 
 def classify_convexity(kv, values: np.ndarray, atol: float | None = None) -> ConvexityResult:

@@ -321,10 +321,12 @@ def _combine(c: np.ndarray, flat: np.ndarray, vals: np.ndarray) -> np.ndarray:
 def insert_knot(f: SplineFunction, axis: int, z: float) -> SplineFunction:
     """Insert one knot into an axis without changing the spline's values.
 
-    The new coefficient slab along the axis is the usual two-term convex
-    blend of neighbouring coefficients; all other axes are untouched. The
-    knot must lie strictly inside the domain and its multiplicity after
-    insertion may not exceed degree+1.
+    Boehm's algorithm: new slab i along the axis is alpha_i * P_i +
+    (1 - alpha_i) * P_{i-1}, with alpha_i = 1 up to span - p, 0 from
+    span + 1 on and (z - t_i) / (t_{i+p} - t_i) between, for t[span] <= z
+    < t[span + 1]; all other axes are untouched. The knot must lie strictly
+    inside the domain and its multiplicity after insertion may not exceed
+    degree+1.
     """
     space = f.space
     if not 0 <= axis < space.d:
@@ -339,19 +341,15 @@ def insert_knot(f: SplineFunction, axis: int, z: float) -> SplineFunction:
         raise ValueError(f"knot {z} already has multiplicity {p + 1}")
     span = int(np.searchsorted(t, z, side="right") - 1)
     new_knots = np.insert(t, span + 1, z)
-    blend = np.zeros((n + 1, n))
-    for i in range(n + 1):
-        if i <= span - p:
-            blend[i, i] = 1.0
-        elif i >= span + 1:
-            blend[i, i - 1] = 1.0
-        else:
-            alpha = (z - t[i]) / (t[i + p] - t[i])
-            blend[i, i] = alpha
-            blend[i, i - 1] = 1.0 - alpha
-    coeffs = np.moveaxis(f.coefficients, axis, 0)
-    coeffs = np.tensordot(blend, coeffs, axes=(1, 0))
-    coeffs = np.moveaxis(coeffs, 0, axis)
+    alpha = np.zeros(n + 1)
+    alpha[:span - p + 1] = 1.0
+    mid = np.arange(span - p + 1, span + 1)
+    alpha[mid] = (z - t[mid]) / (t[mid + p] - t[mid])
+    alpha = alpha.reshape((n + 1,) + (1,) * (space.d - 1))
+    c = np.moveaxis(f.coefficients, axis, 0)
+    pad = np.zeros((1,) + c.shape[1:])
+    c = np.concatenate([pad, c, pad])  # P_{-1} and P_n, each weighted 0
+    coeffs = np.moveaxis(alpha * c[1:] + (1.0 - alpha) * c[:-1], 0, axis)
     new_axes = list(space.axes)
     new_axes[axis] = KnotVector(p, new_knots)
     return SplineFunction(TensorSplineSpace(tuple(new_axes)), coeffs)

@@ -222,3 +222,37 @@ def kfold_cv(cloud, candidates, fit_candidate, assignments):
                        for ci, total in enumerate(totals)])
     failures = {cand: messages[ci] for ci, cand in enumerate(candidates) if ci in messages}
     return scores, fold_scores, failures
+
+
+def dense_blend_insert(knots, p, coeffs, axis, z):
+    """One knot z inserted into the axis by a dense (n+1, n) blend matrix,
+    filled row by row and contracted with the coefficient grid along that
+    axis. Returns (new knots, new coefficients)."""
+    t = np.asarray(knots, dtype=float)
+    n = len(t) - p - 1
+    span = int(np.searchsorted(t, z, side="right") - 1)
+    blend = np.zeros((n + 1, n))
+    for i in range(n + 1):
+        if i <= span - p:
+            blend[i, i] = 1.0
+        elif i >= span + 1:
+            blend[i, i - 1] = 1.0
+        else:
+            alpha = (z - t[i]) / (t[i + p] - t[i])
+            blend[i, i] = alpha
+            blend[i, i - 1] = 1.0 - alpha
+    out = np.tensordot(blend, np.moveaxis(np.asarray(coeffs, dtype=float), axis, 0),
+                       axes=(1, 0))
+    return np.insert(t, span + 1, z), np.moveaxis(out, 0, axis)
+
+
+def slope_loop(knots, p, coeffs):
+    """Normalized coefficient differences one by one: entry j-1 is
+    (c[j] - c[j-1]) / (t[j+p] - t[j]), or the previous entry (0.0 before the
+    first) where that knot window is empty."""
+    out, prev = [], 0.0
+    for j in range(1, len(coeffs)):
+        den = knots[j + p] - knots[j]
+        prev = (coeffs[j] - coeffs[j - 1]) / den if den > 0.0 else prev
+        out.append(prev)
+    return np.array(out)

@@ -14,8 +14,9 @@ from wqisa import (EmptySupportError, FitPolicy, KdTree, KnotVector, NoiseModel,
                    evaluate, fit, global_bounds, iqr_outlier_filter,
                    iqr_outlier_mask, local_bounds, make_uniform_regular,
                    spline_eval, w_convex_check, w_monotone_check)
+from wqisa.fitting import coefficient_slopes
 
-from _oracles import brute_estimate
+from _oracles import brute_estimate, slope_loop
 from test_kdtree import COORDS
 
 
@@ -514,6 +515,21 @@ class TestShapeChecks:
         aff = classify_convexity(kv, 3 * xi + 1)
         assert aff.shape == "convex" and aff.affine
         assert classify_convexity(kv, np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])).shape == "neither"
+
+    def test_slopes_match_the_loop_bit_for_bit(self):
+        # Interior knots of multiplicity p+1 empty a knot window, whose slope
+        # is the previous live one carried forward.
+        rng = np.random.default_rng(15)
+        for trial in range(400):
+            p = int(rng.integers(0, 4))
+            cuts = np.sort(rng.choice(np.linspace(0.1, 0.9, 9), int(rng.integers(0, 6)),
+                                      replace=False))
+            reps = rng.integers(1, p + 2, len(cuts))  # multiplicity up to p+1
+            t = np.concatenate([np.zeros(p + 1), np.repeat(cuts, reps), np.ones(p + 1)])
+            kv = KnotVector(p, t)
+            c = rng.standard_normal(kv.n) * 10.0 ** rng.integers(-5, 6)
+            got, want = coefficient_slopes(kv, c), slope_loop(kv.knots, p, c)
+            assert got.tobytes() == want.tobytes(), f"trial {trial}: {got} != {want}"
 
     def test_values_without_differences(self):
         # no slope, or one slope: nothing to compare, so constant / affine

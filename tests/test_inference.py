@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from wqisa import (CoefficientCovariance, CvResult, DomainError, FitPolicy,
                    NoiseModel, PointCloud, TensorSplineSpace, WeightSpec,
                    basis_row, bias_bounds_at, iqr_outlier_filter,
-                   coefficient_covariance, estimate_noise_sigma, evaluate, fit,
+                   coefficient_covariance, estimate_noise_sigma, evaluate, fit, gen_synthetic,
                    kfold_cv, make_folds, make_uniform_regular, normal_quantile,
                    se_band, select_parsimonious, variance_at)
 from wqisa.fitting import weight_blocks
@@ -198,6 +198,26 @@ class TestCovarianceBand:
             tracemalloc.stop()
         nnz = 4 * space.dim  # 96 bytes an entry: its pairing arrays
         assert peak < 96 * nnz + 3 * cov.band.nbytes + 64 * n
+
+    def test_benchmark_shaped_fits_take_each_kernel(self, monkeypatch):
+        # 44 balls of radius 0.1 over 2000 rows on [-2, 2] hold ~100 rows
+        # each: ~4400 entries, past reach * N / 8 = 3 * 2000 / 8, so the
+        # ring starts. 400 knn rows of k = 10 keep 4000 entries, under
+        # 43 * 2000 / 8, so they pair.
+        started, start_ring = [], _BandBuilder._start_ring
+
+        def record(builder):
+            started.append(builder.space.shape)
+            start_ring(builder)
+
+        monkeypatch.setattr(_BandBuilder, "_start_ring", record)
+        cloud = gen_synthetic("sine", 2000, seed=5).cloud
+        fit_with_band(cloud, space_1d(44, 2, -2.0, 2.0), WeightSpec.characteristic(0.1))
+        assert started == [(44,)]
+        rng = np.random.default_rng(15)
+        cloud = PointCloud(rng.uniform(-1, 1, (2000, 2)), rng.standard_normal(2000))
+        fit_with_band(cloud, self.grid_space((20, 20), (2, 2)), WeightSpec.knn(10))
+        assert started == [(44,)]
 
     def test_dense_band_memory_is_the_ring_and_the_band(self):
         # O(reach * N + dim * H): a 20 x 20 gaussian model of degree 2 on

@@ -253,6 +253,10 @@ class TestGenerators:
             gen_synthetic("sine_outliers", 10, outlier_fraction=1.5)
 
 
+NO_SIGMA = "no sigma_eps is given or stored, so it is estimated from the fitted rows"
+NO_BAND = "the model stores no covariance band, so it is built from the fitted rows"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -392,6 +396,20 @@ class TestCliPipeline:
         assert curve == (tmp_path / "flag" / "cv.csv").read_text()
         assert [int(line.split(",")[0]) for line in curve.splitlines()[1:]] == grid
 
+    @pytest.mark.parametrize("command", ["cv", "demo"])
+    def test_an_empty_grid_is_named_before_any_cloud_loads(self, tmp_path, capsys, command):
+        missing = ["--data", str(tmp_path / "missing.xyz")] if command == "cv" else []
+        code, payload = run_cli(capsys, command, "--grid", "5:4", *missing,
+                                "--out", str(tmp_path / "flag"))
+        assert code == 1 and payload["error"]["message"] == "cv_grid must be nonempty, got []"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"cv_grid": []}))
+        code, payload = run_cli(capsys, command, "--config", str(cfg_path), *missing,
+                                "--out", str(tmp_path / "key"))
+        assert code == 1 and payload["error"]["message"] == (
+            f"{cfg_path}: cv_grid must be nonempty, got []")
+        assert not (tmp_path / "flag").exists() and not (tmp_path / "key").exists()
+
     @pytest.mark.parametrize("flags, raw, message", [
         (["--degree", "2,2,2"], {}, "degree needs 1 entry or one per axis of the 1-D cloud, got 3"),
         ([], {"domain": [[0, 3, 9]]}, "domain needs one [lo, hi] pair per axis of the 1-D cloud"),
@@ -505,7 +523,8 @@ class TestCliPipeline:
         # sigma_eps unknown: its residual estimate needs the cloud
         code, payload = run_cli(capsys, "eval", "--model", str(model_path),
                                 "--out", str(tmp_path / "estimate.csv"))
-        assert code == 1 and "eval needs --data" in payload["error"]["message"]
+        assert code == 1 and payload["error"]["message"] == (
+            "eval needs --data (or a config with a data path): " + NO_SIGMA)
 
     def test_an_edited_data_file_rebuilds_the_covariance(self, tmp_path, capsys):
         cloud_path = tmp_path / "c.xyz"
@@ -537,9 +556,43 @@ class TestCliPipeline:
         assert raw["format"] == 2 and "band" not in raw and "data_sha256" not in raw
         argv = ["eval", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path / "g.csv")]
         code, payload = run_cli(capsys, *argv)
-        assert code == 1 and "eval needs --data" in payload["error"]["message"]
+        assert code == 1 and payload["error"]["message"] == (
+            "eval needs --data (or a config with a data path): " + NO_BAND)
         code, ev = run_cli(capsys, *argv, "--data", str(cloud_path))
         assert code == 0 and ev["covariance"] == "data"
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("sine", ["--weight", "knn:k=8"]),
+        ("sine_outliers", ["--weight", "characteristic:r=0.3", "--outlier-filter"]),
+    ])
+    def test_eval_estimates_sigma_from_the_rows_the_fit_kept(self, tmp_path, capsys,
+                                                            kind, flags):
+        from wqisa import estimate_noise_sigma
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--kind", kind, "--count", "400", "--seed", "7",
+                "--out", str(cloud_path))
+        run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "12", *flags,
+                "--out", str(tmp_path))
+        model_path = tmp_path / "model.json"
+        model, stored_sigma = load_model(model_path)
+        dropped = json.loads(model_path.read_text())["dropped_rows"]
+        cloud = load_cloud(cloud_path)
+        kept = cloud.subset(np.setdiff1d(np.arange(cloud.n), dropped))
+        code, ev = run_cli(capsys, "eval", "--model", str(model_path), "--data", str(cloud_path),
+                           "--density", "16", "--out", str(tmp_path / "grid.csv"))
+        assert stored_sigma is None and code == 0
+        assert ev["sigma_source"] == "residual-estimate" and ev["covariance"] == "model"
+        assert ev["sigma_eps"] == estimate_noise_sigma(model, kept).sigma_eps
+        assert (ev["sigma_eps"] != estimate_noise_sigma(model, cloud).sigma_eps) == bool(dropped)
+
+    def test_metrics_without_sigma_reports_no_band(self, tmp_path, capsys):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "150", "--seed", "6", "--out", str(cloud_path))
+        run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "9", "--out", str(tmp_path))
+        code, rep = run_cli(capsys, "metrics", "--model", str(tmp_path / "model.json"),
+                            "--data", str(cloud_path))
+        assert code == 0 and "error_report" in rep and "directed_hausdorff" in rep
+        assert "band_coverage" not in rep and "covariance" not in rep
 
     def test_failure_prints_error_json_and_exits_nonzero(self, capsys):
         code, payload = run_cli(capsys, "fit")
@@ -646,6 +699,9 @@ class TestModelFiles:
         code, ev = run_cli(capsys, *argv, str(tmp_path / "format1.csv"))
         assert code == 0 and ev["covariance"] == "data"
         assert (tmp_path / "format1.csv").read_bytes() == (tmp_path / "format2.csv").read_bytes()
+        code, payload = run_cli(capsys, "eval", "--model", str(model_path), "--sigma-eps", "0.3",
+                                "--out", str(tmp_path / "none.csv"))
+        assert code == 1 and payload["error"]["message"].endswith(NO_BAND)
 
     @pytest.mark.parametrize("field, value, match", [
         ("format", 3, "unknown model format 3"),

@@ -1,5 +1,7 @@
 """Spline core: knot vectors, basis evaluation, averages, insertion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from wqisa import (DomainError, KnotVector, SplineFunction, TensorSplineSpace,
                    basis_row, insert_knot, knot_averages,
                    make_uniform_regular, spline_eval)
 
-from _oracles import full_sum_eval, naive_bspline
+from _oracles import dense_blend_insert, full_sum_eval, naive_bspline
 
 
 def random_regular_kv(rng, a=None, b=None, p=None, n=None, repeated=False):
@@ -309,6 +311,49 @@ class TestInsertKnot:
         assert np.abs(spline_eval(g, xs) - spline_eval(f, xs)).max() <= 1e-10
         with pytest.raises(ValueError):
             insert_knot(g, 0, 0.4)
+
+    def test_matches_dense_blend_oracle(self):
+        # Up to 4 ulp of max|P|: the oracle's tensordot may fuse or reorder
+        # the two products of each blended coefficient.
+        rng = np.random.default_rng(31)
+        for trial in range(150):
+            d = int(rng.integers(1, 4))
+            axes = tuple(random_regular_kv(rng, repeated=bool(rng.integers(2)))
+                         for _ in range(d))
+            f = SplineFunction(TensorSplineSpace(axes), rng.standard_normal(
+                [kv.n for kv in axes]) * 10.0 ** rng.integers(-3, 4))
+            axis = int(rng.integers(d))
+            kv = f.space.axes[axis]
+            a, b = kv.domain
+            inner = kv.knots[(kv.knots > a) & (kv.knots < b)]
+            z = float(rng.choice(inner)) if len(inner) and rng.integers(2) else \
+                float(rng.uniform(a, b))
+            for _ in range(kv.degree + 1):  # repeated insertion up to multiplicity p+1
+                if f.space.axes[axis].multiplicity(z) > kv.degree or not a < z < b:
+                    break
+                g = insert_knot(f, axis, z)
+                knots, want = dense_blend_insert(f.space.axes[axis].knots, kv.degree,
+                                                 f.coefficients, axis, z)
+                assert np.array_equal(g.space.axes[axis].knots, knots)
+                assert g.coefficients.shape == want.shape
+                scale = np.spacing(np.abs(f.coefficients).max())
+                gap = np.abs(g.coefficients - want).max()
+                assert gap <= 4 * scale, f"trial {trial}: gap {gap} over 4 ulp {scale}"
+                f = g
+
+    def test_insertion_memory_is_linear_in_coefficients(self):
+        # The dense blend matrix took (n+1) * n floats: 122 MiB at n = 4000.
+        kv = make_uniform_regular(0, 1, 4000, 2)
+        f = SplineFunction(TensorSplineSpace((kv,)),
+                           np.random.default_rng(3).standard_normal(4000))
+        tracemalloc.start()
+        try:
+            g = insert_knot(f, 0, 0.31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.space.axes[0].n == 4001
+        assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_knot_outside_domain(self):
         kv = make_uniform_regular(0, 1, 5, 2)
