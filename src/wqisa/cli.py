@@ -142,7 +142,7 @@ def _save_model(model, path, sigma_eps, dropped_rows: list, band=None, data=None
         payload["band"] = base64.b64encode(band.astype("<f8").tobytes()).decode("ascii")
         payload["data_sha256"] = _sha256(data, hashlib.sha256)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))  # the C encoder; json.dump streams through Python's
 
 
 _MODEL_FIELDS = ("degrees", "knots", "coefficients", "weight", "policy",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,10 +33,11 @@ def load_cloud(path, format: str = "auto") -> PointCloud:
     """Parse a cloud file; raises ParseError with the offending line number.
 
     The separator is decided once, from the first data line: ',' for csv,
-    whitespace for xyz, and for auto ',' if that line has one. That line
-    and the rest of the file then go through numpy's C reader in one pass.
-    Only a file the reader rejects, or one holding a non-finite value, is
-    read a second time, line by line, to name its first bad line.
+    whitespace for xyz, and for auto ',' if that line has one. The file then
+    goes through numpy's C reader in one pass, a whitespace file by its path
+    (read in chunks), a comma file as its data lines. Only a file the
+    reader rejects, or one holding a non-finite value, is read a second
+    time, line by line, to name its first bad line.
     """
     if format not in ("auto", "xyz", "csv"):
         raise ValueError(f"unknown format {format!r}")
@@ -45,11 +47,15 @@ def load_cloud(path, format: str = "auto") -> PointCloud:
             raise ParseError(f"no data rows in {path}")
         comma = format == "csv" or (format == "auto" and "," in _data_part(first))
         sep = "," if comma else None
-        lines = itertools.chain([first], fh)
+        source = itertools.chain([first], fh)
         if comma:  # numpy reads a whitespace-only line as one empty field there
-            lines = filter(_data_part, lines)
+            source = filter(_data_part, source)
+        elif fh.seekable() and not os.fsdecode(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
+            # numpy opens the path again, which a pipe cannot be; it would
+            # decompress those suffixes and may take a relative path for a URL
+            source = os.fsdecode(os.path.abspath(path))
         try:
-            data = np.loadtxt(lines, delimiter=sep, comments="#", ndmin=2)
+            data = np.loadtxt(source, delimiter=sep, comments="#", ndmin=2, encoding="utf-8")
         except ValueError:
             data = None
     if data is None or data.shape[1] < 2 or not np.isfinite(data).all():

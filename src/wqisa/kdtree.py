@@ -6,9 +6,12 @@ split axis and value, and the id of its left child (the right child is the
 next id; leaves have -1). It is built level by level from one sort per
 axis: each axis keeps every node's point ids in coordinate order, so a
 node's box is read off its first and last ids, and all splitting nodes of
-a level are median-partitioned along their axis of largest spread at once,
-by one vectorised stable partition of each axis's ids. Nodes of at most
-LEAF_SIZE points, or whose points all coincide, are leaves.
+a level are median-split along their axis of largest spread at once. Tied
+coordinates may lie in any order, so the sorts need not be stable. On its
+split axis a node's ids already are its lower then its upper half; only
+the other axes' lists move, by one vectorised stable partition each (in
+1-D none moves). Nodes of at most LEAF_SIZE points, or whose points all
+coincide, are leaves.
 
 Queries take a whole block of points and walk (query, node) pairs one level
 at a time, with no recursion and no heap. k-nearest runs in two phases: an
@@ -84,29 +87,25 @@ def _positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _partition(orders, lower, start, mid, end):
-    """Stable-partition every node [start, end) of each axis's id list: ids
+def _partition(o, lower, start, mid, end):
+    """Stable-partition every node [start, end) of the id list o: ids
     flagged in lower move to start + (flagged ids before them in the node),
-    the others to mid + (unflagged ids before them); then clear the flags."""
+    the others to mid + (unflagged ids before them)."""
     lens = end - start
     pos = _positions(start, lens)
     halves = mid - start
     before = np.cumsum(halves, dtype=halves.dtype) - halves  # flagged ids of earlier nodes
-    to_lower = np.repeat(start - before, lens)
-    to_upper = np.repeat(halves + before, lens)
-    to_upper += pos
-    for o in orders:
-        ids = o[pos]
-        low = lower[ids]
-        seen = np.cumsum(low, dtype=pos.dtype)
-        seen -= low
-        dest = to_upper - seen
-        np.add(to_lower, seen, out=seen)
-        np.copyto(dest, seen, where=low)
-        del seen  # the scatter and the next axis need the room
-        o[dest] = ids
-        del ids, low, dest
-    lower[orders[0][pos]] = False
+    ids = o[pos]
+    low = lower[ids]
+    seen = np.cumsum(low, dtype=pos.dtype)
+    seen -= low
+    dest = np.repeat(halves + before, lens)
+    dest += pos
+    dest -= seen
+    seen += np.repeat(start - before, lens)
+    np.copyto(dest, seen, where=low)
+    del seen, low  # the scatter needs the room
+    o[dest] = ids
 
 
 class KdTree:
@@ -131,8 +130,8 @@ class KdTree:
         # per axis, the point ids of every node of the current level, each
         # node's ids contiguous and in coordinate order along that axis, so
         # box faces are a node's first and last entries and a median split
-        # is a stable partition of every list
-        orders = [np.argsort(pts[:, a], kind="stable").astype(index) for a in range(self.d)]
+        # leaves the split axis's list as it is
+        orders = [np.argsort(pts[:, a]).astype(index) for a in range(self.d)]
         lower = np.zeros(n, dtype=bool)  # ids in the lower half of their node
         start, end = np.array([0], dtype=index), np.array([n], dtype=index)
         levels = []
@@ -154,7 +153,10 @@ class KdTree:
                 on = s_axis == a
                 lower[o[_positions(s_start[on], mid[on] - s_start[on])]] = True
                 split[splits[on]] = pts[o[mid[on]], a]
-            _partition(orders, lower, s_start, mid, s_end)
+            for a, o in enumerate(orders):
+                off = s_axis != a
+                _partition(o, lower, s_start[off], mid[off], s_end[off])
+            lower[:] = False
             levels.append((start, end, lo, hi, axis, split, left))
             start = np.stack([s_start, mid], axis=1).reshape(-1)
             end = np.stack([mid, s_end], axis=1).reshape(-1)

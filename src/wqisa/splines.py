@@ -112,9 +112,9 @@ def _find_spans(kv: KnotVector, x: np.ndarray) -> np.ndarray:
 
 def _check_in_domain(kv: KnotVector, x: np.ndarray) -> None:
     a, b = kv.domain
-    if np.any(x < a) or np.any(x > b):
-        bad = np.asarray(x)[(np.asarray(x) < a) | (np.asarray(x) > b)]
-        raise DomainError(f"point(s) {bad[:4]} outside domain [{a}, {b}]")
+    bad = ~((x >= a) & (x <= b))  # NaN too
+    if bad.any():
+        raise DomainError(f"point(s) {x[bad][:4]} outside domain [{a}, {b}]")
 
 
 def _basis_rows(kv: KnotVector, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,22 +263,21 @@ def _windows(space: TensorSplineSpace, pts: np.ndarray) -> tuple[np.ndarray, np.
     """Active coefficients and their basis values at a batch of points.
 
     Returns (flat, vals), both (m, prod(p_k + 1)): the flat C-order indices
-    of the local coefficient block around each point's knot span and the
-    tensor basis values that weigh them. Points are domain-checked.
+    of the local coefficient block around each point's knot span (its first
+    index plus fixed offsets) and the tensor basis values that weigh them
+    (outer products, axis by axis). Points are domain-checked.
     """
     m = len(pts)
-    flat = np.zeros((m,) + (1,) * space.d, dtype=int)
-    vals = np.ones((m,) + (1,) * space.d)
+    base, offsets, vals = 0, np.zeros(1, dtype=np.intp), None
     for k, kv in enumerate(space.axes):
         _check_in_domain(kv, pts[:, k])
         spans, rows = _basis_rows(kv, pts[:, k])
-        shape = [m] + [1] * space.d
-        shape[k + 1] = kv.degree + 1
-        idx = spans[:, None] - kv.degree + np.arange(kv.degree + 1)[None, :]
-        flat = flat * kv.n + idx.reshape(shape)
-        vals = vals * rows.reshape(shape)
-    width = int(np.prod([p + 1 for p in space.degrees]))  # -1 cannot size an empty batch
-    return flat.reshape(m, width), vals.reshape(m, width)
+        base = base * kv.n + (spans - kv.degree)
+        offsets = (offsets[:, None] * kv.n + np.arange(kv.degree + 1)).reshape(-1)
+        if vals is not None:  # -1 cannot size an empty batch
+            rows = (vals[:, :, None] * rows[:, None, :]).reshape(m, len(offsets))
+        vals = rows
+    return base[:, None] + offsets, vals
 
 
 def basis_row(space: TensorSplineSpace, u) -> tuple[tuple[int, ...], np.ndarray]:

@@ -431,6 +431,22 @@ class TestVarianceLaw:
         with pytest.raises(DomainError):
             variance_at(model, cov, 1.5)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_nan_point_rejected(self, d):
+        # NaN compares false with both domain ends, so it must be caught
+        # apart from them, not passed on as a NaN value or variance
+        rng = np.random.default_rng(8)
+        cloud = PointCloud(rng.uniform(-1, 1, (60, d)), rng.standard_normal(60))
+        space = TensorSplineSpace((space_1d(6).axes[0],) * d)
+        spec = WeightSpec.knn(5)
+        model = fit(cloud, space, spec)
+        cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.5))
+        u = [0.5, np.nan] if d == 1 else [[0.5, 0.5], [0.5, np.nan]]
+        with pytest.raises(DomainError, match="nan"):
+            evaluate(model, u)
+        with pytest.raises(DomainError, match="nan"):
+            variance_at(model, cov, u)
+
     @pytest.mark.parametrize("d, spec", [(2, WeightSpec.knn(9)), (2, WeightSpec.gaussian(0.3)),
                                          (1, WeightSpec.knn(5))])
     def test_empty_batch_gives_empty_results(self, d, spec):

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -146,6 +147,38 @@ class TestCloudFiles:
         with pytest.raises(ParseError, match="cannot parse") as exc:
             load_cloud(path)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_text_cloud_with_a_compression_suffix_loads_as_text(self, tmp_path, suffix):
+        # numpy would decompress a path with such a suffix
+        rng = np.random.default_rng(6)
+        plain = tmp_path / "cloud.xyz"
+        save_cloud(PointCloud(rng.uniform(-1, 1, (300, 2)), rng.standard_normal(300)), plain)
+        named = tmp_path / f"cloud.xyz{suffix}"
+        named.write_bytes(plain.read_bytes())
+        assert same_bits(load_cloud(named).records, load_cloud(plain).records)
+
+    def test_cloud_from_a_pipe_loads(self, tmp_path):
+        # a pipe cannot be opened again from its start
+        rng = np.random.default_rng(7)
+        plain = tmp_path / "cloud.xyz"
+        save_cloud(PointCloud(rng.uniform(-1, 1, (3000, 2)), rng.standard_normal(3000)), plain)
+        fifo = tmp_path / "cloud.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(load_cloud(fifo)), daemon=True)
+        reader.start()
+        fifo.write_bytes(plain.read_bytes())
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got, "the pipe's cloud did not load"
+        assert same_bits(got[0].records, load_cloud(plain).records)
+
+    def test_bad_last_line_of_a_long_file_is_named(self, tmp_path):
+        path = tmp_path / "long.xyz"
+        path.write_text("0.5 1.5 2.5\n" * 9999 + "0.5 1.5 oops\n")
+        with pytest.raises(ParseError, match="oops") as exc:
+            load_cloud(path)
+        assert exc.value.line == 10000
 
     def test_csv_skips_whitespace_only_and_indented_comment_lines(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -641,6 +674,10 @@ class TestModelFiles:
                 "--out", str(tmp_path))
         model_path = tmp_path / "model.json"
         return cloud_path, model_path, json.loads(model_path.read_text())
+
+    def test_file_is_one_compact_json_document(self, fitted):
+        _, model_path, raw = fitted
+        assert model_path.read_text(encoding="utf-8") == json.dumps(raw)
 
     def test_missing_field_named_with_the_file(self, fitted):
         _, model_path, raw = fitted

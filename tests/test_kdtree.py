@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wqisa import KdTree, kdtree
 from wqisa.fitting import SITE_BLOCK
@@ -25,6 +26,16 @@ def clouds(draw):
     if draw(st.booleans()) and n >= 2:
         pts[1] = pts[0]  # force a duplicate
     return pts
+
+
+@st.composite
+def lattice_clouds(draw):
+    """Tie-heavy clouds: up to 300 points of a small integer lattice, so
+    most coordinates repeat and many points coincide."""
+    d = draw(st.integers(1, 3))
+    side = draw(st.integers(1, 6))
+    shape = (draw(st.integers(1, 300)), d)
+    return draw(hnp.arrays(np.int8, shape, elements=st.integers(0, side - 1))).astype(float)
 
 
 class TestKnn:
@@ -211,6 +222,30 @@ class TestPackedKeys:
 
 
 class TestBuild:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_clouds())
+    def test_nodes_partition_the_points(self, pts):
+        # pins the layout the queries rely on, whatever order the sorts
+        # leave tied coordinates in
+        tree = KdTree(pts)
+        perm, start, end, left = tree._perm, tree._start, tree._end, tree._left
+        assert np.array_equal(np.sort(perm), np.arange(len(pts)))
+        assert (start[0], end[0]) == (0, len(pts))
+        for node in range(len(start)):
+            own = pts[perm[start[node]:end[node]]]
+            assert np.array_equal(tree._lo[node], own.min(axis=0))
+            assert np.array_equal(tree._hi[node], own.max(axis=0))
+            child = left[node]
+            if child < 0:
+                assert len(own) <= kdtree.LEAF_SIZE or (own == own[0]).all()
+                continue
+            mid = start[node] + (end[node] - start[node]) // 2
+            assert (start[child], end[child]) == (start[node], mid)
+            assert (start[child + 1], end[child + 1]) == (mid, end[node])
+            axis, split = tree._axis[node], tree._split[node]
+            assert (pts[perm[start[node]:mid], axis] <= split).all()
+            assert (pts[perm[mid:end[node]], axis] >= split).all()
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             KdTree(np.empty((0, 2)))
