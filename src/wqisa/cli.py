@@ -121,7 +121,7 @@ def _sha256(path, new=sha256) -> str:
 def _save_model(model, path, sigma_eps, dropped_rows: list, band=None, data=None) -> None:
     """model.json; a covariance band, when given, goes in as base64
     little-endian float64 bytes next to the sha256 of the data file it was
-    built from."""
+    built from, when that is a regular file: a pipe cannot be read again."""
     space = model.space
     payload = {
         "format": MODEL_FORMAT,
@@ -140,7 +140,8 @@ def _save_model(model, path, sigma_eps, dropped_rows: list, band=None, data=None
     if band is not None:
         import hashlib  # OpenSSL's sha256; see _sha256
         payload["band"] = base64.b64encode(band.astype("<f8").tobytes()).decode("ascii")
-        payload["data_sha256"] = _sha256(data, hashlib.sha256)
+        if os.path.isfile(data):
+            payload["data_sha256"] = _sha256(data, hashlib.sha256)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload))  # the C encoder; json.dump streams through Python's
 
@@ -227,15 +228,16 @@ def _fitted(cfg: FitConfig, model_path, command: str):
     sigma_eps is --sigma-eps, else the model's, else (eval) the
     residual estimate from the rows the fit kept, else noise and covariance
     are None. The covariance is the model's stored band when its data file
-    is --data unchanged (same sha256), or when no --data is given and
-    sigma_eps is known; the cloud is then read only when sigma_eps must be
-    estimated or metrics needs its rows, and is None otherwise. Else it is
-    built from the rows the fit kept, whose weighted means must be the
-    stored coefficients.
+    is --data unchanged (a regular file of the same sha256), or when no
+    --data is given and sigma_eps is known; the cloud is then read only when
+    sigma_eps must be estimated or metrics needs its rows, and is None
+    otherwise. Else it is built from the rows the fit kept, whose weighted
+    means must be the stored coefficients.
     """
     model, stored_sigma, dropped, band, digest = _read_model(model_path)
     sigma = cfg.sigma_eps if cfg.sigma_eps is not None else stored_sigma
-    stored = band is not None and (_sha256(cfg.data) == digest if cfg.data else sigma is not None)
+    stored = band is not None and (os.path.isfile(cfg.data) and _sha256(cfg.data) == digest
+                                   if cfg.data else sigma is not None)
     cloud = used = None
     if not (stored and command == "eval" and sigma is not None):
         if command == "eval" and not cfg.data:

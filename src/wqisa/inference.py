@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WqisaError
-from .fitting import (LOCAL_FAMILIES, FitPolicy, PointCloud, WqisaModel, _index_tuple,
-                      _normalise, _weighted_means, _working_points, evaluate, fit,
-                      weight_blocks)
-from .kdtree import squared_distances
+from .fitting import (LOCAL_FAMILIES, FitPolicy, PointCloud, WqisaModel, _normalise,
+                      _weighted_means, _working_points, evaluate, fit, weight_blocks)
 from .splines import TensorSplineSpace, _combine, _normalize_points, _windows
 from .weights import WeightSpec
 
@@ -397,29 +395,28 @@ def _fold_ids(assignments, n: int) -> np.ndarray:
 def _fold_coefficients(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
                        policy: FitPolicy, ids: np.ndarray):
     """Yield split by split the coefficients, bit for bit, that fit gives
-    without the split's fold, or raise what that fit raises. One pass over
-    the cloud's raw weight rows: a fold keeps a row's entries off its rows,
-    in list order, and divides them by their sum as fit does; of a knn row's
-    min(2k, N) nearest it keeps the first k. A knn row left short of k, a
-    window the mask empties and a coincident idw site that loses a row
-    (weighed 1/count) are refitted on the fold's own cloud instead."""
+    without the split's fold, or raise what that fit raises. Rows that span
+    the cloud take the split's own fit. Knn and ball rows take one pass over
+    the cloud's raw rows: a fold keeps a row's entries off its rows, in list
+    order, and divides them by their sum as fit does; of a knn row's min(2k,
+    N) nearest it keeps the first k. A knn row left short of k and a window
+    the mask empties are refitted on the fold's own cloud instead."""
     splits = [(r, f) for r, rep in enumerate(ids) for f in range(rep.max() + 1)]
     k = weight.k if weight.family == "knn" else 0
     wide = WeightSpec.knn(min(2 * k, _working_points(cloud, space, policy)[0].n)) if k else weight
     coeffs = np.empty((len(splits), space.dim))
-    redo = [[] for _ in splits]  # per split, the flats its own cloud answers
-    for block in weight_blocks(cloud, space, wide, policy, _raw=True):
+    local = weight.family in LOCAL_FAMILIES
+    # per split, the flats its own cloud answers: all of them for spanning rows
+    redo = [[] if local else [np.arange(space.dim)] for _ in splits]
+    for block in weight_blocks(cloud, space, wide, policy, _raw=True) if local else ():
         sizes = block.indptr[1:] - block.indptr[:-1]
         row = np.repeat(np.arange(len(sizes)), sizes)
-        coincident = bool(weight.family == "idw" and len(block.cols)) and squared_distances(
-            np.clip(cloud.x[block.cols[0]], *space.domain),  # idw blocks hold one site
-            space.site(_index_tuple(block.flats[0], space.shape))) == 0.0
         for s, (r, f) in enumerate(splits):
             keep = ids[r].take(block.cols) != f
             if k:
                 keep &= (np.cumsum(keep.reshape(len(sizes), -1), axis=1) <= k).reshape(-1)
             count = np.bincount(row[keep], minlength=len(sizes))
-            short = count != k if k else (count == 0) | (coincident & (count < sizes))
+            short = count != k if k else count == 0
             redo[s].append(block.flats[short])
             indptr = np.concatenate(([0], np.cumsum(count)))
             w = np.full(indptr[-1], 1.0 / k) if k else block.vals[keep]

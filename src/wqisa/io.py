@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,15 +43,16 @@ def load_cloud(path, format: str = "auto") -> PointCloud:
     if format not in ("auto", "xyz", "csv"):
         raise ValueError(f"unknown format {format!r}")
     with open(path, "r", encoding="utf-8") as fh:
-        first = next(filter(_data_part, fh), None)
+        lines = None if fh.seekable() else list(fh)  # a pipe is read once: keep its lines
+        first = next(filter(_data_part, lines or fh), None)
         if first is None:
             raise ParseError(f"no data rows in {path}")
         comma = format == "csv" or (format == "auto" and "," in _data_part(first))
         sep = "," if comma else None
-        source = itertools.chain([first], fh)
+        source = lines or itertools.chain([first], fh)
         if comma:  # numpy reads a whitespace-only line as one empty field there
             source = filter(_data_part, source)
-        elif fh.seekable() and not os.fsdecode(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
+        elif lines is None and not os.fsdecode(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
             # numpy opens the path again, which a pipe cannot be; it would
             # decompress those suffixes and may take a relative path for a URL
             source = os.fsdecode(os.path.abspath(path))
@@ -59,16 +61,17 @@ def load_cloud(path, format: str = "auto") -> PointCloud:
         except ValueError:
             data = None
     if data is None or data.shape[1] < 2 or not np.isfinite(data).all():
-        raise _first_bad_line(path, sep)
+        raise _first_bad_line(path, sep, lines)
     return PointCloud(data[:, :-1], data[:, -1])
 
 
-def _first_bad_line(path, sep) -> ParseError:
+def _first_bad_line(path, sep, lines=None) -> ParseError:
     """The error for a file that load_cloud rejected: each data line goes
     through the same reader on its own, so the first line that breaks a
-    rule is the line the whole-file parse stumbled on."""
+    rule is the line the whole-file parse stumbled on. A pipe's lines are
+    given, since it cannot be opened again."""
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") if lines is None else nullcontext(lines) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = _data_part(line)
             if not text:

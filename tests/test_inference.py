@@ -719,6 +719,18 @@ class TestCrossValidation:
                  assignments=folds)
         assert training_clouds == []  # no fold empties a ball of radius 0.3
 
+    @pytest.mark.parametrize("weight", FAMILIES[2:], ids=lambda w: w.family)
+    def test_spanning_rows_take_each_splits_own_fit(self, weight, training_clouds):
+        # gaussian, exponential and idw rows span the cloud: every split of
+        # every candidate fits its own training cloud, once
+        cloud = cloud_1d(60, seed=113)
+        folds = make_folds(60, 4, seed=6, repeats=2)
+        cv_matches_oracle(cloud, [4, 6], self.space_n, weight, FitPolicy(), folds)
+        complements = [np.setdiff1d(np.arange(60), hold) for rep in folds for hold in rep]
+        assert len(training_clouds) == 2 * len(complements)
+        for i, rows in enumerate(training_clouds):
+            assert np.array_equal(rows, complements[i % len(complements)])
+
     def test_fold_major_matches_candidate_major(self):
         # Candidate 7 has a site at 0 whose ball holds one row, held out by
         # fold 2 of the first repeat: it fails there, after two scored folds.

@@ -61,6 +61,31 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def through_fifo(fifo, data: bytes, call):
+    """call(fifo) on a new FIFO into which data is written once, from another
+    thread: what it returns or raises. A call that opens the pipe a second
+    time would wait there for a writer: it is handed an empty one."""
+    os.mkfifo(fifo)
+    got = []
+
+    def run():
+        try:
+            got.append(call(fifo))
+        except Exception as exc:  # returned, for the test to check
+            got.append(exc)
+
+    reader = threading.Thread(target=run, daemon=True)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    reader.start()
+    writer.start()
+    reader.join(timeout=10)
+    if reader.is_alive():
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=10)
+    assert not reader.is_alive() and got, f"{call} did not return from the pipe"
+    return got[0]
+
+
 class TestCloudFiles:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -163,15 +188,15 @@ class TestCloudFiles:
         rng = np.random.default_rng(7)
         plain = tmp_path / "cloud.xyz"
         save_cloud(PointCloud(rng.uniform(-1, 1, (3000, 2)), rng.standard_normal(3000)), plain)
-        fifo = tmp_path / "cloud.fifo"
-        os.mkfifo(fifo)
-        got = []
-        reader = threading.Thread(target=lambda: got.append(load_cloud(fifo)), daemon=True)
-        reader.start()
-        fifo.write_bytes(plain.read_bytes())
-        reader.join(timeout=10)
-        assert not reader.is_alive() and got, "the pipe's cloud did not load"
-        assert same_bits(got[0].records, load_cloud(plain).records)
+        got = through_fifo(tmp_path / "cloud.fifo", plain.read_bytes(), load_cloud)
+        assert same_bits(got.records, load_cloud(plain).records)
+
+    def test_bad_last_line_of_a_pipe_is_named(self, tmp_path):
+        # a pipe cannot be read again to find the line: its lines are kept
+        text = "# header\n\n" + "0.5 1.5 2.5\n" * 298 + "0.5 1.5"
+        err = through_fifo(tmp_path / "cloud.fifo", text.encode(), load_cloud)
+        assert isinstance(err, ParseError) and err.line == 301, err
+        assert "expected 3 columns, got 2" in str(err)
 
     def test_bad_last_line_of_a_long_file_is_named(self, tmp_path):
         path = tmp_path / "long.xyz"
@@ -294,6 +319,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_piped(capsys, fifo, data: bytes, *argv):
+    """run_cli with --data a FIFO that carries data once."""
+    code = through_fifo(fifo, data, lambda path: main([*argv, "--data", str(path)]))
+    return code, json.loads(capsys.readouterr().out)
 
 
 class TestCliPipeline:
@@ -579,6 +610,42 @@ class TestCliPipeline:
         assert code == 0 and again["covariance"] == "data"
         assert again["band_coverage"] == rep["band_coverage"]
         assert (tmp_path / "stored.csv").read_bytes() == (tmp_path / "rebuilt.csv").read_bytes()
+
+    def test_piped_fit_stores_its_band_without_a_digest(self, tmp_path, capsys):
+        # a pipe cannot be read again to take the digest of its bytes
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "150", "--seed", "10", "--out", str(cloud_path))
+        fit_argv = ["fit", "--n", "9", "--weight", "knn:k=9", "--sigma-eps", "0.3", "--out"]
+        run_cli(capsys, *fit_argv, str(tmp_path / "file"), "--data", str(cloud_path))
+        code, _ = run_piped(capsys, tmp_path / "fit.fifo", cloud_path.read_bytes(),
+                            *fit_argv, str(tmp_path / "pipe"))
+        raw = json.loads((tmp_path / "pipe" / "model.json").read_text())
+        assert code == 0 and "data_sha256" not in raw
+        assert raw["band"] == json.loads((tmp_path / "file" / "model.json").read_text())["band"]
+        code, ev = run_piped(capsys, tmp_path / "eval.fifo", cloud_path.read_bytes(), "eval",
+                             "--model", str(tmp_path / "pipe" / "model.json"),
+                             "--out", str(tmp_path / "grid.csv"))
+        assert code == 0 and ev["covariance"] == "data"
+
+    def test_piped_data_is_read_once_and_rebuilds_the_covariance(self, tmp_path, capsys):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "150", "--seed", "10", "--out", str(cloud_path))
+        run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "9", "--weight", "knn:k=9",
+                "--sigma-eps", "0.3", "--out", str(tmp_path))
+        model = ["--model", str(tmp_path / "model.json")]
+        code, ev = run_cli(capsys, "eval", *model, "--data", str(cloud_path),
+                           "--out", str(tmp_path / "stored.csv"))
+        assert code == 0 and ev["covariance"] == "model"
+        code, rep = run_cli(capsys, "metrics", *model, "--data", str(cloud_path))
+        assert code == 0 and rep["covariance"] == "model"
+        edited = cloud_path.read_bytes() + b"# the same rows, another file\n"
+        code, ev = run_piped(capsys, tmp_path / "eval.fifo", edited, "eval", *model,
+                             "--out", str(tmp_path / "rebuilt.csv"))
+        assert code == 0 and ev["covariance"] == "data", ev
+        assert (tmp_path / "stored.csv").read_bytes() == (tmp_path / "rebuilt.csv").read_bytes()
+        code, again = run_piped(capsys, tmp_path / "metrics.fifo", edited, "metrics", *model)
+        assert code == 0 and again["covariance"] == "data", again
+        assert again["band_coverage"] == rep["band_coverage"]
 
     def test_dense_family_models_store_no_band(self, tmp_path, capsys):
         cloud_path = tmp_path / "c.xyz"
