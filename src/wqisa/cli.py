@@ -17,14 +17,6 @@ import time
 
 import numpy as np
 
-try:  # the interpreter's own sha256, which loads no library; see _sha256
-    from _sha2 import sha256  # CPython 3.12 and later
-except ImportError:
-    try:
-        from _sha256 import sha256  # CPython 3.11 and earlier
-    except ImportError:
-        from hashlib import sha256
-
 from .config import NORMALIZE, FitConfig
 from .errors import ParseError
 from .fitting import (FitPolicy, PointCloud, classify_convexity, classify_monotone,
@@ -105,13 +97,13 @@ def _report(cfg: FitConfig, model, cloud, timings: dict) -> dict:
 MODEL_FORMAT = 2
 
 
-def _sha256(path, new=sha256) -> str:
-    """Hex sha256 of a file's bytes, read in 1 MiB pieces. eval and metrics
-    check a digest with the interpreter's own module: hashlib's OpenSSL one
-    is 8x faster, but loading it adds 3.6 MiB of resident memory, about all
-    that eval itself uses on a 70 x 70 model. fit, which writes the digest
-    after its memory peak, uses OpenSSL's."""
-    digest = new()
+def _digest(path) -> str | None:
+    """Hex blake2b of a regular file's bytes, read in 1 MiB pieces; None for
+    anything else, such as a pipe, which cannot be read again."""
+    if not os.path.isfile(path):
+        return None
+    from _blake2 import blake2b  # CPython's own; hashlib's would also load OpenSSL
+    digest = blake2b()
     with open(path, "rb") as fh:
         for piece in iter(lambda: fh.read(1 << 20), b""):
             digest.update(piece)
@@ -120,8 +112,8 @@ def _sha256(path, new=sha256) -> str:
 
 def _save_model(model, path, sigma_eps, dropped_rows: list, band=None, data=None) -> None:
     """model.json; a covariance band, when given, goes in as base64
-    little-endian float64 bytes next to the sha256 of the data file it was
-    built from, when that is a regular file: a pipe cannot be read again."""
+    little-endian float64 bytes next to the _digest of the data file it was
+    built from, when that file has one."""
     space = model.space
     payload = {
         "format": MODEL_FORMAT,
@@ -138,10 +130,9 @@ def _save_model(model, path, sigma_eps, dropped_rows: list, band=None, data=None
         "dropped_rows": dropped_rows,
     }
     if band is not None:
-        import hashlib  # OpenSSL's sha256; see _sha256
         payload["band"] = base64.b64encode(band.astype("<f8").tobytes()).decode("ascii")
-        if os.path.isfile(data):
-            payload["data_sha256"] = _sha256(data, hashlib.sha256)
+        if digest := _digest(data):
+            payload["data_blake2b"] = digest
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload))  # the C encoder; json.dump streams through Python's
 
@@ -157,7 +148,7 @@ def load_model(path):
 
 def _read_model(path):
     """Read a model.json written by fit: (model, sigma_eps, dropped rows,
-    covariance band or None, sha256 of the fitted data file or None). A
+    covariance band or None, _digest of the fitted data file or None). A
     missing field, an unknown format, a non-finite coefficient, a band that
     is not base64 of (dim, H) floats with a finite band and a nonnegative
     diagonal, or a value the model types reject raises ParseError naming
@@ -200,7 +191,7 @@ def _read_model(path):
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     band = None if "band" not in raw else _read_band(path, raw["band"], space)
-    return model, raw.get("sigma_eps"), dropped, band, raw.get("data_sha256")
+    return model, raw.get("sigma_eps"), dropped, band, raw.get("data_blake2b")
 
 
 def _read_band(path, text, space) -> np.ndarray:
@@ -228,7 +219,7 @@ def _fitted(cfg: FitConfig, model_path, command: str):
     sigma_eps is --sigma-eps, else the model's, else (eval) the
     residual estimate from the rows the fit kept, else noise and covariance
     are None. The covariance is the model's stored band when its data file
-    is --data unchanged (a regular file of the same sha256), or when no
+    is --data unchanged (a regular file of the same _digest), or when no
     --data is given and sigma_eps is known; the cloud is then read only when
     sigma_eps must be estimated or metrics needs its rows, and is None
     otherwise. Else it is built from the rows the fit kept, whose weighted
@@ -236,7 +227,7 @@ def _fitted(cfg: FitConfig, model_path, command: str):
     """
     model, stored_sigma, dropped, band, digest = _read_model(model_path)
     sigma = cfg.sigma_eps if cfg.sigma_eps is not None else stored_sigma
-    stored = band is not None and (os.path.isfile(cfg.data) and _sha256(cfg.data) == digest
+    stored = band is not None and (digest is not None and _digest(cfg.data) == digest
                                    if cfg.data else sigma is not None)
     cloud = used = None
     if not (stored and command == "eval" and sigma is not None):

@@ -27,6 +27,15 @@ EMPTY_SUPPORT = ("error", "nearest")  # FitPolicy.empty_support values
 LOCAL_FAMILIES = ("knn", "characteristic")  # weight rows found through the k-d tree
 
 
+def gap_unit(points) -> float:
+    """The power of two that brings the largest magnitude of points into
+    [1, 2). Measured in it, squared gaps cannot overflow, as they do past
+    ~1.3e154, and dividing by a power of two is exact: points scaled by one
+    measure the same, bit for bit, while their values stay normal."""
+    top = max(float(np.max(points)), -float(np.min(points)))
+    return math.ldexp(1.0, math.frexp(top)[1] - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """Immutable scattered data: predictors x (N, d) and responses y (N,)."""
@@ -86,14 +95,9 @@ class PointCloud:
 
     @cached_property
     def _diameter_info(self) -> tuple[float, bool]:
-        # Squared gaps overflow past ~1.3e154. Records beyond 2^500 are
-        # measured in a power-of-two unit that keeps them finite; scaling
-        # by a power of two is exact, so no bits move below that size.
         rec = self.records
-        top = max(float(rec.max()), -float(rec.min()))
-        unit = 2.0 ** max(0, math.frexp(top)[1] - 500)
-        if unit > 1.0:
-            rec = rec / unit
+        unit = gap_unit(rec)
+        rec = rec / unit
         if self.n > EXACT_DIAMETER_LIMIT:
             d2 = squared_distances(rec.max(axis=0), rec.min(axis=0))
             return float(np.sqrt(d2)) * unit, False

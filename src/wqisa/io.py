@@ -9,7 +9,6 @@ by load is bit-exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from contextlib import nullcontext
@@ -42,40 +41,55 @@ def load_cloud(path, format: str = "auto") -> PointCloud:
     """
     if format not in ("auto", "xyz", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = None if fh.seekable() else list(fh)  # a pipe is read once: keep its lines
-        first = next(filter(_data_part, lines or fh), None)
-        if first is None:
-            raise ParseError(f"no data rows in {path}")
-        comma = format == "csv" or (format == "auto" and "," in _data_part(first))
-        sep = "," if comma else None
-        source = lines or itertools.chain([first], fh)
-        if comma:  # numpy reads a whitespace-only line as one empty field there
-            source = filter(_data_part, source)
-        elif lines is None and not os.fsdecode(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
-            # numpy opens the path again, which a pipe cannot be; it would
-            # decompress those suffixes and may take a relative path for a URL
-            source = os.fsdecode(os.path.abspath(path))
-        try:
+    lines = data = None
+    try:  # strict UTF-8, comments too: a bad byte fails the read, and its line is named
+        with open(path, "r", encoding="utf-8") as fh:
+            if not fh.seekable():  # a pipe is read once: keep its lines, escaping such bytes
+                fh.reconfigure(errors="surrogateescape")
+                lines = list(fh)
+            first = next(filter(_data_part, lines or fh))  # StopIteration: no data rows
+            sep = _separator(first, format)
+            if lines:  # numpy would skip an escaped byte in a comment; encode() raises on it
+                source = (line for line in lines if line.encode() and _data_part(line))
+            elif sep or os.fsdecode(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
+                # as lines: numpy reads a whitespace-only comma line as one
+                # empty field, and would decompress a file named so
+                fh.seek(0)
+                source = filter(_data_part, fh)
+            else:  # by path, read in chunks; a relative one may pass for a URL
+                source = os.fsdecode(os.path.abspath(path))
             data = np.loadtxt(source, delimiter=sep, comments="#", ndmin=2, encoding="utf-8")
-        except ValueError:
-            data = None
+    except (StopIteration, ValueError):
+        pass
     if data is None or data.shape[1] < 2 or not np.isfinite(data).all():
-        raise _first_bad_line(path, sep, lines)
+        raise _first_bad_line(path, format, lines)
     return PointCloud(data[:, :-1], data[:, -1])
 
 
-def _first_bad_line(path, sep, lines=None) -> ParseError:
-    """The error for a file that load_cloud rejected: each data line goes
-    through the same reader on its own, so the first line that breaks a
-    rule is the line the whole-file parse stumbled on. A pipe's lines are
-    given, since it cannot be opened again."""
-    width = None
-    with open(path, "r", encoding="utf-8") if lines is None else nullcontext(lines) as fh:
+def _separator(line: str, format: str) -> str | None:
+    """The separator of a file whose first data line this is: ',' for csv,
+    and for auto if the line has one; None, any whitespace, otherwise."""
+    return "," if format == "csv" or (format == "auto" and "," in _data_part(line)) else None
+
+
+def _first_bad_line(path, format, lines=None) -> ParseError:
+    """The error for a file that load_cloud rejected: each line goes through
+    the same checks on its own, so the first line that breaks a rule is the
+    line the whole-file read stumbled on. A pipe's lines are given, since it
+    cannot be opened again."""
+    width = sep = None
+    with (open(path, "r", encoding="utf-8", errors="surrogateescape") if lines is None
+          else nullcontext(lines)) as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode()
+            except UnicodeEncodeError:  # a byte escaped on reading
+                return ParseError("holds bytes that are not UTF-8", line=lineno)
             text = _data_part(line)
             if not text:
                 continue
+            if width is None:
+                sep = _separator(text, format)
             try:
                 row = np.loadtxt([line], delimiter=sep, comments="#", ndmin=1)
             except ValueError:
@@ -87,7 +101,7 @@ def _first_bad_line(path, sep, lines=None) -> ParseError:
                 return ParseError(f"expected {width} columns, got {len(row)}", line=lineno)
             if not np.isfinite(row).all():
                 return ParseError(f"non-finite value in {text!r}", line=lineno)
-    return ParseError(f"cannot parse {path}")
+    return ParseError(f"cannot parse {path}" if width else f"no data rows in {path}")
 
 
 def save_cloud(cloud: PointCloud, path, format: str = "xyz") -> None:

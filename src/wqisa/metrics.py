@@ -6,7 +6,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .fitting import PointCloud, WqisaModel, evaluate
+from .fitting import PointCloud, WqisaModel, evaluate, gap_unit
 from .inference import CoefficientCovariance, se_band
 from .kdtree import KdTree, squared_distances
 
@@ -43,6 +43,9 @@ def dispersion(observed, predicted) -> ErrorReport:
         raise ValueError("need at least one value")
     res = obs - pred
     mse = float(np.mean(res**2))
+    lo, hi = (len(res) - 1) // 2, len(res) // 2  # np.median's middle: it imports numpy.ma
+    part = np.partition(res, (lo, hi, -1))  # a nan sorts last
+    mid = part[-1] if np.isnan(part[-1]) else part[hi] if lo == hi else (part[lo] + part[hi]) / 2
     return ErrorReport(
         mse=mse,
         mae=float(np.mean(np.abs(res))),
@@ -50,7 +53,7 @@ def dispersion(observed, predicted) -> ErrorReport:
         min=float(res.min()),
         max=float(res.max()),
         mean=float(res.mean()),
-        median=float(np.median(res)),
+        median=float(mid),
         std=float(res.std()),
     )
 
@@ -69,7 +72,8 @@ def directed_hausdorff_normalized(a_points, b_points, ref: PointCloud) -> float:
 
     Asymmetric by construction; 0 when every point of a sits on one of b.
     Each point of a finds its nearest point of b through a k-d tree over b,
-    which is exact, so the value is bit for bit that of a full scan.
+    which is exact, so the value is bit for bit that of a full scan. Both
+    sets are measured in their gap_unit, so no squared gap overflows.
     """
     a = _as_points(a_points)
     b = _as_points(b_points)
@@ -78,13 +82,15 @@ def directed_hausdorff_normalized(a_points, b_points, ref: PointCloud) -> float:
     diam = ref.diameter
     if diam == 0.0:
         raise ValueError("reference cloud has zero diameter")
+    unit = max(gap_unit(a), gap_unit(b))
+    a, b = a / unit, b / unit
     tree = KdTree(b)
     worst = 0.0
     for start in range(0, len(a), HAUSDORFF_BLOCK):
         chunk = a[start : start + HAUSDORFF_BLOCK]
         nearest = tree.knn(chunk, 1)[:, 0]
         worst = max(worst, float(squared_distances(chunk, b[nearest]).max()))
-    return float(np.sqrt(worst)) / diam
+    return float(np.sqrt(worst)) / diam * unit  # the distance alone may overflow
 
 
 def snap_points(points, cell: float) -> set[tuple[int, ...]]:
@@ -98,8 +104,9 @@ def snap_points(points, cell: float) -> set[tuple[int, ...]]:
 def jaccard(a_points, b_points, cell: float | None = None) -> float:
     """Intersection-over-union of two point sets after grid snapping.
 
-    Default cell size is 1/512 of the diagonal of the joint bounding box;
-    identical sets score 1 regardless of the cell.
+    Default cell size is 1/512 of the diagonal of the joint bounding box,
+    measured in the sets' gap_unit; identical sets score 1 regardless of
+    the cell.
     """
     a = _as_points(a_points)
     b = _as_points(b_points)
@@ -107,13 +114,11 @@ def jaccard(a_points, b_points, cell: float | None = None) -> float:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if cell is None:
         both = np.vstack([a, b])
-        diag = float(np.sqrt(squared_distances(both.max(axis=0), both.min(axis=0))))
-        cell = diag / 512.0 if diag > 0.0 else 1.0
+        unit = gap_unit(both)
+        diag = float(np.sqrt(squared_distances(both.max(axis=0) / unit, both.min(axis=0) / unit)))
+        cell = diag / 512.0 * unit if diag > 0.0 else 1.0
     sa, sb = snap_points(a, cell), snap_points(b, cell)
-    union = sa | sb
-    if not union:
-        raise ValueError("both point sets are empty")
-    return len(sa & sb) / len(union)
+    return len(sa & sb) / len(sa | sb)
 
 
 def band_coverage(cloud: PointCloud, model: WqisaModel,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wqisa import (EmptySupportError, FitPolicy, KdTree, KnotVector, NoiseModel,
+from wqisa import (DomainError, EmptySupportError, FitPolicy, KdTree, KnotVector, NoiseModel,
                    PointCloud, TensorSplineSpace, WeightSpec, WqisaError, bias_bounds_at,
                    classify_convexity, coefficient_covariance,
                    classify_monotone, effective_points, estimate_control_point,
@@ -561,3 +561,16 @@ class TestShapeChecks:
         vals = evaluate(model, xs)
         second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
         assert second.min() >= -1e-8
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: fit(PointCloud(np.array([3.0, 4.0]), np.zeros(2)), space1d(), WeightSpec.knn(1),
+                 FitPolicy(drop_outside=True)), DomainError, "no cloud points inside the domain box"),
+    (lambda: iqr_outlier_mask(sine_cloud(20), space1d(n=4), WeightSpec.knn(3), factor=-0.5),
+     ValueError, "factor must be >= 0, got -0.5"),
+    (lambda: w_convex_check(PointCloud(np.eye(3), np.zeros(3)), make_uniform_regular(0, 1, 3, 2),
+                            WeightSpec.knn(2)), ValueError, "convexity check is univariate"),
+], ids=["none-inside", "negative-factor", "2-d-convexity"])
+def test_unusable_request_is_named(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

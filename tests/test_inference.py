@@ -4,6 +4,7 @@ import math
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -587,6 +588,11 @@ class TestBiasBounds:
             bias_bounds_at(cloud, np.zeros(29), space_1d(5), WeightSpec.knn(4),
                            0.0, 0.0)
 
+    def test_two_points_rejected(self):
+        with pytest.raises(ValueError, match="bias_bounds_at takes a single point"):
+            bias_bounds_at(cloud_1d(30), np.zeros(30), space_1d(5), WeightSpec.knn(4),
+                           [0.0, 0.5], 0.0)
+
 
 def cv_matches_oracle(cloud, cands, space_of, weight, policy, assignments):
     """kfold_cv's result, once its scores, fold scores and failures equal the
@@ -892,6 +898,16 @@ class TestCrossValidation:
         assert res.failures == {5: "held-out squared error overflows"}
         with pytest.raises(ValueError, match="every candidate failed; 5: held-out squared"):
             select_parsimonious(res)
+
+    def test_overflowing_held_out_error_is_named_without_a_warning(self):
+        # y - prediction overflows at y = +-max: the candidate fails for that
+        # reason, and numpy warns nothing under any filter
+        cloud = PointCloud(np.linspace(-1, 1, 40), np.finfo(float).max * (-1.0) ** np.arange(40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kfold_cv(cloud, [3, 4], lambda n: space_1d(n, p=1), WeightSpec.knn(3),
+                           FitPolicy(), assignments=make_folds(40, 4, 0))
+        assert res.failures == dict.fromkeys([3, 4], "held-out squared error overflows")
 
     def test_folds_and_repeats_are_read_from_the_table(self):
         cloud = cloud_1d(60, seed=37)

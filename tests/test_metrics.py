@@ -27,6 +27,16 @@ class TestDispersion:
         assert rep.mean == 2.5 and rep.median == 2.5
         assert rep.std == pytest.approx(np.sqrt(1.25))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 1000, 1001])
+    def test_median_is_numpys(self, n):
+        # taken from np.partition, since np.median imports numpy.ma on first use
+        rng = np.random.default_rng(n)
+        obs, pred = rng.standard_normal(n).round(1), rng.standard_normal(n)
+        assert dispersion(obs, pred).median == np.median(obs - pred)
+        if n > 1:
+            obs[n // 2] = np.nan
+            assert np.isnan(dispersion(obs, pred).median)
+
     def test_to_dict_has_all_keys(self):
         rep = dispersion([1.0], [0.5])
         assert set(rep.to_dict()) == {
@@ -140,6 +150,26 @@ class TestJaccard:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             jaccard([[0.0, 1.0]], [[1.0]])
+
+    def test_flat_arrays_are_points_on_a_line(self):
+        assert jaccard([0.0, 1.0], [0.0, 2.0], cell=1.0) == jaccard([[0.0], [1.0]], [[0.0], [2.0]],
+                                                                    cell=1.0)
+
+
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**1000, 2.0**-300, 2.0**-600])
+def test_metrics_keep_their_bits_at_a_power_of_two_scale(scale):
+    # squared gaps overflow past ~1e154 and underflow below ~1e-154: the
+    # metrics measure in a unit that keeps them normal, and scaling by a
+    # power of two is exact
+    rng = np.random.default_rng(8)
+    a = rng.uniform(-1, 1, (200, 3))
+    b = a + rng.normal(0, 0.01, a.shape)
+    ref = PointCloud(a[:, :2], a[:, 2])
+    big = PointCloud(a[:, :2] * scale, a[:, 2] * scale)
+    assert 0.0 < jaccard(a, b) < 0.5 and 0.0 < directed_hausdorff_normalized(a, b, ref) < 0.1
+    assert jaccard(a * scale, b * scale) == jaccard(a, b)
+    assert (directed_hausdorff_normalized(a * scale, b * scale, big)
+            == directed_hausdorff_normalized(a, b, ref))
 
 
 class TestBandCoverage:

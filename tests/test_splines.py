@@ -10,6 +10,8 @@ from wqisa import (DomainError, KnotVector, SplineFunction, TensorSplineSpace,
                    basis_row, insert_knot, knot_averages,
                    make_uniform_regular, spline_eval)
 
+from wqisa.splines import _normalize_points
+
 from _oracles import dense_blend_insert, full_sum_eval, naive_bspline
 
 
@@ -399,3 +401,23 @@ class TestTensorSplineSpace:
         space = TensorSplineSpace((make_uniform_regular(0, 1, 4, 2),))
         with pytest.raises(ValueError):
             SplineFunction(space, np.zeros(5))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: KnotVector(-1, np.array([0.0, 1.0])), "degree must be >= 0, got -1"),
+    (lambda: KnotVector(2, np.array([0.0, 0.0, 1.0])), r"at least degree\+2 = 4 knots, got \(3,\)"),
+    (lambda: make_uniform_regular(0, 1, 3, 0), "degree must be >= 1, got 0"),
+    (lambda: TensorSplineSpace(()), "need at least one axis"),
+    (lambda: basis_row(TensorSplineSpace((make_uniform_regular(0, 1, 4, 2),)), [0.2, 0.4]),
+     "basis_row takes a single point"),
+    (lambda: _normalize_points(1, np.zeros((3, 2))), r"shape \(3, 2\) as points in R\^1"),
+], ids=["negative-degree", "few-knots", "degree-0", "no-axis", "two-points", "2-d-block"])
+def test_malformed_input_is_named(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_calling_a_spline_evaluates_it():
+    f = SplineFunction(TensorSplineSpace((make_uniform_regular(0, 1, 5, 2),)), np.arange(5.0))
+    u = np.linspace(0, 1, 7)
+    assert np.array_equal(f(u), spline_eval(f, u)) and f(0.3) == spline_eval(f, 0.3)
