@@ -20,7 +20,7 @@ import numpy as np
 from .config import NORMALIZE, FitConfig
 from .errors import ParseError
 from .fitting import (FitPolicy, PointCloud, classify_convexity, classify_monotone,
-                      evaluate, global_bounds, iqr_outlier_mask)
+                      evaluate, gap_unit, global_bounds, iqr_outlier_mask)
 from .inference import (CoefficientCovariance, NoiseModel, _band, coefficient_covariance,
                         estimate_noise_sigma, fit_with_band, half_band, kfold_cv,
                         make_folds, select_parsimonious, variance_at)
@@ -72,10 +72,13 @@ def _shape_flags(model) -> dict:
 
 
 def _error_report(cloud: PointCloud, pred, mode: str) -> dict:
-    """Dispersion of pred around the responses, both scaled as mode says."""
-    scales = (1.0, float(np.max(np.abs(cloud.y))), float(np.ptp(cloud.y)))  # NORMALIZE's order
-    scale = scales[NORMALIZE.index(mode)] or 1.0
-    return dispersion(cloud.y / scale, np.asarray(pred) / scale).to_dict()
+    """Dispersion of pred around the responses, both divided by the scale
+    mode names, unless it is 0. The scale is measured in the values'
+    gap_unit, where the range of the responses cannot overflow."""
+    unit = max(gap_unit(cloud.y), gap_unit(pred))
+    y, scaled = cloud.y / unit, np.asarray(pred) / unit
+    scale = (0.0, float(np.max(np.abs(y))), float(np.ptp(y)))[NORMALIZE.index(mode)]
+    return (dispersion(y / scale, scaled / scale) if scale else dispersion(cloud.y, pred)).to_dict()
 
 
 def _report(cfg: FitConfig, model, cloud, timings: dict) -> dict:
@@ -293,7 +296,7 @@ def cmd_gen(cfg: FitConfig, args) -> dict:
                          outlier_fraction=args.outlier_fraction,
                          outlier_magnitude=args.outlier_magnitude)
     out = cfg.out or "cloud.xyz"
-    save_cloud(data.cloud, out, format="csv" if out.endswith(".csv") else "xyz")
+    save_cloud(data.cloud, out)
     return {"written": out, "kind": args.kind, "n": data.cloud.n, "seed": cfg.seed}
 
 

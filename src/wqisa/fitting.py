@@ -397,6 +397,20 @@ def effective_points(model: WqisaModel, cloud: PointCloud) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
+def _quartiles(values: np.ndarray) -> list[float]:
+    """Q1 and Q3 by np.percentile's linear rule, bit for bit, from one
+    np.partition (np.percentile imports numpy.ma): at virtual index
+    (n - 1) q, between order statistics a and b, a + (b - a) t, or
+    b - (b - a) (1 - t) where t >= 0.5, as numpy interpolates."""
+    at = [(len(values) - 1) * q for q in (0.25, 0.75)]
+    part = np.partition(values, [k for v in at for k in (int(v), int(v) + 1)])
+    out = []
+    for v in at:
+        a, b, t = float(part[int(v)]), float(part[int(v) + 1]), v - int(v)
+        out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return out
+
+
 def iqr_outlier_mask(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
                      factor: float = 1.5, policy: FitPolicy = FitPolicy()) -> np.ndarray:
     """Boolean mask of rows kept by the interquartile residual rule.
@@ -411,7 +425,7 @@ def iqr_outlier_mask(cloud: PointCloud, space: TensorSplineSpace, weight: Weight
         raise ValueError(f"factor must be >= 0, got {factor}")
     pilot = fit(cloud, space, weight, policy)
     res = cloud.y - evaluate(pilot, np.clip(cloud.x, *space.domain))
-    q1, q3 = np.percentile(res, [25.0, 75.0])
+    q1, q3 = _quartiles(res)
     iqr = q3 - q1
     if iqr == 0.0:
         return np.ones(cloud.n, dtype=bool)

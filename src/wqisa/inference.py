@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import WqisaError
 from .fitting import (LOCAL_FAMILIES, FitPolicy, PointCloud, WqisaModel, _normalise,
-                      _weighted_means, _working_points, evaluate, fit, weight_blocks)
+                      _weighted_means, _working_points, evaluate, fit, gap_unit,
+                      weight_blocks)
 from .splines import TensorSplineSpace, _combine, _normalize_points, _windows
 from .weights import WeightSpec
 
@@ -81,6 +82,11 @@ class CoefficientCovariance:
     def __init__(self, sigma_eps: float, space: TensorSplineSpace, band: np.ndarray,
                  means: np.ndarray | None = None, source: tuple | None = None):
         self.sigma_eps = float(sigma_eps)
+        try:  # the variances scale by it
+            self.sigma_eps**2
+        except OverflowError:
+            raise ValueError(f"sigma_eps {self.sigma_eps} has no finite square, so every "
+                             "variance overflows") from None
         self.grid_shape = space.shape
         self.band = band
         self.means = means
@@ -295,14 +301,18 @@ def _band(f, var, alpha: float = 0.05):
 def estimate_noise_sigma(model: WqisaModel, cloud: PointCloud) -> NoiseModel:
     """Residual-based plug-in for sigma_eps, labeled as an estimate.
 
-    Sample standard deviation of the fit residuals at the data sites; biased
-    low when the spline tracks the noise, so prefer a known sigma when
-    available. Needs at least two rows.
+    Sample standard deviation of the fit residuals at the data sites,
+    measured in the gap_unit of the responses and fitted values, so it is
+    finite whenever its true value is; biased low when the spline tracks
+    the noise, so prefer a known sigma when available. Needs at least two
+    rows.
     """
     if cloud.n < 2:
         raise ValueError(f"estimating sigma_eps needs at least 2 points, got {cloud.n}")
-    res = cloud.y - evaluate(model, np.clip(cloud.x, *model.space.domain))
-    return NoiseModel(float(np.std(res, ddof=1)), source="residual-estimate")
+    fitted = evaluate(model, np.clip(cloud.x, *model.space.domain))
+    unit = max(gap_unit(cloud.y), gap_unit(fitted))
+    res = cloud.y / unit - fitted / unit
+    return NoiseModel(float(np.std(res, ddof=1)) * unit, source="residual-estimate")
 
 
 @dataclass(frozen=True)

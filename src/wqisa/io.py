@@ -9,9 +9,9 @@ by load is bit-exact.
 
 from __future__ import annotations
 
+import io
 import math
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,29 +29,25 @@ def _data_part(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def load_cloud(path, format: str = "auto") -> PointCloud:
+def load_cloud(path) -> PointCloud:
     """Parse a cloud file; raises ParseError with the offending line number.
 
-    The separator is decided once, from the first data line: ',' for csv,
-    whitespace for xyz, and for auto ',' if that line has one. The file then
-    goes through numpy's C reader in one pass, a whitespace file by its path
-    (read in chunks), a comma file as its data lines. Only a file the
-    reader rejects, or one holding a non-finite value, is read a second
-    time, line by line, to name its first bad line.
+    The separator is decided once, from the first data line: ',' if that
+    line has one, whitespace otherwise. The file then goes through numpy's
+    C reader in one pass, a whitespace file by its path (read in chunks), a
+    comma file as its data lines. A pipe is read once, as bytes, and then
+    read like a comma file. Only a file the reader rejects, or one holding
+    a non-finite value, is read a second time, line by line, to name its
+    first bad line.
     """
-    if format not in ("auto", "xyz", "csv"):
-        raise ValueError(f"unknown format {format!r}")
-    lines = data = None
+    raw = data = None
     try:  # strict UTF-8, comments too: a bad byte fails the read, and its line is named
         with open(path, "r", encoding="utf-8") as fh:
-            if not fh.seekable():  # a pipe is read once: keep its lines, escaping such bytes
-                fh.reconfigure(errors="surrogateescape")
-                lines = list(fh)
-            first = next(filter(_data_part, lines or fh))  # StopIteration: no data rows
-            sep = _separator(first, format)
-            if lines:  # numpy would skip an escaped byte in a comment; encode() raises on it
-                source = (line for line in lines if line.encode() and _data_part(line))
-            elif sep or os.fsdecode(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
+            if not fh.seekable():  # a pipe cannot be read again: keep its bytes
+                raw = fh.buffer.read()
+                fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+            sep = _separator(next(filter(_data_part, fh)))  # StopIteration: no data rows
+            if raw or sep or os.fsdecode(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
                 # as lines: numpy reads a whitespace-only comma line as one
                 # empty field, and would decompress a file named so
                 fh.seek(0)
@@ -62,24 +58,24 @@ def load_cloud(path, format: str = "auto") -> PointCloud:
     except (StopIteration, ValueError):
         pass
     if data is None or data.shape[1] < 2 or not np.isfinite(data).all():
-        raise _first_bad_line(path, format, lines)
+        raise _first_bad_line(path, raw)
     return PointCloud(data[:, :-1], data[:, -1])
 
 
-def _separator(line: str, format: str) -> str | None:
-    """The separator of a file whose first data line this is: ',' for csv,
-    and for auto if the line has one; None, any whitespace, otherwise."""
-    return "," if format == "csv" or (format == "auto" and "," in _data_part(line)) else None
+def _separator(line: str) -> str | None:
+    """The separator of a file whose first data line this is: ',' if the
+    line has one; None, any whitespace, otherwise."""
+    return "," if "," in _data_part(line) else None
 
 
-def _first_bad_line(path, format, lines=None) -> ParseError:
+def _first_bad_line(path, raw: bytes | None) -> ParseError:
     """The error for a file that load_cloud rejected: each line goes through
     the same checks on its own, so the first line that breaks a rule is the
-    line the whole-file read stumbled on. A pipe's lines are given, since it
+    line the whole-file read stumbled on. A pipe's bytes are given, since it
     cannot be opened again."""
     width = sep = None
-    with (open(path, "r", encoding="utf-8", errors="surrogateescape") if lines is None
-          else nullcontext(lines)) as fh:
+    with io.TextIOWrapper(open(path, "rb") if raw is None else io.BytesIO(raw),
+                          encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.encode()
@@ -89,7 +85,7 @@ def _first_bad_line(path, format, lines=None) -> ParseError:
             if not text:
                 continue
             if width is None:
-                sep = _separator(text, format)
+                sep = _separator(text)
             try:
                 row = np.loadtxt([line], delimiter=sep, comments="#", ndmin=1)
             except ValueError:
@@ -104,9 +100,10 @@ def _first_bad_line(path, format, lines=None) -> ParseError:
     return ParseError(f"cannot parse {path}" if width else f"no data rows in {path}")
 
 
-def save_cloud(cloud: PointCloud, path, format: str = "xyz") -> None:
-    """Write a cloud with shortest round-trip decimal serialization."""
-    write_rows(path, cloud.records, sep="," if format == "csv" else " ")
+def save_cloud(cloud: PointCloud, path) -> None:
+    """Write a cloud with shortest round-trip decimal serialization: comma
+    separated when the name ends in .csv, whitespace separated otherwise."""
+    write_rows(path, cloud.records, sep="," if os.fsdecode(path).endswith(".csv") else " ")
 
 
 def write_rows(path, rows, sep: str = ",", header: str | None = None) -> None:

@@ -34,27 +34,35 @@ class ErrorReport:
 
 
 def dispersion(observed, predicted) -> ErrorReport:
-    """Residual statistics of two equal-length value sequences."""
+    """Residual statistics of two equal-length value sequences.
+
+    Both are measured in their gap_unit, where no residual or square
+    overflows, and each statistic is scaled back by it: a power of two, so
+    the statistics are finite whenever their true value is, and keep their
+    bits while the scaled values stay normal floats. Only mse reads inf,
+    and only when the true mean square is past the float range.
+    """
     obs = np.asarray(observed, dtype=float).reshape(-1)
     pred = np.asarray(predicted, dtype=float).reshape(-1)
     if len(obs) != len(pred):
         raise ValueError(f"length mismatch: {len(obs)} observed vs {len(pred)} predicted")
     if len(obs) == 0:
         raise ValueError("need at least one value")
-    res = obs - pred
+    unit = max(gap_unit(obs), gap_unit(pred))
+    res = obs / unit - pred / unit
     mse = float(np.mean(res**2))
     lo, hi = (len(res) - 1) // 2, len(res) // 2  # np.median's middle: it imports numpy.ma
     part = np.partition(res, (lo, hi, -1))  # a nan sorts last
     mid = part[-1] if np.isnan(part[-1]) else part[hi] if lo == hi else (part[lo] + part[hi]) / 2
     return ErrorReport(
-        mse=mse,
-        mae=float(np.mean(np.abs(res))),
-        rmse=float(np.sqrt(mse)),
-        min=float(res.min()),
-        max=float(res.max()),
-        mean=float(res.mean()),
-        median=float(mid),
-        std=float(res.std()),
+        mse=mse * unit * unit,  # a float product: inf past the range, without a warning
+        mae=float(np.mean(np.abs(res))) * unit,
+        rmse=float(np.sqrt(mse)) * unit,
+        min=float(res.min()) * unit,
+        max=float(res.max()) * unit,
+        mean=float(res.mean()) * unit,
+        median=float(mid) * unit,
+        std=float(res.std()) * unit,
     )
 
 

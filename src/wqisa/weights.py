@@ -74,6 +74,20 @@ class WeightSpec:
                 raise ValueError(f"{self.family} weights need a finite {kind.__name__} "
                                  f"{key} > 0, got {val}")
             object.__setattr__(self, key, kind(val))  # label() prints a plain number
+        if key == "sigma" and not 0 < self.kernel_scale < math.inf:
+            scale = "2 sigma^2" if self.family == "gaussian" else "sqrt(2) sigma"
+            raise ValueError(f"{self.family} weights need a sigma > 0 whose kernel scale "
+                             f"{scale} is a positive finite float, got {self.sigma}")
+
+    @property
+    def kernel_scale(self) -> float:
+        """What a gaussian or exponential kernel divides its norm by:
+        2 sigma^2 or sqrt(2) sigma; 0 or inf where that leaves the floats."""
+        try:
+            return (2.0 * self.sigma**2 if self.family == "gaussian"
+                    else math.sqrt(2.0) * self.sigma)
+        except OverflowError:  # a Python float's power raises where numpy's reads inf
+            return math.inf
 
     @classmethod
     def knn(cls, k: int) -> "WeightSpec":
@@ -145,12 +159,10 @@ def _scan_weights(spec: WeightSpec, u: np.ndarray, cloud):
             return coincident, np.full(len(coincident), 1.0 / len(coincident))
         np.divide(1.0, w, out=w)
     else:
-        gaussian = spec.family == "gaussian"
-        scale = 2.0 * spec.sigma**2 if gaussian else math.sqrt(2.0) * spec.sigma
         with np.errstate(over="ignore"):  # an exponent past -max-float: weight 0
-            if gaussian and spec.gaussian_squared_norm:
+            if spec.gaussian_squared_norm:
                 w *= w
-            np.exp(np.divide(w, -scale, out=w), out=w)
+            np.exp(np.divide(w, -spec.kernel_scale, out=w), out=w)
     live = cloud.rows if w.min() > 0.0 else np.flatnonzero(w)
     return live, w if live is cloud.rows else w[live]
 

@@ -152,9 +152,9 @@ def half_band(matrix, shape, degrees):
     return out
 
 
-def line_parse_cloud(path, format="auto"):
+def line_parse_cloud(path):
     """The line-by-line cloud reader: the separator chosen per line (',' if
-    the line has one, under auto), float() per token, the column count
+    the line has one), float() per token, the column count
     checked line by line, and non-finite values named by their line.
     Returns the (N, d+1) record array or raises ParseError."""
     from wqisa import ParseError
@@ -165,7 +165,7 @@ def line_parse_cloud(path, format="auto"):
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue
-            if format == "csv" or (format == "auto" and "," in text):
+            if "," in text:
                 parts = [p.strip() for p in text.split(",")]
             else:
                 parts = text.split()

@@ -14,7 +14,7 @@ from wqisa import (DomainError, EmptySupportError, FitPolicy, KdTree, KnotVector
                    evaluate, fit, global_bounds, iqr_outlier_filter,
                    iqr_outlier_mask, local_bounds, make_uniform_regular,
                    spline_eval, w_convex_check, w_monotone_check)
-from wqisa.fitting import coefficient_slopes
+from wqisa.fitting import _quartiles, coefficient_slopes
 
 from _oracles import brute_estimate, slope_loop
 from test_kdtree import COORDS
@@ -468,6 +468,19 @@ class TestOutlierFilter:
         filtered = iqr_outlier_filter(cloud, space1d(n=10), WeightSpec.knn(10))
         assert filtered.n == mask.sum()
         assert np.abs(filtered.y).max() < 5.0
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "constant", "scales"])
+    def test_quartiles_are_numpys(self, kind):
+        # taken from np.partition, since np.percentile imports numpy.ma on first use
+        rng = np.random.default_rng(5)
+        for n in [*range(4, 301), 10**4]:
+            v = {"random": lambda: rng.standard_normal(n),
+                 "ties": lambda: rng.integers(0, 3, n) * 0.1,
+                 "constant": lambda: np.full(n, 0.1),
+                 "scales": lambda: rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+                 }[kind]()
+            got, want = np.array(_quartiles(v)), np.percentile(v, [25.0, 75.0])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, got, want)
 
 
 class TestShapeChecks:

@@ -991,6 +991,23 @@ class TestNoiseEstimate:
         with pytest.raises(ValueError, match="sigma_eps"):
             NoiseModel(bad)
 
+    def test_covariance_names_a_sigma_whose_square_overflows(self):
+        # the variances scale by sigma_eps^2: a Python float's power raises
+        cloud = cloud_1d(40)
+        with pytest.raises(ValueError, match="sigma_eps 1e[+]200 has no finite square"):
+            coefficient_covariance(cloud, space_1d(6), WeightSpec.knn(5), NoiseModel(1e200))
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
+    def test_estimate_keeps_its_bits_at_a_power_of_two_scale(self, scale):
+        # residuals are measured in the values' gap_unit: no square overflows
+        # or underflows, and scaling by a power of two is exact
+        rng = np.random.default_rng(54)
+        x = rng.uniform(-1, 1, 300)
+        y = np.sin(np.pi * x) + 0.3 * rng.standard_normal(300)
+        got = [estimate_noise_sigma(fit(c, space_1d(8), WeightSpec.knn(9)), c).sigma_eps
+               for c in (PointCloud(x, y), PointCloud(x, y * scale))]
+        assert got[1] == got[0] * scale and 0.2 < got[0] < 0.4
+
     def test_estimate_needs_two_rows(self):
         cloud = PointCloud([0.0], [1.0])
         model = fit(cloud, space_1d(3, p=1), WeightSpec.knn(1))

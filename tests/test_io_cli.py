@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -89,15 +90,16 @@ def through_fifo(fifo, data: bytes, call):
 
 class TestCloudFiles:
     def test_round_trip_is_bit_exact(self, tmp_path):
+        # the separator is read off the name on saving and off the file on loading
         rng = np.random.default_rng(0)
         cloud = PointCloud(rng.uniform(-5, 5, (40, 2)),
                            rng.standard_normal(40) * 1e-7)
-        for fmt in ("xyz", "csv"):
-            path = tmp_path / f"c.{fmt}"
-            save_cloud(cloud, path, format=fmt)
-            back = load_cloud(path)
-            assert np.array_equal(back.x, cloud.x)
-            assert np.array_equal(back.y, cloud.y)
+        for name, sep in [("c.csv", ","), ("c.xyz", " "), ("c.txt", " "), ("c.csv.txt", " ")]:
+            path = tmp_path / name
+            save_cloud(cloud, path)
+            assert path.read_text().splitlines()[0].count(sep) == 2
+            assert ("," in path.read_text()) == (sep == ","), name
+            assert same_bits(load_cloud(path).records, cloud.records)
 
     def test_comments_blanks_and_separators(self, tmp_path):
         path = tmp_path / "mixed.txt"
@@ -141,10 +143,6 @@ class TestCloudFiles:
         path.write_text("# nothing here\n")
         with pytest.raises(ParseError, match="no data"):
             load_cloud(path)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            load_cloud(tmp_path / "x", format="parquet")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_its_line(self, tmp_path, token):
@@ -192,8 +190,19 @@ class TestCloudFiles:
         got = through_fifo(tmp_path / "cloud.fifo", plain.read_bytes(), load_cloud)
         assert same_bits(got.records, load_cloud(plain).records)
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("sep", [" ", ","])
+    def test_pipe_keeps_universal_newlines(self, tmp_path, newline, sep):
+        raw = f"# x{sep} y\n\n0.5{sep}1.5{sep}2.5\n-1e-300{sep}2{sep}3 # c\n".replace(
+            "\n", newline).encode()
+        path = tmp_path / "cloud.txt"
+        path.write_bytes(raw)
+        got = through_fifo(tmp_path / "cloud.fifo", raw, load_cloud)
+        assert same_bits(got.records, load_cloud(path).records)
+        assert same_bits(got.records, np.array([[0.5, 1.5, 2.5], [-1e-300, 2.0, 3.0]]))
+
     def test_bad_last_line_of_a_pipe_is_named(self, tmp_path):
-        # a pipe cannot be read again to find the line: its lines are kept
+        # a pipe cannot be read again to find the line: its bytes are kept
         text = "# header\n\n" + "0.5 1.5 2.5\n" * 298 + "0.5 1.5"
         err = through_fifo(tmp_path / "cloud.fifo", text.encode(), load_cloud)
         assert isinstance(err, ParseError) and err.line == 301, err
@@ -213,10 +222,12 @@ class TestCloudFiles:
         (b"1 2\n3 4\n5 6\n7 8\xff", 4),
         (b"1,2\n# caf\xe9\n3,4 # \xe9t\xe9\n", 2),
         (b"# caf\xe9\n1,2\n3,4\n", 1),
+        (b"\n# caf\xe9\n1 2\n3 4\n", 2),
+        (b"1,2\n3,4\n5,6\xff", 3),
         (b"1 2\n# caf\xe9\n", 2),
         (b"# caf\xe9\n", 1),
     ], ids=["gzip", "line-3", "csv-line-3", "last-line", "comment", "csv-leading-comment",
-            "trailing-comment", "comment-only"])
+            "leading-comment", "csv-last-line", "trailing-comment", "comment-only"])
     @pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, raw, line, piped):
         path = tmp_path / "cloud.xyz"
@@ -249,22 +260,22 @@ class TestCloudFiles:
         cloud = PointCloud(rec[:, :-1], rec[:, -1])
         for fmt in ("xyz", "csv"):
             path = tmp_path_factory.getbasetemp() / f"round.{fmt}"
-            save_cloud(cloud, path, format=fmt)
+            save_cloud(cloud, path)
             assert same_bits(load_cloud(path).records, cloud.records)
 
     @settings(max_examples=300, deadline=None)
-    @given(cloud_texts(), st.sampled_from(["auto", "auto", "xyz", "csv"]))
-    def test_matches_line_by_line_reader(self, tmp_path_factory, text, fmt):
+    @given(cloud_texts())
+    def test_matches_line_by_line_reader(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "cloud.txt"
         path.write_bytes(text.encode("utf-8"))
         try:
-            want = line_parse_cloud(path, fmt)
+            want = line_parse_cloud(path)
         except ParseError as err:
             with pytest.raises(ParseError) as exc:
-                load_cloud(path, fmt)
+                load_cloud(path)
             assert exc.value.line == err.line
         else:
-            assert same_bits(load_cloud(path, fmt).records, want)
+            assert same_bits(load_cloud(path).records, want)
 
     def test_parse_memory_stays_small(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -279,6 +290,25 @@ class TestCloudFiles:
             tracemalloc.stop()
         assert same_bits(back.records, cloud.records)
         assert peak < 2_000_000, f"load_cloud peaked at {peak} bytes"
+
+    def test_piped_parse_memory_stays_small(self, tmp_path):
+        # a pipe's bytes are kept once, not as one object per line: at this
+        # size the line objects alone took more than the file's bytes
+        rng = np.random.default_rng(4)
+        path = tmp_path / "big.xyz"
+        save_cloud(PointCloud(rng.uniform(-1, 1, (20000, 2)), rng.standard_normal(20000)), path)
+        raw = path.read_bytes()
+
+        def traced(fifo):
+            tracemalloc.start()
+            try:
+                return load_cloud(fifo), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        back, peak = through_fifo(tmp_path / "cloud.fifo", raw, traced)
+        assert same_bits(back.records, load_cloud(path).records)
+        assert peak < 2.5 * len(raw), f"load_cloud peaked at {peak} bytes for {len(raw)}"
 
 
 class TestGenerators:
@@ -449,6 +479,38 @@ class TestCliPipeline:
         assert code == 0
         assert rep["directed_hausdorff"] > 0.0
         assert "error_report" in rep
+
+    def test_fit_report_is_finite_near_the_float_limit(self, tmp_path, capsys):
+        # residuals of about 1e307 square past the float range and the
+        # responses span more than it: the report measures in their
+        # gap_unit, and only mse reads inf, without a warning
+        rng = np.random.default_rng(12)
+        x = rng.uniform(-1, 1, 200)
+        path = tmp_path / "limit.xyz"
+        save_cloud(PointCloud(x, 1.2e308 * np.sin(x) + 1e307 * rng.standard_normal(200)), path)
+        got = {}
+        for mode in ("none", "range"):
+            code, rep = run_cli(capsys, "fit", "--data", str(path), "--n", "8", "--weight",
+                                "knn:k=5", "--normalize", mode, "--out", str(tmp_path / mode))
+            assert code == 0, rep
+            got[mode] = rep["error_report"]
+        assert all(math.isfinite(got["none"][key]) for key in ("rmse", "mae", "std")), got
+        assert got["none"]["mse"] == math.inf and got["range"]["rmse"] > 0.0
+
+    def test_estimated_sigma_whose_square_overflows_is_named(self, tmp_path, capsys):
+        # responses of +-1e200: the estimate is finite, its square is not
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, 200)
+        path = tmp_path / "big.xyz"
+        save_cloud(PointCloud(x, np.where(rng.random(200) < 0.5, -1e200, 1e200)), path)
+        code, rep = run_cli(capsys, "fit", "--data", str(path), "--n", "8",
+                            "--weight", "knn:k=5", "--out", str(tmp_path))
+        assert code == 0 and 1e199 < rep["error_report"]["std"] < 1e201, rep
+        code, rep = run_cli(capsys, "eval", "--data", str(path), "--model",
+                            str(tmp_path / "model.json"), "--out", str(tmp_path / "grid.csv"))
+        assert code == 1 and rep["error"]["type"] == "ValueError", rep
+        assert re.fullmatch(r"sigma_eps 1\.0\d*e\+200 has no finite square, so every variance "
+                            "overflows", rep["error"]["message"]), rep
 
     def test_demo_subcommand(self, tmp_path, capsys):
         code, rep = run_cli(capsys, "demo", "--count", "100", "--sigma", "0.2",
@@ -760,6 +822,8 @@ class TestCliPipeline:
         (["--weight", "idw:k=3"], "'k'"),
         (["--weight", "gaussian:sigma=nan"], "sigma > 0"),
         (["--weight", "characteristic:r=nan", "--policy", "nearest"], "r > 0"),
+        (["--weight", "gaussian:sigma=1e-200", "--policy", "nearest"], "sigma > 0"),
+        (["--weight", "gaussian:sigma=1e200"], "sigma > 0"),
     ])
     def test_bad_weight_spec_fails_before_any_output(self, tmp_path, capsys, argv, key):
         cloud_path = tmp_path / "c.xyz"
@@ -1068,10 +1132,13 @@ for argv in (["fit", "--data", d + "/c.xyz", "--n", "8", "--weight", "knn:k=9", 
              ["eval", "--model", d + "/model.json", "--data", d + "/c.xyz", "--density", "8",
               "--sigma-eps", "0.2", "--out", d + "/grid.csv"],
              ["metrics", "--data", d + "/c.xyz", "--model", d + "/model.json",
-              "--sigma-eps", "0.2"]):
+              "--sigma-eps", "0.2"],
+             ["fit", "--data", d + "/c.xyz", "--n", "8", "--weight", "knn:k=9", "--outlier-filter",
+              "--out", d + "/filtered"]):
     if main(argv) != 0:
         sys.exit(f"{argv[0]} failed")
-# scipy, numpy.ma (np.median's first call) and OpenSSL (hashlib) all cost load time and memory
+# scipy, numpy.ma (np.median's and np.percentile's first call) and OpenSSL (hashlib) all
+# cost load time and memory
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "_hashlib")
                 or m.split(".")[:2] == ["numpy", "ma"])
 if loaded:

@@ -170,6 +170,12 @@ def test_metrics_keep_their_bits_at_a_power_of_two_scale(scale):
     assert jaccard(a * scale, b * scale) == jaccard(a, b)
     assert (directed_hausdorff_normalized(a * scale, b * scale, big)
             == directed_hausdorff_normalized(a, b, ref))
+    # residual statistics scale with the values, and mse with their square
+    at = dispersion(a[:, 2] * scale, b[:, 2] * scale).to_dict()
+    want = {key: val * scale * (scale if key == "mse" else 1.0)
+            for key, val in dispersion(a[:, 2], b[:, 2]).to_dict().items()}
+    assert np.array_equal(np.array(list(at.values())).view(np.int64),
+                          np.array(list(want.values())).view(np.int64)), (at, want)
 
 
 class TestBandCoverage:

@@ -57,6 +57,11 @@ class TestSpecValidation:
         (lambda: WeightSpec.characteristic(math.nan), "r"),
         (lambda: WeightSpec.knn(math.inf), "k"),
         (lambda: WeightSpec.knn(2.5), "k"),
+        # finite sigmas whose kernel scale, 2 sigma^2 or sqrt(2) sigma, is 0 or inf
+        (lambda: WeightSpec.gaussian(1e-200), "sigma"),
+        (lambda: WeightSpec.gaussian(1e200), "sigma"),
+        (lambda: WeightSpec.gaussian(1e200, squared_norm=True), "sigma"),
+        (lambda: WeightSpec.exponential(1.7e308), "sigma"),
     ])
     def test_non_finite_params_name_the_key(self, make, key):
         with pytest.raises(ValueError, match=rf"\b{key} > 0"):
@@ -91,11 +96,14 @@ class TestDescriptors:
     @given(st.data())
     def test_parse_reads_label_back(self, data):
         positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        # kernel scales 2 sigma^2 and sqrt(2) sigma stay positive and finite
+        squarable = st.floats(min_value=1e-160, max_value=9e153)
+        scalable = st.floats(min_value=0.0, exclude_min=True, max_value=1.27e308)
         spec = data.draw(st.one_of(
             st.integers(1, 10**9).map(WeightSpec.knn),
             positive.map(WeightSpec.characteristic),
-            st.builds(WeightSpec.gaussian, positive, st.booleans()),
-            positive.map(WeightSpec.exponential),
+            st.builds(WeightSpec.gaussian, squarable, st.booleans()),
+            scalable.map(WeightSpec.exponential),
             st.just(WeightSpec.idw())))
         assert parse_weight(spec.label()) == spec
 
@@ -116,6 +124,8 @@ class TestDescriptors:
         ("gaussian:sigma=0.5,squared_norm=yes", WeightSpec.gaussian(0.5, True)),
         ("gaussian:squared_norm=false,sigma=0.5", WeightSpec.gaussian(0.5)),
         ("characteristic:r=1e-3", WeightSpec.characteristic(0.001)),
+        ("exponential:sigma=1e308", WeightSpec.exponential(1e308)),  # sqrt(2) sigma: 1.41e308
+        ("gaussian:sigma=1e-160", WeightSpec.gaussian(1e-160)),  # 2 sigma^2: 2e-320
     ])
     def test_accepted_spellings(self, text, spec):
         assert parse_weight(text) == spec
@@ -135,6 +145,9 @@ class TestDescriptors:
         ("gaussian:sigma=inf", r"\bsigma > 0"),
         ("characteristic:r=nan", r"\br > 0"),
         ("exponential:sigma=-inf", r"\bsigma > 0"),
+        ("gaussian:sigma=1e-200", r"\bsigma > 0 whose kernel scale 2 sigma\^2"),
+        ("gaussian:sigma=1e200", r"\bsigma > 0 whose kernel scale 2 sigma\^2"),
+        ("exponential:sigma=1.7e308", r"\bsigma > 0 whose kernel scale sqrt\(2\) sigma"),
         ("knn", r"\bk > 0"),
         ("cosine:k=3", "'cosine'"),
     ])
