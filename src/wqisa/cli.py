@@ -21,9 +21,9 @@ from .config import NORMALIZE, FitConfig
 from .errors import ParseError
 from .fitting import (FitPolicy, PointCloud, classify_convexity, classify_monotone,
                       evaluate, gap_unit, global_bounds, iqr_outlier_mask)
-from .inference import (CoefficientCovariance, NoiseModel, _band, coefficient_covariance,
-                        estimate_noise_sigma, fit_with_band, half_band, kfold_cv,
-                        make_folds, select_parsimonious, variance_at)
+from .inference import (CoefficientCovariance, NoiseModel, _band, _variances,
+                        coefficient_covariance, estimate_noise_sigma, fit_with_band,
+                        half_band, kfold_cv, make_folds, select_parsimonious)
 from .io import gen_synthetic, load_cloud, save_cloud, write_rows
 from .metrics import (band_coverage, directed_hausdorff_normalized, dispersion,
                       jaccard)
@@ -154,8 +154,10 @@ def _read_model(path):
     covariance band or None, _digest of the fitted data file or None). A
     missing field, an unknown format, a non-finite coefficient, a band that
     is not base64 of (dim, H) floats with a finite band and a nonnegative
-    diagonal, or a value the model types reject raises ParseError naming
-    the file. A file without "format" is format 1, which has no band."""
+    diagonal, a sigma_eps that is not null or a finite number >= 0, dropped
+    rows that are not a flat list of integers, or a value the model types
+    reject raises ParseError naming the file. A file without "format" is
+    format 1, which has no band."""
     from .fitting import FitDiagnostics, WqisaModel
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -190,11 +192,18 @@ def _read_model(path):
             effective_count=raw["effective_count"],
             diagnostics=diag,
         )
-        dropped = np.array(raw.get("dropped_rows", []), dtype=int)
+        rows = raw.get("dropped_rows", [])
+        dropped = np.array(rows, dtype=int)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(rows, list) or any(type(row) is not int for row in rows):
+        raise ParseError(f"{path}: dropped_rows must be a flat list of integers")
+    sigma = raw.get("sigma_eps")
+    if sigma is not None and (type(sigma) not in (int, float)
+                              or not 0 <= sigma <= sys.float_info.max):
+        raise ParseError(f"{path}: sigma_eps must be null or a finite number >= 0, got {sigma!r}")
     band = None if "band" not in raw else _read_band(path, raw["band"], space)
-    return model, raw.get("sigma_eps"), dropped, band, raw.get("data_blake2b")
+    return model, sigma, dropped, band, raw.get("data_blake2b")
 
 
 def _read_band(path, text, space) -> np.ndarray:
@@ -320,8 +329,8 @@ def cmd_eval(cfg: FitConfig, args) -> dict:
     model, _, noise, cov, source = _fitted(cfg, args.model, "eval")
     pts = _eval_grid(model.space, cfg.grid_density)
     f = evaluate(model, pts)
-    var = variance_at(model, cov, pts)
-    lo, hi = _band(f, var, cfg.alpha)
+    var, sd = _variances(model, cov, pts)
+    lo, hi = _band(f, sd, cfg.alpha)
     out = cfg.out or "grid.csv"
     header = ",".join([f"u_{k + 1}" for k in range(model.space.d)] + ["f", "var", "lo", "hi"])
     write_rows(out, np.column_stack([pts, f, var, lo, hi]), header=header)

@@ -32,7 +32,7 @@ def gap_unit(points) -> float:
     [1, 2). Measured in it, squared gaps cannot overflow, as they do past
     ~1.3e154, and dividing by a power of two is exact: points scaled by one
     measure the same, bit for bit, while their values stay normal."""
-    top = max(float(np.max(points)), -float(np.min(points)))
+    top = max(float(np.max(points, initial=0.0)), -float(np.min(points, initial=0.0)))
     return math.ldexp(1.0, math.frexp(top)[1] - 1)
 
 
@@ -233,7 +233,7 @@ def _weighted_means(y: np.ndarray, indptr, cols, vals) -> np.ndarray:
 
 
 def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
-                  policy: FitPolicy = FitPolicy(), flats=None, *, _raw=False):
+                  policy: FitPolicy = FitPolicy(), flats=None):
     """Yield V, the normalised weight rows of every coefficient (or of the
     given flat indices, in order), as one WeightBlock per cloud_weights
     call: SITE_BLOCK sites for knn and characteristic windows, one for the
@@ -243,8 +243,7 @@ def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpe
     subset of it. Under empty_support="nearest" a starved window takes the
     single nearest row at weight 1; otherwise its row stays empty and the
     generator raises one EmptySupportError naming every starved cell after
-    the last block. _raw yields the family's weights undivided by their
-    row sums and raises nothing for starved rows: the rows kfold_cv masks.
+    the last block.
     """
     work, kept = _working_points(cloud, space, policy)
     mesh = np.meshgrid(*space.knot_average_grids, indexing="ij")
@@ -263,10 +262,9 @@ def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpe
             cols = np.insert(cols, at, work.tree.knn(sites[block[fallback]], 1).reshape(-1))
             w = np.insert(w, at, 1.0)
             indptr = indptr + np.concatenate(([0], np.cumsum(fallback)))
-        elif empty.any() and not _raw:
+        elif empty.any():
             starved += [(_index_tuple(f, space.shape), sites[f]) for f in block[empty].tolist()]
-        if not _raw:
-            _normalise(w, indptr)
+        _normalise(w, indptr)
         yield WeightBlock(block, indptr, cols if kept is None else kept[cols], w,
                           lookups, fallback)
     if starved:
@@ -456,12 +454,14 @@ def classify_monotone(values: np.ndarray, axis: int = 0, atol: float | None = No
     Increasing means every 1-d slice along the axis is nondecreasing (up to
     atol); a constant grid reports increasing with the constant flag set.
     The default tolerance absorbs summation-order noise only: 1e-12 times
-    the value scale. Pass atol=0 for exact comparisons.
+    the value scale. Pass atol=0 for exact comparisons. Values and atol are
+    measured in the values' gap_unit, so no difference overflows.
     """
     v = np.asarray(values, dtype=float)
     if atol is None:
         atol = 1e-12 * max(1.0, float(np.abs(v).max(initial=0.0)))
-    diffs = np.diff(v, axis=axis)
+    unit = gap_unit(v)
+    diffs, atol = np.diff(v / unit, axis=axis), atol / unit
     up = bool(np.all(diffs >= -atol))
     down = bool(np.all(diffs <= atol))
     if up and down:
@@ -509,9 +509,17 @@ def classify_convexity(kv, values: np.ndarray, atol: float | None = None) -> Con
     Nondecreasing normalized slopes mean convex, nonincreasing mean concave,
     all equal means affine (reported convex with the affine flag). The
     default tolerance absorbs summation-order noise only; pass atol=0 for
-    exact comparisons.
+    exact comparisons. Slopes and atol are measured in the values' gap_unit,
+    so the slopes of values near the float limit stay finite.
     """
-    mono = classify_monotone(coefficient_slopes(kv, values), atol=atol)
+    v = np.asarray(values, dtype=float)
+    unit = gap_unit(v)
+    slopes = coefficient_slopes(kv, v / unit)
+    if atol is None:  # classify_monotone's default, for the slopes in the values' unit
+        atol = 1e-12 * max(1.0 / unit, float(np.abs(slopes).max(initial=0.0)))
+    else:
+        atol /= unit
+    mono = classify_monotone(slopes, atol=atol)
     shape = {"increasing": "convex", "decreasing": "concave"}.get(mono.direction, "neither")
     return ConvexityResult(shape, mono.constant)
 

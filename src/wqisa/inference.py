@@ -11,7 +11,7 @@ are known, and k-fold cross validation selects space dimensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -82,11 +82,6 @@ class CoefficientCovariance:
     def __init__(self, sigma_eps: float, space: TensorSplineSpace, band: np.ndarray,
                  means: np.ndarray | None = None, source: tuple | None = None):
         self.sigma_eps = float(sigma_eps)
-        try:  # the variances scale by it
-            self.sigma_eps**2
-        except OverflowError:
-            raise ValueError(f"sigma_eps {self.sigma_eps} has no finite square, so every "
-                             "variance overflows") from None
         self.grid_shape = space.shape
         self.band = band
         self.means = means
@@ -253,6 +248,14 @@ def variance_at(model: WqisaModel, covariance: CoefficientCovariance, u):
     window entries. Never exceeds sigma_eps^2, because basis rows are
     convex weights over coefficients that are convex weights over the noise.
     """
+    return _variances(model, covariance, u)[0]
+
+
+def _variances(model: WqisaModel, covariance: CoefficientCovariance, u):
+    """(variances, standard deviations) at u, with sigma in its gap_unit s:
+    for q = b^T G b, var = q (sigma/s)^2 s^2 reads inf only past the float
+    range while sd = sqrt(q (sigma/s)^2) s stays finite. Scaling by s is
+    exact, so both keep the bits of sigma^2 q and its root."""
     space = model.space
     band = covariance.band
     if covariance.grid_shape != space.shape or band.shape[1] != len(half_band(space)):
@@ -264,8 +267,11 @@ def variance_at(model: WqisaModel, covariance: CoefficientCovariance, u):
     out = np.zeros(len(pts))
     for a in range(flats.shape[1]):
         out += bases[:, a] * np.einsum("ij,ij->i", band[flats[:, lower[a]], slot[a]], bases)
-    out *= covariance.sigma_eps**2
-    return float(out[0]) if single else out
+    unit = gap_unit(covariance.sigma_eps)
+    out *= (covariance.sigma_eps / unit) ** 2
+    with np.errstate(over="ignore"):
+        var, sd = out * unit * unit, np.sqrt(out) * unit
+    return (float(var[0]), float(sd[0])) if single else (var, sd)
 
 
 def normal_quantile(q: float) -> float:
@@ -285,16 +291,15 @@ def se_band(model: WqisaModel, covariance: CoefficientCovariance, u,
     Returns (lo, hi) = fit -+ z * sqrt(variance) with z the 1-alpha/2
     normal quantile (about 1.96 for the 95 percent band).
     """
-    return _band(evaluate(model, u), variance_at(model, covariance, u), alpha)
+    return _band(evaluate(model, u), _variances(model, covariance, u)[1], alpha)
 
 
-def _band(f, var, alpha: float = 0.05):
-    """(lo, hi) = f -+ z * sqrt(var) for fit values and variances already
+def _band(f, sd, alpha: float = 0.05):
+    """(lo, hi) = f -+ z * sd for fit values and standard deviations already
     computed, with z the 1-alpha/2 normal quantile."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     z = normal_quantile(1.0 - alpha / 2.0)
-    sd = np.sqrt(var)
     return f - z * sd, f + z * sd
 
 
@@ -361,9 +366,9 @@ class CvResult:
     scores: np.ndarray       # mean held-out squared error per candidate
     best: object             # candidate with the smallest score (ties: smallest)
     folds: int
+    fold_scores: np.ndarray  # (candidates, folds*repeats) per-fold MSE
     repeats: int = 1
     failures: dict = field(default_factory=dict)  # candidate -> message
-    fold_scores: np.ndarray | None = None  # (candidates, folds*repeats) per-fold MSE
 
 
 def make_folds(n: int, folds: int, seed: int, repeats: int = 1) -> list[list[np.ndarray]]:
@@ -407,10 +412,11 @@ def _fold_coefficients(cloud: PointCloud, space: TensorSplineSpace, weight: Weig
     """Yield split by split the coefficients, bit for bit, that fit gives
     without the split's fold, or raise what that fit raises. Rows that span
     the cloud take the split's own fit. Knn and ball rows take one pass over
-    the cloud's raw rows: a fold keeps a row's entries off its rows, in list
-    order, and divides them by their sum as fit does; of a knn row's min(2k,
-    N) nearest it keeps the first k. A knn row left short of k and a window
-    the mask empties are refitted on the fold's own cloud instead."""
+    the cloud that never raises: a fold keeps a row's entries off its rows,
+    in list order, weighs them 1/k or 1 and divides them by their sum as fit
+    does; of a knn row's min(2k, N) nearest it keeps the first k. A knn row
+    left short of k, a window the mask empties and one the pass filled from
+    its nearest row are refitted on the fold's own cloud instead."""
     splits = [(r, f) for r, rep in enumerate(ids) for f in range(rep.max() + 1)]
     k = weight.k if weight.family == "knn" else 0
     wide = WeightSpec.knn(min(2 * k, _working_points(cloud, space, policy)[0].n)) if k else weight
@@ -418,7 +424,8 @@ def _fold_coefficients(cloud: PointCloud, space: TensorSplineSpace, weight: Weig
     local = weight.family in LOCAL_FAMILIES
     # per split, the flats its own cloud answers: all of them for spanning rows
     redo = [[] if local else [np.arange(space.dim)] for _ in splits]
-    for block in weight_blocks(cloud, space, wide, policy, _raw=True) if local else ():
+    whole = replace(policy, empty_support="nearest")  # the pass never raises
+    for block in weight_blocks(cloud, space, wide, whole) if local else ():
         sizes = block.indptr[1:] - block.indptr[:-1]
         row = np.repeat(np.arange(len(sizes)), sizes)
         for s, (r, f) in enumerate(splits):
@@ -426,10 +433,10 @@ def _fold_coefficients(cloud: PointCloud, space: TensorSplineSpace, weight: Weig
             if k:
                 keep &= (np.cumsum(keep.reshape(len(sizes), -1), axis=1) <= k).reshape(-1)
             count = np.bincount(row[keep], minlength=len(sizes))
-            short = count != k if k else count == 0
+            short = (count != k if k else count == 0) | block.fallback
             redo[s].append(block.flats[short])
             indptr = np.concatenate(([0], np.cumsum(count)))
-            w = np.full(indptr[-1], 1.0 / k) if k else block.vals[keep]
+            w = np.full(indptr[-1], 1.0 / k if k else 1.0)
             _normalise(w, indptr)
             coeffs[s, block.flats] = _weighted_means(cloud.y, indptr, block.cols[keep], w)
     for s, (r, f) in enumerate(splits):
@@ -502,8 +509,6 @@ def select_parsimonious(result: CvResult):
     classic parsimony rule for flat CV curves: prefer the simplest model
     statistically indistinguishable from the best one.
     """
-    if result.fold_scores is None:
-        raise ValueError("result carries no per-fold scores")
     scores = result.scores
     best = int(np.argmin(scores))
     if not np.isfinite(scores[best]):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .fitting import PointCloud, WqisaModel, evaluate, gap_unit
+from .fitting import PointCloud, WqisaModel, gap_unit
 from .inference import CoefficientCovariance, se_band
 from .kdtree import KdTree, squared_distances
 

@@ -529,6 +529,18 @@ class TestShapeChecks:
         assert aff.shape == "convex" and aff.affine
         assert classify_convexity(kv, np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])).shape == "neither"
 
+    def test_grids_near_the_float_limit(self):
+        # the bowl's slopes, and the difference of +-1.7e308, pass the float
+        # range; the values' gap_unit keeps them inside, without a warning
+        kv = make_uniform_regular(0, 1, 6, 2)
+        xi = np.array([kv.knots[i + 1:i + 3].mean() for i in range(6)])
+        bowl = 1.7e308 * (8 * (xi - 0.5) ** 2 - 1)  # from 1.7e308 down to -1.49e308 and back
+        assert classify_convexity(kv, bowl) == classify_convexity(kv, bowl / 4)
+        assert classify_convexity(kv, bowl).shape == "convex"
+        assert classify_convexity(kv, -bowl, atol=0).shape == "concave"
+        assert classify_monotone(bowl).direction == "neither"
+        assert classify_monotone(np.array([1.7e308, -1.7e308]), atol=0).direction == "decreasing"
+
     def test_slopes_match_the_loop_bit_for_bit(self):
         # Interior knots of multiplicity p+1 empty a knot window, whose slope
         # is the previous live one carried forward.

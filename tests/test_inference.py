@@ -17,7 +17,7 @@ from wqisa import (CoefficientCovariance, CvResult, DomainError, FitPolicy,
                    kfold_cv, make_folds, make_uniform_regular, normal_quantile,
                    se_band, select_parsimonious, variance_at)
 from wqisa.fitting import weight_blocks
-from wqisa.inference import _BandBuilder, fit_with_band
+from wqisa.inference import _BandBuilder, _variances, fit_with_band
 
 from _oracles import brute_covariance, half_band, kfold_cv as oracle_cv
 
@@ -753,6 +753,28 @@ class TestCrossValidation:
         assert list(res.failures) == [7] and "1 coefficient(s): (3,)" in res.failures[7]
         assert np.isfinite(res.scores[[0, 2]]).all()
 
+    def test_windows_empty_on_the_whole_cloud_take_each_splits_own_fit(self, training_clouds):
+        # no row within 0.25 of 0: candidate 9 has empty balls beside full
+        # ones, candidate 4 none. Under "error" every split of 9 fails with
+        # its own fit's message; under "nearest" every split refits 9's
+        # empty balls on its own cloud, and only those
+        rng = np.random.default_rng(89)
+        x = rng.uniform(0.25, 1.0, 200) * rng.choice([-1.0, 1.0], 200)
+        cloud = PointCloud(x, np.sin(np.pi * x) + 0.2 * rng.standard_normal(200))
+        ball = WeightSpec.characteristic(0.1)
+        folds = make_folds(200, 4, seed=5, repeats=2)
+        empty = fit(cloud, self.space_n(9), ball, self.nearest).diagnostics.fallback_cells
+        assert 0 < len(empty) < 9
+        res = cv_matches_oracle(cloud, [4, 9], self.space_n, ball, FitPolicy(), folds)
+        assert np.isfinite(res.scores[0]) and list(res.failures) == [9]
+        assert "empty weight support" in res.failures[9]
+        training_clouds.clear()
+        res = cv_matches_oracle(cloud, [4, 9], self.space_n, ball, self.nearest, folds)
+        assert np.isfinite(res.scores).all()
+        complements = [np.setdiff1d(np.arange(200), hold) for rep in folds for hold in rep]
+        assert len(training_clouds) == len(complements)
+        assert all(np.array_equal(a, b) for a, b in zip(training_clouds, complements))
+
     @pytest.mark.parametrize("weight", FAMILIES, ids=lambda w: w.family)
     @pytest.mark.parametrize("d", [1, 2])
     def test_every_family_matches_the_fold_by_fold_refits(self, weight, d):
@@ -941,9 +963,8 @@ class TestCrossValidation:
         res = CvResult(grid=[3, 9], scores=fold.mean(axis=1), best=9,
                        folds=3, fold_scores=fold)
         assert select_parsimonious(res) == 9
-        with pytest.raises(ValueError, match="per-fold"):
-            select_parsimonious(CvResult(grid=[1], scores=np.array([1.0]),
-                                         best=1, folds=2))
+        with pytest.raises(TypeError, match="fold_scores"):
+            CvResult(grid=[1], scores=np.array([1.0]), best=1, folds=2)
 
     def test_parsimonious_on_real_cv_run(self):
         cloud = cloud_1d(90, seed=61)
@@ -991,11 +1012,19 @@ class TestNoiseEstimate:
         with pytest.raises(ValueError, match="sigma_eps"):
             NoiseModel(bad)
 
-    def test_covariance_names_a_sigma_whose_square_overflows(self):
-        # the variances scale by sigma_eps^2: a Python float's power raises
-        cloud = cloud_1d(40)
-        with pytest.raises(ValueError, match="sigma_eps 1e[+]200 has no finite square"):
-            coefficient_covariance(cloud, space_1d(6), WeightSpec.knn(5), NoiseModel(1e200))
+    @pytest.mark.parametrize("scale", [2.0**700, 2.0**-600], ids=["2^700", "2^-600"])
+    def test_band_of_a_sigma_whose_square_leaves_the_float_range(self, scale):
+        # sigma is measured in its gap_unit: the standard deviations keep
+        # their bits at a power-of-two scale, while the variances read inf
+        # (or 0) where sigma^2 b^T G b passes the float range
+        cloud, space, knn = cloud_1d(40), space_1d(6), WeightSpec.knn(5)
+        model, u = fit(cloud, space, knn), np.linspace(-1, 1, 9)
+        covs = [coefficient_covariance(cloud, space, knn, NoiseModel(s)) for s in (1.0, scale)]
+        (var1, sd1), (var, sd) = (_variances(model, cov, u) for cov in covs)
+        assert np.array_equal(sd, sd1 * scale) and sd.min() > 0.0
+        assert np.array_equal(var, variance_at(model, covs[1], u))
+        assert (var == math.inf).all() if scale > 1 else (var == 0.0).all()
+        assert np.isfinite(np.concatenate(se_band(model, covs[1], u))).all()
 
     @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
     def test_estimate_keeps_its_bits_at_a_power_of_two_scale(self, scale):

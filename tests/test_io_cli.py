@@ -8,11 +8,11 @@ import hashlib
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -497,8 +497,33 @@ class TestCliPipeline:
         assert all(math.isfinite(got["none"][key]) for key in ("rmse", "mae", "std")), got
         assert got["none"]["mse"] == math.inf and got["range"]["rmse"] > 0.0
 
-    def test_estimated_sigma_whose_square_overflows_is_named(self, tmp_path, capsys):
-        # responses of +-1e200: the estimate is finite, its square is not
+    def test_shape_flags_of_responses_near_the_float_limit(self, tmp_path, capsys):
+        # y = +-1.5e308 |sin 5x|: the coefficients' slopes pass the float
+        # range; the flags are the exact ones, with no warning
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, 200)
+        y = np.where(rng.random(200) < 0.5, -1.0, 1.0) * 1.5e308 * np.abs(np.sin(5 * x))
+        path = tmp_path / "limit.xyz"
+        save_cloud(PointCloud(x, y), path)
+        code, rep = run_cli(capsys, "fit", "--data", str(path), "--n", "8", "--weight",
+                            "knn:k=5", "--out", str(tmp_path))
+        assert code == 0, rep
+        raw = json.loads((tmp_path / "model.json").read_text())
+        c, t = ([Fraction(v) for v in values] for values in (raw["coefficients"], raw["knots"][0]))
+        slopes = [(c[j] - c[j - 1]) / (t[j + 2] - t[j]) for j in range(1, len(c))]
+
+        def trend(v):
+            steps = [b - a for a, b in zip(v, v[1:])]
+            return "increasing" if min(steps) >= 0 else "decreasing" if max(steps) <= 0 else "neither"
+
+        assert max(abs(s) for s in slopes) > sys.float_info.max
+        flags = rep["shape_flags"]["axis_0"]
+        assert (flags["monotone"], flags["convexity"]) == (trend(c), {
+            "increasing": "convex", "decreasing": "concave"}.get(trend(slopes), "neither"))
+
+    def test_eval_band_of_a_sigma_whose_square_overflows(self, tmp_path, capsys):
+        # responses of +-1e200: sigma, estimated or given, is finite and its
+        # square is not, so every var reads inf while the band stays finite
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, 200)
         path = tmp_path / "big.xyz"
@@ -506,11 +531,14 @@ class TestCliPipeline:
         code, rep = run_cli(capsys, "fit", "--data", str(path), "--n", "8",
                             "--weight", "knn:k=5", "--out", str(tmp_path))
         assert code == 0 and 1e199 < rep["error_report"]["std"] < 1e201, rep
-        code, rep = run_cli(capsys, "eval", "--data", str(path), "--model",
-                            str(tmp_path / "model.json"), "--out", str(tmp_path / "grid.csv"))
-        assert code == 1 and rep["error"]["type"] == "ValueError", rep
-        assert re.fullmatch(r"sigma_eps 1\.0\d*e\+200 has no finite square, so every variance "
-                            "overflows", rep["error"]["message"]), rep
+        for sigma in ([], ["--sigma-eps", "1e200"]):
+            code, rep = run_cli(capsys, "eval", "--data", str(path), "--model",
+                                str(tmp_path / "model.json"), *sigma,
+                                "--out", str(tmp_path / "grid.csv"))
+            assert code == 0 and 1e199 < rep["sigma_eps"] < 1e201, rep
+            f, var, lo, hi = np.loadtxt(tmp_path / "grid.csv", delimiter=",", skiprows=1).T[1:]
+            assert (var == math.inf).all() and np.isfinite(lo).all() and np.isfinite(hi).all()
+            assert (lo < f).all() and (f < hi).all()
 
     def test_demo_subcommand(self, tmp_path, capsys):
         code, rep = run_cli(capsys, "demo", "--count", "100", "--sigma", "0.2",
@@ -872,6 +900,11 @@ class TestModelFiles:
         ("policy", {"empty_support": "skip"}, "empty_support"),
         ("weight", "gaussian:sigma=nan", "sigma > 0"),
         ("dropped_rows", ["a"], "invalid literal"),
+        # numpy would read sigma true as 1.0, and rows 1.5, true and "2" as 1, 1 and 2
+        *[("sigma_eps", v, "sigma_eps must be null or a finite number >= 0")
+          for v in (True, "abc", [0.3], -0.5, 1e400)],
+        *[("dropped_rows", v, "dropped_rows must be a flat list of integers")
+          for v in ([1.5], [True], ["2"], [[1]], 3)],
     ])
     def test_invalid_field_named_with_the_file(self, fitted, field, value, match):
         _, model_path, raw = fitted
