@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from .config import NORMALIZE, FitConfig
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .fitting import (FitPolicy, PointCloud, classify_convexity, classify_monotone,
                       evaluate, gap_unit, global_bounds, iqr_outlier_mask)
 from .inference import (CoefficientCovariance, NoiseModel, _band, _variances,
@@ -45,6 +45,10 @@ def _domain(cloud: PointCloud, cfg: FitConfig, **per_axis) -> tuple:
                              f"got {len(value)}: {value}")
     if cfg.domain is None:
         lo, hi = cloud.bbox
+        flat = np.flatnonzero(lo == hi)
+        if len(flat):
+            raise DomainError(f"{cfg.data}: the cloud has no extent on axis {flat[0]}; "
+                              'a "domain" in a config sets the box')
     elif len(cfg.domain) == cloud.d and all(len(pair) == 2 for pair in cfg.domain):
         lo, hi = np.array(cfg.domain, dtype=float).T
     else:
@@ -142,11 +146,6 @@ def _save_model(model, path, sigma_eps, dropped_rows: list, band=None, data=None
 
 _MODEL_FIELDS = ("degrees", "knots", "coefficients", "weight", "policy",
                  "effective_count", "support_sizes", "fallback_cells")
-
-
-def load_model(path):
-    """(model, stored sigma_eps or None) from a model.json; see _read_model."""
-    return _read_model(path)[:2]
 
 
 def _read_model(path):

@@ -90,7 +90,8 @@ class CoefficientCovariance:
     @property
     def matrix(self) -> np.ndarray:
         """Dense (dim, dim) covariance, rebuilt from the cloud; O(dim * (dim + N))
-        memory, for checks only."""
+        memory, for checks only. sigma^2 is applied in its gap_unit, as in
+        _variances: entries past the float range read inf."""
         if self._source is None:
             raise ValueError("this covariance holds only its band, as read from a model "
                              "file; the dense matrix needs the cloud it was fitted on")
@@ -98,14 +99,23 @@ class CoefficientCovariance:
         v = np.zeros((space.dim, cloud.n))
         for b in weight_blocks(cloud, space, weight, policy):
             v[np.repeat(b.flats, np.diff(b.indptr)), b.cols] = b.vals
-        return self.sigma_eps**2 * (v @ v.T)
+        unit = gap_unit(self.sigma_eps)
+        with np.errstate(over="ignore"):
+            return (v @ v.T) * (self.sigma_eps / unit) ** 2 * unit * unit
 
 
 class _BandBuilder:
     """The half band of G = V V^T from V's rows, fed by fit one weight block
     at a time in flat order, with the kernel chosen by the support observed.
 
-    Narrow rows are kept as CSR entries and paired at the end, as in
+    Uniform rows (knn and ball: 1/|S_i| over their support S_i, or 1 at
+    the nearest row) enter both kernels as their support only, so each
+    kernel counts shared cloud rows, an integer exact in any order, and
+    result() divides once: G_ij = |S_i & S_j| / (|S_i| * |S_j|). The sizes
+    are the diagonal counts, the support_sizes fit reports, and the band's
+    bits are the same whichever kernel ran.
+
+    Uniform rows are kept as CSR entries and paired at the end, as in
     Gustavson's sparse product: sorted by cloud row, each entry meets the
     entries after it that share its cloud row, one distance at a time, and
     only while their coefficients lie less than reach = 1 + sum_k p_k *
@@ -119,44 +129,42 @@ class _BandBuilder:
     smaller store: the kept rows are replayed into it, and every later row
     is dotted with its band partners in the ring as it arrives. That is
     O(H * nnz(V) + dim * N) time and O(reach * N + dim * H) memory, never
-    dim * N floats.
+    dim * N floats. Weighted rows (gaussian, exponential, idw) span the
+    cloud, so they hold the ring from the first row on.
     """
 
-    def __init__(self, space: TensorSplineSpace, n: int):
-        self.space, self.n = space, n
+    def __init__(self, space: TensorSplineSpace, n: int, uniform: bool):
+        self.space, self.n, self.uniform = space, n, uniform
         self.offsets = half_band(space)
         self.steps = self.offsets @ _c_strides(space.shape)  # flat offset of each slot
         self.reach = int(self.steps[-1]) + 1
         self.band = np.zeros((space.dim, len(self.offsets)))
         self.blocks, self.sites, self.entries = [], 0, 0
-        self.ring = self.inside = None
+        self.ring = None if uniform else np.zeros((self.reach, n))
+        self.inside = np.ones(self.band.shape, dtype=bool)  # j - offset s on the grid
+        for k, index in enumerate(np.unravel_index(np.arange(space.dim), space.shape)):
+            back = index[:, None] - self.offsets[:, k]
+            self.inside &= (back >= 0) & (back < space.shape[k])
 
     def add(self, block) -> None:
         if self.ring is not None:
             self._dot(block)
             return
-        self.blocks.append(block)
+        self.blocks.append(block._replace(vals=None))  # only uniform rows pair: by support
         self.sites += len(block.flats)
         self.entries += len(block.cols)
         if 8 * self.entries * self.space.dim > self.reach * self.n * self.sites:
-            self._start_ring()
+            self.ring = np.zeros((self.reach, self.n))
             blocks, self.blocks = self.blocks, []
             for kept in blocks:
                 self._dot(kept)
-
-    def _start_ring(self) -> None:
-        shape = self.space.shape
-        self.ring = np.zeros((self.reach, self.n))
-        self.inside = np.ones(self.band.shape, dtype=bool)  # j - offset s on the grid
-        for k, index in enumerate(np.unravel_index(np.arange(self.space.dim), shape)):
-            back = index[:, None] - self.offsets[:, k]
-            self.inside &= (back >= 0) & (back < shape[k])
 
     def _dot(self, block) -> None:
         ring, reach = self.ring, self.reach
         for j, lo, hi in zip(block.flats.tolist(), block.indptr[:-1].tolist(),
                              block.indptr[1:].tolist()):
-            cols, vals = block.cols[lo:hi], block.vals[lo:hi]
+            cols = block.cols[lo:hi]
+            vals = np.ones(hi - lo) if self.uniform else block.vals[lo:hi]  # 1 on the support
             row = ring[j % reach]
             row[:] = 0.0
             row[cols] = vals
@@ -173,6 +181,9 @@ class _BandBuilder:
     def result(self) -> np.ndarray:
         if self.ring is None:
             self._pair()
+        if self.uniform:  # a partner past the grid counts 0, whatever size divides it
+            sizes = self.band[:, :1].copy()  # the diagonal counts |S_i|
+            self.band /= sizes * sizes.take(np.arange(len(sizes))[:, None] + self.steps, mode="clip")
         return self.band
 
     def _pair(self) -> None:
@@ -180,10 +191,9 @@ class _BandBuilder:
         blocks = self.blocks
         rows = np.concatenate([np.repeat(b.flats, b.indptr[1:] - b.indptr[:-1]) for b in blocks])
         cols = np.concatenate([b.cols for b in blocks])
-        vals = np.concatenate([b.vals for b in blocks])
         self.blocks = blocks = []  # the entries live on only in the sorted copies
         order = np.argsort(cols * space.dim + rows)  # by cloud row, then coefficient
-        rows, cols, vals = rows[order], cols[order], vals[order]
+        rows, cols = rows[order], cols[order]
         index = np.unravel_index(rows, space.shape)
         weights = _c_strides(2 * p + 1)
         width = self.band.shape[1]
@@ -198,9 +208,8 @@ class _BandBuilder:
                 near &= np.abs(delta) <= p[k]
                 code += (delta + p[k]) * weights[k]
             # b follows a in its cloud row, so its offset is in the band's half
-            a_near, b_near = a[near], b[near]
-            np.add.at(flat, rows[a_near] * width + code[near] - (width - 1),
-                      vals[a_near] * vals[b_near])
+            flat += np.bincount(rows[a[near]] * width + code[near] - (width - 1),
+                                minlength=len(flat))
             a = a[b + 1 < len(rows)]
             b = a + t + 1
             a = a[(cols[b] == cols[a]) & (rows[b] - rows[a] < self.reach)]
@@ -211,7 +220,7 @@ class _BandBuilder:
 def _banded_fit(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
                 policy: FitPolicy) -> tuple[WqisaModel, np.ndarray]:
     """The fit and the half band of its V, from the fit's one pass over V."""
-    builder = _BandBuilder(space, cloud.n)
+    builder = _BandBuilder(space, cloud.n, weight.family in LOCAL_FAMILIES)
     model = fit(cloud, space, weight, policy, _tap=builder.add)
     return model, builder.result()
 

@@ -184,10 +184,13 @@ class TensorSplineSpace:
         lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
         n = np.broadcast_to(np.atleast_1d(n), lo.shape)
         degrees = np.broadcast_to(np.atleast_1d(degrees), lo.shape)
-        return cls(tuple(
-            make_uniform_regular(lo[k], hi[k], int(n[k]), int(degrees[k]))
-            for k in range(len(lo))
-        ))
+        axes = []
+        for k in range(len(lo)):
+            try:
+                axes.append(make_uniform_regular(lo[k], hi[k], int(n[k]), int(degrees[k])))
+            except (DomainError, ValueError) as exc:  # named by axis, as the space's checks are
+                raise type(exc)(f"axis {k}: {exc}") from None
+        return cls(tuple(axes))
 
     @property
     def d(self) -> int:

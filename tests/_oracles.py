@@ -152,6 +152,17 @@ def half_band(matrix, shape, degrees):
     return out
 
 
+def shared_row_band(blocks, shape, degrees):
+    """The half band of G = V V^T for rows uniform over their supports
+    (knn, ball and the nearest-row fallback), by brute force: G_ij =
+    |S_i & S_j| / (|S_i| * |S_j|), with S_i the set of cloud rows among
+    row i's columns in the given weight blocks, taken in flat order."""
+    supports = [set(b.cols[lo:hi].tolist()) for b in blocks
+                for lo, hi in zip(b.indptr[:-1].tolist(), b.indptr[1:].tolist())]
+    counts = [[len(a & b) / (len(a) * len(b)) for b in supports] for a in supports]
+    return half_band(np.array(counts), shape, degrees)
+
+
 def line_parse_cloud(path):
     """The line-by-line cloud reader: the separator chosen per line (',' if
     the line has one), float() per token, the column count

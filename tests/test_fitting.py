@@ -13,7 +13,7 @@ from wqisa import (DomainError, EmptySupportError, FitPolicy, KdTree, KnotVector
                    classify_monotone, effective_points, estimate_control_point,
                    evaluate, fit, global_bounds, iqr_outlier_filter,
                    iqr_outlier_mask, local_bounds, make_uniform_regular,
-                   spline_eval, w_convex_check, w_monotone_check)
+                   w_convex_check, w_monotone_check)
 from wqisa.fitting import _quartiles, coefficient_slopes
 
 from _oracles import brute_estimate, slope_loop

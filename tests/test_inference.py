@@ -8,7 +8,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from wqisa import (CoefficientCovariance, CvResult, DomainError, FitPolicy,
                    NoiseModel, PointCloud, TensorSplineSpace, WeightSpec,
@@ -16,10 +15,10 @@ from wqisa import (CoefficientCovariance, CvResult, DomainError, FitPolicy,
                    coefficient_covariance, estimate_noise_sigma, evaluate, fit, gen_synthetic,
                    kfold_cv, make_folds, make_uniform_regular, normal_quantile,
                    se_band, select_parsimonious, variance_at)
-from wqisa.fitting import weight_blocks
+from wqisa.fitting import LOCAL_FAMILIES, weight_blocks
 from wqisa.inference import _BandBuilder, _variances, fit_with_band
 
-from _oracles import brute_covariance, half_band, kfold_cv as oracle_cv
+from _oracles import brute_covariance, half_band, kfold_cv as oracle_cv, shared_row_band
 
 
 def cloud_1d(n=80, seed=0, sigma=0.2, lo=-1.0, hi=1.0):
@@ -90,6 +89,18 @@ class TestCovarianceMatrix:
             eigs = np.linalg.eigvalsh(cov.matrix)
             assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
 
+    def test_matrix_past_the_float_range_reads_inf(self):
+        # sigma^2 = 1e400 is past the float range: the shared entries read
+        # inf, the others 0, with no OverflowError or RuntimeWarning
+        cloud = cloud_1d(40, seed=6)
+        space, spec = space_1d(6), WeightSpec.knn(5)
+        gram = coefficient_covariance(cloud, space, spec, NoiseModel(1.0)).matrix
+        huge = coefficient_covariance(cloud, space, spec, NoiseModel(1e200)).matrix
+        assert np.array_equal(huge == np.inf, gram > 0)
+        assert np.array_equal(huge == 0.0, gram == 0.0)
+        large = coefficient_covariance(cloud, space, spec, NoiseModel(1e100)).matrix
+        assert np.array_equal(large, 1e100**2 * gram)
+
     def test_csr_rows_agree_with_matrix(self):
         cloud = cloud_1d(40, seed=5)
         space, spec = space_1d(6), WeightSpec.knn(6)
@@ -113,17 +124,20 @@ class TestCovarianceBand:
     @staticmethod
     def both_kernels(cloud, space, spec, policy=FitPolicy()):
         """The band from each kernel of the builder, whichever one the
-        observed support would pick: the pairing of kept entries, and the
-        dense ring from the first row on."""
+        observed support would pick. Uniform rows (knn, ball) give two: the
+        pairing of kept entries, and the dense ring from the first row on.
+        Weighted rows hold the ring from the start, so they give one."""
         blocks = list(weight_blocks(cloud, space, spec, policy))
-        paired = _BandBuilder(space, cloud.n)
-        paired.blocks = blocks
-        paired._pair()
-        ringed = _BandBuilder(space, cloud.n)
-        ringed._start_ring()
+        uniform = spec.family in LOCAL_FAMILIES
+        ringed = _BandBuilder(space, cloud.n, uniform)
+        ringed.ring = np.zeros((ringed.reach, cloud.n))
         for block in blocks:
-            ringed._dot(block)
-        return paired.band, ringed.band
+            ringed.add(block)
+        if not uniform:
+            return (ringed.result(),)
+        paired = _BandBuilder(space, cloud.n, uniform)
+        paired.blocks = blocks
+        return paired.result(), ringed.result()
 
     @pytest.mark.parametrize("family, params, shape, degrees", [
         ("knn", {"k": 7}, (7,), (2,)),
@@ -138,15 +152,20 @@ class TestCovarianceBand:
         d = len(shape)
         cloud = PointCloud(rng.uniform(-1, 1, (120, d)), rng.standard_normal(120))
         space = self.grid_space(shape, degrees)
-        cov = coefficient_covariance(cloud, space, WeightSpec(family, **params),
-                                     NoiseModel(0.8))
+        spec = WeightSpec(family, **params)
+        cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.8))
         sites = [space.site(i) for i in np.ndindex(*shape)]
         ref = half_band(brute_covariance(family, params, sites, cloud.x, 0.8), shape, degrees)
         assert cov.band.shape == ref.shape == (space.dim, (np.prod(np.multiply(2, degrees) + 1)
                                                            + 1) // 2)
         assert np.allclose(0.8**2 * cov.band, ref, rtol=0, atol=1e-15)
-        for band in self.both_kernels(cloud, space, WeightSpec(family, **params)):
-            assert np.allclose(0.8**2 * band, ref, rtol=0, atol=1e-15)
+        bands = self.both_kernels(cloud, space, spec)
+        assert len(bands) == (2 if family in LOCAL_FAMILIES else 1)
+        for band in bands:
+            if family in LOCAL_FAMILIES:  # counts over sizes: exact
+                assert np.array_equal(band, cov.band)
+            else:
+                assert np.allclose(0.8**2 * band, ref, rtol=0, atol=1e-15)
 
     def test_band_follows_the_fit_policy(self):
         rng = np.random.default_rng(3)
@@ -162,14 +181,78 @@ class TestCovarianceBand:
                   FitPolicy())]
         for data, spec, policy in cases:
             cov = coefficient_covariance(data, space, spec, NoiseModel(1.0), policy)
-            ref = half_band(cov.matrix, space.shape, space.degrees)
-            assert np.allclose(cov.band, ref, rtol=0, atol=1e-15)
-            for band in self.both_kernels(data, space, spec, policy):
-                assert np.allclose(band, ref, rtol=0, atol=1e-15)
+            local = spec.family in LOCAL_FAMILIES  # counts over sizes: exact
+            ref = (shared_row_band(weight_blocks(data, space, spec, policy), space.shape,
+                                   space.degrees) if local
+                   else half_band(cov.matrix, space.shape, space.degrees))
+            for band in (cov.band, *self.both_kernels(data, space, spec, policy)):
+                assert (np.array_equal(band, ref) if local
+                        else np.allclose(band, ref, rtol=0, atol=1e-15))
             assert np.array_equal(cov.means,
                                   fit(data, space, spec, policy).spline.coefficients.reshape(-1))
         assert fit(cloud, space, cases[0][1], cases[0][2]).diagnostics.fallback_cells
         assert cases[3][0].n < cloud.n
+
+    @staticmethod
+    def count_case(name):
+        """(cloud, space, spec, policy) of one knn or ball case of the
+        shared-row count test."""
+        rng = np.random.default_rng(len(name))
+        grid = TestCovarianceBand.grid_space
+        d, shape, degrees = {1: (1, (9,), (2,)), 2: (2, (5, 4), (1, 3)),
+                             3: (3, (3, 4, 3), (1, 2, 1))}[int(name[-1])]
+        x = rng.uniform(-1, 1, (120, d))
+        spec = WeightSpec.knn(7) if name.startswith("knn") else WeightSpec.characteristic(0.9)
+        policy = FitPolicy()
+        if "nearest" in name:  # windows left empty: fallback rows of size 1
+            spec = WeightSpec.characteristic(0.001 if d == 1 else 0.1)
+            policy = FitPolicy(empty_support="nearest")
+        elif "outside" in name:
+            x, policy = 1.2 * x, FitPolicy(drop_outside=True)
+        elif "duplicated" in name:  # every point three times: ties in every knn row
+            x = np.repeat(x[:40], 3, axis=0)
+        elif "clamped" in name:  # k > N: every row is the whole cloud
+            x, spec = x[:30], WeightSpec.knn(50)
+        elif "ring" in name:  # wide enough that the builder takes the ring by itself
+            spec = WeightSpec.characteristic(1.5)
+        return PointCloud(x, rng.standard_normal(len(x))), grid(shape, degrees), spec, policy
+
+    @pytest.mark.filterwarnings("ignore:k=50 exceeds cloud size:UserWarning")
+    @pytest.mark.parametrize("name", [
+        "knn-1", "knn-2", "knn-3", "ball-1", "ball-2", "ball-3",
+        "ball-nearest-1", "ball-nearest-2", "knn-outside-2", "ball-outside-3",
+        "knn-duplicated-1", "knn-duplicated-2", "ball-duplicated-2",
+        "knn-clamped-1", "knn-clamped-2", "ball-ring-2",
+    ])
+    def test_uniform_band_is_shared_row_counts_over_sizes(self, name):
+        # G_ij = |S_i & S_j| / (|S_i| |S_j|) bit for bit, from both public
+        # entry points and from each kernel forced alone
+        cloud, space, spec, policy = self.count_case(name)
+        blocks = list(weight_blocks(cloud, space, spec, policy))
+        ref = shared_row_band(blocks, space.shape, space.degrees)
+        model, band = fit_with_band(cloud, space, spec, policy)
+        cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.5), policy)
+        for got in (band, cov.band, *self.both_kernels(cloud, space, spec, policy)):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(band[:, 0], 1.0 / model.diagnostics.support_sizes.reshape(-1))
+        if "nearest" in name:
+            assert any(b.fallback.any() for b in blocks)
+        if "clamped" in name:
+            assert (model.diagnostics.support_sizes == cloud.n).all()
+
+    def test_weighted_rows_hold_the_ring_from_the_first_block(self, monkeypatch):
+        seen, add = [], _BandBuilder.add
+
+        def record(builder, block):
+            seen.append(builder.ring is not None and not builder.blocks)
+            add(builder, block)
+
+        monkeypatch.setattr(_BandBuilder, "add", record)
+        cloud = cloud_1d(60, seed=2)
+        for spec in (WeightSpec.gaussian(0.3), WeightSpec.exponential(0.3), WeightSpec.idw()):
+            seen.clear()
+            coefficient_covariance(cloud, space_1d(7), spec, NoiseModel(1.0))
+            assert seen == [True] * 7
 
     def test_band_only_covariance_gives_the_same_variance_and_no_matrix(self):
         cloud = cloud_1d(60, seed=8)
@@ -205,13 +288,14 @@ class TestCovarianceBand:
         # each: ~4400 entries, past reach * N / 8 = 3 * 2000 / 8, so the
         # ring starts. 400 knn rows of k = 10 keep 4000 entries, under
         # 43 * 2000 / 8, so they pair.
-        started, start_ring = [], _BandBuilder._start_ring
+        started, result = [], _BandBuilder.result
 
         def record(builder):
-            started.append(builder.space.shape)
-            start_ring(builder)
+            if builder.ring is not None:
+                started.append(builder.space.shape)
+            return result(builder)
 
-        monkeypatch.setattr(_BandBuilder, "_start_ring", record)
+        monkeypatch.setattr(_BandBuilder, "result", record)
         cloud = gen_synthetic("sine", 2000, seed=5).cloud
         fit_with_band(cloud, space_1d(44, 2, -2.0, 2.0), WeightSpec.characteristic(0.1))
         assert started == [(44,)]

@@ -22,7 +22,7 @@ from wqisa import (FitConfig, ParseError, PointCloud, gen_synthetic, load_cloud,
                    save_cloud, variable_noise_scale)
 import wqisa
 from wqisa import cli
-from wqisa.cli import build_parser, load_model, main
+from wqisa.cli import _read_model, build_parser, main
 
 from _oracles import line_parse_cloud
 
@@ -427,7 +427,7 @@ class TestCliPipeline:
                 "--out", str(tmp_path))
         from wqisa import TensorSplineSpace, WeightSpec, evaluate, fit
         cloud = load_cloud(cloud_path)
-        model, sigma = load_model(tmp_path / "model.json")
+        model, sigma = _read_model(tmp_path / "model.json")[:2]
         space = model.space
         direct = fit(cloud, TensorSplineSpace(space.axes), WeightSpec.knn(10))
         assert np.array_equal(model.spline.coefficients,
@@ -619,6 +619,26 @@ class TestCliPipeline:
         assert payload["error"]["message"].startswith(message)
         assert not (tmp_path / "cv").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_a_cloud_without_extent_on_an_axis_is_named(self, tmp_path, capsys, command):
+        # the cloud's bounding box is flat on axis 1: the error names the
+        # cloud and the axis, and a config's domain gives the box extent
+        x = np.random.default_rng(4).uniform(-1, 1, 50).tolist()
+        cloud_path = tmp_path / "flat.xyz"
+        cloud_path.write_text("".join(f"{a!r} 0.5 {math.sin(a)!r}\n" for a in x))
+        flags = ["--data", str(cloud_path), "--weight", "knn:k=5"]
+        flags += ["--grid", "5:6"] if command == "cv" else []
+        code, payload = run_cli(capsys, command, *flags, "--out", str(tmp_path / "flat"))
+        assert code == 1 and payload["error"] == {
+            "type": "DomainError",
+            "message": f"{cloud_path}: the cloud has no extent on axis 1; "
+                       'a "domain" in a config sets the box'}
+        cfg_path = tmp_path / "box.json"
+        cfg_path.write_text(json.dumps({"domain": [[-1, 1], [0, 1]]}))
+        code, _ = run_cli(capsys, command, "--config", str(cfg_path), *flags,
+                          "--out", str(tmp_path / "box"))
+        assert code == 0
+
     def test_cv_candidate_that_cannot_build_fails_alone(self, tmp_path, capsys):
         cloud_path = tmp_path / "c.xyz"
         run_cli(capsys, "gen", "--count", "90", "--seed", "2", "--out", str(cloud_path))
@@ -667,7 +687,7 @@ class TestCliPipeline:
         cloud = load_cloud(cloud_path)
         kept = cloud.subset(np.setdiff1d(np.arange(cloud.n), dropped))
         assert 0 < len(dropped) < cloud.n
-        model, _ = load_model(model_path)
+        model, _ = _read_model(model_path)[:2]
         space, spec, policy = model.space, model.weight, model.policy
         assert np.array_equal(fit(kept, space, spec, policy).spline.coefficients,
                               model.spline.coefficients)
@@ -804,7 +824,7 @@ class TestCliPipeline:
         run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "12", *flags,
                 "--out", str(tmp_path))
         model_path = tmp_path / "model.json"
-        model, stored_sigma = load_model(model_path)
+        model, stored_sigma = _read_model(model_path)[:2]
         dropped = json.loads(model_path.read_text())["dropped_rows"]
         cloud = load_cloud(cloud_path)
         kept = cloud.subset(np.setdiff1d(np.arange(cloud.n), dropped))
@@ -882,7 +902,7 @@ class TestModelFiles:
         _, model_path, raw = fitted
         model_path.write_text(json.dumps([raw]))
         with pytest.raises(ParseError, match="not a model object") as exc:
-            load_model(model_path)
+            _read_model(model_path)
         assert str(model_path) in str(exc.value)
 
     def test_missing_field_named_with_the_file(self, fitted):
@@ -890,7 +910,7 @@ class TestModelFiles:
         del raw["coefficients"]
         model_path.write_text(json.dumps(raw))
         with pytest.raises(ParseError, match="'coefficients'") as exc:
-            load_model(model_path)
+            _read_model(model_path)
         assert str(model_path) in str(exc.value)
 
     @pytest.mark.parametrize("field, value, match", [
@@ -911,7 +931,7 @@ class TestModelFiles:
         raw[field] = value
         model_path.write_text(json.dumps(raw))
         with pytest.raises(ParseError, match=match) as exc:
-            load_model(model_path)
+            _read_model(model_path)
         assert str(model_path) in str(exc.value)
 
     def test_file_without_dropped_rows_evaluates_as_before(self, fitted, tmp_path, capsys):
@@ -929,7 +949,7 @@ class TestModelFiles:
         cloud_path, model_path, raw = fitted
         assert raw["format"] == 2
         assert raw["data_blake2b"] == hashlib.blake2b(cloud_path.read_bytes()).hexdigest()
-        model, _ = load_model(model_path)
+        model, _ = _read_model(model_path)[:2]
         cov = coefficient_covariance(load_cloud(cloud_path), model.space, model.weight,
                                      NoiseModel(0.3), model.policy)
         stored = np.frombuffer(base64.b64decode(raw["band"]), dtype="<f8")
@@ -983,7 +1003,7 @@ class TestModelFiles:
         raw[field] = value
         model_path.write_text(json.dumps(raw))
         with pytest.raises(ParseError, match=match) as exc:
-            load_model(model_path)
+            _read_model(model_path)
         assert str(model_path) in str(exc.value)
         grid = tmp_path / "grid.csv"
         code, payload = run_cli(capsys, "eval", "--model", str(model_path), "--data",
@@ -996,7 +1016,7 @@ class TestModelFiles:
         raw["coefficients"][3] = float("nan")
         model_path.write_text(json.dumps(raw))
         with pytest.raises(ParseError, match=r"non-finite coefficient nan at \(3,\)"):
-            load_model(model_path)
+            _read_model(model_path)
         grid = tmp_path / "grid.csv"
         code, payload = run_cli(capsys, "eval", "--model", str(model_path),
                                 "--data", str(cloud_path), "--sigma-eps", "0.3",

@@ -389,6 +389,12 @@ class TestTensorSplineSpace:
         f = SplineFunction(narrow, np.arange(6.0))
         assert np.all(np.isfinite(spline_eval(f, np.linspace(0, 1e-300, 101))))
 
+    def test_from_bounds_names_the_axis(self):
+        with pytest.raises(DomainError, match=r"^axis 1: need a < b, got a=0.5, b=0.5$"):
+            TensorSplineSpace.from_bounds([0, 0.5], [1, 0.5], [6], [2])
+        with pytest.raises(ValueError, match=r"^axis 0: need n >= p\+1 = 3 basis functions, got 2$"):
+            TensorSplineSpace.from_bounds([0, 0], [1, 1], [2, 6], [2])
+
     def test_shape_dim_domain(self):
         space = TensorSplineSpace((make_uniform_regular(0, 1, 4, 2),
                                    make_uniform_regular(-1, 1, 6, 1)))
