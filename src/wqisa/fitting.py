@@ -212,6 +212,8 @@ SITE_BLOCK = 128
 def _row_sums(a: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Sum of a over each CSR row. reduceat sees only the nonempty rows: it
     would give an empty row the next entry, or fail past the end."""
+    if len(indptr) == 2 and len(a):  # one nonempty row, a spanning row's block
+        return np.add.reduceat(a, [0])
     live = indptr[:-1] < indptr[1:]
     sums = np.zeros(len(live))
     sums[live] = np.add.reduceat(a, indptr[:-1][live])
@@ -224,12 +226,15 @@ def _normalise(w: np.ndarray, indptr: np.ndarray) -> None:
     w /= sums if len(sums) == 1 else np.repeat(sums, indptr[1:] - indptr[:-1])
 
 
-def _weighted_means(y: np.ndarray, indptr, cols, vals) -> np.ndarray:
+def _weighted_means(y: np.ndarray, indptr, cols, vals, cloud=None) -> np.ndarray:
     """Per CSR row, the sum of y[cols] * vals: its mean of y under normalised
-    weights. A partial sum overflows (to inf, never NaN) only when the weight
-    still to come is ~0: callers clip to the range of the y they average."""
+    weights. cols that are the ``rows`` of y's cloud, made only for a row that
+    lists every row, take y itself, with no gather. A partial sum overflows
+    (to inf, never NaN) only when the weight still to come is ~0: callers
+    clip to the range of the y they average."""
+    every = cloud is not None and cols is vars(cloud).get("rows")  # not made here
     with np.errstate(over="ignore"):
-        return _row_sums(y.take(cols) * vals, indptr)
+        return _row_sums((y if every else y.take(cols)) * vals, indptr)
 
 
 def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
@@ -240,10 +245,12 @@ def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpe
     unbounded families, whose rows span the whole cloud.
 
     Columns name cloud rows, also when policy.drop_outside works on a
-    subset of it. Under empty_support="nearest" a starved window takes the
-    single nearest row at weight 1; otherwise its row stays empty and the
-    generator raises one EmptySupportError naming every starved cell after
-    the last block.
+    subset of it. A row that lists every row in order has the cloud's own
+    ``rows`` as its cols, known by identity, not by value: ``rows`` is made
+    only for such a row. Under empty_support="nearest" a starved window
+    takes the single nearest row at weight 1; otherwise its row stays empty
+    and the generator raises one EmptySupportError naming every starved cell
+    after the last block.
     """
     work, kept = _working_points(cloud, space, policy)
     mesh = np.meshgrid(*space.knot_average_grids, indexing="ij")
@@ -255,18 +262,20 @@ def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpe
         block = flats[first:first + step]
         indptr, cols, w = cloud_weights(weight, sites[block], work)
         lookups = len(cols) if step > 1 else work.n  # unbounded: every row scored
-        empty = indptr[:-1] == indptr[1:]
-        fallback = empty & (policy.empty_support == "nearest")
-        if fallback.any():
-            at = indptr[:-1][fallback]
-            cols = np.insert(cols, at, work.tree.knn(sites[block[fallback]], 1).reshape(-1))
-            w = np.insert(w, at, 1.0)
-            indptr = indptr + np.concatenate(([0], np.cumsum(fallback)))
-        elif empty.any():
-            starved += [(_index_tuple(f, space.shape), sites[f]) for f in block[empty].tolist()]
+        fallback = np.zeros(len(block), dtype=bool)
+        if step > 1 or not len(cols):  # a spanning row that weighs a row is whole
+            empty = indptr[:-1] == indptr[1:]
+            fallback = empty & (policy.empty_support == "nearest")
+            if fallback.any():
+                at = indptr[:-1][fallback]
+                cols = np.insert(cols, at, work.tree.knn(sites[block[fallback]], 1).reshape(-1))
+                w = np.insert(w, at, 1.0)
+                indptr = indptr + np.concatenate(([0], np.cumsum(fallback)))
+            elif empty.any():
+                starved += [(_index_tuple(f, space.shape), sites[f]) for f in block[empty].tolist()]
         _normalise(w, indptr)
-        yield WeightBlock(block, indptr, cols if kept is None else kept[cols], w,
-                          lookups, fallback)
+        cols = kept[cols] if kept is not None else cloud.rows if cols is vars(work).get("rows") else cols
+        yield WeightBlock(block, indptr, cols, w, lookups, fallback)
     if starved:
         raise EmptySupportError(starved)
 
@@ -284,7 +293,7 @@ def estimate_control_point(cloud: PointCloud, weight: WeightSpec, u) -> float:
     if len(cols) == 0:
         raise EmptySupportError([(None, anchor[0])])
     _normalise(w, indptr)
-    mean = _weighted_means(cloud.y, indptr, cols, w)
+    mean = _weighted_means(cloud.y, indptr, cols, w, cloud)
     return float(np.clip(mean, cloud.y.min(), cloud.y.max())[0])
 
 
@@ -312,7 +321,7 @@ def fit(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
     for block in weight_blocks(cloud, space, weight, policy):
         if _tap is not None:
             _tap(block)
-        coeffs[block.flats] = _weighted_means(cloud.y, block.indptr, block.cols, block.vals)
+        coeffs[block.flats] = _weighted_means(cloud.y, block.indptr, block.cols, block.vals, cloud)
         sizes[block.flats] = block.indptr[1:] - block.indptr[:-1]
         if not seen_all:  # a dense row lists every row: no scatter after it
             seen[block.cols] = True

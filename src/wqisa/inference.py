@@ -451,9 +451,10 @@ def _fold_coefficients(cloud: PointCloud, space: TensorSplineSpace, weight: Weig
     for s, (r, f) in enumerate(splits):
         rows, flats = np.flatnonzero(ids[r] != f), np.concatenate(redo[s])
         if len(flats):  # the training cloud, built only for these
-            for block in weight_blocks(cloud.subset(rows), space, weight, policy, flats):
-                coeffs[s, block.flats] = _weighted_means(cloud.y, block.indptr,
-                                                         rows[block.cols], block.vals)
+            train = cloud.subset(rows)
+            for block in weight_blocks(train, space, weight, policy, flats):
+                coeffs[s, block.flats] = _weighted_means(train.y, block.indptr, block.cols,
+                                                         block.vals, train)
         y = cloud.y[rows]
         yield np.clip(coeffs[s], y.min(), y.max(), out=coeffs[s])
 

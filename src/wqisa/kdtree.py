@@ -58,8 +58,8 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances between a and b along their last axis, broadcast
     over the others, summed over the axes in order (see the module doc)."""
     with np.errstate(over="ignore"):
-        d2 = 0.0
-        for k in range(a.shape[-1]):
+        d2 = np.square(a[..., 0] - b[..., 0])
+        for k in range(1, a.shape[-1]):
             gap = a[..., k] - b[..., k]
             gap *= gap
             d2 += gap

@@ -19,7 +19,10 @@ Every family measures ||x-u|| as the square root of
 ``kdtree.squared_distances``, which sums the squared gaps over the axes in
 order: the same d2 the neighbour index ranks and bounds by. The unbounded
 families then take that row-length buffer through their kernel in place,
-and a gap past about 1.3e154 reads inf and weighs 0 without a warning.
+and a gap past about 1.3e154 reads inf and weighs 0 without a warning. A
+one-anchor block, fit's block for them, returns the scan's own arrays; a
+row that weighs every row lists ``cloud.rows`` itself, so callers know it
+by identity and average y over it without a gather.
 """
 
 from __future__ import annotations
@@ -193,10 +196,12 @@ def cloud_weights(spec: WeightSpec, u, cloud):
     elif spec.family == "characteristic":
         indptr, idx = cloud.tree.radius_query(anchors, spec.r)
         w = np.ones(len(idx))
+    elif len(anchors) == 1:  # fit's one-site block: the scan's own arrays
+        idx, w = _scan_weights(spec, anchors[0], cloud)
+        indptr = np.array([0, len(idx)])
     else:
         rows = [_scan_weights(spec, a, cloud) for a in anchors]
         indptr = np.cumsum([0] + [len(i) for i, _ in rows])
-        idx, w = rows[0] if len(rows) == 1 else (  # one site: no copy
-            np.concatenate([np.empty(0, dtype=int)] + [i for i, _ in rows]),
-            np.concatenate([np.empty(0)] + [v for _, v in rows]))
+        idx = np.concatenate([np.empty(0, dtype=int)] + [i for i, _ in rows])
+        w = np.concatenate([np.empty(0)] + [v for _, v in rows])
     return indptr, idx, w

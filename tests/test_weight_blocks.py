@@ -179,3 +179,58 @@ def test_underflowed_weights_are_not_listed():
     assert [b.cols.tolist() for b in blocks] == [[0, 1], [2, 3]]
     assert [b.lookups for b in blocks] == [4, 4]
 
+
+DENSE_SPECS = [s for s in SPECS if s.family not in ("knn", "characteristic")]
+
+
+def reference_coefficients(spec, sites, x, y, y_range):
+    """Each site's coefficient from the oracle's full-scan weights: the
+    positive ones divided by their reduceat sum, the mean of y under them
+    reduced the same way, clipped to y_range; an empty window takes the y
+    of its nearest row."""
+    out = []
+    for u in sites:
+        w = brute_weight_vector(spec.family, params_of(spec), u, x)
+        live = w > 0
+        if not live.any():
+            out.append(y[brute_knn(x, u, 1)[0]])
+            continue
+        v = w[live] / np.add.reduceat(w[live], [0])
+        out.append(np.add.reduceat(y[live] * v, [0])[0])
+    return np.clip(out, *y_range)
+
+
+@pytest.mark.parametrize("spec", DENSE_SPECS, ids=lambda s: s.label())
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("outside", ["none", "clipped", "dropped"])
+def test_dense_coefficients_are_the_reference_bit_for_bit(spec, d, outside):
+    rng = np.random.default_rng(30 + d)
+    x = rng.uniform(0, 1, (80, d))
+    y = np.sin(3 * x).sum(axis=1) + 0.2 * rng.standard_normal(80)
+    space = TensorSplineSpace.from_bounds([0] * d, [1] * d, [6, 5, 4][:d], [2, 1, 2][:d])
+    sites = sites_of(space)
+    x[4] = x[9] = sites[2]  # idw: two rows share a site, which weighs them alone
+    if outside != "none":
+        x[0, 0], x[7, -1] = -0.4, 1.3
+    policy = FitPolicy(drop_outside=outside == "dropped")
+    model = fit(PointCloud(x, y), space, spec, policy)
+    keep = np.all((x >= 0) & (x <= 1), axis=1) if outside == "dropped" else np.ones(80, bool)
+    want = reference_coefficients(spec, sites, np.clip(x[keep], 0, 1), y[keep],
+                                  (y.min(), y.max()))
+    assert np.array_equal(model.spline.coefficients.reshape(-1), want)
+
+
+@pytest.mark.parametrize("spec", [WeightSpec.gaussian(0.01), WeightSpec.gaussian(0.01, True),
+                                  WeightSpec.exponential(0.0005)], ids=lambda s: s.label())
+def test_dense_windows_that_underflow_take_the_nearest_row(spec):
+    # sites past ~0.5 from both clusters weigh every row 0
+    x = np.concatenate([np.linspace(0.0, 0.2, 15), np.linspace(0.95, 1.0, 10)])
+    y = np.cos(4 * x)
+    space = TensorSplineSpace((make_uniform_regular(-1, 2, 13, 1),))
+    sites = sites_of(space)
+    starved = [i for i, u in enumerate(sites) if brute_row_mass(spec, u, x) == 0]
+    assert 0 < len(starved) < len(sites) - 2
+    model = fit(PointCloud(x, y), space, spec, NEAREST)
+    assert sorted(model.diagnostics.fallback_cells) == [(i,) for i in starved]
+    want = reference_coefficients(spec, sites, x.reshape(-1, 1), y, (y.min(), y.max()))
+    assert np.array_equal(model.spline.coefficients.reshape(-1), want)
