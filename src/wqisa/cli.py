@@ -21,7 +21,7 @@ from .config import NORMALIZE, FitConfig
 from .errors import DomainError, ParseError
 from .fitting import (FitPolicy, PointCloud, classify_convexity, classify_monotone,
                       evaluate, gap_unit, global_bounds, iqr_outlier_mask)
-from .inference import (CoefficientCovariance, NoiseModel, _band, _variances,
+from .inference import (CoefficientCovariance, NoiseModel, _band, _spread,
                         coefficient_covariance, estimate_noise_sigma, fit_with_band,
                         half_band, kfold_cv, make_folds, select_parsimonious)
 from .io import gen_synthetic, load_cloud, save_cloud, write_rows
@@ -327,8 +327,7 @@ def cmd_fit(cfg: FitConfig, args) -> dict:
 def cmd_eval(cfg: FitConfig, args) -> dict:
     model, _, noise, cov, source = _fitted(cfg, args.model, "eval")
     pts = _eval_grid(model.space, cfg.grid_density)
-    f = evaluate(model, pts)
-    var, sd = _variances(model, cov, pts)
+    f, var, sd = _spread(model, cov, pts)
     lo, hi = _band(f, sd, cfg.alpha)
     out = cfg.out or "grid.csv"
     header = ",".join([f"u_{k + 1}" for k in range(model.space.d)] + ["f", "var", "lo", "hi"])

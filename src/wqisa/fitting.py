@@ -423,7 +423,8 @@ def iqr_outlier_mask(cloud: PointCloud, space: TensorSplineSpace, weight: Weight
     """Boolean mask of rows kept by the interquartile residual rule.
 
     Residuals come from a pilot fit on the raw cloud with the caller's
-    space and weight; rows are kept when the residual falls inside
+    space and weight, measured in the gap_unit of the responses and fitted
+    values, so none overflows; rows are kept when the residual falls inside
     [Q1 - factor*IQR, Q3 + factor*IQR]. A zero IQR keeps everything.
     """
     if cloud.n < 4:
@@ -431,7 +432,9 @@ def iqr_outlier_mask(cloud: PointCloud, space: TensorSplineSpace, weight: Weight
     if factor < 0:
         raise ValueError(f"factor must be >= 0, got {factor}")
     pilot = fit(cloud, space, weight, policy)
-    res = cloud.y - evaluate(pilot, np.clip(cloud.x, *space.domain))
+    fitted = evaluate(pilot, np.clip(cloud.x, *space.domain))
+    unit = max(gap_unit(cloud.y), gap_unit(fitted))
+    res = cloud.y / unit - fitted / unit
     q1, q3 = _quartiles(res)
     iqr = q3 - q1
     if iqr == 0.0:

@@ -91,7 +91,7 @@ class CoefficientCovariance:
     def matrix(self) -> np.ndarray:
         """Dense (dim, dim) covariance, rebuilt from the cloud; O(dim * (dim + N))
         memory, for checks only. sigma^2 is applied in its gap_unit, as in
-        _variances: entries past the float range read inf."""
+        _spread: entries past the float range read inf."""
         if self._source is None:
             raise ValueError("this covariance holds only its band, as read from a model "
                              "file; the dense matrix needs the cloud it was fitted on")
@@ -166,8 +166,11 @@ class _BandBuilder:
             cols = block.cols[lo:hi]
             vals = np.ones(hi - lo) if self.uniform else block.vals[lo:hi]  # 1 on the support
             row = ring[j % reach]
-            row[:] = 0.0
-            row[cols] = vals
+            if hi - lo == self.n:  # every cloud row: weighted in order, uniform all 1
+                row[:] = vals
+            else:
+                row[:] = 0.0
+                row[cols] = vals
             slots = np.flatnonzero(self.inside[j])
             partners = j - self.steps[slots]
             # every partner's entries at the row's columns in one gather,
@@ -257,14 +260,15 @@ def variance_at(model: WqisaModel, covariance: CoefficientCovariance, u):
     window entries. Never exceeds sigma_eps^2, because basis rows are
     convex weights over coefficients that are convex weights over the noise.
     """
-    return _variances(model, covariance, u)[0]
+    return _spread(model, covariance, u)[1]
 
 
-def _variances(model: WqisaModel, covariance: CoefficientCovariance, u):
-    """(variances, standard deviations) at u, with sigma in its gap_unit s:
-    for q = b^T G b, var = q (sigma/s)^2 s^2 reads inf only past the float
-    range while sd = sqrt(q (sigma/s)^2) s stays finite. Scaling by s is
-    exact, so both keep the bits of sigma^2 q and its root."""
+def _spread(model: WqisaModel, covariance: CoefficientCovariance, u):
+    """(fit values, variances, standard deviations) at u from one pass of
+    _windows: the values are evaluate's, bit for bit, and sigma is taken in
+    its gap_unit s: for q = b^T G b, var = q (sigma/s)^2 s^2 reads inf only
+    past the float range while sd = sqrt(q (sigma/s)^2) s stays finite.
+    Scaling by s is exact, so both keep the bits of sigma^2 q and its root."""
     space = model.space
     band = covariance.band
     if covariance.grid_shape != space.shape or band.shape[1] != len(half_band(space)):
@@ -280,7 +284,8 @@ def _variances(model: WqisaModel, covariance: CoefficientCovariance, u):
     out *= (covariance.sigma_eps / unit) ** 2
     with np.errstate(over="ignore"):
         var, sd = out * unit * unit, np.sqrt(out) * unit
-    return (float(var[0]), float(sd[0])) if single else (var, sd)
+    f = _combine(model.spline.coefficients.reshape(-1), flats, bases)  # after the loop, for memory
+    return (float(f[0]), float(var[0]), float(sd[0])) if single else (f, var, sd)
 
 
 def normal_quantile(q: float) -> float:
@@ -298,9 +303,10 @@ def se_band(model: WqisaModel, covariance: CoefficientCovariance, u,
     """Two-sided standard-error band around the fit at confidence 1-alpha.
 
     Returns (lo, hi) = fit -+ z * sqrt(variance) with z the 1-alpha/2
-    normal quantile (about 1.96 for the 95 percent band).
+    normal quantile (about 1.96 for the 95 percent band). The fit and its
+    standard deviation come from one pass of _windows (see _spread).
     """
-    return _band(evaluate(model, u), _variances(model, covariance, u)[1], alpha)
+    return _band(*_spread(model, covariance, u)[::2], alpha)  # (f, sd) of (f, var, sd)
 
 
 def _band(f, sd, alpha: float = 0.05):
@@ -514,19 +520,21 @@ def select_parsimonious(result: CvResult):
 
     Returns the first candidate, in grid order, whose mean score is within
     one standard error of the minimizer's score, where the standard error
-    is the fold-score standard deviation of the minimizer divided by
-    sqrt(folds x repeats). With a complexity-ordered grid this is the
-    classic parsimony rule for flat CV curves: prefer the simplest model
-    statistically indistinguishable from the best one.
+    is the fold-score standard deviation of the minimizer, taken in the
+    fold scores' gap_unit so it is finite, divided by sqrt(folds x
+    repeats). A failed candidate (score inf) is never picked. With a
+    complexity-ordered grid this is the classic parsimony rule for flat CV
+    curves: prefer the simplest model statistically indistinguishable from
+    the best one.
     """
-    scores = result.scores
+    scores = result.scores.tolist()  # Python floats: a sum past the float range reads inf
     best = int(np.argmin(scores))
     if not np.isfinite(scores[best]):
         first = next(iter(result.failures.items()), None)
         raise ValueError("every candidate failed" + (f"; {first[0]!r}: {first[1]}" if first else ""))
     folds = result.fold_scores.shape[1]
-    se = float(result.fold_scores[best].std(ddof=1)) / math.sqrt(folds)
-    for ci, cand in enumerate(result.grid):
-        if scores[ci] <= scores[best] + se:
+    unit = gap_unit(result.fold_scores[best])
+    se = float((result.fold_scores[best] / unit).std(ddof=1)) / math.sqrt(folds) * unit
+    for ci, cand in enumerate(result.grid):  # by the minimizer at the latest
+        if math.isfinite(scores[ci]) and scores[ci] <= scores[best] + se:
             return cand
-    return result.grid[best]

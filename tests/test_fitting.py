@@ -46,6 +46,11 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(np.array([0.0, np.nan]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("x", [np.empty((0, 2)), np.empty(0), np.zeros((2, 2, 1))])
+    def test_empty_or_non_matrix_predictors_rejected(self, x):
+        with pytest.raises(ValueError, match=r"nonempty \(N, d\) predictor"):
+            PointCloud(x, np.zeros(len(x)))
+
     def test_diameter_exact_small(self):
         c = PointCloud(np.array([[0.0], [3.0]]), np.array([0.0, 4.0]))
         assert c.diameter == 5.0
@@ -468,6 +473,20 @@ class TestOutlierFilter:
         filtered = iqr_outlier_filter(cloud, space1d(n=10), WeightSpec.knn(10))
         assert filtered.n == mask.sum()
         assert np.abs(filtered.y).max() < 5.0
+
+    @pytest.mark.parametrize("factor", [1.5, 0.25])  # 0.25 drops 32 rows
+    def test_limit_cloud_masks_as_its_scaled_copy(self, factor):
+        # y = +-1.5e308 |sin 5x|: residuals are measured in the gap_unit of
+        # y and the pilot's values, so no subtraction overflows (the suite
+        # turns RuntimeWarnings into errors) and the mask is the one of the
+        # cloud scaled by 2^-1000
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, 200)
+        y = np.where(rng.random(200) < 0.5, -1.0, 1.0) * 1.5e308 * np.abs(np.sin(5 * x))
+        space = TensorSplineSpace.from_bounds(x.min(), x.max(), 8, 2)
+        limit = iqr_outlier_mask(PointCloud(x, y), space, WeightSpec.knn(5), factor)
+        scaled = iqr_outlier_mask(PointCloud(x, y * 2.0**-1000), space, WeightSpec.knn(5), factor)
+        assert np.array_equal(limit, scaled)
 
     @pytest.mark.parametrize("kind", ["random", "ties", "constant", "scales"])
     def test_quartiles_are_numpys(self, kind):

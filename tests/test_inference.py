@@ -16,7 +16,7 @@ from wqisa import (CoefficientCovariance, CvResult, DomainError, FitPolicy,
                    kfold_cv, make_folds, make_uniform_regular, normal_quantile,
                    se_band, select_parsimonious, variance_at)
 from wqisa.fitting import LOCAL_FAMILIES, weight_blocks
-from wqisa.inference import _BandBuilder, _variances, fit_with_band
+from wqisa.inference import _BandBuilder, _spread, fit_with_band
 
 from _oracles import brute_covariance, half_band, kfold_cv as oracle_cv, shared_row_band
 
@@ -624,6 +624,71 @@ class TestSeBand:
                 se_band(self.model, self.cov, 0.0, alpha=alpha)
 
 
+class TestSpread:
+    """_spread gives the fit with its variance and band from one windows pass."""
+
+    @staticmethod
+    def covariance(kind, d):
+        rng = np.random.default_rng(40 + d)
+        cloud = PointCloud(rng.uniform(0, 1, (300, d)), rng.standard_normal(300))
+        space = TensorSplineSpace.from_bounds([0] * d, [1] * d, [5] * d, [2] * d)
+        spec = {"knn": WeightSpec.knn(9), "ball": WeightSpec.characteristic(0.4),
+                "gaussian": WeightSpec.gaussian(0.2)}[kind]
+        if kind == "gaussian":  # rebuilt from the cloud, as eval --data does
+            return fit(cloud, space, spec), coefficient_covariance(cloud, space, spec,
+                                                                   NoiseModel(0.3))
+        model, band = fit_with_band(cloud, space, spec)  # stored, as a model file keeps it
+        return model, CoefficientCovariance(0.3, space, band)
+
+    @pytest.mark.parametrize("kind", ["knn", "ball", "gaussian"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fit_values_are_evaluates(self, kind, d):
+        model, cov = self.covariance(kind, d)
+        us = np.random.default_rng(d).uniform(0, 1, (257, d))
+        f, var, sd = _spread(model, cov, us)
+        assert np.array_equal(f, evaluate(model, us))
+        assert np.array_equal(var, variance_at(model, cov, us))
+        assert [a.tobytes() for a in se_band(model, cov, us)] == [
+            a.tobytes() for a in (f - normal_quantile(0.975) * sd, f + normal_quantile(0.975) * sd)]
+        one = us[0] if d > 1 else float(us[0, 0])
+        f1, var1, sd1 = _spread(model, cov, one)
+        assert type(f1) is float and f1 == evaluate(model, one) == f[0]
+        assert var1 == variance_at(model, cov, one) and sd1 > 0.0
+
+    @pytest.mark.parametrize("call", ["se_band", "band_coverage", "cmd_eval"])
+    def test_one_windows_pass_per_call(self, call, monkeypatch, tmp_path, capsys):
+        import wqisa.inference
+        import wqisa.splines
+        from wqisa import band_coverage
+        from wqisa.cli import main
+
+        cloud = cloud_1d(120, seed=5)
+        model, cov = fit(cloud, space_1d(8), WeightSpec.knn(7)), None
+        if call == "cmd_eval":  # a model file that stores its band: no fit is rebuilt
+            path = tmp_path / "c.xyz"
+            path.write_text("".join(f"{a!r} {b!r}\n" for a, b in
+                                    zip(cloud.x[:, 0].tolist(), cloud.y.tolist())))
+            assert main(["fit", "--data", str(path), "--n", "8", "--weight", "knn:k=7",
+                         "--out", str(tmp_path)]) == 0
+        else:
+            cov = coefficient_covariance(cloud, space_1d(8), WeightSpec.knn(7), NoiseModel(0.2))
+        calls = []
+        for module in (wqisa.splines, wqisa.inference):
+            def counted(*args, _windows=module._windows):
+                calls.append(1)
+                return _windows(*args)
+            monkeypatch.setattr(module, "_windows", counted)
+        if call == "se_band":
+            se_band(model, cov, np.linspace(-1, 1, 33))
+        elif call == "band_coverage":
+            band_coverage(cloud, model, cov)
+        else:
+            assert main(["eval", "--model", str(tmp_path / "model.json"), "--sigma-eps", "0.2",
+                         "--out", str(tmp_path / "grid.csv")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+
 class TestBiasBounds:
     def test_noiseless_fit_equals_expected_value(self):
         # With y exactly on the true surface the fit IS the expectation.
@@ -1050,6 +1115,32 @@ class TestCrossValidation:
         with pytest.raises(TypeError, match="fold_scores"):
             CvResult(grid=[1], scores=np.array([1.0]), best=1, folds=2)
 
+    def test_parsimonious_never_picks_a_failed_candidate(self):
+        # fold scores near 1e200, whose squared deviations overflow unless
+        # they are measured in their gap_unit; runs under the suite's
+        # error::RuntimeWarning filter
+        fold = np.array([[np.inf] * 4, [1.0, 3.0, 2.0, 2.5], [1.5, 2.0, 2.0, 2.5]]) * 1e200
+        res = CvResult(grid=[2, 3, 4], scores=np.array([np.inf, 2.125e200, 2.0e200]), best=4,
+                       folds=4, fold_scores=fold, failures={2: "need n >= p+1"})
+        assert select_parsimonious(res) == 3
+
+    def test_parsimonious_where_score_plus_se_overflows(self):
+        # score + SE passes the float range: every finite score is within
+        # it, and the failed candidate before them is still skipped
+        big = np.finfo(float).max
+        fold = np.array([[np.inf] * 3, [0.9, 0.99, 0.95], [0.3, 0.99, 0.99]]) * big
+        res = CvResult(grid=[2, 3, 4], scores=np.array([np.inf, 0.95 * big, 0.8 * big]),
+                       best=4, folds=3, fold_scores=fold)
+        assert select_parsimonious(res) == 3
+
+    def test_unorderable_tied_candidates_take_the_first(self):
+        # equal candidates score alike; dicts cannot be ordered by min()
+        cloud = cloud_1d(60, seed=41)
+        cands = [{"n": 5}, {"n": 5}]
+        res = kfold_cv(cloud, cands, lambda c: self.space_n(c["n"]), self.knn8, self.nearest,
+                       assignments=make_folds(cloud.n, 3, 0))
+        assert res.scores[0] == res.scores[1] and res.best is cands[0]
+
     def test_parsimonious_on_real_cv_run(self):
         cloud = cloud_1d(90, seed=61)
         res = self.cv(cloud, [4, 6, 8, 10, 12], assignments=make_folds(cloud.n, 5, 3))
@@ -1104,7 +1195,7 @@ class TestNoiseEstimate:
         cloud, space, knn = cloud_1d(40), space_1d(6), WeightSpec.knn(5)
         model, u = fit(cloud, space, knn), np.linspace(-1, 1, 9)
         covs = [coefficient_covariance(cloud, space, knn, NoiseModel(s)) for s in (1.0, scale)]
-        (var1, sd1), (var, sd) = (_variances(model, cov, u) for cov in covs)
+        (_, var1, sd1), (_, var, sd) = (_spread(model, cov, u) for cov in covs)
         assert np.array_equal(sd, sd1 * scale) and sd.min() > 0.0
         assert np.array_equal(var, variance_at(model, covs[1], u))
         assert (var == math.inf).all() if scale > 1 else (var == 0.0).all()

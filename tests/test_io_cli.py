@@ -665,6 +665,29 @@ class TestCliPipeline:
         assert rows == [f"{n},{score!r}" for n, score in zip((5, 6), res.scores.tolist())]
         assert np.isfinite(res.scores).all()
 
+    def test_cv_never_names_a_failed_candidate_parsimonious(self, tmp_path, capsys):
+        # y ~ 1e100 N(0, 1): fold scores near 1e200, whose squared deviations
+        # overflow unless measured in their gap_unit; n = 2 fails (degree 2)
+        rng = np.random.default_rng(8)
+        cloud_path = tmp_path / "c.xyz"
+        cloud_path.write_text("".join(f"{a!r} {b!r}\n" for a, b in zip(
+            rng.uniform(-1, 1, 200).tolist(), (1e100 * rng.standard_normal(200)).tolist())))
+        code, best = run_cli(capsys, "cv", "--data", str(cloud_path), "--grid", "2:6",
+                             "--weight", "knn:k=5", "--out", str(tmp_path))
+        assert code == 0
+        scores = dict(r.split(",") for r in (tmp_path / "cv.csv").read_text().splitlines()[1:])
+        assert scores["2"] == "inf" and math.isfinite(float(scores[str(best["parsimonious"])]))
+
+    def test_outlier_filtered_fit_of_a_near_limit_cloud(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, 200)
+        y = np.where(rng.random(200) < 0.5, -1.0, 1.0) * 1.5e308 * np.abs(np.sin(5 * x))
+        cloud_path = tmp_path / "limit.xyz"
+        cloud_path.write_text("".join(f"{a!r} {b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+        code, report = run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "8",
+                               "--weight", "knn:k=5", "--outlier-filter", "--out", str(tmp_path))
+        assert code == 0 and "error" not in report
+
     def test_cv_where_every_candidate_fails_names_the_first(self, tmp_path, capsys):
         cloud_path = tmp_path / "c.xyz"
         run_cli(capsys, "gen", "--count", "300", "--seed", "3", "--out", str(cloud_path))

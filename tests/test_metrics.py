@@ -124,6 +124,11 @@ class TestJaccard:
         pts = rng.uniform(-3, 3, (100, 2))
         assert jaccard(pts, pts.copy()) == 1.0
 
+    @pytest.mark.parametrize("bad", [np.empty((0, 2)), np.empty(0), np.zeros((2, 2, 2))])
+    def test_empty_or_non_matrix_point_sets_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"nonempty \(m, t\) point array"):
+            jaccard(bad, np.zeros((1, 2)))
+
     def test_disjoint_sets_score_zero(self):
         a = np.array([[0.0, 0.0]])
         b = np.array([[100.0, 100.0]])
