@@ -414,42 +414,46 @@ def _add_options(sub: argparse.ArgumentParser, names: str) -> None:
         sub.add_argument(f.metadata["flag"], dest=f.name, default=None, **f.metadata["kind"])
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The wqisa parser. Given the argv it is to parse, it builds only the
+    subparser that argv[0] names, when it names one; the usage, help and
+    error text read the same either way."""
     ap = argparse.ArgumentParser(prog="wqisa",
                                  description="Spline approximation of noisy point "
                                              "clouds by weighted local averaging")
-    subs = ap.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in _HANDLERS else None
+    # a subparser built alone still lists every command in the usage line
+    subs = ap.add_subparsers(dest="command", required=True,
+                             metavar=only and "{" + ",".join(_HANDLERS) + "}")
 
-    gen = subs.add_parser("gen", help="write a synthetic benchmark cloud")
-    gen.add_argument("--kind", default="sine",
-                     choices=["sine", "sine_outliers", "variable_noise"])
-    gen.add_argument("--count", type=int, default=300, help="number of points")
-    gen.add_argument("--sigma", type=float, default=0.3, help="noise scale")
-    gen.add_argument("--outlier-fraction", dest="outlier_fraction", type=float, default=0.05)
-    gen.add_argument("--outlier-magnitude", dest="outlier_magnitude", type=float, default=10.0)
-    _add_options(gen, "seed out")
+    def sub(name, help):  # None for a command that argv does not name
+        return subs.add_parser(name, help=help) if only in (None, name) else None
 
-    fit_p = subs.add_parser("fit", help="fit a spline and write model + report")
-    _add_options(fit_p, "data degree n weight policy sigma_eps normalize outlier_filter "
-                        "outlier_factor out")
-
-    ev = subs.add_parser("eval", help="sample a fitted model on a grid with bands")
-    ev.add_argument("--model", required=True, help="model.json from fit")
-    _add_options(ev, "data sigma_eps alpha grid_density out")
-
-    cv = subs.add_parser("cv", help="cross-validate the basis count")
-    _add_options(cv, "data degree weight policy seed cv_grid folds repeats out")
-
-    met = subs.add_parser("metrics", help="compare a cloud against a model or cloud")
-    met.add_argument("--model", help="model.json from fit")
-    met.add_argument("--data2", help="second cloud file")
-    _add_options(met, "data sigma_eps alpha grid_density normalize out")
-
-    demo = subs.add_parser("demo", help="generate, cross-validate, fit and report")
-    demo.add_argument("--count", type=int, default=300)
-    demo.add_argument("--sigma", type=float, default=0.3)
-    _add_options(demo, "degree weight policy seed cv_grid alpha grid_density folds repeats "
-                       "normalize outlier_filter outlier_factor out")
+    if gen := sub("gen", "write a synthetic benchmark cloud"):
+        gen.add_argument("--kind", default="sine",
+                         choices=["sine", "sine_outliers", "variable_noise"])
+        gen.add_argument("--count", type=int, default=300, help="number of points")
+        gen.add_argument("--sigma", type=float, default=0.3, help="noise scale")
+        gen.add_argument("--outlier-fraction", dest="outlier_fraction", type=float, default=0.05)
+        gen.add_argument("--outlier-magnitude", dest="outlier_magnitude", type=float, default=10.0)
+        _add_options(gen, "seed out")
+    if fit_p := sub("fit", "fit a spline and write model + report"):
+        _add_options(fit_p, "data degree n weight policy sigma_eps normalize outlier_filter "
+                            "outlier_factor out")
+    if ev := sub("eval", "sample a fitted model on a grid with bands"):
+        ev.add_argument("--model", required=True, help="model.json from fit")
+        _add_options(ev, "data sigma_eps alpha grid_density out")
+    if cv := sub("cv", "cross-validate the basis count"):
+        _add_options(cv, "data degree weight policy seed cv_grid folds repeats out")
+    if met := sub("metrics", "compare a cloud against a model or cloud"):
+        met.add_argument("--model", help="model.json from fit")
+        met.add_argument("--data2", help="second cloud file")
+        _add_options(met, "data sigma_eps alpha grid_density normalize out")
+    if demo := sub("demo", "generate, cross-validate, fit and report"):
+        demo.add_argument("--count", type=int, default=300)
+        demo.add_argument("--sigma", type=float, default=0.3)
+        _add_options(demo, "degree weight policy seed cv_grid alpha grid_density folds "
+                           "repeats normalize outlier_filter outlier_factor out")
     return ap
 
 
@@ -458,7 +462,7 @@ _HANDLERS = {"gen": cmd_gen, "fit": cmd_fit, "eval": cmd_eval,
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     try:
         cfg = FitConfig.load(args.config) if args.config else FitConfig()
         cfg = cfg.override(**{f.name: getattr(args, f.name, None)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from _statistics import _normal_dist_inv_cdf  # CPython's C function behind NormalDist.inv_cdf
 
 import numpy as np
 
@@ -19,7 +20,8 @@ from .errors import WqisaError
 from .fitting import (LOCAL_FAMILIES, FitPolicy, PointCloud, WqisaModel, _normalise,
                       _weighted_means, _working_points, evaluate, fit, gap_unit,
                       weight_blocks)
-from .splines import TensorSplineSpace, _combine, _normalize_points, _windows
+from .splines import (TensorSplineSpace, _check_in_domain, _combine, _normalize_points,
+                      _stream, _windows)
 from .weights import WeightSpec
 
 
@@ -256,46 +258,52 @@ def variance_at(model: WqisaModel, covariance: CoefficientCovariance, u):
 
     sigma^2 * b^T G b over the window of active basis values b, with every
     entry of G read from the band through the fixed table of _window_table:
-    one gather per window position, O(m * F) memory for m points of F
-    window entries. Never exceeds sigma_eps^2, because basis rows are
-    convex weights over coefficients that are convex weights over the noise.
+    one gather per window position, O(EVAL_BLOCK * F) memory for windows of
+    F entries. Never exceeds sigma_eps^2, because basis rows are convex
+    weights over coefficients that are convex weights over the noise.
     """
     return _spread(model, covariance, u)[1]
 
 
 def _spread(model: WqisaModel, covariance: CoefficientCovariance, u):
-    """(fit values, variances, standard deviations) at u from one pass of
-    _windows: the values are evaluate's, bit for bit, and sigma is taken in
-    its gap_unit s: for q = b^T G b, var = q (sigma/s)^2 s^2 reads inf only
-    past the float range while sd = sqrt(q (sigma/s)^2) s stays finite.
-    Scaling by s is exact, so both keep the bits of sigma^2 q and its root."""
+    """(fit values, variances, standard deviations) at u from one blocked
+    pass of _windows (see _stream): the values are evaluate's, bit for bit,
+    and sigma is taken in its gap_unit s: for q = b^T G b, var = q
+    (sigma/s)^2 s^2 reads inf only past the float range while sd = sqrt(q
+    (sigma/s)^2) s stays finite. Scaling by s is exact, so both keep the
+    bits of sigma^2 q and its root, the same bits in any batch."""
     space = model.space
     band = covariance.band
     if covariance.grid_shape != space.shape or band.shape[1] != len(half_band(space)):
         raise ValueError(f"covariance grid {covariance.grid_shape} with {band.shape[1]} band "
                          f"slots does not match space {space.shape} of degrees {space.degrees}")
     pts, single = _normalize_points(space.d, u)
-    flats, bases = _windows(space, pts)
     lower, slot = _window_table(space)
-    out = np.zeros(len(pts))
-    for a in range(flats.shape[1]):
-        out += bases[:, a] * np.einsum("ij,ij->i", band[flats[:, lower[a]], slot[a]], bases)
     unit = gap_unit(covariance.sigma_eps)
-    out *= (covariance.sigma_eps / unit) ** 2
-    with np.errstate(over="ignore"):
-        var, sd = out * unit * unit, np.sqrt(out) * unit
-    f = _combine(model.spline.coefficients.reshape(-1), flats, bases)  # after the loop, for memory
+
+    def step(flats, bases):
+        q = np.zeros(len(flats))
+        for a in range(flats.shape[1]):
+            # a C-order product sums each row as that row alone would; *
+            # keeps the gather's F order where numpy reuses it in place
+            gram = np.multiply(band[flats[:, lower[a]], slot[a]], bases, order="C")
+            q += bases[:, a] * gram.sum(axis=1)
+        q *= (covariance.sigma_eps / unit) ** 2
+        with np.errstate(over="ignore"):
+            return (_combine(model.spline.coefficients.reshape(-1), flats, bases),
+                    q * unit * unit, np.sqrt(q) * unit)
+
+    f, var, sd = _stream(space, pts, step, 3)
     return (float(f[0]), float(var[0]), float(sd[0])) if single else (f, var, sd)
 
 
 def normal_quantile(q: float) -> float:
-    """Inverse standard normal CDF on (0, 1)."""
+    """Inverse standard normal CDF on (0, 1): NormalDist().inv_cdf(q), bit
+    for bit, from the C function it calls, without importing statistics
+    (which loads decimal, fractions and random, 4-7 ms)."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {q}")
-    # imported on first use: statistics loads decimal, fractions and random
-    # (about 4 ms and 0.5 MiB), which commands without a band never need
-    from statistics import NormalDist
-    return NormalDist().inv_cdf(q)
+    return _normal_dist_inv_cdf(q, 0.0, 1.0)
 
 
 def se_band(model: WqisaModel, covariance: CoefficientCovariance, u,
@@ -356,7 +364,9 @@ def bias_bounds_at(cloud: PointCloud, true_values: np.ndarray, space: TensorSpli
     true_values = np.asarray(true_values, dtype=float).reshape(-1)
     if len(true_values) != cloud.n:
         raise ValueError(f"need {cloud.n} true values, got {len(true_values)}")
-    flats, bases = _windows(space, _normalize_points(space.d, u)[0])
+    pts = _normalize_points(space.d, u)[0]
+    _check_in_domain(space, pts)
+    flats, bases = _windows(space, pts)
     if len(flats) != 1:
         raise ValueError("bias_bounds_at takes a single point")
     blocks = list(weight_blocks(cloud, space, weight, policy, flats[0]))

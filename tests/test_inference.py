@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import wqisa.splines
 from wqisa import (CoefficientCovariance, CvResult, DomainError, FitPolicy,
                    NoiseModel, PointCloud, TensorSplineSpace, WeightSpec,
                    basis_row, bias_bounds_at, iqr_outlier_filter,
@@ -593,6 +594,13 @@ class TestNormalQuantile:
             with pytest.raises(ValueError):
                 normal_quantile(q)
 
+    def test_is_normal_dists_inv_cdf_bit_for_bit(self):
+        from statistics import NormalDist
+        qs = np.concatenate([np.linspace(0, 1, 2001)[1:-1], np.geomspace(1e-300, 0.5, 600),
+                             [5e-324, 0.025, 0.975, 1 - 2**-53, np.nextafter(0.5, 1)]])
+        for q in np.concatenate([qs, 1 - qs[qs > 2**-53]]).tolist():
+            assert normal_quantile(q).hex() == NormalDist().inv_cdf(q).hex(), q
+
 
 class TestSeBand:
     def setup_method(self):
@@ -654,6 +662,66 @@ class TestSpread:
         f1, var1, sd1 = _spread(model, cov, one)
         assert type(f1) is float and f1 == evaluate(model, one) == f[0]
         assert var1 == variance_at(model, cov, one) and sd1 > 0.0
+
+    @pytest.mark.parametrize("block", [40, None])  # None: EVAL_BLOCK itself
+    @pytest.mark.parametrize("kind", ["knn", "gaussian"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_give_each_points_own_bits(self, kind, d, block, monkeypatch):
+        # three blocks and a remainder, as one batch, one call per block and
+        # one call per point: the same values, variances and sds, bit for bit.
+        # Only blocks of EVAL_BLOCK rows are large enough for numpy to reuse
+        # a temporary in place, where a product can keep the F order of a
+        # gather and sum its rows in another order.
+        block = block or wqisa.splines.EVAL_BLOCK
+        monkeypatch.setattr(wqisa.splines, "EVAL_BLOCK", block)
+        model, cov = self.covariance(kind, d)
+        us = np.random.default_rng(d).uniform(0, 1, (3 * block + 17, d))
+        whole = np.array(_spread(model, cov, us))
+        blocks = np.hstack([_spread(model, cov, us[i:i + block])
+                            for i in range(0, len(us), block)])
+        assert whole.tobytes() == blocks.tobytes()
+        edges = np.arange(0, len(us), block)
+        rows = np.unique(np.r_[edges, edges - 1, np.arange(len(us) - 17, len(us)),
+                               np.random.default_rng(0).integers(0, len(us), 40)])[1:]
+        singles = np.array([_spread(model, cov, u if d > 1 else float(u[0]))
+                            for u in us[rows]]).T
+        assert whole[:, rows].tobytes() == singles.tobytes()
+        assert evaluate(model, us).tobytes() == whole[0].tobytes()
+        assert variance_at(model, cov, us).tobytes() == whole[1].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
+    def test_a_bad_point_in_the_last_block_is_named_as_in_one_block(self, bad, monkeypatch):
+        # the whole batch is checked before the first block: axis 0's bad
+        # points, the first four of them, even where axis 1's come sooner
+        model, cov = self.covariance("knn", 2)
+        us = np.random.default_rng(2).uniform(0, 1, (3 * 40 + 17, 2))
+        us[[3, 50], 1] = 7.0
+        us[[125, 126, 129, 130, 135], 0] = bad
+        want = f"point(s) {us[[125, 126, 129, 130], 0]} outside domain [0.0, 1.0]"
+        for block in (40, len(us)):
+            monkeypatch.setattr(wqisa.splines, "EVAL_BLOCK", block)
+            for call in (evaluate, lambda m, u: variance_at(m, cov, u)):
+                with pytest.raises(DomainError) as exc:
+                    call(model, us)
+                assert str(exc.value) == want
+
+    def test_memory_stays_at_the_block_whatever_the_batch(self):
+        rng = np.random.default_rng(3)
+        cloud = PointCloud(rng.uniform(0, 1, (2000, 2)), rng.standard_normal(2000))
+        space = TensorSplineSpace.from_bounds([0, 0], [1, 1], [20, 20], [2, 2])
+        model, band = fit_with_band(cloud, space, WeightSpec.knn(9))
+        cov = CoefficientCovariance(0.3, space, band)
+        us = rng.uniform(0, 1, (200_000, 2))
+        for call, outputs in ((evaluate, 1), (lambda m, u: _spread(m, cov, u), 3)):
+            tracemalloc.start()
+            try:
+                call(model, us)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the outputs, 1.5 MiB each, and about 2 MiB of block windows;
+            # one block of all the rows peaked at 43 MiB and 56 MiB
+            assert peak < outputs * 1.6 * 2**20 + 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("call", ["se_band", "band_coverage", "cmd_eval"])
     def test_one_windows_pass_per_call(self, call, monkeypatch, tmp_path, capsys):

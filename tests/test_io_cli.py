@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -1091,6 +1092,33 @@ class TestConfigPrecedence:
             assert READS[command] <= {f.name for f in dataclasses.fields(FitConfig)}
         assert sum(map(len, READS.values())) == 45
 
+    @pytest.mark.parametrize("command", list(READS))
+    def test_a_command_builds_its_own_subparser_alone(self, capsys, command):
+        def commands(parser):
+            return next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        full, lone = build_parser(), build_parser([command, "--data", "c.xyz"])
+        assert list(commands(lone)) == [command] and len(commands(full)) == 6
+        assert lone.format_usage() == full.format_usage()
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == commands(full)[command].format_help()
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["-h", "fit"]])
+    def test_top_level_help_and_errors_list_every_command(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == (0 if argv and argv[0].startswith("-") else 2)
+        out = capsys.readouterr()
+        assert "usage: wqisa [-h] {gen,fit,eval,cv,metrics,demo} ..." in out.out + out.err
+        if argv[:1] == ["bogus"]:
+            assert re.search(r"invalid choice: 'bogus' \(choose from '?gen'?, '?fit'?, "
+                             r"'?eval'?, '?cv'?, '?metrics'?, '?demo'?\)", out.err)
+        elif argv:
+            assert [line.split()[0] for line in out.out.splitlines()
+                    if line.startswith("    ")] == list(READS)
+
     @pytest.mark.parametrize("argv", [
         ["gen", "--degree", "2"],
         ["fit", "--folds", "3"],
@@ -1213,9 +1241,10 @@ for argv in (["fit", "--data", d + "/c.xyz", "--n", "8", "--weight", "knn:k=9", 
               "--out", d + "/filtered"]):
     if main(argv) != 0:
         sys.exit(f"{argv[0]} failed")
-# scipy, numpy.ma (np.median's and np.percentile's first call) and OpenSSL (hashlib) all
-# cost load time and memory
-loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "_hashlib")
+# scipy, numpy.ma (np.median's and np.percentile's first call), OpenSSL (hashlib) and
+# statistics (NormalDist's module loads decimal, fractions and random) all cost load time
+# and memory
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "_hashlib", "statistics")
                 or m.split(".")[:2] == ["numpy", "ma"])
 if loaded:
     sys.exit(f"{len(loaded)} modules loaded that no command needs: {loaded[:3]}")
