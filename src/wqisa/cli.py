@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .config import NORMALIZE, FitConfig
+from .config import FitConfig
 from .errors import DomainError, ParseError
 from .fitting import (FitPolicy, PointCloud, classify_convexity, classify_monotone,
                       evaluate, gap_unit, global_bounds, iqr_outlier_mask)
@@ -25,8 +25,7 @@ from .inference import (CoefficientCovariance, NoiseModel, _band, _spread,
                         coefficient_covariance, estimate_noise_sigma, fit_with_band,
                         half_band, kfold_cv, make_folds, select_parsimonious)
 from .io import gen_synthetic, load_cloud, save_cloud, write_rows
-from .metrics import (band_coverage, directed_hausdorff_normalized, dispersion,
-                      jaccard)
+from .metrics import coverage, directed_hausdorff_normalized, dispersion, jaccard
 from .splines import KnotVector, SplineFunction, TensorSplineSpace
 from .weights import parse_weight
 
@@ -77,17 +76,20 @@ def _shape_flags(model) -> dict:
 
 def _error_report(cloud: PointCloud, pred, mode: str) -> dict:
     """Dispersion of pred around the responses, both divided by the scale
-    mode names, unless it is 0. The scale is measured in the values'
+    mode names, unless it is 0 or none. The scale is measured in the values'
     gap_unit, where the range of the responses cannot overflow."""
-    unit = max(gap_unit(cloud.y), gap_unit(pred))
-    y, scaled = cloud.y / unit, np.asarray(pred) / unit
-    scale = (0.0, float(np.max(np.abs(y))), float(np.ptp(y)))[NORMALIZE.index(mode)]
-    return (dispersion(y / scale, scaled / scale) if scale else dispersion(cloud.y, pred)).to_dict()
+    if mode != "none":
+        unit = max(gap_unit(cloud.y), gap_unit(pred))
+        y = cloud.y / unit
+        scale = float(np.max(np.abs(y))) if mode == "max" else float(np.ptp(y))
+        if scale:
+            return dispersion(y / scale, np.asarray(pred) / unit / scale).to_dict()
+    return dispersion(cloud.y, pred).to_dict()
 
 
 def _report(cfg: FitConfig, model, cloud, timings: dict) -> dict:
     t0 = time.perf_counter()
-    pred = evaluate(model, np.clip(cloud.x, *model.space.domain))
+    pred = evaluate(model, cloud.clipped(*model.space.domain))
     gb = global_bounds(model, cloud)
     report = {
         "config": dataclasses.asdict(cfg),
@@ -105,15 +107,15 @@ MODEL_FORMAT = 2
 
 
 def _digest(path) -> str | None:
-    """Hex blake2b of a regular file's bytes, read in 1 MiB pieces; None for
-    anything else, such as a pipe, which cannot be read again."""
+    """Hex blake2b of a regular file's bytes, read through one reused 64 KiB
+    buffer; None for anything else, such as a pipe, which cannot be read again."""
     if not os.path.isfile(path):
         return None
     from _blake2 import blake2b  # CPython's own; hashlib's would also load OpenSSL
-    digest = blake2b()
-    with open(path, "rb") as fh:
-        for piece in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(piece)
+    digest, buffer = blake2b(), memoryview(bytearray(1 << 16))
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(buffer[:size])
     return digest.hexdigest()
 
 
@@ -259,6 +261,7 @@ def _fitted(cfg: FitConfig, model_path, command: str):
         cov = CoefficientCovariance(noise.sigma_eps, model.space, band)
         return model, cloud, noise, cov, "model"
     cov = coefficient_covariance(used, model.space, model.weight, noise, model.policy)
+    used.drop_index()
     if not np.array_equal(cov.means, model.spline.coefficients.reshape(-1)):
         raise ValueError(f"{model_path} was not fitted on {cfg.data}: the weighted means "
                          "of its rows differ from the stored coefficients")
@@ -290,11 +293,13 @@ def _fit_pipeline(cfg: FitConfig, cloud: PointCloud, timings: dict):
     if cfg.outlier_filter:
         t0 = time.perf_counter()
         keep = iqr_outlier_mask(cloud, space, weight, cfg.outlier_factor, policy)
+        cloud.drop_index()
         dropped = np.flatnonzero(~keep).tolist()
         cloud = cloud.subset(np.flatnonzero(keep))
         timings["outlier_filter_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     model, band = fit_with_band(cloud, space, weight, policy)
+    cloud.drop_index()  # the report and the model file need no neighbour query
     timings["fit_s"] = time.perf_counter() - t0
     return model, cloud, dropped, band
 
@@ -363,7 +368,9 @@ def cmd_metrics(cfg: FitConfig, args) -> dict:
     report: dict = {"normalize": cfg.normalize}
     if args.model:
         model, cloud, _, cov, source = _fitted(cfg, args.model, "metrics")
-        pred = evaluate(model, np.clip(cloud.x, *model.space.domain))
+        x = cloud.clipped(*model.space.domain)
+        # with a covariance, one pass gives the fit values and their band
+        pred, sd = _spread(model, cov, x)[::2] if cov is not None else (evaluate(model, x), None)
         report["error_report"] = _error_report(cloud, pred, cfg.normalize)
         grid = _eval_grid(model.space, cfg.grid_density)
         samples = np.hstack([grid, np.asarray(evaluate(model, grid)).reshape(-1, 1)])
@@ -371,7 +378,7 @@ def cmd_metrics(cfg: FitConfig, args) -> dict:
             cloud.records, samples, cloud)
         report["jaccard"] = jaccard(cloud.records, samples)
         if cov is not None:
-            report["band_coverage"] = band_coverage(cloud, model, cov, alpha=cfg.alpha)
+            report["band_coverage"] = coverage(cloud.y, *_band(pred, sd, cfg.alpha))
             report["covariance"] = source
     elif args.data2:
         cloud = _load_data(cfg, "metrics")

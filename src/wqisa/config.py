@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import typing
@@ -11,6 +12,7 @@ from .fitting import EMPTY_SUPPORT
 from .weights import parse_weight
 
 NORMALIZE = ("none", "max", "range")
+_type_hints = functools.cache(typing.get_type_hints)  # once per class, not per config
 
 
 def _int_list(text: str) -> list[int]:
@@ -70,7 +72,7 @@ class FitConfig:
     out: str | None = _flag("--out", "output file or directory")
 
     def __post_init__(self):
-        hints = typing.get_type_hints(type(self))
+        hints = _type_hints(type(self))
         for f in fields(self):
             value, allowed = getattr(self, f.name), f.metadata.get("kind", {}).get("choices")
             if not _fits(value, hints[f.name]) or allowed and value not in allowed:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, EmptySupportError
-from .kdtree import KdTree, squared_distances
+from .kdtree import KdTree, query_block, squared_distances
 from .splines import SplineFunction, TensorSplineSpace, spline_eval
 from .weights import WeightSpec, cloud_weights
 
@@ -76,7 +76,22 @@ class PointCloud:
 
     @cached_property
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.x.min(axis=0), self.x.max(axis=0)
+        """Per-axis min and max, column by column, since numpy reduces a short
+        axis slowly; a zero extreme comes from the short-axis reduction, whose
+        pick of 0.0 or -0.0 the column's need not repeat."""
+        lo, hi = (np.array([f(c) for c in self.x.T]) for f in (np.min, np.max))
+        return (self.x.min(axis=0) if (lo == 0).any() else lo,
+                self.x.max(axis=0) if (hi == 0).any() else hi)
+
+    def within(self, lo, hi) -> bool:
+        """Whether every row lies in the box [lo, hi]."""
+        return bool(np.all(self.bbox[0] >= lo) and np.all(self.bbox[1] <= hi))
+
+    def clipped(self, lo, hi) -> np.ndarray:
+        """np.clip(x, lo, hi), bit for bit: x itself, not a copy, when it lies in
+        the box and no bound is a zero, whose sign np.clip may give a zero x."""
+        exact = self.within(lo, hi) and not (np.append(lo, hi) == 0).any()
+        return self.x if exact else np.clip(self.x, lo, hi)
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -92,6 +107,11 @@ class PointCloud:
     def _working(self) -> dict:
         """Working clouds by (domain, drop_outside); see _working_points."""
         return {}
+
+    def drop_index(self) -> None:
+        """Forget the neighbour index and the working clouds: a query builds them again."""
+        vars(self).pop("tree", None)
+        vars(self).pop("_working", None)
 
     @cached_property
     def _diameter_info(self) -> tuple[float, bool]:
@@ -177,13 +197,13 @@ def _working_points(cloud: PointCloud, space: TensorSplineSpace, policy: FitPoli
     working row back to its cloud row, or is None for the identity map.
     """
     lo, hi = space.domain
-    inside = np.all((cloud.x >= lo) & (cloud.x <= hi), axis=1)
-    if inside.all():
+    if cloud.within(lo, hi):
         return cloud, None
     key = (tuple(lo), tuple(hi), policy.drop_outside)
     if key not in cloud._working:
-        if policy.drop_outside:
-            keep = np.flatnonzero(inside)
+        if policy.drop_outside:  # column by column, as in bbox
+            inside = [(c >= a) & (c <= b) for c, a, b in zip(cloud.x.T, lo, hi)]
+            keep = np.flatnonzero(np.logical_and.reduce(inside))
             if len(keep) == 0:
                 raise DomainError("no cloud points inside the domain box")
             cloud._working[key] = cloud.subset(keep), keep
@@ -254,13 +274,13 @@ def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpe
     """
     work, kept = _working_points(cloud, space, policy)
     mesh = np.meshgrid(*space.knot_average_grids, indexing="ij")
-    sites = np.stack(mesh, axis=-1).reshape(-1, space.d)
+    sites = query_block(np.stack(mesh, axis=-1).reshape(-1, space.d), work.d)  # checked once
     flats = np.arange(space.dim) if flats is None else np.asarray(flats).reshape(-1)
     step = SITE_BLOCK if weight.family in LOCAL_FAMILIES else 1
     starved = []
     for first in range(0, len(flats), step):
         block = flats[first:first + step]
-        indptr, cols, w = cloud_weights(weight, sites[block], work)
+        indptr, cols, w = cloud_weights(weight, sites[block], work, checked=True)
         lookups = len(cols) if step > 1 else work.n  # unbounded: every row scored
         fallback = np.zeros(len(block), dtype=bool)
         if step > 1 or not len(cols):  # a spanning row that weighs a row is whole
@@ -432,7 +452,7 @@ def iqr_outlier_mask(cloud: PointCloud, space: TensorSplineSpace, weight: Weight
     if factor < 0:
         raise ValueError(f"factor must be >= 0, got {factor}")
     pilot = fit(cloud, space, weight, policy)
-    fitted = evaluate(pilot, np.clip(cloud.x, *space.domain))
+    fitted = evaluate(pilot, cloud.clipped(*space.domain))
     unit = max(gap_unit(cloud.y), gap_unit(fitted))
     res = cloud.y / unit - fitted / unit
     q1, q3 = _quartiles(res)

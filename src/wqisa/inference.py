@@ -337,7 +337,7 @@ def estimate_noise_sigma(model: WqisaModel, cloud: PointCloud) -> NoiseModel:
     """
     if cloud.n < 2:
         raise ValueError(f"estimating sigma_eps needs at least 2 points, got {cloud.n}")
-    fitted = evaluate(model, np.clip(cloud.x, *model.space.domain))
+    fitted = evaluate(model, cloud.clipped(*model.space.domain))
     unit = max(gap_unit(cloud.y), gap_unit(fitted))
     res = cloud.y / unit - fitted / unit
     return NoiseModel(float(np.std(res, ddof=1)) * unit, source="residual-estimate")
@@ -502,7 +502,7 @@ def kfold_cv(cloud: PointCloud, candidates, space_of, weight: WeightSpec,
             space = space_of(cand)
             for split, coeffs in enumerate(_fold_coefficients(cloud, space, weight, policy, ids)):
                 if split == 0:  # after the first fit has checked the space against the cloud
-                    flat, basis = _windows(space, np.clip(cloud.x, *space.domain))
+                    flat, basis = _windows(space, cloud.clipped(*space.domain))
                 hold = holds[split]
                 with np.errstate(over="ignore"):  # an overflow fails the candidate below
                     err = cloud.y[hold] - _combine(coeffs, flat[hold], basis[hold])

@@ -49,7 +49,8 @@ def dispersion(observed, predicted) -> ErrorReport:
     if len(obs) == 0:
         raise ValueError("need at least one value")
     unit = max(gap_unit(obs), gap_unit(pred))
-    res = obs / unit - pred / unit
+    res = obs / unit
+    res -= pred / unit
     mse = float(np.mean(res**2))
     lo, hi = (len(res) - 1) // 2, len(res) // 2  # np.median's middle: it imports numpy.ma
     part = np.partition(res, (lo, hi, -1))  # a nan sorts last
@@ -132,6 +133,10 @@ def jaccard(a_points, b_points, cell: float | None = None) -> float:
 def band_coverage(cloud: PointCloud, model: WqisaModel,
                   covariance: CoefficientCovariance, alpha: float = 0.05) -> float:
     """Fraction of cloud responses inside the standard-error band."""
-    x = np.clip(cloud.x, *model.space.domain)
-    lo, hi = se_band(model, covariance, x, alpha=alpha)
-    return float(np.mean((cloud.y >= lo) & (cloud.y <= hi)))
+    lo, hi = se_band(model, covariance, cloud.clipped(*model.space.domain), alpha=alpha)
+    return coverage(cloud.y, lo, hi)
+
+
+def coverage(y, lo, hi) -> float:
+    """Fraction of y inside [lo, hi]."""
+    return float(np.mean((y >= lo) & (y <= hi)))

@@ -334,8 +334,9 @@ def spline_eval(f: SplineFunction, u):
 def _combine(c: np.ndarray, flat: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Spline values from flat coefficients c and the windows of _windows:
     the convex combinations, clipped to the range of c."""
+    gathered = c[flat]
     with np.errstate(over="ignore"):
-        out = (c[flat] * vals).sum(axis=1)
+        out = np.multiply(gathered, vals, out=gathered).sum(axis=1)
     np.clip(out, c.min(), c.max(), out=out)
     return out
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wqisa import (DomainError, EmptySupportError, FitPolicy, KdTree, KnotVector, NoiseModel,
                    PointCloud, TensorSplineSpace, WeightSpec, WqisaError, bias_bounds_at,
@@ -14,7 +15,8 @@ from wqisa import (DomainError, EmptySupportError, FitPolicy, KdTree, KnotVector
                    evaluate, fit, global_bounds, iqr_outlier_filter,
                    iqr_outlier_mask, local_bounds, make_uniform_regular,
                    w_convex_check, w_monotone_check)
-from wqisa.fitting import _quartiles, coefficient_slopes
+from wqisa import fitting, weights
+from wqisa.fitting import _quartiles, _working_points, coefficient_slopes
 
 from _oracles import brute_estimate, slope_loop
 from test_kdtree import COORDS
@@ -77,6 +79,50 @@ class TestPointCloud:
             assert small.diameter == float(np.sqrt((span**2).sum()))
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 400), st.data())
+    def test_bbox_and_inside_mask_equal_the_axis_reductions(self, d, n, data):
+        # column by column, min, max and the box test are exact: the bits of
+        # the reductions over the short axis, signed zeros included
+        values = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-2.0, 2.0)
+        x = data.draw(hnp.arrays(np.float64, (n, d), elements=values))
+        cloud = PointCloud(x, np.zeros(n))
+        assert [a.tobytes() for a in cloud.bbox] == [x.min(axis=0).tobytes(),
+                                                     x.max(axis=0).tobytes()]
+        lo = np.array(data.draw(st.lists(st.floats(-2.5, 1.0), min_size=d, max_size=d)))
+        space = TensorSplineSpace.from_bounds(lo, lo + 1.5, 3, 1)
+        lo, hi = space.domain
+        inside = np.all((x >= lo) & (x <= hi), axis=1)
+        assert cloud.within(lo, hi) == inside.all()
+        # x itself when it lies in the box, unless a bound is a zero: there
+        # np.clip may give a zero row the bound's sign
+        clipped = cloud.clipped(lo, hi)
+        assert (clipped is cloud.x) == (inside.all() and np.all(lo != 0) and np.all(hi != 0))
+        assert clipped.tobytes() == np.clip(x, lo, hi).tobytes()
+        drop = FitPolicy(drop_outside=True)
+        if inside.all():
+            assert _working_points(cloud, space, drop) == (cloud, None)
+        elif not inside.any():
+            with pytest.raises(DomainError, match="no cloud points inside"):
+                _working_points(cloud, space, drop)
+        else:
+            work, kept = _working_points(cloud, space, drop)
+            assert np.array_equal(kept, np.flatnonzero(inside))
+            assert np.array_equal(work.x, x[inside])
+
+    def test_drop_index_forgets_the_index_and_the_working_clouds(self):
+        cloud = sine_cloud(n=200)
+        fit(cloud, space1d(lo=-1.0, hi=1.0), WeightSpec.knn(5))  # a clipped working cloud
+        fit(cloud, space1d(), WeightSpec.knn(5))
+        assert "tree" in vars(cloud) and len(cloud._working) == 1
+        cloud.drop_index()
+        assert "tree" not in vars(cloud) and "_working" not in vars(cloud)
+        cloud.drop_index()  # nothing left to forget
+        again = fit(cloud, space1d(lo=-1.0, hi=1.0), WeightSpec.knn(5))
+        assert np.array_equal(again.spline.coefficients, fit(
+            sine_cloud(n=200), space1d(lo=-1.0, hi=1.0), WeightSpec.knn(5)).spline.coefficients)
+
+
 class TestEstimator:
     def test_knn_example(self):
         cloud = PointCloud(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 4.0]))
@@ -130,6 +176,24 @@ class TestEstimator:
         cloud = PointCloud(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
         with pytest.raises(EmptySupportError, match="5.0"):
             estimate_control_point(cloud, WeightSpec.characteristic(0.1), [5.0])
+
+
+def test_weight_blocks_check_their_sites_once(monkeypatch):
+    # the knot-average grid is checked once per call, not once per dense block;
+    # cloud_weights still checks what its caller passes
+    calls = {"fitting": 0, "weights": 0}
+    for module in (fitting, weights):
+        def counting(u, d, module=module, check=module.query_block):
+            calls[module.__name__.rsplit(".")[-1]] += 1
+            return check(u, d)
+        monkeypatch.setattr(module, "query_block", counting)
+    cloud = sine_cloud()
+    fit(cloud, space1d(n=12), WeightSpec.gaussian(0.3))
+    assert calls == {"fitting": 1, "weights": 0}
+    estimate_control_point(cloud, WeightSpec.gaussian(0.3), 0.5)
+    assert calls == {"fitting": 1, "weights": 1}
+    with pytest.raises(ValueError, match="NaN"):
+        estimate_control_point(cloud, WeightSpec.gaussian(0.3), np.nan)
 
 
 class TestFit:

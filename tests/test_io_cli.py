@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 from wqisa import (FitConfig, ParseError, PointCloud, gen_synthetic, load_cloud,
                    save_cloud, variable_noise_scale)
 import wqisa
-from wqisa import cli
+from wqisa import cli, kdtree, splines
 from wqisa.cli import _read_model, build_parser, main
 
 from _oracles import line_parse_cloud
@@ -905,6 +906,117 @@ class TestCliPipeline:
         assert code == 1 and payload["error"]["type"] == "ValueError"
         assert key in payload["error"]["message"]
         assert not (tmp_path / "fit" / "model.json").exists()
+
+
+def tracking_trees(monkeypatch) -> list:
+    """Weak references to every KdTree built from now on."""
+    built, init = [], kdtree.KdTree.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(kdtree.KdTree, "__init__", tracked)
+    return built
+
+
+def count_live_at(monkeypatch, module, name, built) -> list:
+    """Patch module.name to note, on each call, how many tracked trees live."""
+    live, call = [], getattr(module, name)
+
+    def noting(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in built))
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, noting)
+    return live
+
+
+class TestWorkingMemory:
+    @pytest.mark.parametrize("weight", ["knn:k=9", "characteristic:r=0.3"])
+    @pytest.mark.parametrize("filtered", [False, True])
+    @pytest.mark.parametrize("narrow", [False, True])
+    def test_no_tree_of_the_fit_is_alive_at_the_report(self, tmp_path, capsys, monkeypatch,
+                                                        weight, filtered, narrow):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--kind", "sine_outliers", "--count", "300", "--seed", "7",
+                "--out", str(cloud_path))
+        argv = ["fit", "--data", str(cloud_path), "--n", "10", "--weight", weight,
+                "--out", str(tmp_path)] + ["--outlier-filter"] * filtered
+        if narrow:  # the fit's tree is the working cloud's
+            (tmp_path / "narrow.json").write_text(json.dumps({"domain": [[-1.5, 1.5]]}))
+            argv += ["--config", str(tmp_path / "narrow.json")]
+        built = tracking_trees(monkeypatch)
+        live = count_live_at(monkeypatch, cli, "_report", built)
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(built) == 1 + filtered and live == [0]
+
+    @pytest.mark.parametrize("command", ["eval", "metrics"])
+    def test_no_tree_of_a_rebuilt_covariance_is_alive_after_it(self, tmp_path, capsys,
+                                                                monkeypatch, command):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "300", "--seed", "7", "--out", str(cloud_path))
+        run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "10", "--out", str(tmp_path))
+        model_path = tmp_path / "model.json"
+        raw = json.loads(model_path.read_text())
+        del raw["data_blake2b"]  # the band cannot be trusted: it is rebuilt from --data
+        model_path.write_text(json.dumps(raw))
+        built = tracking_trees(monkeypatch)
+        live = count_live_at(monkeypatch, cli, "_spread", built)
+        code, out = run_cli(capsys, command, "--model", str(model_path), "--data",
+                            str(cloud_path), "--sigma-eps", "0.3", "--out", str(tmp_path / "o"))
+        assert code == 0 and out["covariance"] == "data"
+        assert len(built) >= 1 and live == [0]
+
+    def test_a_domain_narrower_than_the_cloud_reports_on_clipped_rows(self, tmp_path, capsys):
+        from wqisa import dispersion, evaluate
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "300", "--seed", "3", "--out", str(cloud_path))
+        (tmp_path / "narrow.json").write_text(json.dumps({"domain": [[-1.5, 1.5]]}))
+        code, report = run_cli(capsys, "fit", "--config", str(tmp_path / "narrow.json"),
+                               "--data", str(cloud_path), "--n", "10", "--sigma-eps", "0.3",
+                               "--out", str(tmp_path))
+        assert code == 0
+        model = _read_model(tmp_path / "model.json")[0]
+        cloud, (lo, hi) = load_cloud(cloud_path), model.space.domain
+        assert not cloud.within(lo, hi)
+        want = dispersion(cloud.y, evaluate(model, np.clip(cloud.x, lo, hi))).to_dict()
+        assert report["error_report"] == {**want, "normalize": "none"}
+        code, rep = run_cli(capsys, "metrics", "--model", str(tmp_path / "model.json"),
+                            "--data", str(cloud_path), "--sigma-eps", "0.3")
+        assert code == 0 and rep["error_report"] == want
+
+    @pytest.mark.parametrize("sigma", [None, "0.3"])
+    def test_metrics_windows_each_cloud_row_once(self, tmp_path, capsys, monkeypatch, sigma):
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "300", "--seed", "5", "--out", str(cloud_path))
+        run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "10", "--out", str(tmp_path))
+        rows, windows = [], splines._windows
+        monkeypatch.setattr(splines, "_windows", lambda space, pts: rows.append(len(pts))
+                            or windows(space, pts))
+        code, rep = run_cli(capsys, "metrics", "--model", str(tmp_path / "model.json"),
+                            "--data", str(cloud_path), "--density", "40",
+                            *(["--sigma-eps", sigma] if sigma else []))
+        assert code == 0 and ("band_coverage" in rep) == bool(sigma)
+        assert sorted(rows) == [40, 300]  # the cloud's rows, then the grid's
+
+    @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 5 * 2**20 + 3])
+    def test_digest_is_hashlibs_blake2b(self, tmp_path, size):
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "data.bin"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            digest = cli._digest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.blake2b(data).hexdigest()
+        assert peak < 2**17  # one 64 KiB buffer, whatever the file's size
+
+    def test_digest_of_a_pipe_is_none(self, tmp_path):
+        os.mkfifo(tmp_path / "pipe")
+        assert cli._digest(tmp_path / "pipe") is None
 
 
 class TestModelFiles:

@@ -1,5 +1,7 @@
 """Error reports, Hausdorff and Jaccard comparisons, band coverage."""
 
+from dataclasses import astuple, is_dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,26 @@ from wqisa import (NoiseModel, PointCloud, TensorSplineSpace, WeightSpec,
                    band_coverage, coefficient_covariance, dispersion,
                    directed_hausdorff_normalized, fit, jaccard,
                    make_uniform_regular, snap_points)
+from wqisa.fitting import gap_unit
+
+
+def reference_dispersion(obs, pred) -> tuple:
+    """dispersion's statistics from the residual obs / unit - pred / unit,
+    formed out of place."""
+    unit = max(gap_unit(obs), gap_unit(pred))
+    res = obs / unit - pred / unit
+    mse = float(np.mean(res**2))
+    lo, hi = (len(res) - 1) // 2, len(res) // 2
+    part = np.partition(res, (lo, hi, -1))
+    mid = part[-1] if np.isnan(part[-1]) else part[hi] if lo == hi else (part[lo] + part[hi]) / 2
+    return (mse * unit * unit, float(np.mean(np.abs(res))) * unit, float(np.sqrt(mse)) * unit,
+            float(res.min()) * unit, float(res.max()) * unit, float(res.mean()) * unit,
+            float(mid) * unit, float(res.std()) * unit)
+
+
+def bits(values) -> list:
+    """The float64 bytes of each value: tells -0.0 from 0.0, and inf and NaN apart."""
+    return [np.float64(v).tobytes() for v in (astuple(values) if is_dataclass(values) else values)]
 
 
 class TestDispersion:
@@ -52,6 +74,20 @@ class TestDispersion:
         assert rep.mae <= rep.rmse * (1 + 1e-12)
         assert rep.rmse == pytest.approx(np.sqrt(rep.mse), rel=1e-12)
         assert rep.min <= rep.mean <= rep.max
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 60), st.data())
+    def test_in_place_residual_keeps_the_bits(self, n, data):
+        values = st.sampled_from([1.5e308, -1.5e308, 0.0, -0.0, 5e-324]) | st.floats(-1e308, 1e308)
+        obs = data.draw(hnp.arrays(np.float64, n, elements=values))
+        pred = data.draw(hnp.arrays(np.float64, n, elements=values))
+        assert bits(dispersion(obs, pred)) == bits(reference_dispersion(obs, pred))
+
+    def test_in_place_residual_keeps_the_bits_of_a_large_batch(self):
+        # past 256 KiB numpy may reuse a temporary; the bits must not care
+        rng = np.random.default_rng(4)
+        obs, pred = rng.standard_normal((2, 50_000)) * 1e307
+        assert bits(dispersion(obs, pred)) == bits(reference_dispersion(obs, pred))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="mismatch"):

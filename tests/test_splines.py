@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wqisa import (DomainError, KnotVector, SplineFunction, TensorSplineSpace,
                    basis_row, insert_knot, knot_averages,
                    make_uniform_regular, spline_eval)
 
-from wqisa.splines import _normalize_points
+from wqisa.splines import EVAL_BLOCK, _combine, _normalize_points, _windows
 
 from _oracles import dense_blend_insert, full_sum_eval, naive_bspline
 
@@ -273,6 +274,34 @@ class TestSplineEval:
         mixed = SplineFunction(space, np.array([big, -big, big, big, -big, -big]))
         vals = spline_eval(mixed, xs)
         assert np.all(np.isfinite(vals)) and np.all(np.abs(vals) <= big)
+
+
+def gathered_product(c, flat, vals):
+    """_combine's values from the out-of-place product c[flat] * vals."""
+    with np.errstate(over="ignore"):
+        out = (c[flat] * vals).sum(axis=1)
+    return np.clip(out, c.min(), c.max())
+
+
+class TestCombine:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 60), st.integers(1, 27), st.data())
+    def test_in_place_product_keeps_the_bits(self, dim, m, width, data):
+        values = st.sampled_from([1.5e308, -1.5e308, 0.0, -0.0]) | st.floats(-1e308, 1e308)
+        c = data.draw(hnp.arrays(np.float64, dim, elements=values))
+        flat = data.draw(hnp.arrays(np.intp, (m, width), elements=st.integers(0, dim - 1)))
+        vals = data.draw(hnp.arrays(np.float64, (m, width), elements=st.floats(0.0, 1.0)))
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN on both sides
+            assert _combine(c, flat, vals).tobytes() == gathered_product(c, flat, vals).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_in_place_product_keeps_the_bits_of_a_full_block(self, d):
+        # past 256 KiB numpy may reuse a temporary; the bits must not care
+        rng = np.random.default_rng(d)
+        space = TensorSplineSpace.from_bounds([0.0] * d, [1.0] * d, 7, 2)
+        c = rng.uniform(-1.0, 1.0, space.dim) * 1.5e308
+        flat, vals = _windows(space, rng.uniform(0, 1, (EVAL_BLOCK, d)))
+        assert _combine(c, flat, vals).tobytes() == gathered_product(c, flat, vals).tobytes()
 
 
 class TestInsertKnot:
