@@ -17,9 +17,8 @@ import os
 import numpy as np
 
 from wqisa import (TensorSplineSpace, WeightSpec, coefficient_covariance,
-                   estimate_noise_sigma, evaluate, fit, gen_synthetic,
-                   make_uniform_regular, se_band, variable_noise_scale,
-                   variance_at)
+                   estimate_noise_sigma, fit, gen_synthetic, make_uniform_regular,
+                   spread, variable_noise_scale)
 
 
 def main() -> None:
@@ -43,9 +42,8 @@ def main() -> None:
     cov = coefficient_covariance(cloud, space, spec, noise)
 
     us = np.linspace(-2, 2, args.density)
-    f = evaluate(model, us)
-    sd = np.sqrt(variance_at(model, cov, us))
-    lo, hi = se_band(model, cov, us, alpha=args.alpha)
+    f, var, lo, hi = spread(model, cov, us, alpha=args.alpha)
+    sd = np.sqrt(var)
     truth = data.truth(us)
     local = variable_noise_scale(us)
 

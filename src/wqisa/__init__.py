@@ -12,12 +12,12 @@ from .fitting import (FitPolicy, GlobalBounds, PointCloud, WqisaModel,
                       classify_convexity, classify_monotone,
                       effective_points, estimate_control_point, evaluate, fit,
                       global_bounds, iqr_outlier_filter, iqr_outlier_mask,
-                      local_bounds, w_convex_check, w_monotone_check)
+                      local_bounds)
 from .inference import (BiasBounds, CoefficientCovariance, CvResult,
                         NoiseModel, bias_bounds_at, coefficient_covariance,
                         estimate_noise_sigma, kfold_cv, make_folds,
                         normal_quantile, se_band, select_parsimonious,
-                        variance_at)
+                        spread, variance_at)
 from .io import (SyntheticData, gen_synthetic, load_cloud, save_cloud,
                  variable_noise_scale)
 from .kdtree import KdTree
@@ -44,6 +44,6 @@ __all__ = [
     "global_bounds", "insert_knot", "iqr_outlier_filter", "iqr_outlier_mask",
     "jaccard", "kfold_cv", "knot_averages", "load_cloud", "local_bounds",
     "make_folds", "make_uniform_regular", "normal_quantile", "parse_weight",
-    "save_cloud", "se_band", "select_parsimonious", "snap_points", "spline_eval", "variable_noise_scale", "variance_at", "w_convex_check",
-    "w_monotone_check",
+    "save_cloud", "se_band", "select_parsimonious", "snap_points", "spline_eval",
+    "spread", "variable_noise_scale", "variance_at",
 ]

@@ -21,9 +21,9 @@ from .config import FitConfig
 from .errors import DomainError, ParseError
 from .fitting import (FitPolicy, PointCloud, classify_convexity, classify_monotone,
                       evaluate, gap_unit, global_bounds, iqr_outlier_mask)
-from .inference import (CoefficientCovariance, NoiseModel, _band, _spread,
-                        coefficient_covariance, estimate_noise_sigma, fit_with_band,
-                        half_band, kfold_cv, make_folds, select_parsimonious)
+from .inference import (CoefficientCovariance, NoiseModel, coefficient_covariance,
+                        estimate_noise_sigma, fit_with_band, half_band, kfold_cv,
+                        make_folds, select_parsimonious, spread)
 from .io import gen_synthetic, load_cloud, save_cloud, write_rows
 from .metrics import coverage, directed_hausdorff_normalized, dispersion, jaccard
 from .splines import KnotVector, SplineFunction, TensorSplineSpace
@@ -64,10 +64,10 @@ def _shape_flags(model) -> dict:
     coeffs = model.spline.coefficients
     flags = {}
     for axis in range(model.space.d):
-        mono = classify_monotone(coeffs, axis=axis, atol=1e-12)
+        mono = classify_monotone(coeffs, axis=axis)
         entry = {"monotone": mono.direction, "constant": mono.constant}
         if model.space.d == 1:
-            conv = classify_convexity(model.space.axes[0], coeffs, atol=1e-12)
+            conv = classify_convexity(model.space.axes[0], coeffs)
             entry["convexity"] = conv.shape
             entry["affine"] = conv.affine
         flags[f"axis_{axis}"] = entry
@@ -153,12 +153,12 @@ _MODEL_FIELDS = ("degrees", "knots", "coefficients", "weight", "policy",
 def _read_model(path):
     """Read a model.json written by fit: (model, sigma_eps, dropped rows,
     covariance band or None, _digest of the fitted data file or None). A
-    missing field, an unknown format, a non-finite coefficient, a band that
-    is not base64 of (dim, H) floats with a finite band and a nonnegative
-    diagonal, a sigma_eps that is not null or a finite number >= 0, dropped
-    rows that are not a flat list of integers, or a value the model types
-    reject raises ParseError naming the file. A file without "format" is
-    format 1, which has no band."""
+    missing field, an unknown format, degrees that are not integers, a weight
+    that is not a string, a non-finite coefficient, a band that is not base64
+    of (dim, H) floats with a finite band and a nonnegative diagonal, a
+    sigma_eps that is not null or a finite number >= 0, dropped rows that are
+    not a flat list of integers >= 0, or a value the model types reject raises
+    ParseError naming the file. A format 1 file, without "format", has no band."""
     from .fitting import FitDiagnostics, WqisaModel
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -173,6 +173,10 @@ def _read_model(path):
         if len(raw["degrees"]) != len(raw["knots"]):
             raise ParseError(f"{path}: {len(raw['degrees'])} degrees for "
                              f"{len(raw['knots'])} knot vectors")
+        if any(type(p) is not int for p in raw["degrees"]):
+            raise ParseError(f"{path}: degrees must be integers, got {raw['degrees']}")
+        if not isinstance(raw["weight"], str):
+            raise ParseError(f"{path}: weight must be a descriptor string, got {raw['weight']!r}")
         coefficients = np.array(raw["coefficients"], dtype=float)
         bad = np.argwhere(~np.isfinite(coefficients))
         if len(bad):
@@ -195,10 +199,10 @@ def _read_model(path):
         )
         rows = raw.get("dropped_rows", [])
         dropped = np.array(rows, dtype=int)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(rows, list) or any(type(row) is not int for row in rows):
-        raise ParseError(f"{path}: dropped_rows must be a flat list of integers")
+    if not isinstance(rows, list) or any(type(row) is not int or row < 0 for row in rows):
+        raise ParseError(f"{path}: dropped_rows must be a flat list of integers >= 0")
     sigma = raw.get("sigma_eps")
     if sigma is not None and (type(sigma) not in (int, float)
                               or not 0 <= sigma <= sys.float_info.max):
@@ -236,7 +240,8 @@ def _fitted(cfg: FitConfig, model_path, command: str):
     --data is given and sigma_eps is known; the cloud is then read only when
     sigma_eps must be estimated or metrics needs its rows, and is None
     otherwise. Else it is built from the rows the fit kept, whose weighted
-    means must be the stored coefficients.
+    means must be the stored coefficients. A dropped row past the rows read
+    raises ParseError naming the model file.
     """
     model, stored_sigma, dropped, band, digest = _read_model(model_path)
     sigma = cfg.sigma_eps if cfg.sigma_eps is not None else stored_sigma
@@ -250,6 +255,9 @@ def _fitted(cfg: FitConfig, model_path, command: str):
                 if band is None else "no sigma_eps is given or stored, so it is estimated "
                 "from the fitted rows"))
         cloud = _load_data(cfg, command)
+        if len(dropped) and dropped.max() >= cloud.n:
+            raise ParseError(f"{model_path}: dropped_rows holds row {dropped.max()}, past the "
+                             f"{cloud.n} rows of {cfg.data}")
         used = cloud.subset(np.setdiff1d(np.arange(cloud.n), dropped)) if len(dropped) else cloud
     if sigma is not None:
         noise = NoiseModel(float(sigma))
@@ -332,8 +340,7 @@ def cmd_fit(cfg: FitConfig, args) -> dict:
 def cmd_eval(cfg: FitConfig, args) -> dict:
     model, _, noise, cov, source = _fitted(cfg, args.model, "eval")
     pts = _eval_grid(model.space, cfg.grid_density)
-    f, var, sd = _spread(model, cov, pts)
-    lo, hi = _band(f, sd, cfg.alpha)
+    f, var, lo, hi = spread(model, cov, pts, cfg.alpha)
     out = cfg.out or "grid.csv"
     header = ",".join([f"u_{k + 1}" for k in range(model.space.d)] + ["f", "var", "lo", "hi"])
     write_rows(out, np.column_stack([pts, f, var, lo, hi]), header=header)
@@ -369,8 +376,10 @@ def cmd_metrics(cfg: FitConfig, args) -> dict:
     if args.model:
         model, cloud, _, cov, source = _fitted(cfg, args.model, "metrics")
         x = cloud.clipped(*model.space.domain)
-        # with a covariance, one pass gives the fit values and their band
-        pred, sd = _spread(model, cov, x)[::2] if cov is not None else (evaluate(model, x), None)
+        if cov is None:
+            pred = evaluate(model, x)
+        else:  # one pass gives the fit values and their band
+            pred, _, lo, hi = spread(model, cov, x, cfg.alpha)
         report["error_report"] = _error_report(cloud, pred, cfg.normalize)
         grid = _eval_grid(model.space, cfg.grid_density)
         samples = np.hstack([grid, np.asarray(evaluate(model, grid)).reshape(-1, 1)])
@@ -378,7 +387,7 @@ def cmd_metrics(cfg: FitConfig, args) -> dict:
             cloud.records, samples, cloud)
         report["jaccard"] = jaccard(cloud.records, samples)
         if cov is not None:
-            report["band_coverage"] = coverage(cloud.y, *_band(pred, sd, cfg.alpha))
+            report["band_coverage"] = coverage(cloud.y, lo, hi)
             report["covariance"] = source
     elif args.data2:
         cloud = _load_data(cfg, "metrics")

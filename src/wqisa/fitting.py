@@ -480,42 +480,24 @@ class ConvexityResult:
     affine: bool
 
 
-def classify_monotone(values: np.ndarray, axis: int = 0, atol: float | None = None) -> MonotoneResult:
+def classify_monotone(values: np.ndarray, axis: int = 0) -> MonotoneResult:
     """Classify a grid of estimator values along one axis.
 
-    Increasing means every 1-d slice along the axis is nondecreasing (up to
-    atol); a constant grid reports increasing with the constant flag set.
-    The default tolerance absorbs summation-order noise only: 1e-12 times
-    the value scale. Pass atol=0 for exact comparisons. Values and atol are
-    measured in the values' gap_unit, so no difference overflows.
+    Increasing means every 1-d slice along the axis is nondecreasing up to
+    a tolerance that absorbs summation-order noise only: 1e-12 times the
+    largest magnitude of the values. A constant grid reports increasing
+    with the constant flag set. Values and tolerance are measured in the
+    values' gap_unit, so no difference overflows and the result does not
+    depend on the scale of the values.
     """
     v = np.asarray(values, dtype=float)
-    if atol is None:
-        atol = 1e-12 * max(1.0, float(np.abs(v).max(initial=0.0)))
-    unit = gap_unit(v)
-    diffs, atol = np.diff(v / unit, axis=axis), atol / unit
-    up = bool(np.all(diffs >= -atol))
-    down = bool(np.all(diffs <= atol))
-    if up and down:
-        return MonotoneResult("increasing", True)
-    if up:
-        return MonotoneResult("increasing", False)
-    if down:
-        return MonotoneResult("decreasing", False)
-    return MonotoneResult("neither", False)
+    v = v / gap_unit(v)
+    return _trend(np.diff(v, axis=axis), 1e-12 * float(np.abs(v).max(initial=0.0)))
 
 
-def w_monotone_check(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
-                     axis: int = 0, policy: FitPolicy = FitPolicy(),
-                     atol: float | None = None) -> MonotoneResult:
-    """Classify the estimator values at the knot averages along one axis.
-
-    A monotone estimator grid makes the fitted spline monotone the same way
-    along that axis, because spline values are local convex combinations of
-    consecutive coefficients.
-    """
-    model = fit(cloud, space, weight, policy)
-    return classify_monotone(model.spline.coefficients, axis=axis, atol=atol)
+def _trend(diffs: np.ndarray, tol: float) -> MonotoneResult:
+    up, down = bool(np.all(diffs >= -tol)), bool(np.all(diffs <= tol))
+    return MonotoneResult("increasing" if up else "decreasing" if down else "neither", up and down)
 
 
 def coefficient_slopes(kv, coeffs: np.ndarray) -> np.ndarray:
@@ -535,32 +517,22 @@ def coefficient_slopes(kv, coeffs: np.ndarray) -> np.ndarray:
     return slope[np.maximum.accumulate(np.where(live, j, 0))]
 
 
-def classify_convexity(kv, values: np.ndarray, atol: float | None = None) -> ConvexityResult:
+def classify_convexity(kv, values: np.ndarray) -> ConvexityResult:
     """Classify estimator values at a knot vector's averages by slope trend.
 
     Nondecreasing normalized slopes mean convex, nonincreasing mean concave,
     all equal means affine (reported convex with the affine flag). The
-    default tolerance absorbs summation-order noise only; pass atol=0 for
-    exact comparisons. Slopes and atol are measured in the values' gap_unit,
-    so the slopes of values near the float limit stay finite.
+    tolerance absorbs the summation-order noise of the values, as in
+    classify_monotone, divided by the narrowest live knot window, the most
+    that noise can grow in a slope. Values and slopes are measured in the
+    values' gap_unit, so the slopes of values near the float limit stay
+    finite and the result does not depend on the scale of the values.
     """
     v = np.asarray(values, dtype=float)
-    unit = gap_unit(v)
-    slopes = coefficient_slopes(kv, v / unit)
-    if atol is None:  # classify_monotone's default, for the slopes in the values' unit
-        atol = 1e-12 * max(1.0 / unit, float(np.abs(slopes).max(initial=0.0)))
-    else:
-        atol /= unit
-    mono = classify_monotone(slopes, atol=atol)
+    v = v / gap_unit(v)
+    j = np.arange(1, len(v))
+    den = kv.knots[j + kv.degree] - kv.knots[j]
+    tol = 1e-12 * float(np.abs(v).max(initial=0.0)) / float(np.min(den, where=den > 0.0, initial=np.inf))
+    mono = _trend(np.diff(coefficient_slopes(kv, v)), tol)
     shape = {"increasing": "convex", "decreasing": "concave"}.get(mono.direction, "neither")
     return ConvexityResult(shape, mono.constant)
-
-
-def w_convex_check(cloud: PointCloud, kv, weight: WeightSpec,
-                   policy: FitPolicy = FitPolicy(), atol: float | None = None) -> ConvexityResult:
-    """Convexity classification of a univariate cloud's estimator values."""
-    if cloud.d != 1:
-        raise ValueError("convexity check is univariate")
-    space = TensorSplineSpace((kv,))
-    model = fit(cloud, space, weight, policy)
-    return classify_convexity(kv, model.spline.coefficients, atol=atol)

@@ -93,7 +93,7 @@ class CoefficientCovariance:
     def matrix(self) -> np.ndarray:
         """Dense (dim, dim) covariance, rebuilt from the cloud; O(dim * (dim + N))
         memory, for checks only. sigma^2 is applied in its gap_unit, as in
-        _spread: entries past the float range read inf."""
+        spread: entries past the float range read inf."""
         if self._source is None:
             raise ValueError("this covariance holds only its band, as read from a model "
                              "file; the dense matrix needs the cloud it was fitted on")
@@ -253,25 +253,25 @@ def coefficient_covariance(cloud: PointCloud, space: TensorSplineSpace,
                                  (cloud, space, weight, policy))
 
 
-def variance_at(model: WqisaModel, covariance: CoefficientCovariance, u):
-    """Exact variance of the fitted spline value at u.
+def spread(model: WqisaModel, covariance: CoefficientCovariance, u, alpha: float = 0.05):
+    """(f, var, lo, hi) at u from one blocked pass of _windows (see _stream):
+    the fit values, evaluate's bit for bit; their exact variances; and the
+    standard-error band lo, hi = f -+ z * sd at confidence 1 - alpha, z the
+    1 - alpha/2 normal quantile (1.96 at 95 %). One point gives four floats.
 
-    sigma^2 * b^T G b over the window of active basis values b, with every
-    entry of G read from the band through the fixed table of _window_table:
-    one gather per window position, O(EVAL_BLOCK * F) memory for windows of
-    F entries. Never exceeds sigma_eps^2, because basis rows are convex
-    weights over coefficients that are convex weights over the noise.
+    The variance is sigma^2 * b^T G b over the window of active basis values
+    b, with every entry of G read from the band through the fixed table of
+    _window_table: one gather per window position, O(EVAL_BLOCK * F) memory
+    for windows of F entries. It never exceeds sigma_eps^2, because basis
+    rows are convex weights over coefficients that are convex weights over
+    the noise. sigma is taken in its gap_unit s: for q = b^T G b, var = q
+    (sigma/s)^2 s^2 reads inf only past the float range while the band's sd
+    = sqrt(q (sigma/s)^2) s stays finite. Scaling by s is exact, so both
+    keep the bits of sigma^2 q and its root, the same bits in any batch.
     """
-    return _spread(model, covariance, u)[1]
-
-
-def _spread(model: WqisaModel, covariance: CoefficientCovariance, u):
-    """(fit values, variances, standard deviations) at u from one blocked
-    pass of _windows (see _stream): the values are evaluate's, bit for bit,
-    and sigma is taken in its gap_unit s: for q = b^T G b, var = q
-    (sigma/s)^2 s^2 reads inf only past the float range while sd = sqrt(q
-    (sigma/s)^2) s stays finite. Scaling by s is exact, so both keep the
-    bits of sigma^2 q and its root, the same bits in any batch."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    z = normal_quantile(1.0 - alpha / 2.0)
     space = model.space
     band = covariance.band
     if covariance.grid_shape != space.shape or band.shape[1] != len(half_band(space)):
@@ -290,11 +290,18 @@ def _spread(model: WqisaModel, covariance: CoefficientCovariance, u):
             q += bases[:, a] * gram.sum(axis=1)
         q *= (covariance.sigma_eps / unit) ** 2
         with np.errstate(over="ignore"):
-            return (_combine(model.spline.coefficients.reshape(-1), flats, bases),
-                    q * unit * unit, np.sqrt(q) * unit)
+            f = _combine(model.spline.coefficients.reshape(-1), flats, bases)
+            var, sd = q * unit * unit, np.sqrt(q) * unit
+        return f, var, f - z * sd, f + z * sd
 
-    f, var, sd = _stream(space, pts, step, 3)
-    return (float(f[0]), float(var[0]), float(sd[0])) if single else (f, var, sd)
+    out = _stream(space, pts, step, 4)
+    return tuple(float(v[0]) for v in out) if single else tuple(out)
+
+
+def variance_at(model: WqisaModel, covariance: CoefficientCovariance, u):
+    """Exact variance of the fitted spline value at u: the var of spread,
+    which also forms f and the 95 % band in the same pass and drops them."""
+    return spread(model, covariance, u)[1]
 
 
 def normal_quantile(q: float) -> float:
@@ -308,22 +315,9 @@ def normal_quantile(q: float) -> float:
 
 def se_band(model: WqisaModel, covariance: CoefficientCovariance, u,
             alpha: float = 0.05):
-    """Two-sided standard-error band around the fit at confidence 1-alpha.
-
-    Returns (lo, hi) = fit -+ z * sqrt(variance) with z the 1-alpha/2
-    normal quantile (about 1.96 for the 95 percent band). The fit and its
-    standard deviation come from one pass of _windows (see _spread).
-    """
-    return _band(*_spread(model, covariance, u)[::2], alpha)  # (f, sd) of (f, var, sd)
-
-
-def _band(f, sd, alpha: float = 0.05):
-    """(lo, hi) = f -+ z * sd for fit values and standard deviations already
-    computed, with z the 1-alpha/2 normal quantile."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    z = normal_quantile(1.0 - alpha / 2.0)
-    return f - z * sd, f + z * sd
+    """Two-sided standard-error band (lo, hi) around the fit at confidence
+    1 - alpha: the lo and hi of spread."""
+    return spread(model, covariance, u, alpha)[2:]
 
 
 def estimate_noise_sigma(model: WqisaModel, cloud: PointCloud) -> NoiseModel:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .fitting import PointCloud, WqisaModel, gap_unit
-from .inference import CoefficientCovariance, se_band
+from .inference import CoefficientCovariance, spread
 from .kdtree import KdTree, squared_distances
 
 # Query points per k-d tree call in directed_hausdorff_normalized: a call
@@ -102,12 +102,16 @@ def directed_hausdorff_normalized(a_points, b_points, ref: PointCloud) -> float:
     return float(np.sqrt(worst)) / diam * unit  # the distance alone may overflow
 
 
-def snap_points(points, cell: float) -> set[tuple[int, ...]]:
-    """Quantize points onto a grid of the given cell size."""
+def snap_points(points, cell: float) -> np.ndarray:
+    """The distinct cells of points quantized onto a grid of the given cell
+    size, as sorted int64 rows."""
     if cell <= 0:
         raise ValueError(f"cell size must be > 0, got {cell}")
-    pts = _as_points(points)
-    return {tuple(row) for row in np.round(pts / cell).astype(np.int64)}
+    rows = np.round(_as_points(points) / cell).astype(np.int64)
+    rows = rows[np.lexsort(rows.T[::-1])]  # np.unique of rows would import numpy.ma
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def jaccard(a_points, b_points, cell: float | None = None) -> float:
@@ -115,7 +119,7 @@ def jaccard(a_points, b_points, cell: float | None = None) -> float:
 
     Default cell size is 1/512 of the diagonal of the joint bounding box,
     measured in the sets' gap_unit; identical sets score 1 regardless of
-    the cell.
+    the cell. |A | B| is |A| + |B| less the cells the sets share.
     """
     a = _as_points(a_points)
     b = _as_points(b_points)
@@ -126,15 +130,18 @@ def jaccard(a_points, b_points, cell: float | None = None) -> float:
         unit = gap_unit(both)
         diag = float(np.sqrt(squared_distances(both.max(axis=0) / unit, both.min(axis=0) / unit)))
         cell = diag / 512.0 * unit if diag > 0.0 else 1.0
-    sa, sb = snap_points(a, cell), snap_points(b, cell)
-    return len(sa & sb) / len(sa | sb)
+    row = np.dtype((np.void, 8 * a.shape[1]))  # a cell's int64 row as one sortable item
+    sa, sb = (snap_points(p, cell).view(row).reshape(-1) for p in (a, b))
+    shared = len(np.intersect1d(sa, sb, assume_unique=True))
+    return shared / (len(sa) + len(sb) - shared)
 
 
 def band_coverage(cloud: PointCloud, model: WqisaModel,
                   covariance: CoefficientCovariance, alpha: float = 0.05) -> float:
-    """Fraction of cloud responses inside the standard-error band."""
-    lo, hi = se_band(model, covariance, cloud.clipped(*model.space.domain), alpha=alpha)
-    return coverage(cloud.y, lo, hi)
+    """Fraction of cloud responses inside the standard-error band of spread
+    at their coordinates, clipped to the domain."""
+    x = cloud.clipped(*model.space.domain)
+    return coverage(cloud.y, *spread(model, covariance, x, alpha)[2:])
 
 
 def coverage(y, lo, hi) -> float:

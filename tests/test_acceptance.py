@@ -10,12 +10,11 @@ import time
 import numpy as np
 
 from wqisa import (FitPolicy, KnotVector, NoiseModel, PointCloud,
-                   SplineFunction, TensorSplineSpace, WeightSpec,
-                   coefficient_covariance, estimate_control_point, evaluate,
+                   SplineFunction, TensorSplineSpace, WeightSpec, classify_convexity,
+                   classify_monotone, coefficient_covariance, estimate_control_point, evaluate,
                    fit, gen_synthetic, insert_knot, iqr_outlier_filter,
                    kfold_cv, knot_averages, local_bounds, make_folds, make_uniform_regular,
-                   select_parsimonious, spline_eval, variance_at,
-                   w_convex_check, w_monotone_check)
+                   select_parsimonious, spline_eval, variance_at)
 from wqisa.kdtree import KdTree
 
 from _oracles import brute_estimate, brute_knn, brute_radius
@@ -239,10 +238,10 @@ def test_criterion_06_shape_preservation():
         cloud = PointCloud(x, y)
         n = int(rng.integers(5, 10))
         space = TensorSplineSpace((make_uniform_regular(-1, 1, n, 2),))
-        spec = WeightSpec.knn(8)
-        if w_monotone_check(cloud, space, spec).direction != "increasing":
+        model = fit(cloud, space, WeightSpec.knn(8))
+        if classify_monotone(model.spline.coefficients).direction != "increasing":
             continue
-        slopes = np.diff(evaluate(fit(cloud, space, spec), xs)) / np.diff(xs)
+        slopes = np.diff(evaluate(model, xs)) / np.diff(xs)
         assert slopes.min() >= -1e-10, f"slope {slopes.min()} below -1e-10"
         done += 1
     mono_tried = tried
@@ -259,9 +258,10 @@ def test_criterion_06_shape_preservation():
         cloud = PointCloud(x, y)
         n = int(rng.integers(6, 9))
         kv = make_uniform_regular(-1, 1, n, 2)
-        if w_convex_check(cloud, kv, WeightSpec.knn(8)).shape != "convex":
+        model = fit(cloud, TensorSplineSpace((kv,)), WeightSpec.knn(8))
+        if classify_convexity(kv, model.spline.coefficients).shape != "convex":
             continue
-        vals = evaluate(fit(cloud, TensorSplineSpace((kv,)), WeightSpec.knn(8)), xs)
+        vals = evaluate(model, xs)
         second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
         assert second.min() >= -1e-8, f"2nd diff {second.min()} below -1e-8"
         done += 1

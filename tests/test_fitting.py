@@ -13,10 +13,9 @@ from wqisa import (DomainError, EmptySupportError, FitPolicy, KdTree, KnotVector
                    classify_convexity, coefficient_covariance,
                    classify_monotone, effective_points, estimate_control_point,
                    evaluate, fit, global_bounds, iqr_outlier_filter,
-                   iqr_outlier_mask, local_bounds, make_uniform_regular,
-                   w_convex_check, w_monotone_check)
+                   iqr_outlier_mask, local_bounds, make_uniform_regular)
 from wqisa import fitting, weights
-from wqisa.fitting import _quartiles, _working_points, coefficient_slopes
+from wqisa.fitting import ConvexityResult, _quartiles, _working_points, coefficient_slopes
 
 from _oracles import brute_estimate, slope_loop
 from test_kdtree import COORDS
@@ -583,12 +582,12 @@ class TestShapeChecks:
         grid[1, 0] = -1.0
         assert classify_monotone(grid, axis=0).direction == "neither"
 
-    def test_w_monotone_on_monotone_cloud(self):
+    def test_monotone_cloud_gives_monotone_coefficients(self):
         rng = np.random.default_rng(2)
         x = np.sort(rng.uniform(0, 1, 100))
         y = 2 * x + 0.01 * rng.standard_normal(100)
-        res = w_monotone_check(PointCloud(x, y), space1d(lo=0, hi=1, n=8),
-                               WeightSpec.knn(12))
+        model = fit(PointCloud(x, y), space1d(lo=0, hi=1, n=8), WeightSpec.knn(12))
+        res = classify_monotone(model.spline.coefficients)
         assert res.direction == "increasing" and not res.constant
 
     def test_monotone_coefficients_give_monotone_spline(self):
@@ -597,8 +596,8 @@ class TestShapeChecks:
         y = np.tanh(3 * x) + 0.005 * rng.standard_normal(150)
         cloud = PointCloud(x, y)
         space = space1d(lo=0, hi=1, n=9)
-        assert w_monotone_check(cloud, space, WeightSpec.knn(15)).direction == "increasing"
         model = fit(cloud, space, WeightSpec.knn(15))
+        assert classify_monotone(model.spline.coefficients).direction == "increasing"
         xs = np.linspace(0, 1, 400)
         slopes = np.diff(evaluate(model, xs)) / np.diff(xs)
         assert slopes.min() >= -1e-10
@@ -612,6 +611,15 @@ class TestShapeChecks:
         assert aff.shape == "convex" and aff.affine
         assert classify_convexity(kv, np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])).shape == "neither"
 
+    def test_values_constant_up_to_one_ulp_are_affine(self):
+        # the slopes of such values are pure noise: a tolerance relative to
+        # the slopes themselves read them as "neither"
+        kv = make_uniform_regular(0, 1, 6, 2)
+        v = np.array([0.3, 0.1 + 0.2, 0.3, 0.3, 0.3, 0.3])
+        for scale in (1.0, 1e-20, 2.0**-1000, 2.0**1000):
+            assert classify_monotone(v * scale).constant
+            assert classify_convexity(kv, v * scale) == ConvexityResult("convex", True), scale
+
     def test_grids_near_the_float_limit(self):
         # the bowl's slopes, and the difference of +-1.7e308, pass the float
         # range; the values' gap_unit keeps them inside, without a warning
@@ -620,9 +628,9 @@ class TestShapeChecks:
         bowl = 1.7e308 * (8 * (xi - 0.5) ** 2 - 1)  # from 1.7e308 down to -1.49e308 and back
         assert classify_convexity(kv, bowl) == classify_convexity(kv, bowl / 4)
         assert classify_convexity(kv, bowl).shape == "convex"
-        assert classify_convexity(kv, -bowl, atol=0).shape == "concave"
+        assert classify_convexity(kv, -bowl).shape == "concave"
         assert classify_monotone(bowl).direction == "neither"
-        assert classify_monotone(np.array([1.7e308, -1.7e308]), atol=0).direction == "decreasing"
+        assert classify_monotone(np.array([1.7e308, -1.7e308])).direction == "decreasing"
 
     def test_slopes_match_the_loop_bit_for_bit(self):
         # Interior knots of multiplicity p+1 empty a knot window, whose slope
@@ -647,15 +655,15 @@ class TestShapeChecks:
             res = classify_convexity(kv, np.arange(kv.n, dtype=float))
             assert res.shape == "convex" and res.affine
 
-    def test_w_convex_on_convex_cloud(self):
+    def test_convex_cloud_gives_convex_coefficients(self):
         # Small k keeps the nearest-neighbour windows local; wide windows at
         # the domain ends average one-sidedly and genuinely break convexity.
         rng = np.random.default_rng(13)
         x = rng.uniform(-1, 1, 300)
         y = x**2 + 0.002 * rng.standard_normal(300)
         kv = make_uniform_regular(-1, 1, 7, 2)
-        res = w_convex_check(PointCloud(x, y), kv, WeightSpec.knn(8))
-        assert res.shape == "convex"
+        model = fit(PointCloud(x, y), TensorSplineSpace((kv,)), WeightSpec.knn(8))
+        assert classify_convexity(kv, model.spline.coefficients).shape == "convex"
 
     def test_convex_coefficients_give_convex_spline(self):
         rng = np.random.default_rng(14)
@@ -663,8 +671,8 @@ class TestShapeChecks:
         y = np.exp(x) + 0.002 * rng.standard_normal(300)
         cloud = PointCloud(x, y)
         kv = make_uniform_regular(-1, 1, 8, 2)
-        assert w_convex_check(cloud, kv, WeightSpec.knn(8)).shape == "convex"
         model = fit(cloud, TensorSplineSpace((kv,)), WeightSpec.knn(8))
+        assert classify_convexity(kv, model.spline.coefficients).shape == "convex"
         xs = np.linspace(-1, 1, 300)
         vals = evaluate(model, xs)
         second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
@@ -676,9 +684,7 @@ class TestShapeChecks:
                  FitPolicy(drop_outside=True)), DomainError, "no cloud points inside the domain box"),
     (lambda: iqr_outlier_mask(sine_cloud(20), space1d(n=4), WeightSpec.knn(3), factor=-0.5),
      ValueError, "factor must be >= 0, got -0.5"),
-    (lambda: w_convex_check(PointCloud(np.eye(3), np.zeros(3)), make_uniform_regular(0, 1, 3, 2),
-                            WeightSpec.knn(2)), ValueError, "convexity check is univariate"),
-], ids=["none-inside", "negative-factor", "2-d-convexity"])
+], ids=["none-inside", "negative-factor"])
 def test_unusable_request_is_named(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -15,9 +15,9 @@ from wqisa import (CoefficientCovariance, CvResult, DomainError, FitPolicy,
                    basis_row, bias_bounds_at, iqr_outlier_filter,
                    coefficient_covariance, estimate_noise_sigma, evaluate, fit, gen_synthetic,
                    kfold_cv, make_folds, make_uniform_regular, normal_quantile,
-                   se_band, select_parsimonious, variance_at)
+                   se_band, select_parsimonious, spread, variance_at)
 from wqisa.fitting import LOCAL_FAMILIES, weight_blocks
-from wqisa.inference import _BandBuilder, _spread, fit_with_band
+from wqisa.inference import _BandBuilder, fit_with_band
 
 from _oracles import brute_covariance, half_band, kfold_cv as oracle_cv, shared_row_band
 
@@ -633,7 +633,7 @@ class TestSeBand:
 
 
 class TestSpread:
-    """_spread gives the fit with its variance and band from one windows pass."""
+    """spread gives the fit with its variance and band from one windows pass."""
 
     @staticmethod
     def covariance(kind, d):
@@ -653,15 +653,17 @@ class TestSpread:
     def test_fit_values_are_evaluates(self, kind, d):
         model, cov = self.covariance(kind, d)
         us = np.random.default_rng(d).uniform(0, 1, (257, d))
-        f, var, sd = _spread(model, cov, us)
+        f, var, lo, hi = spread(model, cov, us)
         assert np.array_equal(f, evaluate(model, us))
         assert np.array_equal(var, variance_at(model, cov, us))
-        assert [a.tobytes() for a in se_band(model, cov, us)] == [
-            a.tobytes() for a in (f - normal_quantile(0.975) * sd, f + normal_quantile(0.975) * sd)]
+        # sigma = 0.3 keeps var normal, where its root is the band's sd bit for bit
+        z, sd = normal_quantile(0.975), np.sqrt(var)
+        assert [a.tobytes() for a in (lo, hi)] == [a.tobytes() for a in (f - z * sd, f + z * sd)]
+        assert [a.tobytes() for a in se_band(model, cov, us)] == [lo.tobytes(), hi.tobytes()]
         one = us[0] if d > 1 else float(us[0, 0])
-        f1, var1, sd1 = _spread(model, cov, one)
-        assert type(f1) is float and f1 == evaluate(model, one) == f[0]
-        assert var1 == variance_at(model, cov, one) and sd1 > 0.0
+        got = spread(model, cov, one)
+        assert all(type(v) is float for v in got) and got == (f[0], var[0], lo[0], hi[0])
+        assert got[0] == evaluate(model, one) and got[2] < got[0] < got[3]
 
     @pytest.mark.parametrize("block", [40, None])  # None: EVAL_BLOCK itself
     @pytest.mark.parametrize("kind", ["knn", "gaussian"])
@@ -676,14 +678,14 @@ class TestSpread:
         monkeypatch.setattr(wqisa.splines, "EVAL_BLOCK", block)
         model, cov = self.covariance(kind, d)
         us = np.random.default_rng(d).uniform(0, 1, (3 * block + 17, d))
-        whole = np.array(_spread(model, cov, us))
-        blocks = np.hstack([_spread(model, cov, us[i:i + block])
+        whole = np.array(spread(model, cov, us))
+        blocks = np.hstack([spread(model, cov, us[i:i + block])
                             for i in range(0, len(us), block)])
         assert whole.tobytes() == blocks.tobytes()
         edges = np.arange(0, len(us), block)
         rows = np.unique(np.r_[edges, edges - 1, np.arange(len(us) - 17, len(us)),
                                np.random.default_rng(0).integers(0, len(us), 40)])[1:]
-        singles = np.array([_spread(model, cov, u if d > 1 else float(u[0]))
+        singles = np.array([spread(model, cov, u if d > 1 else float(u[0]))
                             for u in us[rows]]).T
         assert whole[:, rows].tobytes() == singles.tobytes()
         assert evaluate(model, us).tobytes() == whole[0].tobytes()
@@ -712,7 +714,7 @@ class TestSpread:
         model, band = fit_with_band(cloud, space, WeightSpec.knn(9))
         cov = CoefficientCovariance(0.3, space, band)
         us = rng.uniform(0, 1, (200_000, 2))
-        for call, outputs in ((evaluate, 1), (lambda m, u: _spread(m, cov, u), 3)):
+        for call, outputs in ((evaluate, 1), (lambda m, u: spread(m, cov, u), 4)):
             tracemalloc.start()
             try:
                 call(model, us)
@@ -723,7 +725,8 @@ class TestSpread:
             # one block of all the rows peaked at 43 MiB and 56 MiB
             assert peak < outputs * 1.6 * 2**20 + 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
-    @pytest.mark.parametrize("call", ["se_band", "band_coverage", "cmd_eval"])
+    @pytest.mark.parametrize("call", ["variance_at", "se_band", "band_coverage", "cmd_eval",
+                                      "cmd_metrics"])
     def test_one_windows_pass_per_call(self, call, monkeypatch, tmp_path, capsys):
         import wqisa.inference
         import wqisa.splines
@@ -732,7 +735,7 @@ class TestSpread:
 
         cloud = cloud_1d(120, seed=5)
         model, cov = fit(cloud, space_1d(8), WeightSpec.knn(7)), None
-        if call == "cmd_eval":  # a model file that stores its band: no fit is rebuilt
+        if call.startswith("cmd_"):  # a model file that stores its band: no fit is rebuilt
             path = tmp_path / "c.xyz"
             path.write_text("".join(f"{a!r} {b!r}\n" for a, b in
                                     zip(cloud.x[:, 0].tolist(), cloud.y.tolist())))
@@ -746,15 +749,16 @@ class TestSpread:
                 calls.append(1)
                 return _windows(*args)
             monkeypatch.setattr(module, "_windows", counted)
-        if call == "se_band":
-            se_band(model, cov, np.linspace(-1, 1, 33))
+        if call in ("variance_at", "se_band"):
+            getattr(wqisa.inference, call)(model, cov, np.linspace(-1, 1, 33))
         elif call == "band_coverage":
             band_coverage(cloud, model, cov)
         else:
-            assert main(["eval", "--model", str(tmp_path / "model.json"), "--sigma-eps", "0.2",
-                         "--out", str(tmp_path / "grid.csv")]) == 0
+            assert main([call[4:], "--model", str(tmp_path / "model.json"), "--sigma-eps", "0.2",
+                         "--data", str(tmp_path / "c.xyz"), "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
-        assert len(calls) == 1
+        # metrics windows the cloud's rows, with their band, and then its grid
+        assert len(calls) == (2 if call == "cmd_metrics" else 1)
 
 
 class TestBiasBounds:
@@ -1257,17 +1261,19 @@ class TestNoiseEstimate:
 
     @pytest.mark.parametrize("scale", [2.0**700, 2.0**-600], ids=["2^700", "2^-600"])
     def test_band_of_a_sigma_whose_square_leaves_the_float_range(self, scale):
-        # sigma is measured in its gap_unit: the standard deviations keep
-        # their bits at a power-of-two scale, while the variances read inf
-        # (or 0) where sigma^2 b^T G b passes the float range
-        cloud, space, knn = cloud_1d(40), space_1d(6), WeightSpec.knn(5)
+        # sigma is measured in its gap_unit: the band's standard deviations
+        # keep their bits at a power-of-two scale, while the variances read
+        # inf (or 0) where sigma^2 b^T G b passes the float range. On zero
+        # responses f is 0, so hi = z * sd and lo = -hi exactly
+        base, space, knn = cloud_1d(40), space_1d(6), WeightSpec.knn(5)
+        cloud = PointCloud(base.x, np.zeros(base.n))
         model, u = fit(cloud, space, knn), np.linspace(-1, 1, 9)
         covs = [coefficient_covariance(cloud, space, knn, NoiseModel(s)) for s in (1.0, scale)]
-        (_, var1, sd1), (_, var, sd) = (_spread(model, cov, u) for cov in covs)
-        assert np.array_equal(sd, sd1 * scale) and sd.min() > 0.0
+        (_, _, lo1, hi1), (f, var, lo, hi) = (spread(model, cov, u) for cov in covs)
+        assert not f.any() and np.array_equal(lo, -hi) and np.array_equal(lo1, -hi1)
+        assert np.array_equal(hi, hi1 * scale) and hi.min() > 0.0
         assert np.array_equal(var, variance_at(model, covs[1], u))
         assert (var == math.inf).all() if scale > 1 else (var == 0.0).all()
-        assert np.isfinite(np.concatenate(se_band(model, covs[1], u))).all()
 
     @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
     def test_estimate_keeps_its_bits_at_a_power_of_two_scale(self, scale):

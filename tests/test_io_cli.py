@@ -1,6 +1,7 @@
 """Cloud files, synthetic generators, and the command-line pipeline."""
 
 import argparse
+import ast
 import base64
 import dataclasses
 import gzip
@@ -20,8 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wqisa import (FitConfig, ParseError, PointCloud, gen_synthetic, load_cloud,
-                   save_cloud, variable_noise_scale)
+from wqisa import (FitConfig, ParseError, PointCloud, TensorSplineSpace, WeightSpec, fit,
+                   gen_synthetic, load_cloud, save_cloud, variable_noise_scale)
 import wqisa
 from wqisa import cli, kdtree, splines
 from wqisa.cli import _read_model, build_parser, main
@@ -523,6 +524,33 @@ class TestCliPipeline:
         assert (flags["monotone"], flags["convexity"]) == (trend(c), {
             "increasing": "convex", "decreasing": "concave"}.get(trend(slopes), "neither"))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-1000, 1000).map(lambda e: 2.0**e) | st.just(1e-20))
+    @example(1e-20)
+    def test_shape_flags_do_not_depend_on_the_response_scale(self, scale):
+        # the flags of y = sin 3x + noise read "neither"; a tolerance with an
+        # absolute floor read y * 1e-20 as increasing, constant and affine
+        rng = np.random.default_rng(23)
+        x = rng.uniform(-1, 1, 300)
+        y = np.sin(3 * x) + 0.2 * rng.standard_normal(300)
+        space = TensorSplineSpace.from_bounds([x.min()], [x.max()], [8], [2])
+        flags = [cli._shape_flags(fit(PointCloud(x, v), space, WeightSpec.knn(9)))
+                 for v in (y, y * scale)]
+        assert flags[0]["axis_0"]["monotone"] == flags[0]["axis_0"]["convexity"] == "neither"
+        assert flags[1] == flags[0]
+
+    @pytest.mark.parametrize("weight", [WeightSpec.gaussian(0.3), WeightSpec.characteristic(0.4)])
+    def test_shape_flags_of_responses_constant_up_to_one_ulp(self, weight):
+        # y is 0.3 or 0.1 + 0.2: the coefficients differ by an ulp, in each
+        # window's own summation order, and the flags read constant and affine
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1, 1, 300)
+        y = np.where(rng.random(300) < 0.5, 0.3, 0.1 + 0.2)
+        model = fit(PointCloud(x, y), TensorSplineSpace.from_bounds([-1], [1], [8], [2]), weight)
+        assert len(set(model.spline.coefficients.tolist())) > 1
+        assert cli._shape_flags(model) == {"axis_0": {
+            "monotone": "increasing", "constant": True, "convexity": "convex", "affine": True}}
+
     def test_eval_band_of_a_sigma_whose_square_overflows(self, tmp_path, capsys):
         # responses of +-1e200: sigma, estimated or given, is finite and its
         # square is not, so every var reads inf while the band stays finite
@@ -962,7 +990,7 @@ class TestWorkingMemory:
         del raw["data_blake2b"]  # the band cannot be trusted: it is rebuilt from --data
         model_path.write_text(json.dumps(raw))
         built = tracking_trees(monkeypatch)
-        live = count_live_at(monkeypatch, cli, "_spread", built)
+        live = count_live_at(monkeypatch, cli, "spread", built)
         code, out = run_cli(capsys, command, "--model", str(model_path), "--data",
                             str(cloud_path), "--sigma-eps", "0.3", "--out", str(tmp_path / "o"))
         assert code == 0 and out["covariance"] == "data"
@@ -1056,6 +1084,9 @@ class TestModelFiles:
         ("policy", {"empty_support": "skip"}, "empty_support"),
         ("weight", "gaussian:sigma=nan", "sigma > 0"),
         ("dropped_rows", ["a"], "invalid literal"),
+        ("weight", 5, "weight must be a descriptor string, got 5"),
+        ("degrees", [2.0], r"degrees must be integers, got \[2.0\]"),
+        ("dropped_rows", [-1], "dropped_rows must be a flat list of integers >= 0"),
         # numpy would read sigma true as 1.0, and rows 1.5, true and "2" as 1, 1 and 2
         *[("sigma_eps", v, "sigma_eps must be null or a finite number >= 0")
           for v in (True, "abc", [0.3], -0.5, 1e400)],
@@ -1069,6 +1100,17 @@ class TestModelFiles:
         with pytest.raises(ParseError, match=match) as exc:
             _read_model(model_path)
         assert str(model_path) in str(exc.value)
+
+    @pytest.mark.parametrize("command, sigma", [("eval", []), ("metrics", ["--sigma-eps", "0.3"])])
+    def test_dropped_row_past_the_data_named_with_the_file(self, fitted, capsys, command, sigma):
+        # np.setdiff1d would ignore the row and keep every row of the cloud
+        cloud_path, model_path, raw = fitted
+        raw["dropped_rows"] = [3, 120]
+        model_path.write_text(json.dumps(raw))
+        code, payload = run_cli(capsys, command, "--model", str(model_path), "--data",
+                                str(cloud_path), *sigma)
+        assert code == 1 and payload["error"] == {"type": "ParseError", "message": (
+            f"{model_path}: dropped_rows holds row 120, past the 120 rows of {cloud_path}")}
 
     def test_file_without_dropped_rows_evaluates_as_before(self, fitted, tmp_path, capsys):
         cloud_path, model_path, raw = fitted
@@ -1366,6 +1408,17 @@ if main(["gen", "--count", "300", "--seed", "2", "--out", d + "/g.xyz"]) != 0:
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 sys.exit(f"{len(loaded)} scipy modules loaded, first {loaded[:3]}" if loaded else 0)
 """
+
+
+def test_cli_imports_no_private_library_name():
+    # the commands call the library's public surface, the names a tracer
+    # or a user wraps; a private import would bypass them unseen
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "wqisa")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_commands_never_import_scipy(tmp_path):

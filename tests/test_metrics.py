@@ -183,8 +183,8 @@ class TestJaccard:
         assert jaccard(a, b, cell=0.001) == 0.0
 
     def test_snap_points_quantizes(self):
-        got = snap_points(np.array([[0.2, 0.9], [1.4, -0.6]]), cell=1.0)
-        assert got == {(0, 1), (1, -1)}
+        got = snap_points(np.array([[1.4, -0.6], [0.2, 0.9], [0.9, -1.2], [0.1, 1.3]]), cell=1.0)
+        assert got.dtype == np.int64 and got.tolist() == [[0, 1], [1, -1]]  # distinct, sorted
         with pytest.raises(ValueError):
             snap_points([[0.0]], cell=0.0)
 
