@@ -9,6 +9,7 @@ import typing
 from dataclasses import dataclass, field, fields, replace
 
 from .fitting import EMPTY_SUPPORT
+from .inference import ALPHA_RANGE
 from .weights import parse_weight
 
 NORMALIZE = ("none", "max", "range")
@@ -53,7 +54,7 @@ class FitConfig:
     domain: list[list[float]] | None = None  # [[lo, hi], ...] per axis
     seed: int = _flag("--seed", "RNG seed", 0, type=int)
     alpha: float = _flag("--alpha", "band miss probability (0.05 = 95%% band)", 0.05,
-                         (lambda v: 0.0 < v < 1.0, "in (0, 1)"), type=float)
+                         ALPHA_RANGE, type=float)
     sigma_eps: float | None = _flag("--sigma-eps", "known noise standard deviation", None,
                                     (lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
                                     type=float)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, EmptySupportError
-from .kdtree import KdTree, query_block, squared_distances
+from .kdtree import KdTree, squared_distances
 from .splines import SplineFunction, TensorSplineSpace, spline_eval
 from .weights import WeightSpec, cloud_weights
 
@@ -155,6 +155,8 @@ class FitPolicy:
     def __post_init__(self):
         if self.empty_support not in EMPTY_SUPPORT:
             raise ValueError(f"empty_support must be one of {EMPTY_SUPPORT}, got {self.empty_support!r}")
+        if not isinstance(self.drop_outside, bool):
+            raise ValueError(f"drop_outside must be a bool, got {self.drop_outside!r}")
 
 
 @dataclass
@@ -274,13 +276,13 @@ def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpe
     """
     work, kept = _working_points(cloud, space, policy)
     mesh = np.meshgrid(*space.knot_average_grids, indexing="ij")
-    sites = query_block(np.stack(mesh, axis=-1).reshape(-1, space.d), work.d)  # checked once
+    sites = np.stack(mesh, axis=-1).reshape(-1, space.d)
     flats = np.arange(space.dim) if flats is None else np.asarray(flats).reshape(-1)
     step = SITE_BLOCK if weight.family in LOCAL_FAMILIES else 1
     starved = []
     for first in range(0, len(flats), step):
         block = flats[first:first + step]
-        indptr, cols, w = cloud_weights(weight, sites[block], work, checked=True)
+        indptr, cols, w = cloud_weights(weight, sites[block], work)
         lookups = len(cols) if step > 1 else work.n  # unbounded: every row scored
         fallback = np.zeros(len(block), dtype=bool)
         if step > 1 or not len(cols):  # a spanning row that weighs a row is whole

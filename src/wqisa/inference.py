@@ -24,6 +24,9 @@ from .splines import (TensorSplineSpace, _check_in_domain, _combine, _normalize_
                       _stream, _windows)
 from .weights import WeightSpec
 
+# alpha's test and wording, FitConfig's too: z needs 1 - alpha/2 < 1 in floats
+ALPHA_RANGE = (lambda alpha: alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0, "in (2**-53, 1)")
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -269,8 +272,8 @@ def spread(model: WqisaModel, covariance: CoefficientCovariance, u, alpha: float
     = sqrt(q (sigma/s)^2) s stays finite. Scaling by s is exact, so both
     keep the bits of sigma^2 q and its root, the same bits in any batch.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not ALPHA_RANGE[0](alpha):
+        raise ValueError(f"alpha must be {ALPHA_RANGE[1]}, got {alpha}")
     z = normal_quantile(1.0 - alpha / 2.0)
     space = model.space
     band = covariance.band

@@ -18,13 +18,13 @@ at a time, with no recursion and no heap. k-nearest runs in two phases: an
 upper bound per query, the k-th smallest squared distance among the points
 of the deepest node on its descent path that still holds k points; then a
 traversal that keeps every node whose box lies within the bound (closed, so
-ties survive). The order of the surviving points comes from one default
-(unstable) sort of a packed integer key, unique by construction, so it is
-exactly the (query, distance, index) order: (query * L + rank) * n + row,
-where rank is the dense rank of d2 (>= 0, never NaN) among the block's L
-distinct values. The bound itself is read from one sort of query * L + rank.
-Radius queries run the same traversal with the bound r^2 and sort
-query * n + row. A block whose keys could reach KEY_LIMIT (2^63) is
+ties survive). The bound is one partition of the block's descent-node d2,
+one inf-padded row per query. The surviving points are ordered by one
+default (unstable) sort of a packed integer key, unique by construction, so
+it is exactly the (query, distance, index) order: (query * L + rank) * n +
+row, where rank is the dense rank of d2 (>= 0, never NaN) among the block's
+L distinct values. Radius queries run the same traversal with the bound r^2
+and sort query * n + row. A block whose keys could reach KEY_LIMIT (2^63) is
 answered in halves; one query's keys stay below n^2.
 
 Every squared distance in the package comes from squared_distances. It
@@ -117,6 +117,9 @@ class KdTree:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or len(pts) == 0:
             raise ValueError("need a nonempty (N, d) point array")
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if len(bad):
+            raise ValueError(f"points must be finite, got {pts[bad[0]].tolist()} at row {bad[0]}")
         if pts.flags.writeable:  # a read-only array is shared, anything else copied
             pts = pts.copy()
             pts.setflags(write=False)
@@ -186,12 +189,11 @@ class KdTree:
             live, child = live[deep], child[deep]
             node[live] = child
             live = live[self._left[child] >= 0]
-        qi, _, d2 = self._points_of(q, np.arange(len(q)), node)
-        values, rank = np.unique(d2, return_inverse=True)
-        key = qi * len(values) + rank
-        key.sort()
-        first = np.cumsum(size[node]) - size[node]
-        return values[key[first + k - 1] % len(values)]
+        _, _, d2 = self._points_of(q, np.arange(len(q)), node)
+        lens = size[node]
+        table = np.full((len(q), lens.max(initial=k)), np.inf)
+        table[np.arange(table.shape[1]) < lens[:, None]] = d2  # query by query, row by row
+        return np.partition(table, k - 1, axis=1)[:, k - 1]
 
     def _within(self, q, bound):
         """(query, row, d2) of every point with d2 <= bound[query]; rows of
@@ -223,23 +225,22 @@ class KdTree:
         return self._knn(q, k)
 
     def _knn(self, q, k: int) -> np.ndarray:
-        """(m, k) rows for a query block: one sort of the packed keys
-        (query, rank of d2, row), which are unique, so their order is the
-        (query, distance, index) order; a block whose keys could reach
-        KEY_LIMIT is answered in halves (one query's keys stay below n**2)."""
+        """(m, k) rows for a query block: the points within _knn_bound's
+        bound, in one sort of the unique packed keys (query, rank of d2, row),
+        which is the (query, distance, index) order; a block whose keys could
+        reach KEY_LIMIT is answered in halves (one query's stay below n**2)."""
         m, n = len(q), self.n
-        if m < 2 or m * m * n < KEY_LIMIT:  # _knn_bound's keys stay below m * m * n
-            qi, rows, d2 = self._within(q, self._knn_bound(q, k))
-            values, rank = np.unique(d2, return_inverse=True)
-            if m < 2 or m * len(values) * n < KEY_LIMIT:
-                key = qi * len(values)
-                key += rank
-                key *= n
-                key += rows
-                key.sort()
-                count = np.bincount(qi, minlength=m)
-                first = np.cumsum(count) - count  # every query keeps at least k points
-                return key[first[:, None] + np.arange(k)] % n
+        qi, rows, d2 = self._within(q, self._knn_bound(q, k))
+        values, rank = np.unique(d2, return_inverse=True)
+        if m < 2 or m * len(values) * n < KEY_LIMIT:
+            key = qi * len(values)
+            key += rank
+            key *= n
+            key += rows
+            key.sort()
+            count = np.bincount(qi, minlength=m)
+            first = np.cumsum(count) - count  # every query keeps at least k points
+            return key[first[:, None] + np.arange(k)] % n
         half = m // 2
         return np.concatenate([self._knn(q[:half], k), self._knn(q[half:], k)])
 

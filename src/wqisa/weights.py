@@ -170,7 +170,7 @@ def _scan_weights(spec: WeightSpec, u: np.ndarray, cloud):
     return live, w if live is cloud.rows else w[live]
 
 
-def cloud_weights(spec: WeightSpec, u, cloud, *, checked: bool = False):
+def cloud_weights(spec: WeightSpec, u, cloud):
     """Per-row weights of a PointCloud against an (m, d) block u of anchors.
 
     Returns CSR arrays (indptr, indices, weights) listing only the rows
@@ -182,9 +182,9 @@ def cloud_weights(spec: WeightSpec, u, cloud, *, checked: bool = False):
     every row, anchor by anchor, and never build the index. idw decides
     coincidence on the same distances its weights use, so a gap that
     underflows to distance 0 counts as coincident instead of weighing inf.
-    checked says that u is a block query_block has already passed.
+    Every block u passes query_block, fit's blocks too.
     """
-    anchors = u if checked else query_block(u, cloud.d)
+    anchors = query_block(u, cloud.d)
     if spec.family == "knn":
         k = min(int(spec.k), cloud.n)
         if k < spec.k:

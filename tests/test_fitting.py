@@ -1,5 +1,6 @@
 """Fitter: estimator, bounds, effective points, outlier filter, shape checks."""
 
+import inspect
 import tracemalloc
 import warnings
 
@@ -10,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from wqisa import (DomainError, EmptySupportError, FitPolicy, KdTree, KnotVector, NoiseModel,
                    PointCloud, TensorSplineSpace, WeightSpec, WqisaError, bias_bounds_at,
-                   classify_convexity, coefficient_covariance,
+                   classify_convexity, cloud_weights, coefficient_covariance,
                    classify_monotone, effective_points, estimate_control_point,
                    evaluate, fit, global_bounds, iqr_outlier_filter,
                    iqr_outlier_mask, local_bounds, make_uniform_regular)
@@ -177,22 +178,28 @@ class TestEstimator:
             estimate_control_point(cloud, WeightSpec.characteristic(0.1), [5.0])
 
 
-def test_weight_blocks_check_their_sites_once(monkeypatch):
-    # the knot-average grid is checked once per call, not once per dense block;
-    # cloud_weights still checks what its caller passes
-    calls = {"fitting": 0, "weights": 0}
-    for module in (fitting, weights):
-        def counting(u, d, module=module, check=module.query_block):
-            calls[module.__name__.rsplit(".")[-1]] += 1
-            return check(u, d)
-        monkeypatch.setattr(module, "query_block", counting)
+@pytest.mark.parametrize("value", ["no", 0, None])
+def test_drop_outside_must_be_a_bool(value):
+    with pytest.raises(ValueError, match=f"drop_outside must be a bool, got {value!r}"):
+        FitPolicy(drop_outside=value)
+
+
+def test_cloud_weights_checks_every_block(monkeypatch):
+    # fitting passes each block of its knot-average grid as it is, and
+    # cloud_weights, with no switch to skip it, checks every block it gets
+    assert not hasattr(fitting, "query_block")
+    assert "checked" not in inspect.signature(cloud_weights).parameters
+    calls = []
+    check = weights.query_block
+    monkeypatch.setattr(weights, "query_block", lambda u, d: calls.append(len(u)) or check(u, d))
     cloud = sine_cloud()
     fit(cloud, space1d(n=12), WeightSpec.gaussian(0.3))
-    assert calls == {"fitting": 1, "weights": 0}
-    estimate_control_point(cloud, WeightSpec.gaussian(0.3), 0.5)
-    assert calls == {"fitting": 1, "weights": 1}
+    assert calls == [1] * 12
     with pytest.raises(ValueError, match="NaN"):
         estimate_control_point(cloud, WeightSpec.gaussian(0.3), np.nan)
+    plane = TensorSplineSpace((make_uniform_regular(-2.0, 2.0, 6, 2),) * 2)
+    with pytest.raises(ValueError, match="query dimension 2 != tree dimension 1"):
+        fit(cloud, plane, WeightSpec.gaussian(0.3))
 
 
 class TestFit:

@@ -627,9 +627,17 @@ class TestSeBand:
         assert hi2 - lo2 > hi1 - lo1
 
     def test_alpha_validation(self):
-        for alpha in [0.0, 1.0, -0.1, 2.0]:
-            with pytest.raises(ValueError):
+        for alpha in [0.0, 1.0, -0.1, 2.0, np.nan]:
+            with pytest.raises(ValueError, match=r"alpha must be in \(2\*\*-53, 1\)"):
                 se_band(self.model, self.cov, 0.0, alpha=alpha)
+
+    def test_smallest_alphas(self):
+        # 2**-53 leaves 1 - alpha/2 = 1.0; 2**-52 leaves 1 - 2**-53, the largest float below 1
+        with pytest.raises(ValueError, match="alpha must be in"):
+            spread(self.model, self.cov, 0.3, 2**-53)
+        f, var, lo, hi = spread(self.model, self.cov, 0.3, 2**-52)
+        z = normal_quantile(1 - 2**-53)
+        assert (lo, hi) == (f - z * np.sqrt(var), f + z * np.sqrt(var))
 
 
 class TestSpread:

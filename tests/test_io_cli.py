@@ -1087,6 +1087,8 @@ class TestModelFiles:
         ("weight", 5, "weight must be a descriptor string, got 5"),
         ("degrees", [2.0], r"degrees must be integers, got \[2.0\]"),
         ("dropped_rows", [-1], "dropped_rows must be a flat list of integers >= 0"),
+        ("policy", {"empty_support": "error", "drop_outside": "no"},
+         "drop_outside must be a bool, got 'no'"),
         # numpy would read sigma true as 1.0, and rows 1.5, true and "2" as 1, 1 and 2
         *[("sigma_eps", v, "sigma_eps must be null or a finite number >= 0")
           for v in (True, "abc", [0.3], -0.5, 1e400)],
@@ -1111,6 +1113,20 @@ class TestModelFiles:
                                 str(cloud_path), *sigma)
         assert code == 1 and payload["error"] == {"type": "ParseError", "message": (
             f"{model_path}: dropped_rows holds row 120, past the 120 rows of {cloud_path}")}
+
+    @pytest.mark.parametrize("alpha", [2**-53, 1e-17, 2**-52])
+    def test_alpha_whose_quantile_argument_rounds_to_one_named(self, fitted, tmp_path, capsys,
+                                                                alpha):
+        # for alpha <= 2**-53, 1 - alpha/2 is 1.0, which has no normal quantile
+        cloud_path, model_path, _ = fitted
+        code, payload = run_cli(capsys, "eval", "--model", str(model_path), "--data",
+                                str(cloud_path), "--alpha", repr(alpha),
+                                "--out", str(tmp_path / "grid.csv"))
+        if alpha > 2**-53:
+            assert code == 0 and payload["alpha"] == alpha
+        else:
+            assert code == 1 and payload["error"] == {
+                "type": "ValueError", "message": f"alpha must be in (2**-53, 1), got {alpha!r}"}
 
     def test_file_without_dropped_rows_evaluates_as_before(self, fitted, tmp_path, capsys):
         cloud_path, model_path, raw = fitted

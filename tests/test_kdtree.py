@@ -221,6 +221,41 @@ class TestPackedKeys:
             assert np.array_equal(indices[indptr[j]:indptr[j + 1]], brute_radius(pts, u, 2.0))
 
 
+def descent_bound(tree, pts, u, k):
+    """_knn_bound read the long way: walk u down to the deepest node that
+    still holds k points, and sort the d2 of all its points."""
+    node = 0
+    while tree._left[node] >= 0:
+        child = tree._left[node] + (u[tree._axis[node]] >= tree._split[node])
+        if tree._end[child] - tree._start[child] < k:
+            break
+        node = child
+    own = pts[tree._perm[tree._start[node]:tree._end[node]]]
+    return np.sort(squared_distances(own, u))[k - 1]
+
+
+class TestKnnBound:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_clouds(), st.data())
+    def test_matches_the_sorted_descent_node(self, pts, data):
+        k = data.draw(st.just(len(pts)) | st.integers(1, len(pts)))
+        m = data.draw(st.integers(0, 12))
+        coords = st.integers(-2, 2 * int(pts.max()) + 4).map(lambda c: c / 2.0)  # half-lattice
+        queries = np.array(data.draw(st.lists(st.tuples(*[coords] * pts.shape[1]),
+                                              min_size=m, max_size=m))).reshape(m, pts.shape[1])
+        tree = KdTree(pts)
+        got = tree._knn_bound(queries, k)
+        assert got.shape == (m,)
+        want = [descent_bound(tree, pts, u, k) for u in queries]
+        assert np.array_equal(got, np.array(want, dtype=float))
+
+    @pytest.mark.parametrize("k", [1, 5, 300])
+    def test_empty_block(self, k):
+        tree = KdTree(lattice())
+        assert tree._knn_bound(np.empty((0, 2)), k).shape == (0,)
+        assert tree.knn(np.empty((0, 2)), k).shape == (0, k)
+
+
 class TestBuild:
     @settings(max_examples=150, deadline=None)
     @given(lattice_clouds())
@@ -249,6 +284,13 @@ class TestBuild:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             KdTree(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.arange(10.0).reshape(5, 2)
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match=rf"points must be finite, got \[6.0, {bad}\] at row 3"):
+            KdTree(pts)
 
     def test_single_point(self):
         tree = KdTree(np.array([[1.0, 2.0]]))
