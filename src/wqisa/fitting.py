@@ -414,18 +414,6 @@ def local_bounds(model: WqisaModel, cloud: PointCloud, cell) -> tuple[float, flo
     return float(vals.min()), float(vals.max())
 
 
-def effective_points(model: WqisaModel, cloud: PointCloud) -> np.ndarray:
-    """Sorted cloud rows that influence at least one coefficient.
-
-    Everything outside this set could be deleted without changing the fit;
-    it can be a proper subset of the cloud for bounded-support weights.
-    """
-    seen = np.zeros(cloud.n, dtype=bool)
-    for block in weight_blocks(cloud, model.space, model.weight, model.policy):
-        seen[block.cols] = True
-    return np.flatnonzero(seen)
-
-
 def _quartiles(values: np.ndarray) -> list[float]:
     """Q1 and Q3 by np.percentile's linear rule, bit for bit, from one
     np.partition (np.percentile imports numpy.ma): at virtual index

@@ -3,9 +3,8 @@
 Under responses y_i = f(x_i) + eps_i with i.i.d. zero-mean noise of
 variance sigma_eps^2, every coefficient is a fixed convex combination of
 the responses, so coefficient covariances and pointwise predictor variance
-have closed forms; no asymptotics involved. The same structure yields
-computable bias envelopes when the true surface values at the data sites
-are known, and k-fold cross validation selects space dimensions.
+have closed forms; no asymptotics involved. k-fold cross validation
+selects space dimensions.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from .errors import WqisaError
 from .fitting import (LOCAL_FAMILIES, FitPolicy, PointCloud, WqisaModel, _normalise,
                       _weighted_means, _working_points, evaluate, fit, gap_unit,
                       weight_blocks)
-from .splines import (TensorSplineSpace, _check_in_domain, _combine, _normalize_points,
-                      _stream, _windows)
+from .splines import TensorSplineSpace, _combine, _normalize_points, _stream, _windows
 from .weights import WeightSpec
 
 # alpha's test and wording, FitConfig's too: z needs 1 - alpha/2 < 1 in floats
@@ -338,46 +336,6 @@ def estimate_noise_sigma(model: WqisaModel, cloud: PointCloud) -> NoiseModel:
     unit = max(gap_unit(cloud.y), gap_unit(fitted))
     res = cloud.y / unit - fitted / unit
     return NoiseModel(float(np.std(res, ddof=1)) * unit, source="residual-estimate")
-
-
-@dataclass(frozen=True)
-class BiasBounds:
-    lower: float            # smallest true value seen by the active window
-    upper: float            # largest true value seen by the active window
-    expected_fit: float     # exact mean of the fitted value at u
-    squared_bias_bound: float
-
-
-def bias_bounds_at(cloud: PointCloud, true_values: np.ndarray, space: TensorSplineSpace,
-                   weight: WeightSpec, u, true_at_u: float,
-                   policy: FitPolicy = FitPolicy()) -> BiasBounds:
-    """Envelope on the systematic error of the fit at one point.
-
-    The mean fitted value is a convex combination of true surface values at
-    the cloud rows feeding the active coefficients, so it lies between their
-    min and max; the squared bias is bounded by the distance from the true
-    value at u to whichever side the mean falls on.
-    """
-    true_values = np.asarray(true_values, dtype=float).reshape(-1)
-    if len(true_values) != cloud.n:
-        raise ValueError(f"need {cloud.n} true values, got {len(true_values)}")
-    pts = _normalize_points(space.d, u)[0]
-    _check_in_domain(space, pts)
-    flats, bases = _windows(space, pts)
-    if len(flats) != 1:
-        raise ValueError("bias_bounds_at takes a single point")
-    blocks = list(weight_blocks(cloud, space, weight, policy, flats[0]))
-    seen = true_values[np.concatenate([b.cols for b in blocks])]
-    lower, upper = float(seen.min()), float(seen.max())
-    # convex combinations, clipped as in fit; the means first, since an
-    # inf mean times a zero basis value would be NaN
-    means = [_weighted_means(true_values, b.indptr, b.cols, b.vals) for b in blocks]
-    means = np.clip(np.concatenate(means), lower, upper)
-    with np.errstate(over="ignore"):
-        expected = float(np.clip(means @ bases[0], lower, upper))
-    f_u = float(true_at_u)
-    gap = (lower if expected <= f_u else upper) - f_u
-    return BiasBounds(lower, upper, expected, gap * gap)
 
 
 @dataclass

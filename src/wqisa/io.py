@@ -130,11 +130,10 @@ class SyntheticData:
     outlier_mask: np.ndarray | None = None
 
 
-def gen_synthetic(kind: str, n: int, seed: int = 0, *, x_low: float = -2.0,
-                  x_high: float = 2.0, sigma: float = 0.3,
+def gen_synthetic(kind: str, n: int, seed: int = 0, *, sigma: float = 0.3,
                   outlier_fraction: float = 0.05,
                   outlier_magnitude: float = 10.0) -> SyntheticData:
-    """Seeded benchmark clouds.
+    """Seeded benchmark clouds, x uniform on [-2, 2].
 
     sine            y = sin(pi x) + gaussian noise of scale sigma
     sine_outliers   same, then a fraction of rows replaced by values of
@@ -147,10 +146,8 @@ def gen_synthetic(kind: str, n: int, seed: int = 0, *, x_low: float = -2.0,
         raise ValueError(f"unknown kind {kind!r}; pick one of {GENERATOR_KINDS}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not x_low < x_high:
-        raise ValueError(f"need x_low < x_high, got {x_low}, {x_high}")
     rng = np.random.default_rng(seed)
-    x = rng.uniform(x_low, x_high, size=n)
+    x = rng.uniform(-2.0, 2.0, size=n)
 
     if kind == "variable_noise":
         def truth(t):

@@ -40,8 +40,9 @@ ties break by index. Results equal a brute-force scan exactly: k-nearest
 rows are ordered by (distance, index), with ties at the k-th distance
 broken by ascending index, and radius queries use the closed ball.
 
-Queries are (m, d) blocks, one point per row: ``knn`` returns (m, k)
-indices and ``radius_query`` CSR arrays (indptr, indices).
+Queries are (m, d) blocks of finite coordinates, one point per row:
+``knn`` returns (m, k) indices and ``radius_query`` CSR arrays (indptr,
+indices).
 """
 
 from __future__ import annotations
@@ -74,8 +75,11 @@ def query_block(u, d: int) -> np.ndarray:
         raise ValueError(f"queries must be an (m, d) block, got shape {q.shape}")
     if q.shape[1] != d:
         raise ValueError(f"query dimension {q.shape[1]} != tree dimension {d}")
-    if np.isnan(q).any():
-        raise ValueError("query coordinates must not be NaN")
+    finite = np.isfinite(q)
+    if not finite.all():
+        row = np.flatnonzero(~finite.all(axis=1))[0]
+        raise ValueError(f"query coordinates must be finite, not NaN or inf, "
+                         f"got {q[row].tolist()} at row {row}")
     return q
 
 

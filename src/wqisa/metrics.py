@@ -8,7 +8,7 @@ import numpy as np
 
 from .fitting import PointCloud, WqisaModel, gap_unit
 from .inference import CoefficientCovariance, spread
-from .kdtree import KdTree, squared_distances
+from .kdtree import KdTree, query_block, squared_distances
 
 # Query points per k-d tree call in directed_hausdorff_normalized: a call
 # holds about 4 KB of candidate arrays per 3-D query, and larger blocks
@@ -92,7 +92,7 @@ def directed_hausdorff_normalized(a_points, b_points, ref: PointCloud) -> float:
     if diam == 0.0:
         raise ValueError("reference cloud has zero diameter")
     unit = max(gap_unit(a), gap_unit(b))
-    a, b = a / unit, b / unit
+    a, b = query_block(a / unit, b.shape[1]), b / unit  # checked whole: errors name a row of a
     tree = KdTree(b)
     worst = 0.0
     for start in range(0, len(a), HAUSDORFF_BLOCK):
@@ -105,8 +105,8 @@ def directed_hausdorff_normalized(a_points, b_points, ref: PointCloud) -> float:
 def snap_points(points, cell: float) -> np.ndarray:
     """The distinct cells of points quantized onto a grid of the given cell
     size, as sorted int64 rows."""
-    if cell <= 0:
-        raise ValueError(f"cell size must be > 0, got {cell}")
+    if not 0.0 < cell < np.inf:  # NaN too
+        raise ValueError(f"cell size must be finite and > 0, got {cell}")
     rows = np.round(_as_points(points) / cell).astype(np.int64)
     rows = rows[np.lexsort(rows.T[::-1])]  # np.unique of rows would import numpy.ma
     keep = np.ones(len(rows), dtype=bool)

@@ -219,12 +219,6 @@ class TensorSplineSpace:
     def knot_average_grids(self) -> tuple[np.ndarray, ...]:
         return tuple(knot_averages(kv) for kv in self.axes)
 
-    def site(self, multi_index) -> np.ndarray:
-        """Knot-average location of one coefficient."""
-        return np.array([
-            self.knot_average_grids[k][multi_index[k]] for k in range(self.d)
-        ])
-
 
 @dataclass(frozen=True, eq=False)
 class SplineFunction:
@@ -281,22 +275,6 @@ def _windows(space: TensorSplineSpace, pts: np.ndarray) -> tuple[np.ndarray, np.
             rows = (vals[:, :, None] * rows[:, None, :]).reshape(m, len(offsets))
         vals = rows
     return base[:, None] + offsets, vals
-
-
-def basis_row(space: TensorSplineSpace, u) -> tuple[tuple[int, ...], np.ndarray]:
-    """Nonzero basis block at a single point.
-
-    Returns (first, block): the multi-index of the first active basis
-    function per axis, and the dense block of prod(p_k + 1) tensor basis
-    values. The block is nonnegative and sums to 1.
-    """
-    pts, single = _normalize_points(space.d, u)
-    if not single and len(pts) != 1:
-        raise ValueError("basis_row takes a single point")
-    _check_in_domain(space, pts)
-    flat, vals = _windows(space, pts)
-    first = tuple(int(i) for i in np.unravel_index(flat[0, 0], space.shape))
-    return first, vals[0].reshape([kv.degree + 1 for kv in space.axes])
 
 
 # Rows per block of a batch evaluation. spline_eval of 10^5 2-D points at

@@ -10,16 +10,25 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wqisa import (DomainError, EmptySupportError, FitPolicy, KdTree, KnotVector, NoiseModel,
-                   PointCloud, TensorSplineSpace, WeightSpec, WqisaError, bias_bounds_at,
+                   PointCloud, TensorSplineSpace, WeightSpec, WqisaError,
                    classify_convexity, cloud_weights, coefficient_covariance,
-                   classify_monotone, effective_points, estimate_control_point,
+                   classify_monotone, estimate_control_point,
                    evaluate, fit, global_bounds, iqr_outlier_filter,
                    iqr_outlier_mask, local_bounds, make_uniform_regular)
 from wqisa import fitting, weights
-from wqisa.fitting import ConvexityResult, _quartiles, _working_points, coefficient_slopes
+from wqisa.fitting import (ConvexityResult, _quartiles, _working_points, coefficient_slopes,
+                           weight_blocks)
 
 from _oracles import brute_estimate, slope_loop
 from test_kdtree import COORDS
+from test_weight_blocks import sites_of
+
+
+def support_rows(model, cloud):
+    """Sorted cloud rows in some coefficient's weight row: the union of
+    weight_blocks' cols."""
+    blocks = weight_blocks(cloud, model.space, model.weight, model.policy)
+    return np.unique(np.concatenate([block.cols for block in blocks]))
 
 
 def sine_cloud(n=120, seed=0, sigma=0.25, lo=-2.0, hi=2.0):
@@ -168,8 +177,8 @@ class TestEstimator:
         cloud = PointCloud(x, np.sin(3 * x[:, 0]) * x[:, -1] + 0.3 * rng.standard_normal(n))
         space = TensorSplineSpace.from_bounds([-1] * d, [1] * d, [12 // d + 2] * d, 2)
         coeffs = fit(cloud, space, spec).spline.coefficients
-        for index in np.ndindex(space.shape):
-            got = estimate_control_point(cloud, spec, space.site(index))
+        for index, site in zip(np.ndindex(space.shape), sites_of(space)):
+            got = estimate_control_point(cloud, spec, site)
             assert got == coeffs[index], (index, got - coeffs[index])
 
     def test_empty_support_names_site(self):
@@ -277,7 +286,7 @@ class TestFit:
         cloud = sine_cloud(80, seed=3)
         space = space1d(n=8)
         model = fit(cloud, space, WeightSpec.knn(5))
-        effective_points(model, cloud)
+        support_rows(model, cloud)
         local_bounds(model, cloud, (4,))
         coefficient_covariance(cloud, space, model.weight, NoiseModel(0.2))
         assert built == [80]
@@ -302,7 +311,7 @@ class TestFit:
         space = space1d(lo=0, hi=1, n=8)
         policy = FitPolicy(drop_outside=drop_outside)
         model = fit(cloud, space, WeightSpec.knn(5), policy)
-        effective_points(model, cloud)
+        support_rows(model, cloud)
         local_bounds(model, cloud, (4,))
         coefficient_covariance(cloud, space, model.weight, NoiseModel(0.2), policy)
         assert built == [200 if drop_outside else 201]
@@ -360,10 +369,13 @@ class TestMaxFloatResponses:
             assert np.all((vals >= y.min()) & (vals <= y.max()))
             one = estimate_control_point(cloud, spec, [0.5])
             assert y.min() <= one <= y.max()
-            bb = bias_bounds_at(cloud, y, space, spec, 0.4, 0.0)
-            assert bb.lower <= bb.expected_fit <= bb.upper
+            # the fit of true values y at 0.4 lies between the responses
+            # feeding its knot-span cell [0.25, 0.5)
+            lower, upper = local_bounds(model, cloud, (3,))
+            at = evaluate(model, 0.4)
+            assert lower <= at <= upper
         if signs == "equal":
-            assert np.all(c == self.BIG) and one == self.BIG and bb.expected_fit == self.BIG
+            assert np.all(c == self.BIG) and one == self.BIG and at == self.BIG
 
 
 BIG = np.finfo(float).max
@@ -485,12 +497,13 @@ class TestEffectivePoints:
                            np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         space = space1d(lo=0, hi=2, n=3, p=1)  # averages at 0, 1, 2
         model = fit(cloud, space, WeightSpec.knn(1))
-        assert np.array_equal(effective_points(model, cloud), [0, 2, 4])
+        assert np.array_equal(support_rows(model, cloud), [0, 2, 4])
+        assert model.effective_count == 3
 
     def test_unbounded_weight_sees_everything(self):
         cloud = sine_cloud(40, seed=8)
         model = fit(cloud, space1d(n=5), WeightSpec.gaussian(1.0))
-        assert len(effective_points(model, cloud)) == 40
+        assert len(support_rows(model, cloud)) == 40
         assert model.effective_count == 40
 
     def test_drop_outside_reports_cloud_rows(self):
@@ -502,9 +515,9 @@ class TestEffectivePoints:
         space = space1d(lo=0, hi=1, n=3, p=1)  # averages at 0, 0.5, 1
         drop = FitPolicy(drop_outside=True)
         model = fit(cloud, space, WeightSpec.knn(1), drop)
-        assert np.array_equal(effective_points(model, cloud), [1, 3, 5])
-        bb = bias_bounds_at(cloud, truth, space, WeightSpec.knn(1), 0.0, 0.0, drop)
-        assert bb.expected_fit == 0.0
+        assert np.array_equal(support_rows(model, cloud), [1, 3, 5])
+        assert model.effective_count == 3
+        assert evaluate(model, 0.0) == 0.0  # the fit of the true values
         # empty balls fall back to the nearest kept row, stored as a cloud row
         sparse = PointCloud(np.array([-5.0, 0.1, 0.9, 7.0]), np.zeros(4))
         model = fit(sparse, space, WeightSpec.characteristic(0.05),
@@ -514,7 +527,7 @@ class TestEffectivePoints:
     def test_matches_fit_count(self):
         cloud = sine_cloud(70, seed=12)
         model = fit(cloud, space1d(n=9), WeightSpec.knn(3))
-        pts = effective_points(model, cloud)
+        pts = support_rows(model, cloud)
         assert model.effective_count == len(pts)
         assert len(pts) < cloud.n  # k-nn keeps it a proper subset here
 

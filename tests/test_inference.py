@@ -1,4 +1,4 @@
-"""Uncertainty quantification: covariance, variance bounds, bands, bias, CV."""
+"""Uncertainty quantification: covariance, variance bounds, bands, CV."""
 
 import math
 import re
@@ -11,15 +11,16 @@ import pytest
 
 import wqisa.splines
 from wqisa import (CoefficientCovariance, CvResult, DomainError, FitPolicy,
-                   NoiseModel, PointCloud, TensorSplineSpace, WeightSpec,
-                   basis_row, bias_bounds_at, iqr_outlier_filter,
+                   NoiseModel, PointCloud, TensorSplineSpace, WeightSpec, iqr_outlier_filter,
                    coefficient_covariance, estimate_noise_sigma, evaluate, fit, gen_synthetic,
                    kfold_cv, make_folds, make_uniform_regular, normal_quantile,
                    se_band, select_parsimonious, spread, variance_at)
 from wqisa.fitting import LOCAL_FAMILIES, weight_blocks
 from wqisa.inference import _BandBuilder, fit_with_band
+from wqisa.splines import _windows
 
 from _oracles import brute_covariance, half_band, kfold_cv as oracle_cv, shared_row_band
+from test_weight_blocks import sites_of
 
 
 def cloud_1d(n=80, seed=0, sigma=0.2, lo=-1.0, hi=1.0):
@@ -39,7 +40,7 @@ class TestCovarianceMatrix:
         space = space_1d(5)
         cov = coefficient_covariance(cloud, space, WeightSpec.knn(7),
                                      NoiseModel(0.4))
-        sites = [space.site((i,)) for i in range(5)]
+        sites = sites_of(space)
         ref = brute_covariance("knn", {"k": 7}, sites, cloud.x, 0.4)
         assert np.allclose(cov.matrix, ref, rtol=0, atol=1e-12)
 
@@ -48,7 +49,7 @@ class TestCovarianceMatrix:
         space = space_1d(6)
         cov = coefficient_covariance(cloud, space, WeightSpec.gaussian(0.3),
                                      NoiseModel(1.0))
-        sites = [space.site((i,)) for i in range(6)]
+        sites = sites_of(space)
         ref = brute_covariance("gaussian", {"sigma": 0.3}, sites, cloud.x, 1.0)
         assert np.allclose(cov.matrix, ref, rtol=0, atol=1e-12)
 
@@ -61,7 +62,7 @@ class TestCovarianceMatrix:
         space = TensorSplineSpace((kv, kv))
         cov = coefficient_covariance(cloud, space, WeightSpec.knn(9),
                                      NoiseModel(0.5))
-        sites = [space.site((i, j)) for i in range(4) for j in range(4)]
+        sites = sites_of(space)
         ref = brute_covariance("knn", {"k": 9}, sites, cloud.x, 0.5)
         assert cov.matrix.shape == (16, 16)
         assert np.allclose(cov.matrix, ref, rtol=0, atol=1e-12)
@@ -155,7 +156,7 @@ class TestCovarianceBand:
         space = self.grid_space(shape, degrees)
         spec = WeightSpec(family, **params)
         cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.8))
-        sites = [space.site(i) for i in np.ndindex(*shape)]
+        sites = sites_of(space)
         ref = half_band(brute_covariance(family, params, sites, cloud.x, 0.8), shape, degrees)
         assert cov.band.shape == ref.shape == (space.dim, (np.prod(np.multiply(2, degrees) + 1)
                                                            + 1) // 2)
@@ -390,8 +391,8 @@ class TestVarianceLaw:
         model = fit(cloud, space, spec)
         cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.5))
         for u in [-0.83, -0.2, 0.0, 0.41, 1.0]:
-            first, b = basis_row(space, u)
-            flat = np.arange(first[0], first[0] + len(b))
+            (flat,), (b,) = _windows(space, np.array([[u]]))
+            assert np.array_equal(flat, np.arange(flat[0], flat[0] + 4))  # degree 3
             expect = float(b @ cov.matrix[np.ix_(flat, flat)] @ b)
             assert variance_at(model, cov, u) == pytest.approx(expect, abs=1e-15)
 
@@ -418,25 +419,16 @@ class TestVarianceLaw:
         csr = 8 * (space.dim + 1) + 16 * int(model.diagnostics.support_sizes.sum())
         assert peak < 4 * csr + 512 * space.dim + 256 * n
         m = cov.matrix
-        for u, got in list(zip(probes, var))[::20]:
-            first, b = basis_row(space, u)
-            flat = np.ravel_multi_index(
-                np.ix_(*[np.arange(f, f + 3) for f in first]), space.shape).reshape(-1)
-            expect = float(b.reshape(-1) @ m[np.ix_(flat, flat)] @ b.reshape(-1))
+        for flat, b, got in list(zip(*_windows(space, probes), var))[::20]:
+            expect = float(b @ m[np.ix_(flat, flat)] @ b)
             assert got == pytest.approx(expect, abs=1e-15)
 
     @staticmethod
     def quadratic_forms(space, cov, probes):
         """b . cov.matrix[F, F] . b over each probe's active block F."""
         m = cov.matrix
-        out = []
-        for u in probes:
-            first, b = basis_row(space, u)
-            flat = np.ravel_multi_index(
-                np.ix_(*[np.arange(f, f + n) for f, n in zip(first, b.shape)]),
-                space.shape).reshape(-1)
-            out.append(float(b.reshape(-1) @ m[np.ix_(flat, flat)] @ b.reshape(-1)))
-        return np.array(out)
+        flats, vals = _windows(space, np.reshape(probes, (len(probes), space.d)))
+        return np.array([float(b @ m[np.ix_(flat, flat)] @ b) for flat, b in zip(flats, vals)])
 
     @pytest.mark.parametrize("spec, n, grid", [
         (WeightSpec.knn(1), 600, (12, 12)),  # 9 weight entries a point
@@ -767,60 +759,6 @@ class TestSpread:
         capsys.readouterr()
         # metrics windows the cloud's rows, with their band, and then its grid
         assert len(calls) == (2 if call == "cmd_metrics" else 1)
-
-
-class TestBiasBounds:
-    def test_noiseless_fit_equals_expected_value(self):
-        # With y exactly on the true surface the fit IS the expectation.
-        rng = np.random.default_rng(17)
-        x = rng.uniform(-1, 1, 120)
-        truth = np.sin(np.pi * x)
-        cloud = PointCloud(x, truth)
-        space = space_1d(7)
-        spec = WeightSpec.knn(6)
-        model = fit(cloud, space, spec)
-        for u in [-0.9, -0.33, 0.0, 0.5, 0.97]:
-            bb = bias_bounds_at(cloud, truth, space, spec, u,
-                                float(np.sin(np.pi * u)))
-            assert bb.expected_fit == pytest.approx(float(evaluate(model, u)),
-                                                    abs=1e-12)
-
-    def test_envelope_contains_expectation(self):
-        rng = np.random.default_rng(19)
-        x = rng.uniform(-1, 1, 100)
-        truth = np.sin(np.pi * x)
-        cloud = PointCloud(x, truth + 0.2 * rng.standard_normal(100))
-        space = space_1d(6)
-        for spec in [WeightSpec.knn(7), WeightSpec.gaussian(0.25)]:
-            for u in np.linspace(-1, 1, 21):
-                f_u = float(np.sin(np.pi * u))
-                bb = bias_bounds_at(cloud, truth, space, spec, float(u), f_u)
-                assert bb.lower <= bb.expected_fit <= bb.upper
-                assert (bb.expected_fit - f_u) ** 2 <= bb.squared_bias_bound + 1e-15
-                assert bb.squared_bias_bound <= max((bb.lower - f_u) ** 2,
-                                                    (bb.upper - f_u) ** 2) + 1e-15
-
-    def test_constant_surface_has_zero_bias(self):
-        rng = np.random.default_rng(23)
-        x = rng.uniform(0, 1, 50)
-        truth = np.full(50, 3.25)
-        cloud = PointCloud(x, truth + rng.standard_normal(50))
-        space = TensorSplineSpace((make_uniform_regular(0, 1, 5, 2),))
-        bb = bias_bounds_at(cloud, truth, space, WeightSpec.knn(5), 0.4, 3.25)
-        assert bb.lower == bb.upper == 3.25
-        assert bb.expected_fit == pytest.approx(3.25, abs=1e-14)
-        assert bb.squared_bias_bound == 0.0
-
-    def test_length_mismatch_rejected(self):
-        cloud = cloud_1d(30)
-        with pytest.raises(ValueError, match="true values"):
-            bias_bounds_at(cloud, np.zeros(29), space_1d(5), WeightSpec.knn(4),
-                           0.0, 0.0)
-
-    def test_two_points_rejected(self):
-        with pytest.raises(ValueError, match="bias_bounds_at takes a single point"):
-            bias_bounds_at(cloud_1d(30), np.zeros(30), space_1d(5), WeightSpec.knn(4),
-                           [0.0, 0.5], 0.0)
 
 
 def cv_matches_oracle(cloud, cands, space_of, weight, policy, assignments):

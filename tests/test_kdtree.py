@@ -322,6 +322,17 @@ class TestBuild:
         with pytest.raises(ValueError, match="NaN"):
             tree.radius_query([[np.nan, 0.0]], 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_named(self, bad):
+        # a query at infinity once took the lowest-index rows as its nearest
+        tree = KdTree(np.arange(10.0).reshape(5, 2))
+        block = [[0.0, 0.0], [bad, 0.0]]
+        match = rf"must be finite, not NaN or inf, got \[{bad}, 0.0\] at row 1"
+        with pytest.raises(ValueError, match=match):
+            tree.knn(block, 1)
+        with pytest.raises(ValueError, match=match):
+            tree.radius_query(block, 1.0)
+
 
 class TestSquaredDistances:
     """The one d2 kernel: axis-order sums, the bits of numpy's reduction

@@ -153,6 +153,16 @@ class TestHausdorff:
         with pytest.raises(ValueError, match="dimension"):
             directed_hausdorff_normalized([[0.0, 1.0]], [[1.0]], self.ref())
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("row", [1, 1500])
+    def test_non_finite_point_of_a_rejected(self, bad, row):
+        # an infinite row of a once scored inf; a row past the first query
+        # block is named by its row in a
+        a = np.zeros((row + 1, 2))
+        a[row, 0] = bad
+        with pytest.raises(ValueError, match=rf"not NaN or inf, got .* at row {row}$"):
+            directed_hausdorff_normalized(a, [[1.0, 0.0]], self.ref())
+
 
 class TestJaccard:
     def test_identical_sets_score_one(self):
@@ -187,6 +197,16 @@ class TestJaccard:
         assert got.dtype == np.int64 and got.tolist() == [[0, 1], [1, -1]]  # distinct, sorted
         with pytest.raises(ValueError):
             snap_points([[0.0]], cell=0.0)
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, 0.0, -1.0])
+    def test_cell_must_be_finite_and_positive(self, cell):
+        # a NaN or infinite cell once snapped two unrelated sets onto one
+        # cell and scored them 1.0
+        rng = np.random.default_rng(6)
+        a, b = rng.uniform(0, 1, (200, 2)), rng.uniform(5, 6, (200, 2))
+        assert jaccard(a, b) == 0.0
+        with pytest.raises(ValueError, match=f"cell size must be finite and > 0, got {cell}"):
+            jaccard(a, b, cell)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wqisa import (DomainError, KnotVector, SplineFunction, TensorSplineSpace,
-                   basis_row, insert_knot, knot_averages,
-                   make_uniform_regular, spline_eval)
+                   insert_knot, knot_averages, make_uniform_regular, spline_eval)
 
 from wqisa.splines import EVAL_BLOCK, _combine, _normalize_points, _windows
 
@@ -79,9 +78,9 @@ class TestKnotVector:
 
 
 def basis_value(kv, i, x):
-    """Value of basis function i of a regular vector at x, via basis_row."""
-    (first,), block = basis_row(TensorSplineSpace((kv,)), x)
-    return float(block[i - first]) if first <= i <= first + kv.degree else 0.0
+    """Value of basis function i of a regular vector at x, via _windows."""
+    (flat,), (vals,) = _windows(TensorSplineSpace((kv,)), np.array([[x]], dtype=float))
+    return float(vals[flat == i][0]) if i in flat else 0.0
 
 
 class TestBsplineEval:
@@ -171,26 +170,29 @@ class TestBasisRow:
     def test_partition_of_unity_and_nonnegative(self, space, data):
         lo, hi = space.domain
         u = [data.draw(st.floats(float(lo[k]), float(hi[k]))) for k in range(space.d)]
-        first, block = basis_row(space, np.array(u))
+        (flat,), (block,) = _windows(space, np.array([u]))
         assert np.all(block >= 0)
         assert abs(block.sum() - 1.0) <= 1e-12
-        assert block.shape == tuple(p + 1 for p in space.degrees)
+        first = np.unravel_index(flat[0], space.shape)
         for k, f in enumerate(first):
             assert 0 <= f and f + space.degrees[k] <= space.shape[k] - 1
+        # the C-order block of prod(p_k + 1) coefficients from the first
+        active = np.ix_(*[np.arange(f, f + p + 1) for f, p in zip(first, space.degrees)])
+        assert np.array_equal(flat, np.ravel_multi_index(active, space.shape).reshape(-1))
 
     def test_bivariate_corner(self):
         space = TensorSplineSpace((make_uniform_regular(0, 1, 4, 2),
                                    make_uniform_regular(0, 1, 5, 2)))
-        first, block = basis_row(space, [0.0, 0.0])
-        assert first == (0, 0)
-        assert block[0, 0] == pytest.approx(1.0, abs=1e-15)
+        (flat,), (block,) = _windows(space, np.array([[0.0, 0.0]]))
+        assert flat[0] == 0
+        assert block[0] == pytest.approx(1.0, abs=1e-15)
         assert block.sum() == pytest.approx(1.0, abs=1e-15)
         assert np.count_nonzero(block > 1e-14) == 1
 
     def test_out_of_domain(self):
         space = TensorSplineSpace((make_uniform_regular(0, 1, 4, 2),))
         with pytest.raises(DomainError):
-            basis_row(space, [1.5])
+            spline_eval(SplineFunction(space, np.zeros(4)), [1.5])
 
 
 class TestSplineEval:
@@ -443,10 +445,8 @@ class TestTensorSplineSpace:
     (lambda: KnotVector(2, np.array([0.0, 0.0, 1.0])), r"at least degree\+2 = 4 knots, got \(3,\)"),
     (lambda: make_uniform_regular(0, 1, 3, 0), "degree must be >= 1, got 0"),
     (lambda: TensorSplineSpace(()), "need at least one axis"),
-    (lambda: basis_row(TensorSplineSpace((make_uniform_regular(0, 1, 4, 2),)), [0.2, 0.4]),
-     "basis_row takes a single point"),
     (lambda: _normalize_points(1, np.zeros((3, 2))), r"shape \(3, 2\) as points in R\^1"),
-], ids=["negative-degree", "few-knots", "degree-0", "no-axis", "two-points", "2-d-block"])
+], ids=["negative-degree", "few-knots", "degree-0", "no-axis", "2-d-block"])
 def test_malformed_input_is_named(call, match):
     with pytest.raises(ValueError, match=match):
         call()

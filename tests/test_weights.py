@@ -284,6 +284,18 @@ class TestProperties:
         with pytest.raises(ValueError, match="NaN"):
             cloud_weights(spec, [[0.5, np.nan]], cloud)
 
+    @pytest.mark.parametrize("spec", [WeightSpec.knn(3), WeightSpec.characteristic(0.5),
+                                      WeightSpec.gaussian(0.3), WeightSpec.exponential(0.3),
+                                      WeightSpec.idw()], ids=lambda s: s.family)
+    def test_infinite_anchor_rejected(self, spec):
+        # knn once averaged the first k rows here, gaussian raised
+        # EmptySupportError and a ball returned an empty row
+        cloud = cloud_of(np.random.default_rng(1).uniform(0, 1, (200, 2)))
+        with pytest.raises(ValueError, match=r"finite, not NaN or inf, got \[inf, 0.0\] at row 0"):
+            estimate_control_point(cloud, spec, [np.inf, 0.0])
+        with pytest.raises(ValueError, match=r"got \[0.5, -inf\] at row 1"):
+            cloud_weights(spec, [[0.5, 0.5], [0.5, -np.inf]], cloud)
+
 
 class TestScanKernel:
     """The in-place kernel chain gives the bits of the oracle's closed forms."""
