@@ -153,12 +153,13 @@ _MODEL_FIELDS = ("degrees", "knots", "coefficients", "weight", "policy",
 def _read_model(path):
     """Read a model.json written by fit: (model, sigma_eps, dropped rows,
     covariance band or None, _digest of the fitted data file or None). A
-    missing field, an unknown format, degrees that are not integers, a weight
-    that is not a string, a non-finite coefficient, a band that is not base64
-    of (dim, H) floats with a finite band and a nonnegative diagonal, a
-    sigma_eps that is not null or a finite number >= 0, dropped rows that are
-    not a flat list of integers >= 0, or a value the model types reject raises
-    ParseError naming the file. A format 1 file, without "format", has no band."""
+    missing field, an unknown format, non-integer degrees, a weight that is
+    not a string, a non-finite coefficient, support sizes not >= 1 in the
+    grid's shape, a fallback cell off the grid, a band that is not base64 of
+    (dim, H) finite floats with a nonnegative diagonal, a sigma_eps not null
+    or a finite number >= 0, an effective count, dropped row or fallback row
+    not an integer >= 0, or a value the model types reject raises ParseError
+    naming the file. A format 1 file, without "format", has no band."""
     from .fitting import FitDiagnostics, WqisaModel
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -185,16 +186,27 @@ def _read_model(path):
         axes = tuple(KnotVector(p, np.array(knots))
                      for p, knots in zip(raw["degrees"], raw["knots"]))
         space = TensorSplineSpace(axes)
+        sizes = np.array(raw["support_sizes"])  # one array: a ragged one raises
+        if sizes.dtype.kind not in "iu" or sizes.shape != space.shape or (sizes < 1).any():
+            raise ParseError(f"{path}: support_sizes must be integers >= 1 in a {space.shape} grid")
+        if type(count := raw["effective_count"]) is not int or count < 0:
+            raise ParseError(f"{path}: effective_count must be an integer >= 0, got {count!r}")
+        for cell in cells if isinstance(cells := raw["fallback_cells"], list) else [cells]:
+            index, row = cell if isinstance(cell, list) and len(cell) == 2 else (None, None)
+            if not (isinstance(index, list) and len(index) == space.d and type(row) is int
+                    and row >= 0 and all(type(i) is int and 0 <= i < n
+                                         for i, n in zip(index, space.shape))):
+                raise ParseError(f"{path}: fallback cell {cell!r} is not [grid index, row >= 0]")
         diag = FitDiagnostics(
             estimator_calls=space.dim,
-            support_sizes=np.array(raw["support_sizes"]),
-            fallback_cells={tuple(k): v for k, v in raw["fallback_cells"]},
+            support_sizes=sizes,
+            fallback_cells={tuple(k): v for k, v in cells},
         )
         model = WqisaModel(
             spline=SplineFunction(space, coefficients),
             weight=parse_weight(raw["weight"]),
             policy=FitPolicy(**raw["policy"]),
-            effective_count=raw["effective_count"],
+            effective_count=count,
             diagnostics=diag,
         )
         rows = raw.get("dropped_rows", [])
@@ -373,6 +385,7 @@ def cmd_cv(cfg: FitConfig, args) -> dict:
 
 def cmd_metrics(cfg: FitConfig, args) -> dict:
     report: dict = {"normalize": cfg.normalize}
+    band = {}  # the model's band, reported after the set metrics
     if args.model:
         model, cloud, _, cov, source = _fitted(cfg, args.model, "metrics")
         x = cloud.clipped(*model.space.domain)
@@ -380,25 +393,21 @@ def cmd_metrics(cfg: FitConfig, args) -> dict:
             pred = evaluate(model, x)
         else:  # one pass gives the fit values and their band
             pred, _, lo, hi = spread(model, cov, x, cfg.alpha)
+            band = {"band_coverage": coverage(cloud.y, lo, hi), "covariance": source}
         report["error_report"] = _error_report(cloud, pred, cfg.normalize)
         grid = _eval_grid(model.space, cfg.grid_density)
-        samples = np.hstack([grid, np.asarray(evaluate(model, grid)).reshape(-1, 1)])
-        report["directed_hausdorff"] = directed_hausdorff_normalized(
-            cloud.records, samples, cloud)
-        report["jaccard"] = jaccard(cloud.records, samples)
-        if cov is not None:
-            report["band_coverage"] = coverage(cloud.y, lo, hi)
-            report["covariance"] = source
+        second = np.hstack([grid, np.asarray(evaluate(model, grid)).reshape(-1, 1)])
     elif args.data2:
         cloud = _load_data(cfg, "metrics")
         other = load_cloud(args.data2)
         if other.n == cloud.n:
             report["error_report"] = _error_report(cloud, other.y, cfg.normalize)
-        report["directed_hausdorff"] = directed_hausdorff_normalized(
-            cloud.records, other.records, cloud)
-        report["jaccard"] = jaccard(cloud.records, other.records)
+        second = other.records
     else:
         raise ValueError("metrics needs --model or --data2")
+    report["directed_hausdorff"] = directed_hausdorff_normalized(cloud.records, second, cloud)
+    report["jaccard"] = jaccard(cloud.records, second)
+    report.update(band)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1)

@@ -52,8 +52,11 @@ class PointCloud:
             raise ValueError("need a nonempty (N, d) predictor array")
         if len(y) != len(x):
             raise ValueError(f"got {len(x)} predictors but {len(y)} responses")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("cloud contains non-finite values")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):  # the row only on failure
+            bad_x = ~np.isfinite(x).all(axis=1)
+            row = np.flatnonzero(bad_x | ~np.isfinite(y))[0]
+            where = f"x {x[row].tolist()}" if bad_x[row] else f"y {y[row]}"
+            raise ValueError(f"cloud contains non-finite values: {where} at row {row}")
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -114,26 +117,18 @@ class PointCloud:
         vars(self).pop("_working", None)
 
     @cached_property
-    def _diameter_info(self) -> tuple[float, bool]:
+    def diameter(self) -> float:
+        """Max pairwise distance between full records; bbox diagonal above
+        the exact-computation size limit."""
         rec = self.records
         unit = gap_unit(rec)
         rec = rec / unit
         if self.n > EXACT_DIAMETER_LIMIT:
             d2 = squared_distances(rec.max(axis=0), rec.min(axis=0))
-            return float(np.sqrt(d2)) * unit, False
+            return float(np.sqrt(d2)) * unit
         best = max(float(squared_distances(rec[i : i + 256, None], rec).max())
                    for i in range(0, self.n, 256))
-        return float(np.sqrt(best)) * unit, True
-
-    @property
-    def diameter(self) -> float:
-        """Max pairwise distance between full records; bbox diagonal above
-        the exact-computation size limit."""
-        return self._diameter_info[0]
-
-    @property
-    def diameter_is_exact(self) -> bool:
-        return self._diameter_info[1]
+        return float(np.sqrt(best)) * unit
 
     def subset(self, indices) -> "PointCloud":
         return PointCloud(self.x[indices], self.y[indices])
@@ -182,9 +177,6 @@ class WqisaModel:
     @property
     def space(self) -> TensorSplineSpace:
         return self.spline.space
-
-    def __call__(self, u):
-        return spline_eval(self.spline, u)
 
 
 def _working_points(cloud: PointCloud, space: TensorSplineSpace, policy: FitPolicy):

@@ -127,7 +127,6 @@ class SyntheticData:
 
     cloud: PointCloud
     truth: Callable[[np.ndarray], np.ndarray]
-    outlier_mask: np.ndarray | None = None
 
 
 def gen_synthetic(kind: str, n: int, seed: int = 0, *, sigma: float = 0.3,
@@ -165,10 +164,7 @@ def gen_synthetic(kind: str, n: int, seed: int = 0, *, sigma: float = 0.3,
     if not 0.0 <= outlier_fraction <= 1.0:
         raise ValueError(f"outlier_fraction must be in [0, 1], got {outlier_fraction}")
     count = int(round(outlier_fraction * n))
-    mask = np.zeros(n, dtype=bool)
     if count:
         chosen = rng.choice(n, size=count, replace=False)
-        mask[chosen] = True
-        y = y.copy()
         y[chosen] = rng.choice([-1.0, 1.0], size=count) * outlier_magnitude
-    return SyntheticData(PointCloud(x, y), truth, outlier_mask=mask)
+    return SyntheticData(PointCloud(x, y), truth)

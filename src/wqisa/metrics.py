@@ -73,7 +73,7 @@ def _as_points(a) -> np.ndarray:
         a = a.reshape(-1, 1)
     if a.ndim != 2 or len(a) == 0:
         raise ValueError("need a nonempty (m, t) point array")
-    return a
+    return query_block(a, a.shape[1])
 
 
 def directed_hausdorff_normalized(a_points, b_points, ref: PointCloud) -> float:
@@ -92,7 +92,7 @@ def directed_hausdorff_normalized(a_points, b_points, ref: PointCloud) -> float:
     if diam == 0.0:
         raise ValueError("reference cloud has zero diameter")
     unit = max(gap_unit(a), gap_unit(b))
-    a, b = query_block(a / unit, b.shape[1]), b / unit  # checked whole: errors name a row of a
+    a, b = a / unit, b / unit
     tree = KdTree(b)
     worst = 0.0
     for start in range(0, len(a), HAUSDORFF_BLOCK):

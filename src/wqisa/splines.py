@@ -235,9 +235,6 @@ class SplineFunction:
             )
         object.__setattr__(self, "coefficients", c)
 
-    def __call__(self, u):
-        return spline_eval(self, u)
-
 
 def _normalize_points(d: int, u) -> tuple[np.ndarray, bool]:
     """Coerce u to an (m, d) array; second value marks single-point input."""

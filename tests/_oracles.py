@@ -205,7 +205,7 @@ def kfold_cv(cloud, candidates, fit_candidate, assignments):
     predicts the held-out rows at their coordinates clipped to its domain.
     Returns (scores, fold_scores, failures) as wqisa.kfold_cv reports them:
     a candidate that fails scores inf and keeps its first message."""
-    from wqisa import WqisaError
+    from wqisa import WqisaError, evaluate
 
     holds = [hold for rep in assignments for hold in rep]
     totals = [0.0] * len(candidates)
@@ -220,7 +220,7 @@ def kfold_cv(cloud, candidates, fit_candidate, assignments):
                 continue
             try:
                 model = fit_candidate(train, cand)
-                pred = np.asarray(model(np.clip(cloud.x[hold], *model.space.domain)), dtype=float)
+                pred = np.asarray(evaluate(model, np.clip(cloud.x[hold], *model.space.domain)), dtype=float)
                 err = cloud.y[hold] - pred
                 if not np.all(np.isfinite(err)):
                     raise WqisaError("non-finite held-out prediction")

@@ -57,6 +57,17 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(np.array([0.0, np.nan]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_nonfinite_row_is_named(self, bad):
+        x, y = np.zeros((6, 2)), np.zeros(6)
+        x[4, 1] = bad
+        with pytest.raises(ValueError, match=rf"^cloud contains non-finite values: "
+                                             rf"x \[0.0, {bad}\] at row 4$"):
+            PointCloud(x, y)
+        y[2] = bad  # an earlier row, in y
+        with pytest.raises(ValueError, match=rf"^cloud contains non-finite values: y {bad} at row 2$"):
+            PointCloud(x, y)
+
     @pytest.mark.parametrize("x", [np.empty((0, 2)), np.empty(0), np.zeros((2, 2, 1))])
     def test_empty_or_non_matrix_predictors_rejected(self, x):
         with pytest.raises(ValueError, match=r"nonempty \(N, d\) predictor"):
@@ -65,23 +76,24 @@ class TestPointCloud:
     def test_diameter_exact_small(self):
         c = PointCloud(np.array([[0.0], [3.0]]), np.array([0.0, 4.0]))
         assert c.diameter == 5.0
-        assert c.diameter_is_exact
+        # the farthest pair, 4 apart, not the bounding box's diagonal of 5
+        assert PointCloud(np.array([0.0, 4.0, 2.0]), np.array([0.0, 0.0, 3.0])).diameter == 4.0
 
     def test_diameter_bbox_fallback(self):
         rng = np.random.default_rng(0)
         c = PointCloud(rng.uniform(0, 1, (5001, 1)), rng.uniform(0, 1, 5001))
-        assert not c.diameter_is_exact
-        assert c.diameter > 0
+        span = c.records.max(axis=0) - c.records.min(axis=0)
+        assert c.diameter == float(np.sqrt((span**2).sum()))
 
     def test_diameter_of_huge_records_is_finite(self):
         # squared gaps past ~1.3e154 overflow to inf unless the records are scaled
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             exact = PointCloud(np.array([0.0, 3e155, -3e155]), np.zeros(3))
-            assert exact.diameter_is_exact and exact.diameter == 6e155
+            assert exact.diameter == 6e155
             x = np.linspace(-3e155, 3e155, 5001)
             bbox = PointCloud(x, np.zeros(5001))
-            assert not bbox.diameter_is_exact and bbox.diameter == 6e155
+            assert bbox.diameter == 6e155
             # below 2^500 the bits are those of the unscaled formula
             small = PointCloud(x * 1e-150, np.zeros(5001))
             span = small.records.max(axis=0) - small.records.min(axis=0)

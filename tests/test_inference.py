@@ -859,7 +859,7 @@ class TestCrossValidation:
             mask[hold] = False
             model = fit(cloud.subset(np.flatnonzero(mask)), self.space_n(5), self.knn8,
                         self.nearest)
-            err = cloud.y[hold] - model(cloud.x[hold])
+            err = cloud.y[hold] - evaluate(model, cloud.x[hold])
             total += float(np.dot(err, err))
         assert res.scores[0] == pytest.approx(total / 24, abs=1e-15)
 
@@ -874,7 +874,7 @@ class TestCrossValidation:
                 mask[hold] = False
                 model = fit(cloud.subset(np.flatnonzero(mask)), self.space_n([5, 6][ci]),
                             self.knn8, self.nearest)
-                err = cloud.y[hold] - model(cloud.x[hold])
+                err = cloud.y[hold] - evaluate(model, cloud.x[hold])
                 assert res.fold_scores[ci, fi] == pytest.approx(
                     float(np.mean(err**2)), abs=1e-15)
 

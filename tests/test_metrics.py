@@ -198,6 +198,20 @@ class TestJaccard:
         with pytest.raises(ValueError):
             snap_points([[0.0]], cell=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_point_rejected_by_its_row(self, bad, side):
+        # a NaN row once made the default cell 1.0 and scored these sets 0.8;
+        # an infinite one was blamed on the cell
+        rng = np.random.default_rng(7)
+        sets = [rng.uniform(0, 1, (200, 2)), rng.uniform(0, 1, (200, 2))]
+        assert jaccard(*sets) == 0.0
+        sets[side][17, 1] = bad
+        with pytest.raises(ValueError, match=r"not NaN or inf, got .* at row 17$"):
+            jaccard(*sets)
+        with pytest.raises(ValueError, match=r"not NaN or inf, got .* at row 17$"):
+            snap_points(sets[side], cell=1.0)
+
     @pytest.mark.parametrize("cell", [np.nan, np.inf, 0.0, -1.0])
     def test_cell_must_be_finite_and_positive(self, cell):
         # a NaN or infinite cell once snapped two unrelated sets onto one

@@ -450,9 +450,3 @@ class TestTensorSplineSpace:
 def test_malformed_input_is_named(call, match):
     with pytest.raises(ValueError, match=match):
         call()
-
-
-def test_calling_a_spline_evaluates_it():
-    f = SplineFunction(TensorSplineSpace((make_uniform_regular(0, 1, 5, 2),)), np.arange(5.0))
-    u = np.linspace(0, 1, 7)
-    assert np.array_equal(f(u), spline_eval(f, u)) and f(0.3) == spline_eval(f, 0.3)
