@@ -396,7 +396,7 @@ def cmd_metrics(cfg: FitConfig, args) -> dict:
             band = {"band_coverage": coverage(cloud.y, lo, hi), "covariance": source}
         report["error_report"] = _error_report(cloud, pred, cfg.normalize)
         grid = _eval_grid(model.space, cfg.grid_density)
-        second = np.hstack([grid, np.asarray(evaluate(model, grid)).reshape(-1, 1)])
+        second = np.column_stack([grid, evaluate(model, grid)])
     elif args.data2:
         cloud = _load_data(cfg, "metrics")
         other = load_cloud(args.data2)

@@ -360,7 +360,7 @@ def fit(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
 
 
 def evaluate(model: WqisaModel, u):
-    """Spline value(s) at u; accepts single points or (m, d) batches."""
+    """Spline values at an (m, d) batch u, as spline_eval takes it."""
     return spline_eval(model.spline, u)
 
 

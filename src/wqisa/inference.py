@@ -19,7 +19,7 @@ from .errors import WqisaError
 from .fitting import (LOCAL_FAMILIES, FitPolicy, PointCloud, WqisaModel, _normalise,
                       _weighted_means, _working_points, evaluate, fit, gap_unit,
                       weight_blocks)
-from .splines import TensorSplineSpace, _combine, _normalize_points, _stream, _windows
+from .splines import TensorSplineSpace, _combine, _stream, _windows
 from .weights import WeightSpec
 
 # alpha's test and wording, FitConfig's too: z needs 1 - alpha/2 < 1 in floats
@@ -258,7 +258,8 @@ def spread(model: WqisaModel, covariance: CoefficientCovariance, u, alpha: float
     """(f, var, lo, hi) at u from one blocked pass of _windows (see _stream):
     the fit values, evaluate's bit for bit; their exact variances; and the
     standard-error band lo, hi = f -+ z * sd at confidence 1 - alpha, z the
-    1 - alpha/2 normal quantile (1.96 at 95 %). One point gives four floats.
+    1 - alpha/2 normal quantile (1.96 at 95 %). Four (m,) arrays for the
+    batch u, which _stream checks with query_block.
 
     The variance is sigma^2 * b^T G b over the window of active basis values
     b, with every entry of G read from the band through the fixed table of
@@ -278,7 +279,6 @@ def spread(model: WqisaModel, covariance: CoefficientCovariance, u, alpha: float
     if covariance.grid_shape != space.shape or band.shape[1] != len(half_band(space)):
         raise ValueError(f"covariance grid {covariance.grid_shape} with {band.shape[1]} band "
                          f"slots does not match space {space.shape} of degrees {space.degrees}")
-    pts, single = _normalize_points(space.d, u)
     lower, slot = _window_table(space)
     unit = gap_unit(covariance.sigma_eps)
 
@@ -295,8 +295,7 @@ def spread(model: WqisaModel, covariance: CoefficientCovariance, u, alpha: float
             var, sd = q * unit * unit, np.sqrt(q) * unit
         return f, var, f - z * sd, f + z * sd
 
-    out = _stream(space, pts, step, 4)
-    return tuple(float(v[0]) for v in out) if single else tuple(out)
+    return tuple(_stream(space, u, step, 4))
 
 
 def variance_at(model: WqisaModel, covariance: CoefficientCovariance, u):

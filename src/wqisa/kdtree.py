@@ -40,9 +40,10 @@ ties break by index. Results equal a brute-force scan exactly: k-nearest
 rows are ordered by (distance, index), with ties at the k-th distance
 broken by ascending index, and radius queries use the closed ball.
 
-Queries are (m, d) blocks of finite coordinates, one point per row:
-``knn`` returns (m, k) indices and ``radius_query`` CSR arrays (indptr,
-indices).
+The tree's points and its queries are blocks that pass query_block, the
+package's one check of a block of points: (m, d) finite coordinates, one
+point per row, or (m,) where d is 1. ``knn`` returns (m, k) indices and
+``radius_query`` CSR arrays (indptr, indices).
 """
 
 from __future__ import annotations
@@ -67,18 +68,21 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
-def query_block(u, d: int) -> np.ndarray:
-    """u as a float (m, d) block of query points, or a ValueError naming
-    what is wrong with it."""
+def query_block(u, d: int | None = None) -> np.ndarray:
+    """u as a float (m, d) block of finite points, or a ValueError naming
+    what is wrong with it: the package's one rule for a block of points.
+    A 1-D u is m points of one coordinate each, taken where d is 1 or None;
+    d None takes any width. An empty block passes."""
     q = np.asarray(u, dtype=float)
+    if q.ndim == 1 and d in (1, None):
+        q = q.reshape(-1, 1)
     if q.ndim != 2:
-        raise ValueError(f"queries must be an (m, d) block, got shape {q.shape}")
-    if q.shape[1] != d:
-        raise ValueError(f"query dimension {q.shape[1]} != tree dimension {d}")
-    finite = np.isfinite(q)
-    if not finite.all():
-        row = np.flatnonzero(~finite.all(axis=1))[0]
-        raise ValueError(f"query coordinates must be finite, not NaN or inf, "
+        raise ValueError(f"points must be an (m, d) block, got shape {q.shape}")
+    if d is not None and q.shape[1] != d:
+        raise ValueError(f"point dimension {q.shape[1]} != expected dimension {d}")
+    if not np.isfinite(q).all():  # the row only on failure
+        row = np.flatnonzero(~np.isfinite(q).all(axis=1))[0]
+        raise ValueError(f"point coordinates must be finite, not NaN or inf, "
                          f"got {q[row].tolist()} at row {row}")
     return q
 
@@ -116,14 +120,9 @@ class KdTree:
     """Balanced k-d tree; build O(N log N), immutable afterwards."""
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or len(pts) == 0:
+        pts = query_block(points)
+        if len(pts) == 0:
             raise ValueError("need a nonempty (N, d) point array")
-        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-        if len(bad):
-            raise ValueError(f"points must be finite, got {pts[bad[0]].tolist()} at row {bad[0]}")
         if pts.flags.writeable:  # a read-only array is shared, anything else copied
             pts = pts.copy()
             pts.setflags(write=False)

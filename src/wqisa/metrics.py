@@ -68,12 +68,10 @@ def dispersion(observed, predicted) -> ErrorReport:
 
 
 def _as_points(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
-    if a.ndim != 2 or len(a) == 0:
+    a = query_block(a)
+    if len(a) == 0:
         raise ValueError("need a nonempty (m, t) point array")
-    return query_block(a, a.shape[1])
+    return a
 
 
 def directed_hausdorff_normalized(a_points, b_points, ref: PointCloud) -> float:

@@ -17,6 +17,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import DomainError
+from .kdtree import query_block
 
 
 def _readonly(a, dtype=float):
@@ -111,11 +112,12 @@ def _find_spans(kv: KnotVector, x: np.ndarray) -> np.ndarray:
 
 
 def _check_in_domain(space: TensorSplineSpace, pts: np.ndarray) -> None:
-    for kv, x in zip(space.axes, pts.T):
+    for k, (kv, x) in enumerate(zip(space.axes, pts.T)):
         a, b = kv.domain
-        bad = ~((x >= a) & (x <= b))  # NaN too
-        if bad.any():
-            raise DomainError(f"point(s) {x[bad][:4]} outside domain [{a}, {b}]")
+        rows = np.flatnonzero((x < a) | (x > b))[:4]
+        if len(rows):
+            raise DomainError(f"axis {k}: point(s) {x[rows]} at rows {rows.tolist()} "
+                              f"outside domain [{a}, {b}]")
 
 
 def _basis_rows(kv: KnotVector, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +129,6 @@ def _basis_rows(kv: KnotVector, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     point, vectorized across points.
     """
     p, t = kv.degree, kv.knots
-    x = np.asarray(x, dtype=float)
     spans = _find_spans(kv, x)
     m = len(x)
     rows = np.zeros((m, p + 1))
@@ -236,24 +237,6 @@ class SplineFunction:
         object.__setattr__(self, "coefficients", c)
 
 
-def _normalize_points(d: int, u) -> tuple[np.ndarray, bool]:
-    """Coerce u to an (m, d) array; second value marks single-point input."""
-    arr = np.asarray(u, dtype=float)
-    if d == 1:
-        if arr.ndim == 0:
-            return arr.reshape(1, 1), True
-        if arr.ndim == 1:
-            return arr.reshape(-1, 1), False
-        if arr.ndim == 2 and arr.shape[1] == 1:
-            return arr, False
-    else:
-        if arr.ndim == 1 and arr.shape[0] == d:
-            return arr.reshape(1, d), True
-        if arr.ndim == 2 and arr.shape[1] == d:
-            return arr, False
-    raise ValueError(f"cannot interpret input of shape {arr.shape} as points in R^{d}")
-
-
 def _windows(space: TensorSplineSpace, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Active coefficients and their basis values at a batch of points.
 
@@ -280,10 +263,11 @@ def _windows(space: TensorSplineSpace, pts: np.ndarray) -> tuple[np.ndarray, np.
 EVAL_BLOCK = 8192
 
 
-def _stream(space: TensorSplineSpace, pts: np.ndarray, step, width: int = 1) -> np.ndarray:
+def _stream(space: TensorSplineSpace, u, step, width: int = 1) -> np.ndarray:
     """(width, m) array of step(*_windows(block)) over blocks of EVAL_BLOCK
-    points, once the whole batch is domain-checked: O(EVAL_BLOCK * F)
-    memory beyond the output, whatever m."""
+    points, once the whole batch u has passed query_block and the domain
+    check: O(EVAL_BLOCK * F) memory beyond the output, whatever m."""
+    pts = query_block(u, space.d)
     _check_in_domain(space, pts)
     out = np.empty((width, len(pts)))
     for start in range(0, len(pts), EVAL_BLOCK):
@@ -293,17 +277,15 @@ def _stream(space: TensorSplineSpace, pts: np.ndarray, step, width: int = 1) -> 
 
 
 def spline_eval(f: SplineFunction, u):
-    """Evaluate a spline at one point or a batch of points.
+    """Evaluate a spline at a batch of points, as an (m,) array.
 
-    Accepts a scalar (d == 1), a (d,) point, an (m,) batch when d == 1, or
-    an (m, d) batch. Each evaluation touches only the local block of
-    F = prod(p_k + 1) coefficients around the containing knot span, in
-    blocks of rows: O(EVAL_BLOCK * F) memory per call. Values are convex
-    combinations of coefficients, clipped to their range as in fit.
+    Accepts an (m, d) batch, or an (m,) batch when d == 1, as query_block
+    does; a single point is a batch of one. Each evaluation touches only
+    the local block of F = prod(p_k + 1) coefficients around the containing
+    knot span, in blocks of rows: O(EVAL_BLOCK * F) memory per call. Values
+    are convex combinations of coefficients, clipped to their range as in fit.
     """
-    pts, single = _normalize_points(f.space.d, u)
-    out = _stream(f.space, pts, partial(_combine, f.coefficients.reshape(-1)))[0]
-    return float(out[0]) if single else out
+    return _stream(f.space, u, partial(_combine, f.coefficients.reshape(-1)))[0]
 
 
 def _combine(c: np.ndarray, flat: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -219,7 +219,7 @@ def test_cloud_weights_checks_every_block(monkeypatch):
     with pytest.raises(ValueError, match="NaN"):
         estimate_control_point(cloud, WeightSpec.gaussian(0.3), np.nan)
     plane = TensorSplineSpace((make_uniform_regular(-2.0, 2.0, 6, 2),) * 2)
-    with pytest.raises(ValueError, match="query dimension 2 != tree dimension 1"):
+    with pytest.raises(ValueError, match="point dimension 2 != expected dimension 1"):
         fit(cloud, plane, WeightSpec.gaussian(0.3))
 
 
@@ -384,7 +384,7 @@ class TestMaxFloatResponses:
             # the fit of true values y at 0.4 lies between the responses
             # feeding its knot-span cell [0.25, 0.5)
             lower, upper = local_bounds(model, cloud, (3,))
-            at = evaluate(model, 0.4)
+            at, = evaluate(model, [0.4])
             assert lower <= at <= upper
         if signs == "equal":
             assert np.all(c == self.BIG) and one == self.BIG and at == self.BIG
@@ -529,7 +529,7 @@ class TestEffectivePoints:
         model = fit(cloud, space, WeightSpec.knn(1), drop)
         assert np.array_equal(support_rows(model, cloud), [1, 3, 5])
         assert model.effective_count == 3
-        assert evaluate(model, 0.0) == 0.0  # the fit of the true values
+        assert evaluate(model, [0.0]).tolist() == [0.0]  # the fit of the true values
         # empty balls fall back to the nearest kept row, stored as a cloud row
         sparse = PointCloud(np.array([-5.0, 0.1, 0.9, 7.0]), np.zeros(4))
         model = fit(sparse, space, WeightSpec.characteristic(0.05),

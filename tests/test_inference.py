@@ -394,7 +394,7 @@ class TestVarianceLaw:
             (flat,), (b,) = _windows(space, np.array([[u]]))
             assert np.array_equal(flat, np.arange(flat[0], flat[0] + 4))  # degree 3
             expect = float(b @ cov.matrix[np.ix_(flat, flat)] @ b)
-            assert variance_at(model, cov, u) == pytest.approx(expect, abs=1e-15)
+            assert variance_at(model, cov, [u])[0] == pytest.approx(expect, abs=1e-15)
 
     def test_sparse_variance_past_old_dense_limit(self):
         # 4160 coefficients: a dense V would take dim * N * 8 = 13 MB and
@@ -448,7 +448,7 @@ class TestVarianceLaw:
         probes[:4] = [[0, 0], [1, 1], [0, 1], [0.5, 0.5]]
         var = variance_at(model, cov, probes)
         assert np.allclose(var, self.quadratic_forms(space, cov, probes), rtol=0, atol=1e-15)
-        one_by_one = [variance_at(model, cov, u) for u in probes]
+        one_by_one = [variance_at(model, cov, u[None])[0] for u in probes]
         assert np.allclose(var, one_by_one, rtol=0, atol=1e-15)
         shuffled = rng.permutation(len(probes))
         assert np.allclose(variance_at(model, cov, probes[shuffled]), var[shuffled],
@@ -507,12 +507,13 @@ class TestVarianceLaw:
         model = fit(cloud, space_1d(6), spec)
         cov = coefficient_covariance(cloud, space_1d(6), spec, NoiseModel(0.5))
         with pytest.raises(DomainError):
-            variance_at(model, cov, 1.5)
+            variance_at(model, cov, [1.5])
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_nan_point_rejected(self, d):
-        # NaN compares false with both domain ends, so it must be caught
-        # apart from them, not passed on as a NaN value or variance
+        # NaN compares false with both domain ends, so the point check
+        # catches it before them and names its row, not passing it on as a
+        # NaN value or variance
         rng = np.random.default_rng(8)
         cloud = PointCloud(rng.uniform(-1, 1, (60, d)), rng.standard_normal(60))
         space = TensorSplineSpace((space_1d(6).axes[0],) * d)
@@ -520,9 +521,10 @@ class TestVarianceLaw:
         model = fit(cloud, space, spec)
         cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.5))
         u = [0.5, np.nan] if d == 1 else [[0.5, 0.5], [0.5, np.nan]]
-        with pytest.raises(DomainError, match="nan"):
+        want = r"must be finite, not NaN or inf, got \[(0.5, )?nan\] at row 1$"
+        with pytest.raises(ValueError, match=want):
             evaluate(model, u)
-        with pytest.raises(DomainError, match="nan"):
+        with pytest.raises(ValueError, match=want):
             variance_at(model, cov, u)
 
     @pytest.mark.parametrize("d, spec", [(2, WeightSpec.knn(9)), (2, WeightSpec.gaussian(0.3)),
@@ -614,8 +616,8 @@ class TestSeBand:
         assert np.all(lo <= f) and np.all(f <= hi)
 
     def test_smaller_alpha_widens_band(self):
-        lo1, hi1 = se_band(self.model, self.cov, 0.3, alpha=0.05)
-        lo2, hi2 = se_band(self.model, self.cov, 0.3, alpha=0.01)
+        (lo1,), (hi1,) = se_band(self.model, self.cov, [0.3], alpha=0.05)
+        (lo2,), (hi2,) = se_band(self.model, self.cov, [0.3], alpha=0.01)
         assert hi2 - lo2 > hi1 - lo1
 
     def test_alpha_validation(self):
@@ -626,8 +628,8 @@ class TestSeBand:
     def test_smallest_alphas(self):
         # 2**-53 leaves 1 - alpha/2 = 1.0; 2**-52 leaves 1 - 2**-53, the largest float below 1
         with pytest.raises(ValueError, match="alpha must be in"):
-            spread(self.model, self.cov, 0.3, 2**-53)
-        f, var, lo, hi = spread(self.model, self.cov, 0.3, 2**-52)
+            spread(self.model, self.cov, [0.3], 2**-53)
+        (f,), (var,), (lo,), (hi,) = spread(self.model, self.cov, [0.3], 2**-52)
         z = normal_quantile(1 - 2**-53)
         assert (lo, hi) == (f - z * np.sqrt(var), f + z * np.sqrt(var))
 
@@ -660,10 +662,13 @@ class TestSpread:
         z, sd = normal_quantile(0.975), np.sqrt(var)
         assert [a.tobytes() for a in (lo, hi)] == [a.tobytes() for a in (f - z * sd, f + z * sd)]
         assert [a.tobytes() for a in se_band(model, cov, us)] == [lo.tobytes(), hi.tobytes()]
-        one = us[0] if d > 1 else float(us[0, 0])
-        got = spread(model, cov, one)
-        assert all(type(v) is float for v in got) and got == (f[0], var[0], lo[0], hi[0])
-        assert got[0] == evaluate(model, one) and got[2] < got[0] < got[3]
+        got = spread(model, cov, us[:1])  # a single point is a block of one
+        assert all(v.shape == (1,) for v in got)
+        assert [v[0] for v in got] == [f[0], var[0], lo[0], hi[0]]
+        assert got[0].tobytes() == evaluate(model, us[:1]).tobytes() and got[2] < got[0] < got[3]
+        single = us[0] if d > 1 else float(us[0, 0])  # a scalar or a (d,) point is no block
+        with pytest.raises(ValueError, match=r"^points must be an \(m, d\) block, got shape"):
+            spread(model, cov, single)
 
     @pytest.mark.parametrize("block", [40, None])  # None: EVAL_BLOCK itself
     @pytest.mark.parametrize("kind", ["knn", "gaussian"])
@@ -685,8 +690,7 @@ class TestSpread:
         edges = np.arange(0, len(us), block)
         rows = np.unique(np.r_[edges, edges - 1, np.arange(len(us) - 17, len(us)),
                                np.random.default_rng(0).integers(0, len(us), 40)])[1:]
-        singles = np.array([spread(model, cov, u if d > 1 else float(u[0]))
-                            for u in us[rows]]).T
+        singles = np.array([spread(model, cov, u[None]) for u in us[rows]])[..., 0].T
         assert whole[:, rows].tobytes() == singles.tobytes()
         assert evaluate(model, us).tobytes() == whole[0].tobytes()
         assert variance_at(model, cov, us).tobytes() == whole[1].tobytes()
@@ -694,16 +698,24 @@ class TestSpread:
     @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
     def test_a_bad_point_in_the_last_block_is_named_as_in_one_block(self, bad, monkeypatch):
         # the whole batch is checked before the first block: axis 0's bad
-        # points, the first four of them, even where axis 1's come sooner
+        # points, the first four of them and their rows, even where axis 1's
+        # come sooner; a NaN fails the point check first, which names its row
         model, cov = self.covariance("knn", 2)
         us = np.random.default_rng(2).uniform(0, 1, (3 * 40 + 17, 2))
         us[[3, 50], 1] = 7.0
         us[[125, 126, 129, 130, 135], 0] = bad
-        want = f"point(s) {us[[125, 126, 129, 130], 0]} outside domain [0.0, 1.0]"
+        if np.isnan(bad):
+            kind = ValueError
+            want = (f"point coordinates must be finite, not NaN or inf, "
+                    f"got {us[125].tolist()} at row 125")
+        else:
+            kind = DomainError
+            want = (f"axis 0: point(s) {us[[125, 126, 129, 130], 0]} "
+                    f"at rows [125, 126, 129, 130] outside domain [0.0, 1.0]")
         for block in (40, len(us)):
             monkeypatch.setattr(wqisa.splines, "EVAL_BLOCK", block)
             for call in (evaluate, lambda m, u: variance_at(m, cov, u)):
-                with pytest.raises(DomainError) as exc:
+                with pytest.raises(kind) as exc:
                     call(model, us)
                 assert str(exc.value) == want
 

@@ -289,7 +289,8 @@ class TestBuild:
     def test_non_finite_points_rejected(self, bad):
         pts = np.arange(10.0).reshape(5, 2)
         pts[3, 1] = bad
-        with pytest.raises(ValueError, match=rf"points must be finite, got \[6.0, {bad}\] at row 3"):
+        match = rf"point coordinates must be finite, not NaN or inf, got \[6.0, {bad}\] at row 3"
+        with pytest.raises(ValueError, match=match):
             KdTree(pts)
 
     def test_single_point(self):
@@ -304,7 +305,7 @@ class TestBuild:
 
     def test_query_dimension_checked(self):
         tree = KdTree(np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="query dimension 1 != tree dimension 2"):
+        with pytest.raises(ValueError, match="point dimension 1 != expected dimension 2"):
             tree.knn([[0.0]], 1)
 
     @pytest.mark.parametrize("u", [[0.0, 0.0], 0.0, [[[0.0, 0.0]]]])

@@ -170,9 +170,12 @@ class TestJaccard:
         pts = rng.uniform(-3, 3, (100, 2))
         assert jaccard(pts, pts.copy()) == 1.0
 
-    @pytest.mark.parametrize("bad", [np.empty((0, 2)), np.empty(0), np.zeros((2, 2, 2))])
-    def test_empty_or_non_matrix_point_sets_rejected(self, bad):
-        with pytest.raises(ValueError, match=r"nonempty \(m, t\) point array"):
+    @pytest.mark.parametrize("bad, match", [
+        (np.empty((0, 2)), r"nonempty \(m, t\) point array"),
+        (np.empty(0), r"nonempty \(m, t\) point array"),
+        (np.zeros((2, 2, 2)), r"\(m, d\) block, got shape \(2, 2, 2\)")])
+    def test_empty_or_non_matrix_point_sets_rejected(self, bad, match):
+        with pytest.raises(ValueError, match=match):
             jaccard(bad, np.zeros((1, 2)))
 
     def test_disjoint_sets_score_zero(self):

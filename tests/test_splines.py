@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from wqisa import (DomainError, KnotVector, SplineFunction, TensorSplineSpace,
                    insert_knot, knot_averages, make_uniform_regular, spline_eval)
 
-from wqisa.splines import EVAL_BLOCK, _combine, _normalize_points, _windows
+from wqisa.splines import EVAL_BLOCK, _combine, _windows
 
 from _oracles import dense_blend_insert, full_sum_eval, naive_bspline
 
@@ -209,7 +209,7 @@ class TestSplineEval:
                 pt = [float(rng.uniform(lo[k], hi[k])) for k in range(d)]
                 ref = full_sum_eval([kv.knots for kv in axes],
                                     [kv.degree for kv in axes], coeffs, pt)
-                assert spline_eval(f, np.array(pt)) == pytest.approx(ref, abs=1e-11)
+                assert spline_eval(f, np.array([pt]))[0] == pytest.approx(ref, abs=1e-11)
 
     def test_linear_reproduction(self):
         rng = np.random.default_rng(5)
@@ -231,17 +231,19 @@ class TestSplineEval:
     def test_scalar_and_batch_forms(self):
         kv = make_uniform_regular(0, 1, 4, 2)
         f = SplineFunction(TensorSplineSpace((kv,)), np.arange(4.0))
-        one = spline_eval(f, 0.3)
-        assert isinstance(one, float)
+        with pytest.raises(ValueError, match=r"\(m, d\) block, got shape \(\)"):
+            spline_eval(f, 0.3)
+        one = spline_eval(f, [[0.3]])  # a single point is a batch of one
+        assert one.shape == (1,)
         batch = spline_eval(f, np.array([0.3, 0.7]))
         assert batch.shape == (2,)
-        assert batch[0] == one
+        assert batch[0] == one[0]
 
     def test_out_of_domain(self):
         kv = make_uniform_regular(0, 1, 4, 2)
         f = SplineFunction(TensorSplineSpace((kv,)), np.arange(4.0))
         with pytest.raises(DomainError):
-            spline_eval(f, -0.01)
+            spline_eval(f, [-0.01])
 
     def test_continuity_at_interior_knots(self):
         # multiplicity m <= p keeps the spline continuous: one-sided limits agree
@@ -253,8 +255,7 @@ class TestSplineEval:
             kv = KnotVector(p, knots)
             f = SplineFunction(TensorSplineSpace((kv,)), rng.uniform(-1, 1, kv.n))
             eps = 1e-10
-            below = spline_eval(f, z - eps)
-            above = spline_eval(f, z + eps)
+            below, above = spline_eval(f, [z - eps, z + eps])
             assert abs(below - above) <= 1e-8
 
     def test_jump_at_full_multiplicity(self):
@@ -265,7 +266,8 @@ class TestSplineEval:
         coeffs = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         f = SplineFunction(TensorSplineSpace((kv,)), coeffs)
         eps = 1e-9
-        assert abs(spline_eval(f, 0.5 + eps) - spline_eval(f, 0.5 - eps)) > 0.9
+        above, below = spline_eval(f, [0.5 + eps, 0.5 - eps])
+        assert abs(above - below) > 0.9
 
     def test_max_float_coefficients_stay_finite(self):
         # partition-of-unity rounding pushes 452 of these sums past max float
@@ -445,7 +447,9 @@ class TestTensorSplineSpace:
     (lambda: KnotVector(2, np.array([0.0, 0.0, 1.0])), r"at least degree\+2 = 4 knots, got \(3,\)"),
     (lambda: make_uniform_regular(0, 1, 3, 0), "degree must be >= 1, got 0"),
     (lambda: TensorSplineSpace(()), "need at least one axis"),
-    (lambda: _normalize_points(1, np.zeros((3, 2))), r"shape \(3, 2\) as points in R\^1"),
+    (lambda: spline_eval(SplineFunction(TensorSplineSpace((make_uniform_regular(0, 1, 4, 2),)),
+                                        np.zeros(4)), np.zeros((3, 2))),
+     "point dimension 2 != expected dimension 1"),
 ], ids=["negative-degree", "few-knots", "degree-0", "no-axis", "2-d-block"])
 def test_malformed_input_is_named(call, match):
     with pytest.raises(ValueError, match=match):

@@ -277,7 +277,7 @@ class TestProperties:
     def test_anchor_dimension_checked(self, spec):
         # the unbounded families used to broadcast a 1-D anchor over a 2-D cloud
         cloud = cloud_of(np.random.default_rng(1).uniform(0, 1, (50, 2)))
-        with pytest.raises(ValueError, match="query dimension 1 != tree dimension 2"):
+        with pytest.raises(ValueError, match="point dimension 1 != expected dimension 2"):
             estimate_control_point(cloud, spec, [0.5])
         with pytest.raises(ValueError, match=r"\(m, d\) block, got shape \(2,\)"):
             cloud_weights(spec, [0.5, 0.5], cloud)
