@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, EmptySupportError
 from .kdtree import KdTree, squared_distances
-from .splines import SplineFunction, TensorSplineSpace, spline_eval
+from .splines import SplineFunction, TensorSplineSpace, _stream, spline_eval
 from .weights import WeightSpec, cloud_weights
 
 # clouds above this size fall back to the bounding-box diagonal diameter
@@ -87,7 +87,9 @@ class PointCloud:
                 self.x.max(axis=0) if (hi == 0).any() else hi)
 
     def within(self, lo, hi) -> bool:
-        """Whether every row lies in the box [lo, hi]."""
+        """Whether every row lies in the box [lo, hi], whose width must be the cloud's."""
+        if len(lo) != self.d or len(hi) != self.d:
+            raise ValueError(f"point dimension {len(lo)} != expected dimension {self.d}")
         return bool(np.all(self.bbox[0] >= lo) and np.all(self.bbox[1] <= hi))
 
     def clipped(self, lo, hi) -> np.ndarray:
@@ -223,14 +225,14 @@ class WeightBlock(NamedTuple):
 SITE_BLOCK = 128
 
 
-def _row_sums(a: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Sum of a over each CSR row. reduceat sees only the nonempty rows: it
-    would give an empty row the next entry, or fail past the end."""
+def _row_sums(a: np.ndarray, indptr: np.ndarray, op=np.add) -> np.ndarray:
+    """Sum (op's reduction) of a over each CSR row, 0 on an empty row. reduceat
+    sees only the nonempty rows: it would give an empty one the next entry."""
     if len(indptr) == 2 and len(a):  # one nonempty row, a spanning row's block
-        return np.add.reduceat(a, [0])
+        return op.reduceat(a, [0])
     live = indptr[:-1] < indptr[1:]
     sums = np.zeros(len(live))
-    sums[live] = np.add.reduceat(a, indptr[:-1][live])
+    sums[live] = op.reduceat(a, indptr[:-1][live])
     return sums
 
 
@@ -294,21 +296,21 @@ def weight_blocks(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpe
         raise EmptySupportError(starved)
 
 
-def estimate_control_point(cloud: PointCloud, weight: WeightSpec, u) -> float:
-    """Weighted mean of the responses under the weight window anchored at u.
+def estimate_control_point(cloud: PointCloud, weight: WeightSpec, u) -> np.ndarray:
+    """(m,) weighted means of the responses under the weight windows anchored
+    at an (m, d) block u, or (m,) when d == 1, from one cloud_weights call.
 
-    Reduced and clipped to [min y, max y] as in fit: at a knot average of a
-    space whose domain holds the cloud it is fit's coefficient, bit for bit.
-    Raises EmptySupportError when every weight vanishes (tiny characteristic
-    radii, or gaussian windows collapsing below the floating-point floor).
+    Each is reduced and clipped to [min y, max y] as in fit: at a knot
+    average of a space whose domain holds the cloud it is fit's coefficient,
+    bit for bit. Raises EmptySupportError naming every anchor whose weights
+    all vanish (tiny characteristic radii, or collapsing gaussian windows).
     """
-    anchor = np.asarray(u, dtype=float).reshape(1, -1)
-    indptr, cols, w = cloud_weights(weight, anchor, cloud)
-    if len(cols) == 0:
-        raise EmptySupportError([(None, anchor[0])])
+    indptr, cols, w = cloud_weights(weight, u, cloud)
+    empty = indptr[:-1] == indptr[1:]
+    if empty.any():  # u has passed query_block: m rows of the cloud's width
+        raise EmptySupportError([(None, a) for a in np.asarray(u, float).reshape(len(empty), -1)[empty]])
     _normalise(w, indptr)
-    mean = _weighted_means(cloud.y, indptr, cols, w, cloud)
-    return float(np.clip(mean, cloud.y.min(), cloud.y.max())[0])
+    return np.clip(_weighted_means(cloud.y, indptr, cols, w, cloud), cloud.y.min(), cloud.y.max())
 
 
 def _index_tuple(flat: int, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -384,26 +386,24 @@ def global_bounds(model: WqisaModel, cloud: PointCloud) -> GlobalBounds:
     return GlobalBounds(lo, hi, ok)
 
 
-def local_bounds(model: WqisaModel, cloud: PointCloud, cell) -> tuple[float, float]:
-    """Response extremes over the points feeding one knot-span cell.
+def local_bounds(model: WqisaModel, cloud: PointCloud, u) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), two (m,) arrays of the response extremes that trap the
+    spline at each point of an (m, d) block u, as spline_eval takes it.
 
-    cell names one knot span per axis (0-based span index s_k with
-    t[s_k] <= x < t[s_k+1], p_k <= s_k <= n_k-1). On that cell the spline
-    only sees the p_k+1 active coefficients per axis, so it is trapped by
-    the min/max response over the union of their weight supports.
+    In a point's knot-span cell the spline sees only the p_k+1 active
+    coefficients per axis, so it lies between the min and max response over
+    the union of their weight supports: the min of their support mins and
+    the max of their maxes, all taken in one weight_blocks pass.
     """
     space = model.space
-    cell = tuple(int(c) for c in cell)
-    if len(cell) != space.d:
-        raise ValueError(f"cell must have {space.d} span indices")
-    for k, (s, kv) in enumerate(zip(cell, space.axes)):
-        if not kv.degree <= s <= kv.n - 1:
-            raise IndexError(f"axis {k}: span {s} out of range [{kv.degree}, {kv.n - 1}]")
-    active = np.ix_(*[np.arange(s - kv.degree, s + 1) for s, kv in zip(cell, space.axes)])
-    flats = np.ravel_multi_index(active, space.shape).reshape(-1)
-    blocks = weight_blocks(cloud, space, model.weight, model.policy, flats)
-    vals = cloud.y[np.concatenate([block.cols for block in blocks])]
-    return float(vals.min()), float(vals.max())
+    lows, highs = np.empty(space.dim), np.empty(space.dim)
+    for block in weight_blocks(cloud, space, model.weight, model.policy):
+        y = cloud.y.take(block.cols)
+        lows[block.flats] = _row_sums(y, block.indptr, np.minimum)
+        highs[block.flats] = _row_sums(y, block.indptr, np.maximum)
+    lo, hi = _stream(space, u, lambda flat, _: (lows[flat].min(axis=1),
+                                                highs[flat].max(axis=1)), 2)
+    return lo, hi
 
 
 def _quartiles(values: np.ndarray) -> list[float]:

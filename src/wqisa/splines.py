@@ -30,25 +30,27 @@ def _readonly(a, dtype=float):
 class KnotVector:
     """A polynomial degree plus a nondecreasing global knot sequence.
 
-    The number of basis functions is n = len(knots) - degree - 1 and the
-    parametric domain is [knots[degree], knots[n]]. No knot value may occur
-    more than degree+1 times. Validity here is weaker than clampedness:
-    ``is_regular`` reports whether both domain endpoints carry full
-    multiplicity degree+1 and every basis function has nonempty support.
+    The degree is at least 1 and every knot finite; n = len(knots) - degree
+    - 1 basis functions span the domain [knots[degree], knots[n]], and no
+    knot value occurs more than degree+1 times. Validity here is weaker than
+    clampedness: ``is_regular`` reports whether both domain endpoints carry
+    full multiplicity degree+1 and every basis function has nonempty support.
     """
 
     degree: int
     knots: np.ndarray
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+        if self.degree < 1:  # knot averages, and so every fit, need degree >= 1
+            raise ValueError(f"degree must be >= 1, got {self.degree}")
         object.__setattr__(self, "knots", _readonly(self.knots))
         t = self.knots
         if t.ndim != 1 or len(t) < self.degree + 2:
             raise ValueError(
                 f"need at least degree+2 = {self.degree + 2} knots, got {t.shape}"
             )
+        if not np.isfinite(t).all():
+            raise ValueError(f"knots must be finite, got {t[~np.isfinite(t)].tolist()}")
         if np.any(np.diff(t) < 0):
             raise ValueError("knots must be nondecreasing")
         _, counts = np.unique(t, return_counts=True)
@@ -81,9 +83,6 @@ class KnotVector:
             return False
         return bool(np.all(t[: n] < t[p + 1:]))
 
-    def multiplicity(self, z: float) -> int:
-        return int(np.count_nonzero(self.knots == z))
-
 
 def make_uniform_regular(a: float, b: float, n: int, p: int) -> KnotVector:
     """Clamped knot vector on [a, b] with n basis functions of degree p.
@@ -91,8 +90,11 @@ def make_uniform_regular(a: float, b: float, n: int, p: int) -> KnotVector:
     Both endpoints get multiplicity p+1 and the n-p-1 interior knots are
     uniformly spaced.
     """
+    a, b = float(a), float(b)
     if not a < b:
         raise DomainError(f"need a < b, got a={a}, b={b}")
+    if not np.isfinite(b - a):  # also an infinite end: knots and spans must be finite
+        raise DomainError(f"[{a!r}, {b!r}] has width b - a = {b - a!r}, not a finite float")
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
     if n < p + 1:
@@ -101,7 +103,7 @@ def make_uniform_regular(a: float, b: float, n: int, p: int) -> KnotVector:
     if np.any(ends[1:] <= ends[:-1]):  # spans below the spacing of floats near a
         raise DomainError(f"[{a!r}, {b!r}] is too narrow for {n - p} distinct knot spans")
     interior = ends[1:-1]
-    knots = np.concatenate([np.full(p + 1, float(a)), interior, np.full(p + 1, float(b))])
+    knots = np.concatenate([np.full(p + 1, a), interior, np.full(p + 1, b)])
     return KnotVector(p, knots)
 
 
@@ -155,8 +157,6 @@ def knot_averages(kv: KnotVector) -> np.ndarray:
     the abscissae at which control-point estimators are anchored.
     """
     p, t = kv.degree, kv.knots
-    if p < 1:
-        raise ValueError("knot averages need degree >= 1")
     return np.lib.stride_tricks.sliding_window_view(t[1 : kv.n + p], p).mean(axis=1)
 
 
@@ -172,8 +172,6 @@ class TensorSplineSpace:
         if len(axes) < 1:
             raise ValueError("need at least one axis")
         for k, kv in enumerate(axes):
-            if kv.degree < 1:
-                raise ValueError(f"axis {k}: degree must be >= 1")
             if not kv.is_regular:
                 raise ValueError(f"axis {k}: knot vector is not regular")
             gaps = np.diff(kv.knots)
@@ -317,7 +315,7 @@ def insert_knot(f: SplineFunction, axis: int, z: float) -> SplineFunction:
     z = float(z)
     if not a < z < b:
         raise DomainError(f"knot {z} not strictly inside ({a}, {b})")
-    if kv.multiplicity(z) >= p + 1:
+    if np.count_nonzero(t == z) >= p + 1:
         raise ValueError(f"knot {z} already has multiplicity {p + 1}")
     span = int(np.searchsorted(t, z, side="right") - 1)
     new_knots = np.insert(t, span + 1, z)

@@ -117,6 +117,48 @@ def brute_radius(X, u, r):
     return np.flatnonzero(d2 <= r * r)
 
 
+def brute_local_bounds(X, y, axes, family, params, nearest, drop_outside, point):
+    """(min, max) of y over the union of the weight supports of the
+    coefficients active in the knot-span cell that holds point.
+
+    axes lists (knots, degree) per axis. The cloud is first aligned to the
+    domain box: rows outside it are dropped (drop_outside) or clipped onto
+    it. Coefficient (i_1..i_d) is anchored at its knot averages, the plain
+    means of t[i+1..i+p]. Its support is the k nearest rows by (d2, index)
+    for knn, the closed ball d2 <= r^2 for characteristic, else the rows of
+    positive weight; an empty one, when nearest is set, is the nearest row.
+    On each axis the cell is the last span [t[s], t[s+1]), p <= s <= n-1,
+    with t[s] <= the coordinate, and its active coefficients are s-p..s."""
+    X = np.asarray(X, dtype=float).reshape(len(y), -1)
+    y = np.asarray(y, dtype=float)
+    lo = np.array([t[p] for t, p in axes], dtype=float)
+    hi = np.array([t[len(t) - p - 1] for t, p in axes], dtype=float)
+    if drop_outside:
+        inside = np.array([all(a <= v <= b for v, a, b in zip(row, lo, hi)) for row in X], bool)
+        X, y = X[inside], y[inside]
+    else:
+        X = np.clip(X, lo, hi)
+    ranges = []
+    for (t, p), v in zip(axes, point):
+        s = max(i for i in range(p, len(t) - p - 1) if t[i] <= v)
+        ranges.append(range(s - p, s + 1))
+    union = set()
+    for index in itertools.product(*ranges):
+        u = np.array([np.asarray(t[i + 1:i + p + 1], dtype=float).mean()
+                      for i, (t, p) in zip(index, axes)])
+        if family == "knn":
+            rows = brute_knn(X, u, min(int(params["k"]), len(X)))
+        elif family == "characteristic":
+            rows = brute_radius(X, u, params["r"])
+        else:
+            rows = np.flatnonzero(brute_weight_vector(family, params, u, X) > 0.0)
+        if len(rows) == 0 and nearest:
+            rows = brute_knn(X, u, 1)
+        union.update(rows.tolist())
+    vals = [float(y[i]) for i in sorted(union)]
+    return min(vals), max(vals)
+
+
 def brute_covariance(family, params, sites, X, sigma):
     """Coefficient covariance by the direct shared-row double sum."""
     rows = [brute_weight_vector(family, params, u, X) for u in sites]

@@ -137,7 +137,7 @@ def test_criterion_03_local_bounds_hold_in_cells():
             box_hi = [space.axes[k].knots[cell[k] + 1] for k in range(d)]
             if any(bl == bh for bl, bh in zip(box_lo, box_hi)):
                 continue
-            b_lo, b_hi = local_bounds(model, cloud, cell)
+            (b_lo,), (b_hi,) = local_bounds(model, cloud, [box_lo])  # a point of the cell
             pts = rng.uniform(box_lo, box_hi, (30, d))
             vals = evaluate(model, pts)
             assert vals.min() >= b_lo - 1e-12 and vals.max() <= b_hi + 1e-12, (
@@ -169,7 +169,7 @@ def test_criterion_04_estimator_matches_brute_force():
             spec = WeightSpec.characteristic(max(dmin * 1.05, 1e-6))
         else:
             spec = random_weight(rng, cloud, family)
-        got = estimate_control_point(cloud, spec, u)
+        got, = estimate_control_point(cloud, spec, [u])
         want = brute_estimate(family, params_of[family](spec), u, x, y)
         assert want is not None
         assert abs(got - want) <= 1e-12, (

@@ -1,6 +1,7 @@
 """Fitter: estimator, bounds, effective points, outlier filter, shape checks."""
 
 import inspect
+import itertools
 import tracemalloc
 import warnings
 
@@ -14,12 +15,13 @@ from wqisa import (DomainError, EmptySupportError, FitPolicy, KdTree, KnotVector
                    classify_convexity, cloud_weights, coefficient_covariance,
                    classify_monotone, estimate_control_point,
                    evaluate, fit, global_bounds, iqr_outlier_filter,
-                   iqr_outlier_mask, local_bounds, make_uniform_regular)
+                   iqr_outlier_mask, kfold_cv, local_bounds, make_folds,
+                   make_uniform_regular)
 from wqisa import fitting, weights
 from wqisa.fitting import (ConvexityResult, _quartiles, _working_points, coefficient_slopes,
                            weight_blocks)
 
-from _oracles import brute_estimate, slope_loop
+from _oracles import brute_estimate, brute_local_bounds, slope_loop
 from test_kdtree import COORDS
 from test_weight_blocks import sites_of
 
@@ -147,7 +149,7 @@ class TestPointCloud:
 class TestEstimator:
     def test_knn_example(self):
         cloud = PointCloud(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 4.0]))
-        assert estimate_control_point(cloud, WeightSpec.knn(2), [0.0]) == 1.5
+        assert estimate_control_point(cloud, WeightSpec.knn(2), [0.0]).tolist() == [1.5]
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -171,9 +173,9 @@ class TestEstimator:
         ref = brute_estimate(family, params, u, x, y)
         if ref is None:
             with pytest.raises(EmptySupportError):
-                estimate_control_point(cloud, spec, u)
+                estimate_control_point(cloud, spec, [u])
         else:
-            got = estimate_control_point(cloud, spec, u)
+            got, = estimate_control_point(cloud, spec, [u])
             assert got == pytest.approx(ref, abs=1e-12)
             assert y.min() - 1e-12 <= got <= y.max() + 1e-12
 
@@ -182,21 +184,39 @@ class TestEstimator:
                                       WeightSpec.idw()], ids=lambda s: s.family)
     @pytest.mark.parametrize("d", [1, 2])
     def test_equals_the_fitted_coefficient_bit_for_bit(self, spec, d):
-        # the estimator reduces a window as fit reduces a coefficient's row
+        # the estimator reduces a window as fit reduces a coefficient's row,
+        # and a block of anchors as its one-row blocks
         rng = np.random.default_rng(17 + d)
         n = 600 * d * d
         x = rng.uniform(-1, 1, (n, d))
         cloud = PointCloud(x, np.sin(3 * x[:, 0]) * x[:, -1] + 0.3 * rng.standard_normal(n))
         space = TensorSplineSpace.from_bounds([-1] * d, [1] * d, [12 // d + 2] * d, 2)
         coeffs = fit(cloud, space, spec).spline.coefficients
-        for index, site in zip(np.ndindex(space.shape), sites_of(space)):
-            got = estimate_control_point(cloud, spec, site)
+        block = estimate_control_point(cloud, spec, sites_of(space))
+        assert block.shape == (space.dim,)
+        for index, got, site in zip(np.ndindex(space.shape), block, sites_of(space)):
             assert got == coeffs[index], (index, got - coeffs[index])
+            one, = estimate_control_point(cloud, spec, [site])
+            assert one.tobytes() == got.tobytes(), (index, one - got)
 
     def test_empty_support_names_site(self):
         cloud = PointCloud(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
         with pytest.raises(EmptySupportError, match="5.0"):
             estimate_control_point(cloud, WeightSpec.characteristic(0.1), [5.0])
+
+    def test_empty_support_names_every_starved_anchor(self):
+        cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+        anchors = [[0.0, 0.05], [5.0, 5.0], [1.0, 1.0], [7.0, -7.0]]
+        with pytest.raises(EmptySupportError) as err:
+            estimate_control_point(cloud, WeightSpec.characteristic(0.1), anchors)
+        assert [(cell, site.tolist()) for cell, site in err.value.cells] == [
+            (None, [5.0, 5.0]), (None, [7.0, -7.0])]
+        assert "2 coefficient(s): ? at (5.0, 5.0), ? at (7.0, -7.0)" in str(err.value)
+
+    def test_an_empty_block_gives_no_means(self):
+        cloud = sine_cloud(30)
+        for spec in (WeightSpec.knn(3), WeightSpec.characteristic(0.3), WeightSpec.idw()):
+            assert estimate_control_point(cloud, spec, np.empty((0, 1))).shape == (0,)
 
 
 @pytest.mark.parametrize("value", ["no", 0, None])
@@ -217,10 +237,33 @@ def test_cloud_weights_checks_every_block(monkeypatch):
     fit(cloud, space1d(n=12), WeightSpec.gaussian(0.3))
     assert calls == [1] * 12
     with pytest.raises(ValueError, match="NaN"):
-        estimate_control_point(cloud, WeightSpec.gaussian(0.3), np.nan)
+        estimate_control_point(cloud, WeightSpec.gaussian(0.3), [np.nan])
     plane = TensorSplineSpace((make_uniform_regular(-2.0, 2.0, 6, 2),) * 2)
     with pytest.raises(ValueError, match="point dimension 2 != expected dimension 1"):
         fit(cloud, plane, WeightSpec.gaussian(0.3))
+
+
+@pytest.mark.parametrize("d, width", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("half", [1.0, 0.5], ids=["cloud-in-box", "cloud-leaves-box"])
+def test_a_box_of_another_dimension_is_named(d, width, half):
+    # a 1-D cloud that left a 2-D box was clipped against both axes' bounds
+    # and broadcast into a 2-D working cloud: the fit succeeded silently
+    rng = np.random.default_rng(3)
+    cloud = PointCloud(rng.uniform(-1, 1, (200, d)), rng.standard_normal(200))
+    space = TensorSplineSpace.from_bounds([-half] * width, [half] * width, 5, 2)
+    message = f"point dimension {width} != expected dimension {d}"
+    for call in (lambda: fit(cloud, space, WeightSpec.knn(5)),
+                 lambda: fit(cloud, space, WeightSpec.knn(5), FitPolicy(drop_outside=True)),
+                 lambda: coefficient_covariance(cloud, space, WeightSpec.gaussian(0.3),
+                                                NoiseModel(0.2)),
+                 lambda: cloud.clipped(*space.domain)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    result = kfold_cv(cloud, [4, 5], lambda n: TensorSplineSpace.from_bounds(
+        [-half] * width, [half] * width, n, 2), WeightSpec.knn(5),
+        assignments=make_folds(cloud.n, 3, 0))
+    assert np.isinf(result.scores).all() and result.failures == {4: message, 5: message}
 
 
 class TestFit:
@@ -238,7 +281,7 @@ class TestFit:
         spec = WeightSpec.gaussian(0.4)
         model = fit(cloud, space, spec)
         for i, u in enumerate(space.knot_average_grids[0]):
-            c = estimate_control_point(cloud, spec, [u])
+            c, = estimate_control_point(cloud, spec, [u])
             assert model.spline.coefficients[i] == pytest.approx(c, abs=1e-14)
 
     def test_tensor_fit_shape(self):
@@ -299,7 +342,7 @@ class TestFit:
         space = space1d(n=8)
         model = fit(cloud, space, WeightSpec.knn(5))
         support_rows(model, cloud)
-        local_bounds(model, cloud, (4,))
+        local_bounds(model, cloud, [0.5])
         coefficient_covariance(cloud, space, model.weight, NoiseModel(0.2))
         assert built == [80]
         # unbounded families score every row and never index the cloud
@@ -324,7 +367,7 @@ class TestFit:
         policy = FitPolicy(drop_outside=drop_outside)
         model = fit(cloud, space, WeightSpec.knn(5), policy)
         support_rows(model, cloud)
-        local_bounds(model, cloud, (4,))
+        local_bounds(model, cloud, [0.5])
         coefficient_covariance(cloud, space, model.weight, NoiseModel(0.2), policy)
         assert built == [200 if drop_outside else 201]
 
@@ -379,11 +422,11 @@ class TestMaxFloatResponses:
             vals = evaluate(model, np.linspace(0, 1, 10_001))
             assert np.all(np.isfinite(vals))
             assert np.all((vals >= y.min()) & (vals <= y.max()))
-            one = estimate_control_point(cloud, spec, [0.5])
+            one, = estimate_control_point(cloud, spec, [0.5])
             assert y.min() <= one <= y.max()
             # the fit of true values y at 0.4 lies between the responses
             # feeding its knot-span cell [0.25, 0.5)
-            lower, upper = local_bounds(model, cloud, (3,))
+            (lower,), (upper,) = local_bounds(model, cloud, [0.4])
             at, = evaluate(model, [0.4])
             assert lower <= at <= upper
         if signs == "equal":
@@ -475,10 +518,13 @@ class TestBounds:
         space = space1d(lo=0, hi=2, n=3, p=1)  # averages at 0, 1, 2
         model = fit(cloud, space, WeightSpec.knn(1))
         # span 1 covers [0, 1): active coefficients 0,1 -> supports {0},{1}
-        lo, hi = local_bounds(model, cloud, (1,))
+        (lo,), (hi,) = local_bounds(model, cloud, [0.5])
         assert (lo, hi) == (-1.0, 5.0)
-        lo, hi = local_bounds(model, cloud, (2,))
+        (lo,), (hi,) = local_bounds(model, cloud, [1.5])
         assert (lo, hi) == (-1.0, 3.0)
+        # a block: every point in its own cell, the right end in the last
+        lo, hi = local_bounds(model, cloud, [0.0, 0.5, 1.0, 2.0])
+        assert lo.tolist() == [-1.0] * 4 and hi.tolist() == [5.0, 5.0, 3.0, 3.0]
 
     def test_local_bounds_contain_cell_samples(self):
         cloud = sine_cloud(140, seed=4)
@@ -489,18 +535,80 @@ class TestBounds:
             a, b = kv.knots[span], kv.knots[span + 1]
             if a == b:
                 continue
-            lo, hi = local_bounds(model, cloud, (span,))
             xs = np.linspace(a, b - 1e-9 * (b - a), 40)
+            lo, hi = local_bounds(model, cloud, xs)
             vals = evaluate(model, xs)
             assert np.all(vals >= lo - 1e-12) and np.all(vals <= hi + 1e-12)
 
-    def test_local_bounds_validates_cell(self):
+    def test_local_bounds_check_their_points(self):
+        # the block rule is query_block's (tests/test_point_contract.py); a
+        # point off the domain is named by axis and row, as spline_eval does
         cloud = sine_cloud(50)
         model = fit(cloud, space1d(n=6), WeightSpec.knn(4))
-        with pytest.raises(IndexError):
-            local_bounds(model, cloud, (0,))  # below first nonempty span
-        with pytest.raises(ValueError):
-            local_bounds(model, cloud, (2, 2))
+        with pytest.raises(DomainError, match=r"axis 0: point\(s\) \[2.5\] at rows \[1\]"):
+            local_bounds(model, cloud, [0.0, 2.5])
+        with pytest.raises(ValueError, match="point dimension 2 != expected dimension 1"):
+            local_bounds(model, cloud, [[2, 2]])
+        lo, hi = local_bounds(model, cloud, np.empty(0))
+        assert lo.shape == hi.shape == (0,)
+
+
+# weights with local and spanning supports: a gaussian of sigma 0.01 scores
+# rows beyond about 0.15 at 0, and a ball of radius 0.1 starves some sites
+LOCAL_BOUND_SPECS = [WeightSpec.knn(1), WeightSpec.knn(4), WeightSpec.knn(50),
+                     WeightSpec.characteristic(0.1), WeightSpec.characteristic(0.6),
+                     WeightSpec.gaussian(0.01), WeightSpec.gaussian(0.3),
+                     WeightSpec.exponential(0.01), WeightSpec.idw()]
+
+
+@st.composite
+def local_bound_fits(draw):
+    """(cloud, domain bounds, counts, degree, weight, policy): 1-D to 3-D
+    clouds on a quarter lattice or not, with duplicate rows, in a domain box
+    that may be narrower than the cloud."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    coord = st.integers(-4, 4).map(lambda v: v / 4) | st.floats(-1, 1)
+    x = np.array(draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n)))
+    if n >= 2 and draw(st.booleans()):
+        x[n // 2:] = x[:n - n // 2]  # every row of the second half repeats one of the first
+    y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    lo = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0]), min_size=d, max_size=d))
+    hi = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=d, max_size=d))
+    degree = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(degree + 1, degree + 3), min_size=d, max_size=d))
+    weight = draw(st.sampled_from(LOCAL_BOUND_SPECS))
+    policy = FitPolicy(draw(st.sampled_from(["error", "nearest"])), draw(st.booleans()))
+    return PointCloud(x, y), (lo, hi), counts, degree, weight, policy
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_bound_fits(), st.integers(0, 2**32 - 1))
+def test_local_bounds_equal_the_union_of_supports(case, seed):
+    # at a random point of every cell, and at the domain's far corner, the
+    # bounds are exactly the extremes over the union of the active
+    # coefficients' supports, each found by full scan
+    cloud, bounds, counts, degree, weight, policy = case
+    space = TensorSplineSpace.from_bounds(*bounds, counts, degree)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # k > N is clamped with a warning
+        try:
+            model = fit(cloud, space, weight, policy)
+        except WqisaError:  # a starved site under "error", or no row in the box
+            return
+        rng = np.random.default_rng(seed)
+        spans = [[(kv.knots[s], kv.knots[s + 1]) for s in range(kv.degree, kv.n)]
+                 for kv in space.axes]
+        pts = [[a + (b - a) * rng.random() for a, b in cell] for cell in itertools.product(*spans)]
+        pts = np.array(pts + [list(space.domain[1])])
+        lo, hi = local_bounds(model, cloud, pts)
+    params = {"k": weight.k, "r": weight.r, "sigma": weight.sigma,
+              "squared_norm": weight.gaussian_squared_norm}
+    axes = [(kv.knots, kv.degree) for kv in space.axes]
+    want = np.array([brute_local_bounds(cloud.x, cloud.y, axes, weight.family, params,
+                                        policy.empty_support == "nearest",
+                                        policy.drop_outside, p) for p in pts])
+    assert np.array_equal(lo, want[:, 0]) and np.array_equal(hi, want[:, 1]), (pts, lo, hi, want)
 
 
 class TestEffectivePoints:
@@ -669,7 +777,7 @@ class TestShapeChecks:
         # is the previous live one carried forward.
         rng = np.random.default_rng(15)
         for trial in range(400):
-            p = int(rng.integers(0, 4))
+            p = int(rng.integers(1, 4))  # a knot vector's degree is at least 1
             cuts = np.sort(rng.choice(np.linspace(0.1, 0.9, 9), int(rng.integers(0, 6)),
                                       replace=False))
             reps = rng.integers(1, p + 2, len(cuts))  # multiplicity up to p+1

@@ -667,6 +667,44 @@ class TestCliPipeline:
                           "--out", str(tmp_path / "box"))
         assert code == 0
 
+    @pytest.mark.parametrize("domain, message", [
+        ([-math.inf, 1.0], "axis 0: [-inf, 1.0] has width b - a = inf, not a finite float"),
+        ([-1e308, 1e308], "axis 0: [-1e+308, 1e+308] has width b - a = inf, not a finite float"),
+    ], ids=["infinite-end", "width-overflows"])
+    def test_a_domain_without_a_finite_width_is_named(self, tmp_path, capsys, domain, message):
+        # the first once warned in numpy and then failed on knot multiplicity,
+        # the second failed as "too narrow", printing np.float64(...)
+        cloud_path = tmp_path / "c.xyz"
+        run_cli(capsys, "gen", "--count", "60", "--out", str(cloud_path))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"domain": [domain]}))
+        code, payload = run_cli(capsys, "fit", "--config", str(cfg_path),
+                                "--data", str(cloud_path), "--out", str(tmp_path / "fit"))
+        assert code == 1 and payload["error"] == {"type": "DomainError", "message": message}
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("eval", ["--density", "4", "--out"]),
+        ("metrics", ["--out"]),
+        ("metrics", ["--sigma-eps", "0.3", "--out"]),
+    ], ids=["eval", "metrics", "metrics-with-sigma"])
+    def test_a_cloud_of_another_dimension_is_named(self, tmp_path, capsys, command, extra):
+        # a 1-D cloud was clipped against the 2-D model's box and broadcast
+        # into two columns, and eval then blamed the weighted means
+        plane, line = tmp_path / "plane.xyz", tmp_path / "line.xyz"
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1, 1, (300, 2))
+        plane.write_text("".join(f"{a!r} {b!r} {math.sin(3 * a) * b!r}\n" for a, b in x.tolist()))
+        run_cli(capsys, "gen", "--count", "200", "--out", str(line))
+        code, _ = run_cli(capsys, "fit", "--data", str(plane), "--n", "6", "--weight", "knn:k=5",
+                          "--out", str(tmp_path / "fit"))
+        assert code == 0
+        code, payload = run_cli(capsys, command, "--model", str(tmp_path / "fit" / "model.json"),
+                                "--data", str(line), *extra, str(tmp_path / "out"))
+        assert code == 1 and payload["error"] == {
+            "type": "ValueError", "message": "point dimension 2 != expected dimension 1"}
+        assert not (tmp_path / "out").exists()
+
     def test_cv_candidate_that_cannot_build_fails_alone(self, tmp_path, capsys):
         cloud_path = tmp_path / "c.xyz"
         run_cli(capsys, "gen", "--count", "90", "--seed", "2", "--out", str(cloud_path))
@@ -1210,6 +1248,21 @@ class TestModelFiles:
                                 str(cloud_path), "--sigma-eps", "0.3", "--out", str(grid))
         assert code == 1 and payload["error"]["type"] == "ParseError"
         assert not grid.exists()
+
+    def test_knots_that_are_not_finite_named_with_the_file(self, fitted, tmp_path, capsys):
+        # json reads -Infinity, and eval once failed on its grid's points,
+        # naming neither the file nor the knots
+        cloud_path, model_path, raw = fitted
+        raw["knots"][0][:3] = [-math.inf] * 3
+        model_path.write_text(json.dumps(raw))
+        assert "-Infinity" in model_path.read_text()
+        message = f"{model_path}: knots must be finite, got [-inf, -inf, -inf]"
+        with pytest.raises(ParseError) as exc:
+            _read_model(model_path)
+        assert str(exc.value) == message
+        code, payload = run_cli(capsys, "eval", "--model", str(model_path), "--data",
+                                str(cloud_path), "--out", str(tmp_path / "grid.csv"))
+        assert code == 1 and payload["error"] == {"type": "ParseError", "message": message}
 
     def test_non_finite_coefficient_rejected(self, fitted, tmp_path, capsys):
         cloud_path, model_path, raw = fitted

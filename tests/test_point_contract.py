@@ -2,9 +2,11 @@
 
 Every entry that takes points rejects the same bad block with the same
 ValueError, word for word, naming the row where one is at fault. The
-evaluators, the tree queries and cloud_weights take blocks of a fixed width
-(the space's, the tree's, the cloud's); the tree's own points and the metric
-sets take any width, and read a 1-D array as points of one coordinate.
+evaluators, local_bounds, the tree queries, cloud_weights and
+estimate_control_point take blocks of a fixed width (the space's, the
+tree's, the cloud's), and a single point is a block of one; the tree's own
+points and the metric sets take any width, and read a 1-D array as points of
+one coordinate.
 """
 
 import numpy as np
@@ -12,8 +14,8 @@ import pytest
 
 from wqisa import (KdTree, NoiseModel, PointCloud, TensorSplineSpace, WeightSpec,
                    cloud_weights, coefficient_covariance, directed_hausdorff_normalized,
-                   evaluate, fit, jaccard, se_band, snap_points, spline_eval, spread,
-                   variance_at)
+                   estimate_control_point, evaluate, fit, jaccard, local_bounds, se_band,
+                   snap_points, spline_eval, spread, variance_at)
 
 NOT_FINITE = "point coordinates must be finite, not NaN or inf, got "
 BAD = {
@@ -22,15 +24,18 @@ BAD = {
     "3-d-array": (np.full((2, 2, 2), 0.5), "points must be an (m, d) block, got shape (2, 2, 2)"),
     "scalar": (0.5, "points must be an (m, d) block, got shape ()"),
     "wrong-width": (np.full((2, 3), 0.5), "point dimension 3 != expected dimension 2"),
+    "column": ([[0.5], [0.25]], "point dimension 1 != expected dimension 2"),
     "single-point": ([0.5, 0.5], "points must be an (m, d) block, got shape (2,)"),
 }
-EVALUATORS = ["evaluate", "spline_eval", "spread", "variance_at", "se_band"]
-FIXED_WIDTH = EVALUATORS + ["KdTree.knn", "KdTree.radius_query", "cloud_weights"]
+FIXED_WIDTH = ["evaluate", "spline_eval", "spread", "variance_at", "se_band", "local_bounds",
+               "KdTree.knn", "KdTree.radius_query", "cloud_weights", "estimate_control_point"]
 ANY_WIDTH = ["KdTree", "directed_hausdorff_normalized", "directed_hausdorff_normalized[b]",
              "jaccard", "jaccard[b]", "snap_points"]
+# blocks that only a fixed width rejects: at any width a 1-D array is points
+# of one coordinate, and (2, 3) and (2, 1) are blocks of other widths
+WIDTH_CASES = ("single-point", "wrong-width", "column")
 CASES = [(entry, bad) for entry in FIXED_WIDTH + ANY_WIDTH for bad in BAD
-         if entry in EVALUATORS or bad != "single-point"
-         if entry in FIXED_WIDTH or bad != "wrong-width"]
+         if entry in FIXED_WIDTH or bad not in WIDTH_CASES]
 
 
 @pytest.fixture(scope="module")
@@ -48,10 +53,12 @@ def entries():
         "spread": lambda u: spread(model, cov, u),
         "variance_at": lambda u: variance_at(model, cov, u),
         "se_band": lambda u: se_band(model, cov, u),
+        "local_bounds": lambda u: local_bounds(model, cloud, u),
         "KdTree": KdTree,
         "KdTree.knn": lambda u: tree.knn(u, 1),
         "KdTree.radius_query": lambda u: tree.radius_query(u, 0.1),
         "cloud_weights": lambda u: cloud_weights(spec, u, cloud),
+        "estimate_control_point": lambda u: estimate_control_point(cloud, spec, u),
         "directed_hausdorff_normalized": lambda u: directed_hausdorff_normalized(u, good, cloud),
         "directed_hausdorff_normalized[b]": lambda u: directed_hausdorff_normalized(good, u, cloud),
         "jaccard": lambda u: jaccard(u, good),

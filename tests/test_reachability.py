@@ -25,7 +25,6 @@ UNREACHED = {
     "estimate_control_point": ACCEPTANCE,
     "local_bounds": ACCEPTANCE,
     "insert_knot": ACCEPTANCE,
-    "KnotVector.multiplicity": ACCEPTANCE + ", through insert_knot",
     "WeightSpec.characteristic": ACCEPTANCE,
     "WeightSpec.gaussian": ACCEPTANCE,
     "WeightSpec.exponential": ACCEPTANCE,

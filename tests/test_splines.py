@@ -53,6 +53,26 @@ class TestKnotVector:
         with pytest.raises(DomainError, match="too narrow"):
             make_uniform_regular(1e150, np.nextafter(1e150, 2e150), 6, 1)
 
+    @pytest.mark.parametrize("a, b", [(-np.inf, 1.0), (0.0, np.inf), (-1e308, 1e308),
+                                      (np.float64(-1e308), np.float64(1e308))])
+    def test_bounds_without_a_finite_width_rejected(self, a, b):
+        # the width, not just the ends: linspace over [-1e308, 1e308]
+        # overflows, and an infinite end once warned and made inf knots
+        with pytest.raises(DomainError) as exc:
+            make_uniform_regular(a, b, 8, 2)
+        assert str(exc.value) == (f"[{float(a)!r}, {float(b)!r}] has width b - a = inf, "
+                                  "not a finite float")
+
+    @pytest.mark.parametrize("knots, bad", [
+        ([-np.inf] * 3 + [0.5, 1.0, 1.0, 1.0], "[-inf, -inf, -inf]"),
+        ([0.0] * 3 + [np.nan, 1.0, 1.0, 1.0], "[nan]"),
+        ([0.0] * 3 + [0.5] + [np.inf] * 3, "[inf, inf, inf]"),
+    ])
+    def test_knots_must_be_finite(self, knots, bad):
+        with pytest.raises(ValueError) as exc:
+            KnotVector(2, knots)
+        assert str(exc.value) == f"knots must be finite, got {bad}"
+
     def test_too_few_functions(self):
         with pytest.raises(ValueError):
             make_uniform_regular(0, 1, 2, 2)
@@ -364,7 +384,7 @@ class TestInsertKnot:
             z = float(rng.choice(inner)) if len(inner) and rng.integers(2) else \
                 float(rng.uniform(a, b))
             for _ in range(kv.degree + 1):  # repeated insertion up to multiplicity p+1
-                if f.space.axes[axis].multiplicity(z) > kv.degree or not a < z < b:
+                if np.count_nonzero(f.space.axes[axis].knots == z) > kv.degree or not a < z < b:
                     break
                 g = insert_knot(f, axis, z)
                 knots, want = dense_blend_insert(f.space.axes[axis].knots, kv.degree,
@@ -443,14 +463,16 @@ class TestTensorSplineSpace:
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: KnotVector(-1, np.array([0.0, 1.0])), "degree must be >= 0, got -1"),
+    (lambda: KnotVector(-1, np.array([0.0, 1.0])), "degree must be >= 1, got -1"),
+    (lambda: KnotVector(0, np.array([0.0, 1.0])), "degree must be >= 1, got 0"),
     (lambda: KnotVector(2, np.array([0.0, 0.0, 1.0])), r"at least degree\+2 = 4 knots, got \(3,\)"),
     (lambda: make_uniform_regular(0, 1, 3, 0), "degree must be >= 1, got 0"),
     (lambda: TensorSplineSpace(()), "need at least one axis"),
     (lambda: spline_eval(SplineFunction(TensorSplineSpace((make_uniform_regular(0, 1, 4, 2),)),
                                         np.zeros(4)), np.zeros((3, 2))),
      "point dimension 2 != expected dimension 1"),
-], ids=["negative-degree", "few-knots", "degree-0", "no-axis", "2-d-block"])
+], ids=["negative-degree", "knot-vector-degree-0", "few-knots", "degree-0", "no-axis",
+         "2-d-block"])
 def test_malformed_input_is_named(call, match):
     with pytest.raises(ValueError, match=match):
         call()

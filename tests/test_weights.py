@@ -275,10 +275,11 @@ class TestProperties:
                                       WeightSpec.gaussian(0.3), WeightSpec.exponential(0.3),
                                       WeightSpec.idw()], ids=lambda s: s.family)
     def test_anchor_dimension_checked(self, spec):
-        # the unbounded families used to broadcast a 1-D anchor over a 2-D cloud
+        # the unbounded families used to broadcast a 1-D anchor over a 2-D
+        # cloud, and the estimator read a (2, 1) column as one 2-D anchor
         cloud = cloud_of(np.random.default_rng(1).uniform(0, 1, (50, 2)))
         with pytest.raises(ValueError, match="point dimension 1 != expected dimension 2"):
-            estimate_control_point(cloud, spec, [0.5])
+            estimate_control_point(cloud, spec, [[0.5], [0.25]])
         with pytest.raises(ValueError, match=r"\(m, d\) block, got shape \(2,\)"):
             cloud_weights(spec, [0.5, 0.5], cloud)
         with pytest.raises(ValueError, match="NaN"):
@@ -292,7 +293,7 @@ class TestProperties:
         # EmptySupportError and a ball returned an empty row
         cloud = cloud_of(np.random.default_rng(1).uniform(0, 1, (200, 2)))
         with pytest.raises(ValueError, match=r"finite, not NaN or inf, got \[inf, 0.0\] at row 0"):
-            estimate_control_point(cloud, spec, [np.inf, 0.0])
+            estimate_control_point(cloud, spec, [[np.inf, 0.0]])
         with pytest.raises(ValueError, match=r"got \[0.5, -inf\] at row 1"):
             cloud_weights(spec, [[0.5, 0.5], [0.5, -np.inf]], cloud)
 
