@@ -159,7 +159,8 @@ def _read_model(path):
     (dim, H) finite floats with a nonnegative diagonal, a sigma_eps not null
     or a finite number >= 0, an effective count, dropped row or fallback row
     not an integer >= 0, or a value the model types reject raises ParseError
-    naming the file. A format 1 file, without "format", has no band."""
+    naming the file, and the axis of a rejected knot vector. A format 1
+    file, without "format", has no band."""
     from .fitting import FitDiagnostics, WqisaModel
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -183,11 +184,17 @@ def _read_model(path):
         if len(bad):
             cell = tuple(int(i) for i in bad[0])
             raise ParseError(f"{path}: non-finite coefficient {coefficients[cell]} at {cell}")
-        axes = tuple(KnotVector(p, np.array(knots))
-                     for p, knots in zip(raw["degrees"], raw["knots"]))
-        space = TensorSplineSpace(axes)
-        sizes = np.array(raw["support_sizes"])  # one array: a ragged one raises
-        if sizes.dtype.kind not in "iu" or sizes.shape != space.shape or (sizes < 1).any():
+        axes = []
+        for k, (p, knots) in enumerate(zip(raw["degrees"], raw["knots"])):
+            try:
+                axes.append(KnotVector(p, np.array(knots)))
+            except (TypeError, ValueError) as exc:  # named by axis, as from_bounds does
+                raise ParseError(f"{path}: axis {k}: {exc}") from None
+        space = TensorSplineSpace(tuple(axes))
+        # as objects, a ragged list stays a list and true stays a bool, not a 1
+        sizes = np.array(raw["support_sizes"], dtype=object)
+        if (sizes.shape != space.shape or set(map(type, sizes.flat)) != {int}
+                or not 1 <= sizes.min() <= sizes.max() < 2**63):
             raise ParseError(f"{path}: support_sizes must be integers >= 1 in a {space.shape} grid")
         if type(count := raw["effective_count"]) is not int or count < 0:
             raise ParseError(f"{path}: effective_count must be an integer >= 0, got {count!r}")
@@ -199,7 +206,7 @@ def _read_model(path):
                 raise ParseError(f"{path}: fallback cell {cell!r} is not [grid index, row >= 0]")
         diag = FitDiagnostics(
             estimator_calls=space.dim,
-            support_sizes=sizes,
+            support_sizes=sizes.astype(np.int64),
             fallback_cells={tuple(k): v for k, v in cells},
         )
         model = WqisaModel(

@@ -36,6 +36,16 @@ def gap_unit(points) -> float:
     return math.ldexp(1.0, math.frexp(top)[1] - 1)
 
 
+def scaled_residuals(observed, predicted) -> tuple[np.ndarray, float]:
+    """(observed - predicted) / unit, and unit: the larger gap_unit of the
+    two arrays, by which each is divided before the difference, so no
+    residual overflows."""
+    unit = max(gap_unit(observed), gap_unit(predicted))
+    res = observed / unit
+    res -= predicted / unit
+    return res, unit
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """Immutable scattered data: predictors x (N, d) and responses y (N,)."""
@@ -435,8 +445,7 @@ def iqr_outlier_mask(cloud: PointCloud, space: TensorSplineSpace, weight: Weight
         raise ValueError(f"factor must be >= 0, got {factor}")
     pilot = fit(cloud, space, weight, policy)
     fitted = evaluate(pilot, cloud.clipped(*space.domain))
-    unit = max(gap_unit(cloud.y), gap_unit(fitted))
-    res = cloud.y / unit - fitted / unit
+    res, _ = scaled_residuals(cloud.y, fitted)
     q1, q3 = _quartiles(res)
     iqr = q3 - q1
     if iqr == 0.0:

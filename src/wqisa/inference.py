@@ -18,7 +18,7 @@ import numpy as np
 from .errors import WqisaError
 from .fitting import (LOCAL_FAMILIES, FitPolicy, PointCloud, WqisaModel, _normalise,
                       _weighted_means, _working_points, evaluate, fit, gap_unit,
-                      weight_blocks)
+                      scaled_residuals, weight_blocks)
 from .splines import TensorSplineSpace, _combine, _stream, _windows
 from .weights import WeightSpec
 
@@ -332,8 +332,7 @@ def estimate_noise_sigma(model: WqisaModel, cloud: PointCloud) -> NoiseModel:
     if cloud.n < 2:
         raise ValueError(f"estimating sigma_eps needs at least 2 points, got {cloud.n}")
     fitted = evaluate(model, cloud.clipped(*model.space.domain))
-    unit = max(gap_unit(cloud.y), gap_unit(fitted))
-    res = cloud.y / unit - fitted / unit
+    res, unit = scaled_residuals(cloud.y, fitted)
     return NoiseModel(float(np.std(res, ddof=1)) * unit, source="residual-estimate")
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .fitting import PointCloud, WqisaModel, gap_unit
+from .fitting import PointCloud, WqisaModel, gap_unit, scaled_residuals
 from .inference import CoefficientCovariance, spread
 from .kdtree import KdTree, query_block, squared_distances
 
@@ -48,9 +48,7 @@ def dispersion(observed, predicted) -> ErrorReport:
         raise ValueError(f"length mismatch: {len(obs)} observed vs {len(pred)} predicted")
     if len(obs) == 0:
         raise ValueError("need at least one value")
-    unit = max(gap_unit(obs), gap_unit(pred))
-    res = obs / unit
-    res -= pred / unit
+    res, unit = scaled_residuals(obs, pred)
     mse = float(np.mean(res**2))
     lo, hi = (len(res) - 1) // 2, len(res) // 2  # np.median's middle: it imports numpy.ma
     part = np.partition(res, (lo, hi, -1))  # a nan sorts last

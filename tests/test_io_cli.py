@@ -1138,6 +1138,10 @@ class TestModelFiles:
         *[("fallback_cells", v, r"fallback cell .* is not \[grid index, row >= 0\]")
           for v in ([[[0], "x"]], [[[8], 0]], [[[-1], 0]], [[[0, 0], 0]], [[[True], 0]],
                     [[[0], -1]], [[[0], False]], [[0]], [[[0], 0, 1]], "abc", 3)],
+        # a ragged list once failed in numpy's words, a true among ints read
+        # as 1, and 2**63 as a uint64
+        *[("support_sizes", v, r"support_sizes must be integers >= 1 in a \(8,\) grid")
+          for v in ([1] * 7 + [[1, 2]], [[1], [1, 2]], [True] + [3] * 7, [2**63] * 8)],
     ])
     def test_invalid_field_named_with_the_file(self, fitted, field, value, match):
         _, model_path, raw = fitted
@@ -1256,13 +1260,31 @@ class TestModelFiles:
         raw["knots"][0][:3] = [-math.inf] * 3
         model_path.write_text(json.dumps(raw))
         assert "-Infinity" in model_path.read_text()
-        message = f"{model_path}: knots must be finite, got [-inf, -inf, -inf]"
+        message = f"{model_path}: axis 0: knots must be finite, got [-inf, -inf, -inf]"
         with pytest.raises(ParseError) as exc:
             _read_model(model_path)
         assert str(exc.value) == message
         code, payload = run_cli(capsys, "eval", "--model", str(model_path), "--data",
                                 str(cloud_path), "--out", str(tmp_path / "grid.csv"))
         assert code == 1 and payload["error"] == {"type": "ParseError", "message": message}
+
+    @pytest.mark.parametrize("knots, message", [
+        ([-math.inf] * 3, "knots must be finite, got [-inf, -inf, -inf]"),
+        ([0.5] * 3, "knots must be nondecreasing"),
+    ])
+    def test_a_bad_knot_vector_of_a_2d_model_is_named_by_its_axis(self, tmp_path, capsys,
+                                                                   knots, message):
+        x = np.random.default_rng(1).uniform(-1, 1, (200, 2))
+        cloud_path, model_path = tmp_path / "plane.xyz", tmp_path / "model.json"
+        cloud_path.write_text("".join(f"{a!r} {b!r} {a * b!r}\n" for a, b in x.tolist()))
+        run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "5", "--weight", "knn:k=6",
+                "--out", str(tmp_path))
+        raw = json.loads(model_path.read_text())
+        raw["knots"][1][:3] = knots
+        model_path.write_text(json.dumps(raw))
+        with pytest.raises(ParseError) as exc:
+            _read_model(model_path)
+        assert str(exc.value) == f"{model_path}: axis 1: {message}"
 
     def test_non_finite_coefficient_rejected(self, fitted, tmp_path, capsys):
         cloud_path, model_path, raw = fitted
@@ -1504,15 +1526,32 @@ def test_all_lists_exactly_the_public_names():
     assert sorted(wqisa.__all__) == sorted(bound)
 
 
-def test_commands_never_import_scipy(tmp_path):
-    # the runtime needs numpy only, while the test environment has scipy,
-    # so an accidental import would pass every other test
+def child(*argv) -> subprocess.CompletedProcess:
+    """python argv..., run with this checkout's package first on its path."""
     src = os.path.dirname(os.path.dirname(wqisa.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_commands_never_import_scipy(tmp_path):
+    # the runtime needs numpy only, while the test environment has scipy,
+    # so an accidental import would pass every other test
     # the cloud is made here, since gen's OpenSSL would mask the other commands'
     save_cloud(gen_synthetic("sine", 300, 2).cloud, tmp_path / "c.xyz")
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = child("-c", NO_SCIPY, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "grid.csv").exists() and (tmp_path / "g.xyz").exists()
+
+
+def test_python_m_wqisa_cli_exits_with_the_commands_code(tmp_path):
+    # the module's __main__ block, and main(None), which parses sys.argv
+    ok = child("-m", "wqisa.cli", "gen", "--count", "20", "--out", str(tmp_path / "c.xyz"))
+    assert ok.returncode == 0 and json.loads(ok.stdout)["n"] == 20, ok.stderr
+    failed = child("-m", "wqisa.cli", "fit", "--n", "6")
+    assert failed.returncode == 1 and json.loads(failed.stdout) == {"error": {
+        "type": "ValueError", "message": "fit needs --data (or a config with a data path)"}}
+    usage = child("-m", "wqisa.cli", "eval", "--model", "model.json", "--weight", "knn:k=3")
+    assert usage.returncode == 2 and usage.stdout == ""
+    assert usage.stderr.endswith("wqisa: error: unrecognized arguments: --weight knn:k=3\n")
