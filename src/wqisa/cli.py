@@ -21,9 +21,9 @@ from .config import FitConfig
 from .errors import DomainError, ParseError
 from .fitting import (FitPolicy, PointCloud, classify_convexity, classify_monotone,
                       evaluate, gap_unit, global_bounds, iqr_outlier_mask)
-from .inference import (CoefficientCovariance, NoiseModel, coefficient_covariance,
-                        estimate_noise_sigma, fit_with_band, half_band, kfold_cv,
-                        make_folds, select_parsimonious, spread)
+from .inference import (CoefficientCovariance, NoiseModel, band_of_counts,
+                        coefficient_covariance, estimate_noise_sigma, fit_with_band,
+                        half_band, kfold_cv, make_folds, select_parsimonious, spread)
 from .io import gen_synthetic, load_cloud, save_cloud, write_rows
 from .metrics import coverage, directed_hausdorff_normalized, dispersion, jaccard
 from .splines import KnotVector, SplineFunction, TensorSplineSpace
@@ -103,7 +103,7 @@ def _report(cfg: FitConfig, model, cloud, timings: dict) -> dict:
     return report
 
 
-MODEL_FORMAT = 2
+MODEL_FORMAT = 3
 
 
 def _digest(path) -> str | None:
@@ -119,10 +119,10 @@ def _digest(path) -> str | None:
     return digest.hexdigest()
 
 
-def _save_model(model, path, sigma_eps, dropped_rows: list, band=None, data=None) -> None:
-    """model.json; a covariance band, when given, goes in as base64
-    little-endian float64 bytes next to the _digest of the data file it was
-    built from, when that file has one."""
+def _save_model(model, path, sigma_eps, dropped_rows: list, counts=None, data=None) -> None:
+    """model.json; a band's shared-row counts, when given, go in as base64 of
+    the narrowest little-endian unsigned type that holds the largest (uint8
+    for knn:k=10), next to the _digest of their data file, when it has one."""
     space = model.space
     payload = {
         "format": MODEL_FORMAT,
@@ -138,8 +138,9 @@ def _save_model(model, path, sigma_eps, dropped_rows: list, band=None, data=None
         "sigma_eps": sigma_eps,
         "dropped_rows": dropped_rows,
     }
-    if band is not None:
-        payload["band"] = base64.b64encode(band.astype("<f8").tobytes()).decode("ascii")
+    if counts is not None:
+        kind = f"<u{np.min_scalar_type(int(counts.max())).itemsize}"
+        payload["band"] = base64.b64encode(counts.astype(kind).tobytes()).decode("ascii")
         if digest := _digest(data):
             payload["data_blake2b"] = digest
     with open(path, "w", encoding="utf-8") as fh:
@@ -152,15 +153,10 @@ _MODEL_FIELDS = ("degrees", "knots", "coefficients", "weight", "policy",
 
 def _read_model(path):
     """Read a model.json written by fit: (model, sigma_eps, dropped rows,
-    covariance band or None, _digest of the fitted data file or None). A
-    missing field, an unknown format, non-integer degrees, a weight that is
-    not a string, a non-finite coefficient, support sizes not >= 1 in the
-    grid's shape, a fallback cell off the grid, a band that is not base64 of
-    (dim, H) finite floats with a nonnegative diagonal, a sigma_eps not null
-    or a finite number >= 0, an effective count, dropped row or fallback row
-    not an integer >= 0, or a value the model types reject raises ParseError
-    naming the file, and the axis of a rejected knot vector. A format 1
-    file, without "format", has no band."""
+    covariance band or None, _digest of the fitted data file or None). A field
+    that fails its check (README, "model.json") raises ParseError naming the
+    file, and the axis of a rejected knot vector or the row of rejected band
+    counts. Format 1 (no "format") has no band; format 2 reads as format 1."""
     from .fitting import FitDiagnostics, WqisaModel
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -169,7 +165,7 @@ def _read_model(path):
     for key in _MODEL_FIELDS:
         if key not in raw:
             raise ParseError(f"{path}: missing model field {key!r}")
-    if raw.get("format", 1) not in (1, MODEL_FORMAT):
+    if raw.get("format", 1) not in (1, 2, MODEL_FORMAT):
         raise ParseError(f"{path}: unknown model format {raw['format']!r}")
     try:
         if len(raw["degrees"]) != len(raw["knots"]):
@@ -218,6 +214,8 @@ def _read_model(path):
         )
         rows = raw.get("dropped_rows", [])
         dropped = np.array(rows, dtype=int)
+        band = (_read_band(path, raw["band"], space, diag.support_sizes)
+                if raw.get("format") == MODEL_FORMAT and "band" in raw else None)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(rows, list) or any(type(row) is not int or row < 0 for row in rows):
@@ -226,42 +224,32 @@ def _read_model(path):
     if sigma is not None and (type(sigma) not in (int, float)
                               or not 0 <= sigma <= sys.float_info.max):
         raise ParseError(f"{path}: sigma_eps must be null or a finite number >= 0, got {sigma!r}")
-    band = None if "band" not in raw else _read_band(path, raw["band"], space)
     return model, sigma, dropped, band, raw.get("data_blake2b")
 
 
-def _read_band(path, text, space) -> np.ndarray:
+def _read_band(path, text, space, sizes) -> np.ndarray:
+    """band_of_counts of _save_model's counts, typed by byte length: dim * H * {1, 2, 4, 8}."""
     try:
         raw = base64.b64decode(text, validate=True)
     except (TypeError, ValueError):  # binascii.Error is a ValueError
         raise ParseError(f"{path}: band is not valid base64") from None
     shape = (space.dim, len(half_band(space)))
-    if len(raw) != 8 * shape[0] * shape[1]:
-        raise ParseError(f"{path}: band holds {len(raw) / 8:g} floats, not {shape[0]} x "
-                         f"{shape[1]} for a {space.shape} grid of degrees {space.degrees}")
-    band = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
-    bad = np.flatnonzero(~np.isfinite(band).all(axis=1) | (band[:, 0] < 0.0))
-    if len(bad):
-        i = int(bad[0])
-        raise ParseError(f"{path}: band row {i} has a non-finite entry or a negative "
-                         f"diagonal: {band[i].tolist()}")
-    return band
+    size = len(raw) // (shape[0] * shape[1])
+    if size not in (1, 2, 4, 8) or len(raw) != size * shape[0] * shape[1]:
+        raise ParseError(f"{path}: band holds {len(raw)} bytes, not {shape[0]} x {shape[1]} "
+                         "counts of 1, 2, 4 or 8 bytes")
+    return band_of_counts(np.frombuffer(raw, f"<u{size}").reshape(shape), space, sizes)
 
 
 def _fitted(cfg: FitConfig, model_path, command: str):
     """(model, cloud, noise, covariance, "model" or "data") from a model file
-    and the --data rows.
-
-    sigma_eps is --sigma-eps, else the model's, else (eval) the
-    residual estimate from the rows the fit kept, else noise and covariance
-    are None. The covariance is the model's stored band when its data file
-    is --data unchanged (a regular file of the same _digest), or when no
-    --data is given and sigma_eps is known; the cloud is then read only when
-    sigma_eps must be estimated or metrics needs its rows, and is None
-    otherwise. Else it is built from the rows the fit kept, whose weighted
-    means must be the stored coefficients. A dropped row past the rows read
-    raises ParseError naming the model file.
-    """
+    and the --data rows. sigma_eps is --sigma-eps, else the model's, else
+    (eval) the residual estimate from the rows the fit kept, else noise and
+    covariance are None. The covariance is the stored band when --data is
+    the fitted file unchanged (a regular file of the same _digest), or absent
+    with sigma_eps known; the cloud is then read only if sigma_eps is to be
+    estimated or metrics needs its rows. Else it is built from the rows the
+    fit kept, whose weighted means must be the stored coefficients."""
     model, stored_sigma, dropped, band, digest = _read_model(model_path)
     sigma = cfg.sigma_eps if cfg.sigma_eps is not None else stored_sigma
     stored = band is not None and (digest is not None and _digest(cfg.data) == digest
@@ -311,8 +299,8 @@ def _outdir(cfg: FitConfig) -> str:
 
 
 def _fit_pipeline(cfg: FitConfig, cloud: PointCloud, timings: dict):
-    """(model, the rows it used, dropped rows, covariance band or None), the
-    band as fit_with_band gives it."""
+    """(model, the rows it used, dropped rows, band counts or None), the
+    counts as fit_with_band gives them."""
     weight = parse_weight(cfg.weight)
     policy = _policy(cfg)
     space = TensorSplineSpace.from_bounds(*_domain(cloud, cfg, n=cfg.n), cfg.n, cfg.degree)
@@ -325,10 +313,10 @@ def _fit_pipeline(cfg: FitConfig, cloud: PointCloud, timings: dict):
         cloud = cloud.subset(np.flatnonzero(keep))
         timings["outlier_filter_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    model, band = fit_with_band(cloud, space, weight, policy)
+    model, counts = fit_with_band(cloud, space, weight, policy)
     cloud.drop_index()  # the report and the model file need no neighbour query
     timings["fit_s"] = time.perf_counter() - t0
-    return model, cloud, dropped, band
+    return model, cloud, dropped, counts
 
 
 def cmd_gen(cfg: FitConfig, args) -> dict:
@@ -346,11 +334,11 @@ def cmd_fit(cfg: FitConfig, args) -> dict:
     t0 = time.perf_counter()
     cloud = _load_data(cfg, "fit")
     timings["load_s"] = time.perf_counter() - t0
-    model, used, dropped, band = _fit_pipeline(cfg, cloud, timings)
+    model, used, dropped, counts = _fit_pipeline(cfg, cloud, timings)
     report = _report(cfg, model, used, timings)
     report["timings"]["total_s"] = time.perf_counter() - t_all
     out = _outdir(cfg)
-    _save_model(model, os.path.join(out, "model.json"), cfg.sigma_eps, dropped, band, cfg.data)
+    _save_model(model, os.path.join(out, "model.json"), cfg.sigma_eps, dropped, counts, cfg.data)
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
     return report
@@ -499,13 +487,15 @@ def main(argv=None) -> int:
         cfg = FitConfig.load(args.config) if args.config else FitConfig()
         cfg = cfg.override(**{f.name: getattr(args, f.name, None)
                               for f in dataclasses.fields(FitConfig)})
-        result = _HANDLERS[args.command](cfg, args)
-        print(json.dumps(result, indent=1))
-        return 0
+        text, code = json.dumps(_HANDLERS[args.command](cfg, args), indent=1), 0
     except Exception as exc:  # surface every failure as machine-readable JSON
-        print(json.dumps({"error": {"type": type(exc).__name__,
-                                    "message": str(exc)}}))
-        return 1
+        text, code = json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}), 1
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left early; the command's files are written
+        with open(os.devnull, "wb") as null:  # where the exit flush then writes
+            os.dup2(null.fileno(), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -55,6 +55,33 @@ def half_band(space: TensorSplineSpace) -> np.ndarray:
     return every[len(every) // 2:]
 
 
+def _on_grid(space: TensorSplineSpace, sign: int) -> np.ndarray:
+    """(dim, H): whether coefficient i + sign * half_band(space)[s] is on the grid."""
+    offsets = half_band(space)
+    inside = np.ones((1, len(offsets)), dtype=bool)
+    for k, n in enumerate(space.shape):
+        moved = np.arange(n)[:, None] + sign * offsets[:, k]
+        inside = (inside[:, None] & ((moved >= 0) & (moved < n))).reshape(-1, len(offsets))
+    return inside
+
+
+def band_of_counts(counts: np.ndarray, space: TensorSplineSpace, sizes) -> np.ndarray:
+    """The half band G_ij = |S_i & S_j| / (|S_i| * |S_j|) of uniform rows from
+    its shared-row counts, divided once: the same bits whatever counted or kept
+    them. ValueError names the first row whose diagonal is not its support size
+    or whose count exceeds a size of its pair (0 past the grid, divided by 1)."""
+    diag, sizes = counts[:, 0], np.reshape(sizes, -1)
+    steps = half_band(space) @ _c_strides(space.shape)
+    pair = diag.take(np.arange(len(diag))[:, None] + steps, mode="clip") * _on_grid(space, 1)
+    bad = counts > np.minimum(diag[:, None], pair)
+    bad[:, 0] = diag != sizes
+    if bad.any():
+        i = int(np.argmax(bad)) // bad.shape[1]
+        raise ValueError(f"band row {i} is not shared-row counts of support size {sizes[i]} "
+                         f"and its pairs' (0 past the grid): {counts[i].tolist()}")
+    return counts / (diag[:, None].astype(float) * np.maximum(pair, 1))
+
+
 def _window_table(space: TensorSplineSpace) -> tuple[np.ndarray, np.ndarray]:
     """(lower, slot), both (F, F) for the F = prod(p_k + 1) window positions
     of _windows: the band entry of positions a and b is
@@ -109,45 +136,30 @@ class CoefficientCovariance:
 
 class _BandBuilder:
     """The half band of G = V V^T from V's rows, fed by fit one weight block
-    at a time in flat order, with the kernel chosen by the support observed.
-
-    Uniform rows (knn and ball: 1/|S_i| over their support S_i, or 1 at
-    the nearest row) enter both kernels as their support only, so each
-    kernel counts shared cloud rows, an integer exact in any order, and
-    result() divides once: G_ij = |S_i & S_j| / (|S_i| * |S_j|). The sizes
-    are the diagonal counts, the support_sizes fit reports, and the band's
-    bits are the same whichever kernel ran.
-
-    Uniform rows are kept as CSR entries and paired at the end, as in
-    Gustavson's sparse product: sorted by cloud row, each entry meets the
-    entries after it that share its cloud row, one distance at a time, and
-    only while their coefficients lie less than reach = 1 + sum_k p_k *
-    stride_k apart, the farthest a band offset goes. That is O(m * nnz(V))
-    time for m <= reach the most coefficients within reach sharing a cloud
-    row, and O(nnz(V) + dim * H) memory.
-
-    Once the rows seen so far project V past reach * N / 8 entries (pairing
-    takes about eight words an entry, a dense ring one a float), the rows
-    span enough of the cloud that a dense ring of the last reach rows is the
-    smaller store: the kept rows are replayed into it, and every later row
-    is dotted with its band partners in the ring as it arrives. That is
-    O(H * nnz(V) + dim * N) time and O(reach * N + dim * H) memory, never
-    dim * N floats. Weighted rows (gaussian, exponential, idw) span the
-    cloud, so they hold the ring from the first row on.
+    at a time in flat order, with the kernel chosen by the support observed
+    (README, "The covariance band"). Uniform rows (knn and ball: 1/|S_i| over
+    their support S_i, or 1 at the nearest row) enter both kernels as their
+    support only, so result() is the half band of shared-row counts
+    |S_i & S_j|, exact in any order and the same whichever kernel ran;
+    band_of_counts divides them. Weighted rows give G itself. Pairing keeps
+    uniform rows as CSR entries and pairs them at the end, as in Gustavson's
+    sparse product: sorted by cloud row, each entry meets the entries after
+    it on its cloud row while their coefficients lie less than reach = 1 +
+    sum_k p_k * stride_k apart. Once the rows seen so far project V past
+    reach * N / 8 entries, a dense ring of the last reach rows is the smaller
+    store: the kept rows are replayed into it, and every later row is dotted
+    with its band partners there. Weighted rows span the cloud, so they hold
+    the ring from the first row on. Neither kernel holds dim * N floats.
     """
 
     def __init__(self, space: TensorSplineSpace, n: int, uniform: bool):
         self.space, self.n, self.uniform = space, n, uniform
-        self.offsets = half_band(space)
-        self.steps = self.offsets @ _c_strides(space.shape)  # flat offset of each slot
+        self.steps = half_band(space) @ _c_strides(space.shape)  # flat offset of each slot
         self.reach = int(self.steps[-1]) + 1
-        self.band = np.zeros((space.dim, len(self.offsets)))
+        self.band = np.zeros((space.dim, len(self.steps)))
         self.blocks, self.sites, self.entries = [], 0, 0
         self.ring = None if uniform else np.zeros((self.reach, n))
-        self.inside = np.ones(self.band.shape, dtype=bool)  # j - offset s on the grid
-        for k, index in enumerate(np.unravel_index(np.arange(space.dim), space.shape)):
-            back = index[:, None] - self.offsets[:, k]
-            self.inside &= (back >= 0) & (back < space.shape[k])
+        self.inside = _on_grid(space, -1)
 
     def add(self, block) -> None:
         if self.ring is not None:
@@ -187,9 +199,6 @@ class _BandBuilder:
     def result(self) -> np.ndarray:
         if self.ring is None:
             self._pair()
-        if self.uniform:  # a partner past the grid counts 0, whatever size divides it
-            sizes = self.band[:, :1].copy()  # the diagonal counts |S_i|
-            self.band /= sizes * sizes.take(np.arange(len(sizes))[:, None] + self.steps, mode="clip")
         return self.band
 
     def _pair(self) -> None:
@@ -225,7 +234,7 @@ class _BandBuilder:
 
 def _banded_fit(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
                 policy: FitPolicy) -> tuple[WqisaModel, np.ndarray]:
-    """The fit and the half band of its V, from the fit's one pass over V."""
+    """The fit and _BandBuilder.result() of its V, from the fit's one pass over V."""
     builder = _BandBuilder(space, cloud.n, weight.family in LOCAL_FAMILIES)
     model = fit(cloud, space, weight, policy, _tap=builder.add)
     return model, builder.result()
@@ -233,11 +242,10 @@ def _banded_fit(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
 
 def fit_with_band(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
                   policy: FitPolicy = FitPolicy()) -> tuple[WqisaModel, np.ndarray | None]:
-    """(model, half band of V V^T or None): what a model file keeps. The
-    bounded families (knn, ball) get the band from the fit's own pass over
-    V, in O(min(nnz(V), reach * N) + dim * H) memory beyond the fit's (see
-    _BandBuilder); the families whose rows span the cloud (gaussian,
-    exponential, idw) get None, since their band costs more than their fit."""
+    """(model, half band of shared-row counts or None): what a model file keeps.
+    knn and ball get the counts from the fit's own pass over V, in O(min(nnz(V),
+    reach * N) + dim * H) memory beyond the fit's (see _BandBuilder); gaussian,
+    exponential and idw get None: their band costs more than their fit."""
     if weight.family not in LOCAL_FAMILIES:
         return fit(cloud, space, weight, policy), None
     return _banded_fit(cloud, space, weight, policy)
@@ -249,6 +257,8 @@ def coefficient_covariance(cloud: PointCloud, space: TensorSplineSpace,
     """Covariance structure of the estimator grid under i.i.d. noise: the
     band of V V^T, built in one pass over V with the fit that gives V y."""
     model, band = _banded_fit(cloud, space, weight, policy)
+    if weight.family in LOCAL_FAMILIES:
+        band = band_of_counts(band, space, model.diagnostics.support_sizes)
     return CoefficientCovariance(noise.sigma_eps, space, band,
                                  model.spline.coefficients.reshape(-1),
                                  (cloud, space, weight, policy))

@@ -16,7 +16,7 @@ from wqisa import (CoefficientCovariance, CvResult, DomainError, FitPolicy,
                    kfold_cv, make_folds, make_uniform_regular, normal_quantile,
                    se_band, select_parsimonious, spread, variance_at)
 from wqisa.fitting import LOCAL_FAMILIES, weight_blocks
-from wqisa.inference import _BandBuilder, fit_with_band
+from wqisa.inference import _BandBuilder, band_of_counts, fit_with_band
 from wqisa.splines import _windows
 
 from _oracles import brute_covariance, half_band, kfold_cv as oracle_cv, shared_row_band
@@ -127,8 +127,10 @@ class TestCovarianceBand:
     def both_kernels(cloud, space, spec, policy=FitPolicy()):
         """The band from each kernel of the builder, whichever one the
         observed support would pick. Uniform rows (knn, ball) give two: the
-        pairing of kept entries, and the dense ring from the first row on.
-        Weighted rows hold the ring from the start, so they give one."""
+        pairing of kept entries, and the dense ring from the first row on,
+        each a band of counts that band_of_counts divides by the fit's
+        support sizes. Weighted rows hold the ring from the start, so they
+        give one."""
         blocks = list(weight_blocks(cloud, space, spec, policy))
         uniform = spec.family in LOCAL_FAMILIES
         ringed = _BandBuilder(space, cloud.n, uniform)
@@ -139,7 +141,8 @@ class TestCovarianceBand:
             return (ringed.result(),)
         paired = _BandBuilder(space, cloud.n, uniform)
         paired.blocks = blocks
-        return paired.result(), ringed.result()
+        sizes = fit(cloud, space, spec, policy).diagnostics.support_sizes
+        return tuple(band_of_counts(b.result(), space, sizes) for b in (paired, ringed))
 
     @pytest.mark.parametrize("family, params, shape, degrees", [
         ("knn", {"k": 7}, (7,), (2,)),
@@ -232,15 +235,28 @@ class TestCovarianceBand:
         cloud, space, spec, policy = self.count_case(name)
         blocks = list(weight_blocks(cloud, space, spec, policy))
         ref = shared_row_band(blocks, space.shape, space.degrees)
-        model, band = fit_with_band(cloud, space, spec, policy)
+        model, counts = fit_with_band(cloud, space, spec, policy)
+        sizes = model.diagnostics.support_sizes
         cov = coefficient_covariance(cloud, space, spec, NoiseModel(0.5), policy)
-        for got in (band, cov.band, *self.both_kernels(cloud, space, spec, policy)):
+        for got in (band_of_counts(counts, space, sizes), cov.band,
+                    *self.both_kernels(cloud, space, spec, policy)):
             assert np.array_equal(got, ref)
-        assert np.array_equal(band[:, 0], 1.0 / model.diagnostics.support_sizes.reshape(-1))
+        assert np.array_equal(counts, np.round(counts)) and (counts >= 0).all()
+        assert np.array_equal(counts[:, 0], sizes.reshape(-1))
         if "nearest" in name:
             assert any(b.fallback.any() for b in blocks)
         if "clamped" in name:
             assert (model.diagnostics.support_sizes == cloud.n).all()
+
+    def test_a_count_past_an_axis_is_rejected(self):
+        # coefficient (0, 3) of a 5 x 4 grid with offset (0, 1) leaves axis 1,
+        # though the flat index 3 + 1 is on the grid: their count must be 0
+        cloud, space, spec, policy = self.count_case("knn-2")
+        model, counts = fit_with_band(cloud, space, spec, policy)
+        assert space.shape == (5, 4) and counts[3, 1] == 0 and counts[4, 0] == 7
+        counts[3, 1] = 1
+        with pytest.raises(ValueError, match=r"^band row 3 is not shared-row counts"):
+            band_of_counts(counts, space, model.diagnostics.support_sizes)
 
     def test_weighted_rows_hold_the_ring_from_the_first_block(self, monkeypatch):
         seen, add = [], _BandBuilder.add
@@ -359,7 +375,8 @@ class TestCovarianceBand:
         assert band_peak < fit_peak + 8 * (reach + 16) * n + 4 * band.nbytes
         assert band_s < 4 * fit_s + 0.25
         cov = coefficient_covariance(cloud, space, spec, NoiseModel(1.0))
-        assert np.array_equal(band, cov.band)
+        assert np.array_equal(band_of_counts(band, space, model.diagnostics.support_sizes),
+                              cov.band)
 
 
 class TestVarianceLaw:
@@ -647,7 +664,8 @@ class TestSpread:
         if kind == "gaussian":  # rebuilt from the cloud, as eval --data does
             return fit(cloud, space, spec), coefficient_covariance(cloud, space, spec,
                                                                    NoiseModel(0.3))
-        model, band = fit_with_band(cloud, space, spec)  # stored, as a model file keeps it
+        model, counts = fit_with_band(cloud, space, spec)  # stored, as a model file keeps it
+        band = band_of_counts(counts, space, model.diagnostics.support_sizes)
         return model, CoefficientCovariance(0.3, space, band)
 
     @pytest.mark.parametrize("kind", ["knn", "ball", "gaussian"])
@@ -723,8 +741,9 @@ class TestSpread:
         rng = np.random.default_rng(3)
         cloud = PointCloud(rng.uniform(0, 1, (2000, 2)), rng.standard_normal(2000))
         space = TensorSplineSpace.from_bounds([0, 0], [1, 1], [20, 20], [2, 2])
-        model, band = fit_with_band(cloud, space, WeightSpec.knn(9))
-        cov = CoefficientCovariance(0.3, space, band)
+        model, counts = fit_with_band(cloud, space, WeightSpec.knn(9))
+        cov = CoefficientCovariance(0.3, space, band_of_counts(counts, space,
+                                                               model.diagnostics.support_sizes))
         us = rng.uniform(0, 1, (200_000, 2))
         for call, outputs in ((evaluate, 1), (lambda m, u: spread(m, cov, u), 4)):
             tracemalloc.start()

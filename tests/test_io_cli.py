@@ -3,15 +3,18 @@
 import argparse
 import ast
 import base64
+import contextlib
 import dataclasses
 import gzip
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import types
@@ -27,6 +30,8 @@ from wqisa import (FitConfig, ParseError, PointCloud, TensorSplineSpace, WeightS
 import wqisa
 from wqisa import cli, kdtree, splines
 from wqisa.cli import _read_model, build_parser, main
+from wqisa.fitting import weight_blocks
+from wqisa.inference import _BandBuilder
 
 from _oracles import line_parse_cloud
 
@@ -892,7 +897,7 @@ class TestCliPipeline:
         run_cli(capsys, "fit", "--data", str(cloud_path), "--n", "8",
                 "--weight", "gaussian:sigma=0.3", "--sigma-eps", "0.3", "--out", str(tmp_path))
         raw = json.loads((tmp_path / "model.json").read_text())
-        assert raw["format"] == 2 and "band" not in raw and "data_blake2b" not in raw
+        assert raw["format"] == 3 and "band" not in raw and "data_blake2b" not in raw
         argv = ["eval", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path / "g.csv")]
         code, payload = run_cli(capsys, *argv)
         assert code == 1 and payload["error"]["message"] == (
@@ -1189,28 +1194,90 @@ class TestModelFiles:
     def test_stored_band_is_the_covariance_band(self, fitted):
         from wqisa import NoiseModel, coefficient_covariance
         cloud_path, model_path, raw = fitted
-        assert raw["format"] == 2
+        assert raw["format"] == 3
         assert raw["data_blake2b"] == hashlib.blake2b(cloud_path.read_bytes()).hexdigest()
-        model, _ = _read_model(model_path)[:2]
+        model, _, _, band, _ = _read_model(model_path)
         cov = coefficient_covariance(load_cloud(cloud_path), model.space, model.weight,
                                      NoiseModel(0.3), model.policy)
-        stored = np.frombuffer(base64.b64decode(raw["band"]), dtype="<f8")
-        assert same_bits(stored.reshape(cov.band.shape), cov.band)
+        assert same_bits(band, cov.band)
+        # knn:k=10 counts as one byte each: 10 on the diagonal
+        counts = np.frombuffer(base64.b64decode(raw["band"]), dtype="u1").reshape(band.shape)
+        assert np.array_equal(counts[:, 0], raw["support_sizes"]) and counts.max() == 10
+        sizes, dim = counts[:, 0].astype(float), len(counts)
+        for s in range(3):  # the partner i + s, none past the grid
+            want = counts[:dim - s, s] / (sizes[:dim - s] * sizes[s:])
+            assert same_bits(band[:dim - s, s], want) and not band[dim - s:, s].any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 3), nearest=st.booleans(), seed=st.integers(0, 2**16),
+           weight=st.sampled_from(["knn:k=10", "knn:k=300", "characteristic:r=0.3",
+                                   "characteristic:r=1.5", "characteristic:r=0.001"]))
+    def test_fit_stores_counts_that_read_back_as_the_covariance_band(self, d, nearest, seed,
+                                                                      weight):
+        # knn and ball in 1-D to 3-D, under both policies (a fallback row
+        # counts 1), counted by either kernel, in one or two bytes a count
+        from wqisa import NoiseModel, coefficient_covariance
+        policy = "nearest" if nearest or weight.endswith("0.001") else "error"
+        if weight.startswith("characteristic"):  # about as wide on every d
+            weight = f"characteristic:r={float(weight.split('=')[1]) * d!r}"
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            save_cloud(PointCloud(rng.uniform(-1, 1, (400, d)), rng.standard_normal(400)),
+                       f"{tmp}/c.xyz")
+            assert main(["fit", "--data", f"{tmp}/c.xyz", "--n", "9,4,3"[:2 * d - 1],
+                         "--degree", "2,1,1"[:2 * d - 1], "--weight", weight,
+                         "--policy", policy, "--out", tmp]) == 0
+            with open(f"{tmp}/model.json", encoding="utf-8") as fh:
+                stored = base64.b64decode(json.load(fh)["band"])
+            model, _, _, band, _ = _read_model(f"{tmp}/model.json")
+            cloud = load_cloud(f"{tmp}/c.xyz")
+        space, spec, fit_policy = model.space, model.weight, model.policy
+        cov = coefficient_covariance(cloud, space, spec, NoiseModel(1.0), fit_policy)
+        assert same_bits(band, cov.band)
+        size = len(stored) // band.size
+        counts = np.frombuffer(stored, dtype=f"<u{size}").reshape(band.shape)
+        assert size == np.min_scalar_type(int(counts.max())).itemsize
+        assert size == {"knn:k=10": 1, "knn:k=300": 2}.get(weight, size)
+        for cell in model.diagnostics.fallback_cells:
+            assert counts[np.ravel_multi_index(cell, space.shape), 0] == 1
+        blocks = list(weight_blocks(cloud, space, spec, fit_policy))
+        paired, ringed = (_BandBuilder(space, cloud.n, True) for _ in range(2))
+        paired.blocks, ringed.ring = blocks, np.zeros((ringed.reach, cloud.n))
+        for block in blocks:
+            ringed.add(block)
+        assert np.array_equal(paired.result(), counts) and np.array_equal(ringed.result(), counts)
 
     def test_format_1_file_evaluates_through_data(self, fitted, tmp_path, capsys):
         cloud_path, model_path, raw = fitted
         argv = ["eval", "--model", str(model_path), "--data", str(cloud_path),
                 "--sigma-eps", "0.3", "--out"]
-        code, ev = run_cli(capsys, *argv, str(tmp_path / "format2.csv"))
+        code, ev = run_cli(capsys, *argv, str(tmp_path / "format3.csv"))
         assert code == 0 and ev["covariance"] == "model"
         for key in ("format", "band", "data_blake2b"):
             del raw[key]
         model_path.write_text(json.dumps(raw))
         code, ev = run_cli(capsys, *argv, str(tmp_path / "format1.csv"))
         assert code == 0 and ev["covariance"] == "data"
-        assert (tmp_path / "format1.csv").read_bytes() == (tmp_path / "format2.csv").read_bytes()
+        assert (tmp_path / "format1.csv").read_bytes() == (tmp_path / "format3.csv").read_bytes()
         code, payload = run_cli(capsys, "eval", "--model", str(model_path), "--sigma-eps", "0.3",
                                 "--out", str(tmp_path / "none.csv"))
+        assert code == 1 and payload["error"]["message"].endswith(NO_BAND)
+
+    def test_format_2_file_evaluates_through_data(self, fitted, tmp_path, capsys):
+        # format 2 kept the band as base64 float64; such a file reads as
+        # format 1, its band unread, and rebuilds through --data
+        cloud_path, model_path, raw = fitted
+        argv = ["eval", "--model", str(model_path), "--sigma-eps", "0.3", "--out"]
+        code, ev = run_cli(capsys, *argv, str(tmp_path / "format3.csv"), "--data", str(cloud_path))
+        assert code == 0 and ev["covariance"] == "model"
+        band = _read_model(model_path)[3]
+        raw.update(format=2, band=base64.b64encode(band.astype("<f8").tobytes()).decode())
+        model_path.write_text(json.dumps(raw))
+        assert _read_model(model_path)[3] is None
+        code, ev = run_cli(capsys, *argv, str(tmp_path / "format2.csv"), "--data", str(cloud_path))
+        assert code == 0 and ev["covariance"] == "data"
+        assert (tmp_path / "format2.csv").read_bytes() == (tmp_path / "format3.csv").read_bytes()
+        code, payload = run_cli(capsys, *argv, str(tmp_path / "none.csv"))
         assert code == 1 and payload["error"]["message"].endswith(NO_BAND)
 
     def test_file_with_a_sha256_digest_evaluates_through_data(self, fitted, tmp_path, capsys):
@@ -1232,17 +1299,26 @@ class TestModelFiles:
         assert grids[0] == grids[1] == grids[2]
 
     @pytest.mark.parametrize("field, value, match", [
-        ("format", 3, "unknown model format 3"),
+        ("format", 4, "unknown model format 4"),
         ("band", "not base64!", "band is not valid base64"),
         ("band", 17, "band is not valid base64"),
-        ("band", base64.b64encode(np.zeros(5).tobytes()).decode(), "band holds 5 floats, not 8 x 3"),
-        ("band", base64.b64encode(np.full(24, -1.0).tobytes()).decode(), "negative diagonal"),
-        ("band", base64.b64encode(np.full(24, np.nan).tobytes()).decode(), "non-finite"),
-    ], ids=["format", "base64", "not-text", "shape", "negative", "nan"])
+        ("band", base64.b64encode(bytes(5)).decode(), "band holds 5 bytes, not 8 x 3 counts"),
+        ("band", base64.b64encode(bytes(72)).decode(), "band holds 72 bytes, not 8 x 3 counts"),
+        ("count", (2, 0, 9), "band row 2 is not shared-row counts of support size 10 "),
+        ("count", (3, 1, 11), r"band row 3 .*: \[10, 11, "),
+        ("count", (7, 1, 1), r"band row 7 .*: \[10, 1, 0\]"),
+    ], ids=["format", "base64", "not-text", "length", "no-count-type", "diagonal",
+            "above-size", "past-grid"])
     def test_bad_format_or_band_named_with_the_file(self, fitted, tmp_path, capsys,
                                                      field, value, match):
+        # the counts of knn:k=10 on 8 coefficients: 10 on each diagonal,
+        # none above the 10 of either coefficient, none past the grid
         cloud_path, model_path, raw = fitted
-        raw[field] = value
+        if field == "count":
+            counts = np.frombuffer(base64.b64decode(raw["band"]), dtype="u1").reshape(8, 3).copy()
+            counts[value[:2]] = value[2]
+            value = base64.b64encode(counts.tobytes()).decode()
+        raw["band" if field == "count" else field] = value
         model_path.write_text(json.dumps(raw))
         with pytest.raises(ParseError, match=match) as exc:
             _read_model(model_path)
@@ -1526,13 +1602,17 @@ def test_all_lists_exactly_the_public_names():
     assert sorted(wqisa.__all__) == sorted(bound)
 
 
+def child_env() -> dict:
+    """The environment with this checkout's package first on the path."""
+    src = os.path.dirname(os.path.dirname(wqisa.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def child(*argv) -> subprocess.CompletedProcess:
     """python argv..., run with this checkout's package first on its path."""
-    src = os.path.dirname(os.path.dirname(wqisa.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
-                          timeout=300)
+    return subprocess.run([sys.executable, *argv], env=child_env(), capture_output=True,
+                          text=True, timeout=300)
 
 
 def test_commands_never_import_scipy(tmp_path):
@@ -1555,3 +1635,21 @@ def test_python_m_wqisa_cli_exits_with_the_commands_code(tmp_path):
     usage = child("-m", "wqisa.cli", "eval", "--model", "model.json", "--weight", "knn:k=3")
     assert usage.returncode == 2 and usage.stdout == ""
     assert usage.stderr.endswith("wqisa: error: unrecognized arguments: --weight knn:k=3\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["fit", "--n", "20", "--weight", "knn:k=10"], 0),
+    (["fit", "--n", "2"], 1),
+], ids=["report", "error"])
+def test_a_reader_that_leaves_early_gets_no_traceback(tmp_path, argv, code):
+    # wqisa fit ... | head -2: the reader closes the pipe before the command
+    # prints, so the print fails; the command still ends quietly, its files
+    # written, with the code its work earned
+    save_cloud(gen_synthetic("sine", 2000, 2).cloud, tmp_path / "c.xyz")
+    proc = subprocess.Popen([sys.executable, "-m", "wqisa.cli", *argv, "--data",
+                             str(tmp_path / "c.xyz"), "--out", str(tmp_path)],
+                            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=300) == code and stderr == b""
+    assert [(tmp_path / name).exists() for name in ("model.json", "report.json")] == [not code] * 2
