@@ -19,8 +19,8 @@ import numpy as np
 
 from .config import FitConfig
 from .errors import DomainError, ParseError
-from .fitting import (FitPolicy, PointCloud, classify_convexity, classify_monotone,
-                      evaluate, gap_unit, global_bounds, iqr_outlier_mask)
+from .fitting import (LOCAL_FAMILIES, FitPolicy, PointCloud, classify_convexity, classify_monotone,
+                      evaluate, fit, gap_unit, global_bounds, iqr_outlier_mask)
 from .inference import (CoefficientCovariance, NoiseModel, band_of_counts,
                         coefficient_covariance, estimate_noise_sigma, fit_with_band,
                         half_band, kfold_cv, make_folds, select_parsimonious, spread)
@@ -147,8 +147,8 @@ def _save_model(model, path, sigma_eps, dropped_rows: list, counts=None, data=No
         fh.write(json.dumps(payload))  # the C encoder; json.dump streams through Python's
 
 
-_MODEL_FIELDS = ("degrees", "knots", "coefficients", "weight", "policy",
-                 "effective_count", "support_sizes", "fallback_cells")
+_MODEL_FIELDS = ("format", "degrees", "knots", "coefficients", "weight", "policy",
+                 "effective_count", "support_sizes", "fallback_cells", "sigma_eps", "dropped_rows")
 
 
 def _read_model(path):
@@ -156,30 +156,20 @@ def _read_model(path):
     covariance band or None, _digest of the fitted data file or None). A field
     that fails its check (README, "model.json") raises ParseError naming the
     file, and the axis of a rejected knot vector or the row of rejected band
-    counts. Format 1 (no "format") has no band; format 2 reads as format 1."""
+    counts. Only the format fit writes is read: an older file must be refit."""
     from .fitting import FitDiagnostics, WqisaModel
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: not a model object")
-    for key in _MODEL_FIELDS:
-        if key not in raw:
-            raise ParseError(f"{path}: missing model field {key!r}")
-    if raw.get("format", 1) not in (1, 2, MODEL_FORMAT):
+    if missing := [key for key in _MODEL_FIELDS if key not in raw]:
+        raise ParseError(f"{path}: missing model field {missing[0]!r}")
+    if raw["format"] != MODEL_FORMAT:
         raise ParseError(f"{path}: unknown model format {raw['format']!r}")
     try:
         if len(raw["degrees"]) != len(raw["knots"]):
             raise ParseError(f"{path}: {len(raw['degrees'])} degrees for "
                              f"{len(raw['knots'])} knot vectors")
-        if any(type(p) is not int for p in raw["degrees"]):
-            raise ParseError(f"{path}: degrees must be integers, got {raw['degrees']}")
-        if not isinstance(raw["weight"], str):
-            raise ParseError(f"{path}: weight must be a descriptor string, got {raw['weight']!r}")
-        coefficients = np.array(raw["coefficients"], dtype=float)
-        bad = np.argwhere(~np.isfinite(coefficients))
-        if len(bad):
-            cell = tuple(int(i) for i in bad[0])
-            raise ParseError(f"{path}: non-finite coefficient {coefficients[cell]} at {cell}")
         axes = []
         for k, (p, knots) in enumerate(zip(raw["degrees"], raw["knots"])):
             try:
@@ -206,23 +196,20 @@ def _read_model(path):
             fallback_cells={tuple(k): v for k, v in cells},
         )
         model = WqisaModel(
-            spline=SplineFunction(space, coefficients),
+            spline=SplineFunction(space, raw["coefficients"]),
             weight=parse_weight(raw["weight"]),
             policy=FitPolicy(**raw["policy"]),
             effective_count=count,
             diagnostics=diag,
         )
-        rows = raw.get("dropped_rows", [])
-        dropped = np.array(rows, dtype=int)
-        band = (_read_band(path, raw["band"], space, diag.support_sizes)
-                if raw.get("format") == MODEL_FORMAT and "band" in raw else None)
+        dropped = np.array(rows := raw["dropped_rows"], dtype=int)
+        band = _read_band(path, raw["band"], space, diag.support_sizes) if "band" in raw else None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(rows, list) or any(type(row) is not int or row < 0 for row in rows):
         raise ParseError(f"{path}: dropped_rows must be a flat list of integers >= 0")
-    sigma = raw.get("sigma_eps")
-    if sigma is not None and (type(sigma) not in (int, float)
-                              or not 0 <= sigma <= sys.float_info.max):
+    if (sigma := raw["sigma_eps"]) is not None and (type(sigma) not in (int, float)
+                                                    or not 0 <= sigma <= sys.float_info.max):
         raise ParseError(f"{path}: sigma_eps must be null or a finite number >= 0, got {sigma!r}")
     return model, sigma, dropped, band, raw.get("data_blake2b")
 
@@ -299,8 +286,9 @@ def _outdir(cfg: FitConfig) -> str:
 
 
 def _fit_pipeline(cfg: FitConfig, cloud: PointCloud, timings: dict):
-    """(model, the rows it used, dropped rows, band counts or None), the
-    counts as fit_with_band gives them."""
+    """(model, the rows it used, dropped rows, band counts or None): a model
+    file keeps the band of knn and ball as fit_with_band counts it, and none
+    of the other families, whose band costs more than their fit."""
     weight = parse_weight(cfg.weight)
     policy = _policy(cfg)
     space = TensorSplineSpace.from_bounds(*_domain(cloud, cfg, n=cfg.n), cfg.n, cfg.degree)
@@ -313,7 +301,10 @@ def _fit_pipeline(cfg: FitConfig, cloud: PointCloud, timings: dict):
         cloud = cloud.subset(np.flatnonzero(keep))
         timings["outlier_filter_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    model, counts = fit_with_band(cloud, space, weight, policy)
+    if weight.family in LOCAL_FAMILIES:
+        model, counts = fit_with_band(cloud, space, weight, policy)
+    else:
+        model, counts = fit(cloud, space, weight, policy), None
     cloud.drop_index()  # the report and the model file need no neighbour query
     timings["fit_s"] = time.perf_counter() - t0
     return model, cloud, dropped, counts

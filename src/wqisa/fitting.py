@@ -58,8 +58,8 @@ class PointCloud:
         if x.ndim == 1:
             x = x.reshape(-1, 1)
         y = np.array(self.y, dtype=float).reshape(-1)
-        if x.ndim != 2 or len(x) == 0:
-            raise ValueError("need a nonempty (N, d) predictor array")
+        if x.ndim != 2 or x.size == 0:
+            raise ValueError(f"need a nonempty (N, d) predictor array, got shape {x.shape}")
         if len(y) != len(x):
             raise ValueError(f"got {len(x)} predictors but {len(y)} responses")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):  # the row only on failure
@@ -98,8 +98,8 @@ class PointCloud:
 
     def within(self, lo, hi) -> bool:
         """Whether every row lies in the box [lo, hi], whose width must be the cloud's."""
-        if len(lo) != self.d or len(hi) != self.d:
-            raise ValueError(f"point dimension {len(lo)} != expected dimension {self.d}")
+        if wrong := [len(bound) for bound in (lo, hi) if len(bound) != self.d]:
+            raise ValueError(f"point dimension {wrong[0]} != expected dimension {self.d}")
         return bool(np.all(self.bbox[0] >= lo) and np.all(self.bbox[1] <= hi))
 
     def clipped(self, lo, hi) -> np.ndarray:

@@ -232,23 +232,15 @@ class _BandBuilder:
                 break
 
 
-def _banded_fit(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
-                policy: FitPolicy) -> tuple[WqisaModel, np.ndarray]:
-    """The fit and _BandBuilder.result() of its V, from the fit's one pass over V."""
+def fit_with_band(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
+                  policy: FitPolicy = FitPolicy()) -> tuple[WqisaModel, np.ndarray]:
+    """The fit and _BandBuilder.result() of its V, from the fit's one pass
+    over V: for knn and ball the half band of shared-row counts, in
+    O(min(nnz(V), reach * N) + dim * H) memory beyond the fit's; for the
+    other families the half band of G itself."""
     builder = _BandBuilder(space, cloud.n, weight.family in LOCAL_FAMILIES)
     model = fit(cloud, space, weight, policy, _tap=builder.add)
     return model, builder.result()
-
-
-def fit_with_band(cloud: PointCloud, space: TensorSplineSpace, weight: WeightSpec,
-                  policy: FitPolicy = FitPolicy()) -> tuple[WqisaModel, np.ndarray | None]:
-    """(model, half band of shared-row counts or None): what a model file keeps.
-    knn and ball get the counts from the fit's own pass over V, in O(min(nnz(V),
-    reach * N) + dim * H) memory beyond the fit's (see _BandBuilder); gaussian,
-    exponential and idw get None: their band costs more than their fit."""
-    if weight.family not in LOCAL_FAMILIES:
-        return fit(cloud, space, weight, policy), None
-    return _banded_fit(cloud, space, weight, policy)
 
 
 def coefficient_covariance(cloud: PointCloud, space: TensorSplineSpace,
@@ -256,7 +248,7 @@ def coefficient_covariance(cloud: PointCloud, space: TensorSplineSpace,
                            policy: FitPolicy = FitPolicy()) -> CoefficientCovariance:
     """Covariance structure of the estimator grid under i.i.d. noise: the
     band of V V^T, built in one pass over V with the fit that gives V y."""
-    model, band = _banded_fit(cloud, space, weight, policy)
+    model, band = fit_with_band(cloud, space, weight, policy)
     if weight.family in LOCAL_FAMILIES:
         band = band_of_counts(band, space, model.diagnostics.support_sizes)
     return CoefficientCovariance(noise.sigma_eps, space, band,

@@ -72,12 +72,14 @@ def query_block(u, d: int | None = None) -> np.ndarray:
     """u as a float (m, d) block of finite points, or a ValueError naming
     what is wrong with it: the package's one rule for a block of points.
     A 1-D u is m points of one coordinate each, taken where d is 1 or None;
-    d None takes any width. An empty block passes."""
+    d None takes any width but 0. A block of no rows passes."""
     q = np.asarray(u, dtype=float)
     if q.ndim == 1 and d in (1, None):
         q = q.reshape(-1, 1)
     if q.ndim != 2:
         raise ValueError(f"points must be an (m, d) block, got shape {q.shape}")
+    if q.shape[1] == 0:
+        raise ValueError(f"points must have at least one coordinate, got shape {q.shape}")
     if d is not None and q.shape[1] != d:
         raise ValueError(f"point dimension {q.shape[1]} != expected dimension {d}")
     if not np.isfinite(q).all():  # the row only on failure

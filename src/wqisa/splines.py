@@ -26,23 +26,32 @@ def _readonly(a, dtype=float):
     return out
 
 
+def _degree(p) -> int:
+    """p as an int, or a ValueError naming it: knot averages need an integer degree >= 1."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+        raise ValueError(f"degree must be an integer, got {p!r}")
+    if p < 1:
+        raise ValueError(f"degree must be >= 1, got {p}")
+    return int(p)
+
+
 @dataclass(frozen=True, eq=False)
 class KnotVector:
     """A polynomial degree plus a nondecreasing global knot sequence.
 
-    The degree is at least 1 and every knot finite; n = len(knots) - degree
-    - 1 basis functions span the domain [knots[degree], knots[n]], and no
-    knot value occurs more than degree+1 times. Validity here is weaker than
-    clampedness: ``is_regular`` reports whether both domain endpoints carry
-    full multiplicity degree+1 and every basis function has nonempty support.
+    The degree is an integer of at least 1 and every knot finite; n =
+    len(knots) - degree - 1 basis functions span the domain [knots[degree],
+    knots[n]], and no knot value occurs more than degree+1 times. Validity
+    here is weaker than clampedness: ``is_regular`` reports whether both
+    domain endpoints carry full multiplicity degree+1 and every basis
+    function has nonempty support.
     """
 
     degree: int
     knots: np.ndarray
 
     def __post_init__(self):
-        if self.degree < 1:  # knot averages, and so every fit, need degree >= 1
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
+        object.__setattr__(self, "degree", _degree(self.degree))
         object.__setattr__(self, "knots", _readonly(self.knots))
         t = self.knots
         if t.ndim != 1 or len(t) < self.degree + 2:
@@ -95,8 +104,7 @@ def make_uniform_regular(a: float, b: float, n: int, p: int) -> KnotVector:
         raise DomainError(f"need a < b, got a={a}, b={b}")
     if not np.isfinite(b - a):  # also an infinite end: knots and spans must be finite
         raise DomainError(f"[{a!r}, {b!r}] has width b - a = {b - a!r}, not a finite float")
-    if p < 1:
-        raise ValueError(f"degree must be >= 1, got {p}")
+    p = _degree(p)  # before p sizes any array
     if n < p + 1:
         raise ValueError(f"need n >= p+1 = {p + 1} basis functions, got {n}")
     ends = np.linspace(a, b, n - p + 1)
@@ -187,7 +195,7 @@ class TensorSplineSpace:
         axes = []
         for k in range(len(lo)):
             try:
-                axes.append(make_uniform_regular(lo[k], hi[k], int(n[k]), int(degrees[k])))
+                axes.append(make_uniform_regular(lo[k], hi[k], int(n[k]), degrees[k]))
             except (DomainError, ValueError) as exc:  # named by axis, as the space's checks are
                 raise type(exc)(f"axis {k}: {exc}") from None
         return cls(tuple(axes))
@@ -221,7 +229,7 @@ class TensorSplineSpace:
 
 @dataclass(frozen=True, eq=False)
 class SplineFunction:
-    """A tensor-product spline: a space plus its coefficient grid."""
+    """A tensor-product spline: a space plus its grid of finite coefficients."""
 
     space: TensorSplineSpace
     coefficients: np.ndarray
@@ -232,6 +240,9 @@ class SplineFunction:
             raise ValueError(
                 f"coefficient shape {c.shape} does not match space shape {self.space.shape}"
             )
+        if not np.isfinite(c).all():  # the cell only on failure
+            cell = tuple(int(i) for i in np.argwhere(~np.isfinite(c))[0])
+            raise ValueError(f"non-finite coefficient {c[cell]} at {cell}")
         object.__setattr__(self, "coefficients", c)
 
 

@@ -125,7 +125,9 @@ class WeightSpec:
 def parse_weight(text: str) -> WeightSpec:
     """Parse a compact descriptor like 'knn:k=9', 'gaussian:sigma=0.5' or
     'gaussian:sigma=0.5,squared_norm=1'. An unknown, repeated or malformed
-    parameter raises ValueError naming it."""
+    parameter raises ValueError naming it, as does a descriptor that is no str."""
+    if not isinstance(text, str):
+        raise ValueError(f"weight must be a descriptor string, got {text!r}")
     family, _, tail = text.strip().partition(":")
     family = family.strip()
     if family not in PARAMETERS:

@@ -70,9 +70,11 @@ class TestPointCloud:
         with pytest.raises(ValueError, match=rf"^cloud contains non-finite values: y {bad} at row 2$"):
             PointCloud(x, y)
 
-    @pytest.mark.parametrize("x", [np.empty((0, 2)), np.empty(0), np.zeros((2, 2, 1))])
+    # (5, 0): rows of no coordinates once failed at the first tree, in numpy's words
+    @pytest.mark.parametrize("x", [np.empty((0, 2)), np.empty(0), np.zeros((2, 2, 1)),
+                                   np.zeros((5, 0))])
     def test_empty_or_non_matrix_predictors_rejected(self, x):
-        with pytest.raises(ValueError, match=r"nonempty \(N, d\) predictor"):
+        with pytest.raises(ValueError, match=r"nonempty \(N, d\) predictor array, got shape \("):
             PointCloud(x, np.zeros(len(x)))
 
     def test_diameter_exact_small(self):
@@ -260,6 +262,12 @@ def test_a_box_of_another_dimension_is_named(d, width, half):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
+    # one bound of the cloud's width: the width of the other is named
+    for lo, hi in (([-1.0] * d, [1.0] * width), ([-1.0] * width, [1.0] * d)):
+        for call in (cloud.within, cloud.clipped):
+            with pytest.raises(ValueError) as exc:
+                call(lo, hi)
+            assert str(exc.value) == message
     result = kfold_cv(cloud, [4, 5], lambda n: TensorSplineSpace.from_bounds(
         [-half] * width, [half] * width, n, 2), WeightSpec.knn(5),
         assignments=make_folds(cloud.n, 3, 0))

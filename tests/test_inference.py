@@ -164,6 +164,11 @@ class TestCovarianceBand:
         assert cov.band.shape == ref.shape == (space.dim, (np.prod(np.multiply(2, degrees) + 1)
                                                            + 1) // 2)
         assert np.allclose(0.8**2 * cov.band, ref, rtol=0, atol=1e-15)
+        # fit_with_band gives every family's band: counts for knn and ball
+        model, band = fit_with_band(cloud, space, spec)
+        if family in LOCAL_FAMILIES:
+            band = band_of_counts(band, space, model.diagnostics.support_sizes)
+        assert np.array_equal(band, cov.band)
         bands = self.both_kernels(cloud, space, spec)
         assert len(bands) == (2 if family in LOCAL_FAMILIES else 1)
         for band in bands:

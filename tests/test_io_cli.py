@@ -1126,7 +1126,8 @@ class TestModelFiles:
         ("weight", "gaussian:sigma=nan", "sigma > 0"),
         ("dropped_rows", ["a"], "invalid literal"),
         ("weight", 5, "weight must be a descriptor string, got 5"),
-        ("degrees", [2.0], r"degrees must be integers, got \[2.0\]"),
+        ("degrees", [2.0], "axis 0: degree must be an integer, got 2.0"),
+        ("degrees", [True], "axis 0: degree must be an integer, got True"),
         ("dropped_rows", [-1], "dropped_rows must be a flat list of integers >= 0"),
         ("policy", {"empty_support": "error", "drop_outside": "no"},
          "drop_outside must be a bool, got 'no'"),
@@ -1180,16 +1181,6 @@ class TestModelFiles:
         else:
             assert code == 1 and payload["error"] == {
                 "type": "ValueError", "message": f"alpha must be in (2**-53, 1), got {alpha!r}"}
-
-    def test_file_without_dropped_rows_evaluates_as_before(self, fitted, tmp_path, capsys):
-        cloud_path, model_path, raw = fitted
-        argv = ["eval", "--model", str(model_path), "--data", str(cloud_path),
-                "--sigma-eps", "0.3", "--out"]
-        assert run_cli(capsys, *argv, str(tmp_path / "with.csv"))[0] == 0
-        del raw["dropped_rows"]
-        model_path.write_text(json.dumps(raw))
-        assert run_cli(capsys, *argv, str(tmp_path / "without.csv"))[0] == 0
-        assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
 
     def test_stored_band_is_the_covariance_band(self, fitted):
         from wqisa import NoiseModel, coefficient_covariance
@@ -1247,38 +1238,35 @@ class TestModelFiles:
             ringed.add(block)
         assert np.array_equal(paired.result(), counts) and np.array_equal(ringed.result(), counts)
 
-    def test_format_1_file_evaluates_through_data(self, fitted, tmp_path, capsys):
+    @pytest.mark.parametrize("legacy, match", [
+        ("format-1", "missing model field 'format'"),
+        ("format-2", "unknown model format 2"),
+        ("no-dropped-rows", "missing model field 'dropped_rows'"),
+        ("no-sigma-eps", "missing model field 'sigma_eps'"),
+    ], ids=["format-1", "format-2", "no-dropped-rows", "no-sigma-eps"])
+    def test_a_file_of_an_older_format_is_refused(self, fitted, tmp_path, capsys, legacy,
+                                                   match):
+        # format 1 had no "format", band or digest and could lack dropped_rows;
+        # format 2 kept the band as base64 float64. Neither is read: refit
         cloud_path, model_path, raw = fitted
-        argv = ["eval", "--model", str(model_path), "--data", str(cloud_path),
-                "--sigma-eps", "0.3", "--out"]
-        code, ev = run_cli(capsys, *argv, str(tmp_path / "format3.csv"))
-        assert code == 0 and ev["covariance"] == "model"
-        for key in ("format", "band", "data_blake2b"):
-            del raw[key]
+        if legacy == "format-1":
+            for key in ("format", "band", "data_blake2b"):
+                del raw[key]
+        elif legacy == "format-2":
+            band = _read_model(model_path)[3]
+            raw.update(format=2, band=base64.b64encode(band.astype("<f8").tobytes()).decode())
+        else:
+            del raw[legacy[3:].replace("-", "_")]
         model_path.write_text(json.dumps(raw))
-        code, ev = run_cli(capsys, *argv, str(tmp_path / "format1.csv"))
-        assert code == 0 and ev["covariance"] == "data"
-        assert (tmp_path / "format1.csv").read_bytes() == (tmp_path / "format3.csv").read_bytes()
-        code, payload = run_cli(capsys, "eval", "--model", str(model_path), "--sigma-eps", "0.3",
-                                "--out", str(tmp_path / "none.csv"))
-        assert code == 1 and payload["error"]["message"].endswith(NO_BAND)
-
-    def test_format_2_file_evaluates_through_data(self, fitted, tmp_path, capsys):
-        # format 2 kept the band as base64 float64; such a file reads as
-        # format 1, its band unread, and rebuilds through --data
-        cloud_path, model_path, raw = fitted
-        argv = ["eval", "--model", str(model_path), "--sigma-eps", "0.3", "--out"]
-        code, ev = run_cli(capsys, *argv, str(tmp_path / "format3.csv"), "--data", str(cloud_path))
-        assert code == 0 and ev["covariance"] == "model"
-        band = _read_model(model_path)[3]
-        raw.update(format=2, band=base64.b64encode(band.astype("<f8").tobytes()).decode())
-        model_path.write_text(json.dumps(raw))
-        assert _read_model(model_path)[3] is None
-        code, ev = run_cli(capsys, *argv, str(tmp_path / "format2.csv"), "--data", str(cloud_path))
-        assert code == 0 and ev["covariance"] == "data"
-        assert (tmp_path / "format2.csv").read_bytes() == (tmp_path / "format3.csv").read_bytes()
-        code, payload = run_cli(capsys, *argv, str(tmp_path / "none.csv"))
-        assert code == 1 and payload["error"]["message"].endswith(NO_BAND)
+        with pytest.raises(ParseError) as exc:
+            _read_model(model_path)
+        assert str(exc.value) == f"{model_path}: {match}"
+        grid = tmp_path / "grid.csv"
+        code, payload = run_cli(capsys, "eval", "--model", str(model_path), "--data",
+                                str(cloud_path), "--sigma-eps", "0.3", "--out", str(grid))
+        assert code == 1 and payload["error"] == {"type": "ParseError",
+                                                  "message": str(exc.value)}
+        assert not grid.exists()
 
     def test_file_with_a_sha256_digest_evaluates_through_data(self, fitted, tmp_path, capsys):
         # a model written before the blake2b digest names its data by sha256,

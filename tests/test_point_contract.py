@@ -23,6 +23,8 @@ BAD = {
     "inf-row": ([[0.5, 0.5], [0.5, 0.5], [np.inf, 0.5]], NOT_FINITE + "[inf, 0.5] at row 2"),
     "3-d-array": (np.full((2, 2, 2), 0.5), "points must be an (m, d) block, got shape (2, 2, 2)"),
     "scalar": (0.5, "points must be an (m, d) block, got shape ()"),
+    # a block of no coordinates once reached the tree, which failed in numpy's words
+    "zero-width": (np.zeros((2, 0)), "points must have at least one coordinate, got shape (2, 0)"),
     "wrong-width": (np.full((2, 3), 0.5), "point dimension 3 != expected dimension 2"),
     "column": ([[0.5], [0.25]], "point dimension 1 != expected dimension 2"),
     "single-point": ([0.5, 0.5], "points must be an (m, d) block, got shape (2,)"),

@@ -20,7 +20,8 @@ leaves behind:
   spans several read buffers; one cloud as csv, as xyz and piped with CRLF
   line ends fits alike; the report of a +-1.5e308 cloud is finite; every
   cv curve is full with a finite best; and the metrics of 1-D and 2-D
-  models are finite and in range.
+  models, of a model with no sigma and of two clouds are finite and in
+  range.
 """
 
 import hashlib
@@ -123,6 +124,12 @@ COMMANDS = [
     *[(0, f"fit --data {data} --degree 2 --n 12 --weight knn:k=9 --out {{d}}/{run}")
       for data, run in (("{d}/readers.csv", "csv"), ("{d}/readers.xyz", "xyz"),
                         ("<{d}/crlf.xyz", "crlf"))],
+    # metrics of two clouds, written by --out, and of a model with no sigma
+    # stored or given, under each scaling the runs above leave out
+    (0, "metrics --data {d}/cloud.xyz --data2 {d}/readers.csv --normalize range "
+        "--out {d}/pair_metrics.json"),
+    (0, "metrics --data {d}/cloud.xyz --model {d}/knn/model.json --normalize max "
+        "> {d}/nosigma_metrics.json"),
     # a 2000-row plane cloud; its knn model evaluated with a 1-D cloud
     *[(0, line.replace("{m}", "{d}/plane_" + w[:3]).replace("{w}", w))
       for w in ("knn:k=10", "gaussian:sigma=0.2") for line in (
@@ -356,7 +363,15 @@ def test_cv_curves_hold_every_candidate_and_a_finite_best(smoke):
 
 
 def test_metrics_are_finite_and_in_range(smoke):
-    for name in ("metrics.json", "plane_knn/metrics.json", "plane_gau/metrics.json"):
+    # with no sigma, and between two clouds, there is no band to cover the rows
+    for name, scale, banded in [("metrics.json", "none", True),
+                                ("plane_knn/metrics.json", "none", True),
+                                ("plane_gau/metrics.json", "none", True),
+                                ("pair_metrics.json", "range", False),
+                                ("nosigma_metrics.json", "max", False)]:
         rep = read(smoke.d / name)
+        assert rep["normalize"] == scale and ("band_coverage" in rep) == banded, name
         assert math.isfinite(rep["directed_hausdorff"]), name
-        assert all(0.0 <= rep[key] <= 1.0 for key in ("jaccard", "band_coverage")), name
+        assert all(math.isfinite(v) for v in rep["error_report"].values()), name
+        assert all(0.0 <= rep[key] <= 1.0 for key in ("jaccard", "band_coverage")
+                   if key in rep), name

@@ -449,8 +449,10 @@ class TestTensorSplineSpace:
             TensorSplineSpace.from_bounds([0, 0], [1, 1], [2, 6], [2])
 
     def test_shape_dim_domain(self):
+        # a numpy integer degree is kept as an int, which model.json can write
         space = TensorSplineSpace((make_uniform_regular(0, 1, 4, 2),
-                                   make_uniform_regular(-1, 1, 6, 1)))
+                                   make_uniform_regular(-1, 1, 6, np.int64(1))))
+        assert space.degrees == (2, 1) and {type(p) for p in space.degrees} == {int}
         assert space.shape == (4, 6)
         assert space.dim == 24
         lo, hi = space.domain
@@ -467,12 +469,24 @@ class TestTensorSplineSpace:
     (lambda: KnotVector(0, np.array([0.0, 1.0])), "degree must be >= 1, got 0"),
     (lambda: KnotVector(2, np.array([0.0, 0.0, 1.0])), r"at least degree\+2 = 4 knots, got \(3,\)"),
     (lambda: make_uniform_regular(0, 1, 3, 0), "degree must be >= 1, got 0"),
+    # a float degree once built a vector that the space failed on in numpy's
+    # words, and true was read as degree 1
+    (lambda: KnotVector(2.0, np.array([0.0] * 3 + [1.0] * 3)), "degree must be an integer, got 2.0"),
+    (lambda: KnotVector(True, np.array([0.0, 0.0, 1.0, 1.0])), "degree must be an integer, got True"),
+    (lambda: make_uniform_regular(0, 1, 3, -2), "degree must be >= 1, got -2"),
+    (lambda: TensorSplineSpace.from_bounds([0], [1], [4], [2.0]),
+     r"axis 0: degree must be an integer, got (np.float64\()?2.0"),
     (lambda: TensorSplineSpace(()), "need at least one axis"),
     (lambda: spline_eval(SplineFunction(TensorSplineSpace((make_uniform_regular(0, 1, 4, 2),)),
                                         np.zeros(4)), np.zeros((3, 2))),
      "point dimension 2 != expected dimension 1"),
-], ids=["negative-degree", "knot-vector-degree-0", "few-knots", "degree-0", "no-axis",
-         "2-d-block"])
+    # a NaN coefficient once evaluated to NaN without an error
+    *[(lambda bad=bad: SplineFunction(TensorSplineSpace((make_uniform_regular(0, 1, 5, 2),)),
+                                      [0.0, 1.0, 2.0, bad, np.nan]),
+       rf"^non-finite coefficient {bad} at \(3,\)$") for bad in (np.nan, np.inf, -np.inf)],
+], ids=["negative-degree", "knot-vector-degree-0", "few-knots", "degree-0", "float-degree",
+         "bool-degree", "degree-minus-2", "float-degree-list", "no-axis", "2-d-block",
+         "nan-coefficient", "inf-coefficient", "minus-inf-coefficient"])
 def test_malformed_input_is_named(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -150,6 +150,9 @@ class TestDescriptors:
         ("exponential:sigma=1.7e308", r"\bsigma > 0 whose kernel scale sqrt\(2\) sigma"),
         ("knn", r"\bk > 0"),
         ("cosine:k=3", "'cosine'"),
+        # a descriptor that is no str once failed on its missing .strip()
+        (5, "^weight must be a descriptor string, got 5$"),
+        (None, "^weight must be a descriptor string, got None$"),
     ])
     def test_rejections_name_the_key(self, text, key):
         with pytest.raises(ValueError, match=key):
