@@ -27,13 +27,15 @@ L distinct values. Radius queries run the same traversal with the bound r^2
 and sort query * n + row. A block whose keys could reach KEY_LIMIT (2^63) is
 answered in halves; one query's keys stay below n^2.
 
-Every squared distance in the package comes from squared_distances. It
-sums (a_k - b_k)^2 over the axes k in order, one array pass per axis, and
-that order is the contract for every d; below 8 axes it is also the order
-of ((a - b) ** 2).sum(axis=-1), so the bits are the same there, at a
-fraction of the cost of numpy's reduction over a short axis. A box's
-squared distance is the same sum between the query and its clamp into the
-box, from per-axis gaps that can only be smaller, so no node holding a
+Every squared distance in the package comes from squared_distances (the
+dense scan splits its sum at the last axis and reuses the leading part
+across a slab of anchors, with the same bits). It sums (a_k - b_k)^2 over
+the axes k in order, one array pass per axis, and that order is the
+contract for every d; below 8 axes it is also the order of
+((a - b) ** 2).sum(axis=-1), so the bits are the same there, at a fraction
+of the cost of numpy's reduction over a short axis. A box's squared
+distance is the same sum between the query and its clamp into the box,
+from per-axis gaps that can only be smaller, so no node holding a
 qualifying point is ever pruned. Points more than about 1.3e154 apart get
 d2 = inf without a warning; inf still orders after every finite d2 and
 ties break by index. Results equal a brute-force scan exactly: k-nearest

@@ -26,13 +26,14 @@ def _readonly(a, dtype=float):
     return out
 
 
-def _degree(p) -> int:
-    """p as an int, or a ValueError naming it: knot averages need an integer degree >= 1."""
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-        raise ValueError(f"degree must be an integer, got {p!r}")
-    if p < 1:
-        raise ValueError(f"degree must be >= 1, got {p}")
-    return int(p)
+def _count(v, name: str) -> int:
+    """v as an int, or a ValueError naming it: an int or numpy integer >= 1, never a
+    bool. A degree and a basis count are counts; knot averages need degree >= 1."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if v < 1:
+        raise ValueError(f"{name} must be >= 1, got {v}")
+    return int(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +52,7 @@ class KnotVector:
     knots: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", _degree(self.degree))
+        object.__setattr__(self, "degree", _count(self.degree, "degree"))
         object.__setattr__(self, "knots", _readonly(self.knots))
         t = self.knots
         if t.ndim != 1 or len(t) < self.degree + 2:
@@ -104,7 +105,7 @@ def make_uniform_regular(a: float, b: float, n: int, p: int) -> KnotVector:
         raise DomainError(f"need a < b, got a={a}, b={b}")
     if not np.isfinite(b - a):  # also an infinite end: knots and spans must be finite
         raise DomainError(f"[{a!r}, {b!r}] has width b - a = {b - a!r}, not a finite float")
-    p = _degree(p)  # before p sizes any array
+    p, n = _count(p, "degree"), _count(n, "n")  # before either sizes an array
     if n < p + 1:
         raise ValueError(f"need n >= p+1 = {p + 1} basis functions, got {n}")
     ends = np.linspace(a, b, n - p + 1)
@@ -190,12 +191,13 @@ class TensorSplineSpace:
     @classmethod
     def from_bounds(cls, lo, hi, n, degrees) -> "TensorSplineSpace":
         lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
-        n = np.broadcast_to(np.atleast_1d(n), lo.shape)
-        degrees = np.broadcast_to(np.atleast_1d(degrees), lo.shape)
+        # entries keep their own types: [5, 2.5] is no float list, [2, True] no int one
+        n, degrees = (np.broadcast_to(np.atleast_1d(np.array(v, dtype=object)), lo.shape)
+                      for v in (n, degrees))
         axes = []
         for k in range(len(lo)):
             try:
-                axes.append(make_uniform_regular(lo[k], hi[k], int(n[k]), degrees[k]))
+                axes.append(make_uniform_regular(lo[k], hi[k], n[k], degrees[k]))
             except (DomainError, ValueError) as exc:  # named by axis, as the space's checks are
                 raise type(exc)(f"axis {k}: {exc}") from None
         return cls(tuple(axes))

@@ -18,8 +18,10 @@ when coordinates repeat.
 Every family measures ||x-u|| as the square root of
 ``kdtree.squared_distances``, which sums the squared gaps over the axes in
 order: the same d2 the neighbour index ranks and bounds by. The unbounded
-families then take that row-length buffer through their kernel in place,
-and a gap past about 1.3e154 reads inf and weighs 0 without a warning. A
+families split that sum at the last axis and reuse the leading part across
+a slab of anchors, with the same bits (``PointCloud.squared_distances_to``);
+they take that row-length buffer through their kernel in place, and a gap
+past about 1.3e154 reads inf and weighs 0 without a warning. A
 one-anchor block, fit's block for them, returns the scan's own arrays; a
 row that weighs every row lists ``cloud.rows`` itself, so callers know it
 by identity and average y over it without a gather.
@@ -33,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kdtree import query_block, squared_distances
+from .kdtree import query_block
 
 
 def _flag(text: str) -> bool:
@@ -156,7 +158,7 @@ def _scan_weights(spec: WeightSpec, u: np.ndarray, cloud):
     every row of the cloud and listing the rows whose weight is positive:
     exp underflows to 0 far from u, and so does 1/dist once dist overflows.
     The kernel runs in place in the distance buffer."""
-    w = squared_distances(cloud.x, u)  # inf past ~1.3e154 apart: weight 0
+    w = cloud.squared_distances_to(u)  # inf past ~1.3e154 apart: weight 0
     np.sqrt(w, out=w)
     if spec.family == "idw":
         coincident = np.flatnonzero(w == 0.0)

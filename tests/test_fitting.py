@@ -4,6 +4,7 @@ import inspect
 import itertools
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -146,6 +147,24 @@ class TestPointCloud:
         again = fit(cloud, space1d(lo=-1.0, hi=1.0), WeightSpec.knn(5))
         assert np.array_equal(again.spline.coefficients, fit(
             sine_cloud(n=200), space1d(lo=-1.0, hi=1.0), WeightSpec.knn(5)).spline.coefficients)
+
+    def test_drop_index_forgets_the_dense_scan_columns(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(-2, 2, (400, 2)), rng.standard_normal(400)
+        cloud, spec = PointCloud(x, y), WeightSpec.gaussian(0.5)
+        # two spaces whose sites differ in their leading coordinates; the
+        # narrow one fits on a clipped working cloud
+        spaces = [TensorSplineSpace.from_bounds([-2, -2], [2, 2], [6, 5], [2, 2]),
+                  TensorSplineSpace.from_bounds([-1, -2], [1.5, 2], [7, 4], [3, 1])]
+        for space in spaces + spaces[::-1]:
+            got = fit(cloud, space, spec).spline.coefficients
+            assert np.array_equal(got, fit(PointCloud(x, y), space, spec).spline.coefficients)
+        scan = {"_last", "_lead"}
+        (work, _), = cloud._working.values()
+        assert scan <= set(vars(cloud)) and scan <= set(vars(work))
+        work = weakref.ref(work)
+        cloud.drop_index()  # the working cloud goes with its columns
+        assert not scan & set(vars(cloud)) and "_working" not in vars(cloud) and work() is None
 
 
 class TestEstimator:

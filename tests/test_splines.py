@@ -476,6 +476,16 @@ class TestTensorSplineSpace:
     (lambda: make_uniform_regular(0, 1, 3, -2), "degree must be >= 1, got -2"),
     (lambda: TensorSplineSpace.from_bounds([0], [1], [4], [2.0]),
      r"axis 0: degree must be an integer, got (np.float64\()?2.0"),
+    # the basis count was once truncated to 5, or failed in numpy's words
+    (lambda: TensorSplineSpace.from_bounds([0], [1], [5.7], [2]),
+     r"^axis 0: n must be an integer, got 5.7$"),
+    (lambda: make_uniform_regular(0, 1, 5.5, 1), r"^n must be an integer, got 5.5$"),
+    (lambda: make_uniform_regular(0, 1, True, 1), r"^n must be an integer, got True$"),
+    # a list's entries once took one type: 5 read as 5.0, and True as degree 1
+    (lambda: TensorSplineSpace.from_bounds([0, 0], [1, 1], [5, 2.5], [2]),
+     r"^axis 1: n must be an integer, got 2.5$"),
+    (lambda: TensorSplineSpace.from_bounds([0, 0], [1, 1], [5], [2, True]),
+     r"^axis 1: degree must be an integer, got True$"),
     (lambda: TensorSplineSpace(()), "need at least one axis"),
     (lambda: spline_eval(SplineFunction(TensorSplineSpace((make_uniform_regular(0, 1, 4, 2),)),
                                         np.zeros(4)), np.zeros((3, 2))),
@@ -485,7 +495,8 @@ class TestTensorSplineSpace:
                                       [0.0, 1.0, 2.0, bad, np.nan]),
        rf"^non-finite coefficient {bad} at \(3,\)$") for bad in (np.nan, np.inf, -np.inf)],
 ], ids=["negative-degree", "knot-vector-degree-0", "few-knots", "degree-0", "float-degree",
-         "bool-degree", "degree-minus-2", "float-degree-list", "no-axis", "2-d-block",
+         "bool-degree", "degree-minus-2", "float-degree-list", "float-n-list",
+         "float-n", "bool-n", "mixed-n-list", "mixed-degree-list", "no-axis", "2-d-block",
          "nan-coefficient", "inf-coefficient", "minus-inf-coefficient"])
 def test_malformed_input_is_named(call, match):
     with pytest.raises(ValueError, match=match):

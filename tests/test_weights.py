@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wqisa import (PointCloud, WeightSpec, cloud_weights, estimate_control_point,
-                   parse_weight)
+from wqisa import (FitPolicy, PointCloud, TensorSplineSpace, WeightSpec, cloud_weights,
+                   estimate_control_point, fit, parse_weight)
 from wqisa.weights import FAMILIES
 
 from _oracles import brute_weight_vector
+from test_weight_blocks import sites_of
 
 
 def cloud_of(x):
@@ -327,3 +328,59 @@ class TestScanKernel:
         idx, _ = one_row(spec, near[1], cloud)
         if spec.family != "idw":  # the underflow filter dropped the far rows
             assert not np.isin(np.arange(150, 180), idx).any()
+
+    DENSE = [WeightSpec.gaussian(0.4), WeightSpec.gaussian(0.4, True),
+             WeightSpec.exponential(0.3), WeightSpec.idw()]
+    # ±0.0 keys differ by their bytes; 1e155 puts every gap it meets past 1.3e154
+    VALUES = [0.0, -0.0, 0.5, -0.25, 1e155]
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([2, 3]), data=st.data(),
+           order=st.sampled_from(["C", "reverse", "interleaved"]))
+    def test_grid_rows_reuse_a_slab_bit_for_bit(self, d, data, order):
+        # the scan keeps the leading axes' sum of one anchor for the next: a
+        # row must not depend on which anchors came before it
+        axes = [data.draw(st.lists(st.sampled_from(self.VALUES), min_size=1, max_size=3))
+                for _ in range(d)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        rows = data.draw(st.lists(st.sampled_from(list(range(len(grid)))), min_size=1,
+                                  max_size=8))  # repeated picks: duplicate rows
+        x = np.vstack([grid[rows], np.random.default_rng(d).uniform(-1, 1, (20, d))])
+        if order == "reverse":
+            grid = grid[::-1]
+        elif order == "interleaved":  # leading coordinates A, B, A, ...
+            grid = np.vstack([grid, grid[::-1], grid])
+        for spec in self.DENSE:
+            cloud = cloud_of(x)
+            params = {"sigma": spec.sigma, "squared_norm": spec.gaussian_squared_norm}
+            wants = [brute_weight_vector(spec.family, params, u, x) for u in grid]
+            for u, want in zip(grid, wants):
+                idx, w = one_row(spec, u, cloud)
+                assert np.array_equal(idx, np.flatnonzero(want)) and np.array_equal(w, want[idx])
+            indptr, idx, w = cloud_weights(spec, grid, cloud)  # the block, on the warm cloud
+            for j, want in enumerate(wants):
+                row = slice(indptr[j], indptr[j + 1])
+                assert np.array_equal(idx[row], np.flatnonzero(want))
+                assert np.array_equal(w[row], want[idx[row]])
+
+    @pytest.mark.parametrize("shape", [(6, 5), (3, 4, 3)])
+    @pytest.mark.parametrize("policy", [FitPolicy(), FitPolicy("nearest"),
+                                        FitPolicy(drop_outside=True),
+                                        FitPolicy("nearest", drop_outside=True)],
+                             ids=["error", "nearest", "drop", "nearest-drop"])
+    def test_fit_equals_fresh_clouds_per_site(self, shape, policy):
+        d = len(shape)
+        space = TensorSplineSpace.from_bounds([-1.0] * d, [1.0] * d, list(shape), [2] * d)
+        rng = np.random.default_rng(d)
+        x = rng.uniform(-1.3, 1.3, (300, d))
+        y = np.sin(3 * x).sum(axis=1)
+        y[[0, 1]] = -9.0, 9.0  # the extremes lie in the box, so a working cloud shares them
+        x[[0, 1]] = 0.0
+        lo, hi = space.domain
+        inside = np.all((x >= lo) & (x <= hi), axis=1)
+        wx, wy = (x[inside], y[inside]) if policy.drop_outside else (np.clip(x, lo, hi), y)
+        for spec in self.DENSE:
+            got = fit(PointCloud(x, y), space, spec, policy).spline.coefficients.reshape(-1)
+            want = [estimate_control_point(PointCloud(wx, wy), spec, [s])[0]
+                    for s in sites_of(space)]  # a fresh cloud per site: no slab reused
+            assert np.array_equal(got, want)
